@@ -1,9 +1,8 @@
-"""Pure-Python GF(2) elimination engine using int bitsets.
+"""The GF(2) elimination engine, on Python int bitsets.
 
 Columns are Python integers: bit i set means the column has a 1 in row i.
 Pivoting is deterministic, lowest row index first, so echelon columns,
-kernel combinations and canonical residues are reproducible across runs
-and identical to the compiled engine in ratslice._gf2core.
+kernel combinations and canonical residues are reproducible across runs.
 
 A column added to the engine is reduced against existing pivot columns
 until its lowest set bit is a fresh row (then it becomes a pivot) or it
@@ -12,7 +11,9 @@ added so far).  Every stored pivot column has its pivot row as the lowest
 set bit, so reducing a target by repeatedly clearing its lowest pivot bit
 terminates and yields the unique coset representative supported away from
 all pivot rows.  With rows ordered by priority (bit 0 strongest), that
-representative is lexicographically minimal in its coset.
+representative is lexicographically minimal in its coset.  The pivot rows
+are the leading rows of the span's nonzero vectors, whatever order the
+columns were added in: exactly rank many, one per dimension.
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ class Elimination:
     @property
     def rank(self) -> int:
         return len(self._cols)
+
+    @property
+    def pivot_rows(self):
+        """The rows that lead some vector of the span (a set-like view)."""
+        return self._pivot_of_row.keys()
 
     def add_column(self, col: int) -> None:
         """Feed one column; may create a pivot or a kernel combination."""

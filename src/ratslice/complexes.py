@@ -10,13 +10,15 @@ Alexander level j cuts out a subcomplex (all generators with A <= j).
 For a nonzero homology class alpha, tau(alpha) is the least level j at
 which alpha is hit by the map H(level-j subcomplex) -> H(total complex);
 equivalently the minimum over cycle representatives z of alpha of the top
-Alexander grading in z.  We compute it by eliminating the boundary columns
-with row priority "highest Alexander grading first": the canonical residue
-of a cycle modulo boundaries is then the representative whose top grading
-is smallest possible, and tau is the grading of its leading row.  The
-ascending level sweep and the exhaustive minimum over representatives
-agree with this by exactness of the canonical form; the test suite checks
-all three routes against each other on small complexes.
+Alexander grading in z.  Every tau here is read from one elimination of
+the boundary columns with rows in TauRowOrder, highest Alexander grading
+first: the canonical residue of a cycle modulo boundaries is then the
+representative whose top grading is smallest possible, and tau is the
+grading of its leading row.  Reduction is linear, so the residues of a
+homology basis span the residues of all classes, and the extremes of the
+tau spectrum are the gradings of that span's pivot rows.  The test suite
+checks this against the exhaustive minimum over representatives and the
+ascending level sweep on small complexes.
 """
 
 from __future__ import annotations
@@ -66,7 +68,11 @@ class FloerClass:
 
 @dataclass(frozen=True)
 class TauSpectrum:
-    """tau values per homology class, with the extremes and their spread."""
+    """tau values per homology class, with the extremes and their spread.
+
+    tau_max, tau_min and breadth range over all nonzero classes.  When
+    enumeration_complete is false, per_class lists a homology basis only.
+    """
 
     per_class: dict[str, Fraction]
     tau_max: Fraction
@@ -80,6 +86,34 @@ class TauSpectrum:
         for cid, value in self.per_class.items():
             if not self.tau_min <= value <= self.tau_max:
                 raise ValueError(f"class {cid}: tau outside [tau_min, tau_max]")
+
+
+class TauRowOrder:
+    """Rows ordered highest Alexander grading first, ties in input order.
+
+    The engine pivots on a column's lowest row, which in this order is its
+    top grading, so the canonical residue of a cycle modulo boundaries has
+    the smallest top grading among its representatives, and the pivot rows
+    of a span are the top gradings its nonzero vectors can have.
+    """
+
+    def __init__(self, alexanders: Sequence[Fraction]):
+        self.order = sorted(range(len(alexanders)), key=lambda i: (-alexanders[i], i))
+        self.alexanders = [alexanders[i] for i in self.order]
+        self.position = [0] * len(self.order)
+        for row, i in enumerate(self.order):
+            self.position[i] = row
+
+    def permute(self, bits: int) -> int:
+        """Move bit i (input index) to bit position[i] (row)."""
+        out = 0
+        for i in _bit_positions(bits):
+            out |= 1 << self.position[i]
+        return out
+
+    def top(self, rows: int) -> Fraction:
+        """Alexander grading of the leading row of a nonzero row bitset."""
+        return self.alexanders[(rows & -rows).bit_length() - 1]
 
 
 class FilteredComplex:
@@ -136,36 +170,17 @@ class FilteredComplex:
             bits ^= low
         return out
 
-    # Row order for tau: highest Alexander grading first, then input order.
     @cached_property
-    def _tau_row_order(self) -> tuple[list[int], list[int]]:
-        order = sorted(range(len(self.generators)),
-                       key=lambda i: (-self.generators[i].alexander, i))
-        position = [0] * len(order)
-        for new, old in enumerate(order):
-            position[old] = new
-        return order, position
-
-    def _permute(self, bits: int) -> int:
-        _, position = self._tau_row_order
-        out = 0
-        while bits:
-            low = bits & -bits
-            out |= 1 << position[low.bit_length() - 1]
-            bits ^= low
-        return out
+    def _tau_rows(self) -> TauRowOrder:
+        return TauRowOrder([g.alexander for g in self.generators])
 
     @cached_property
     def _tau_engine(self):
-        """Boundary columns eliminated in descending-Alexander row order."""
+        """Boundary columns eliminated in TauRowOrder."""
         engine = new_engine(len(self.generators), track=False)
         for col in self.boundary_columns:
-            engine.add_column(self._permute(col))
+            engine.add_column(self._tau_rows.permute(col))
         return engine
-
-    @cached_property
-    def alexander_levels(self) -> list[Fraction]:
-        return sorted({g.alexander for g in self.generators})
 
 
 def validate(complex_: FilteredComplex) -> ValidationReport:
@@ -312,78 +327,51 @@ def _check_cycle(complex_: FilteredComplex, alpha: FloerClass) -> int:
 def tau(complex_: FilteredComplex, alpha: FloerClass) -> Fraction:
     """Minimal Alexander level at which alpha appears in homology."""
     bits = _check_cycle(complex_, alpha)
-    residue = complex_._tau_engine.reduce(complex_._permute(bits))
+    rows = complex_._tau_rows
+    residue = complex_._tau_engine.reduce(rows.permute(bits))
     if not residue:
         raise ValueError("class is zero in homology")
-    order, _ = complex_._tau_row_order
-    leading = (residue & -residue).bit_length() - 1
-    return complex_.generators[order[leading]].alexander
-
-
-def tau_by_level_sweep(complex_: FilteredComplex, alpha: FloerClass) -> Fraction:
-    """tau by the ascending level sweep with image-membership tests.
-
-    Visits only Alexander values realized by generators.  At level j the
-    class appears iff its representative differs by a boundary from a cycle
-    supported in the level-j subcomplex.  Quadratic in the number of
-    levels; tau() computes the same number with one elimination.
-    """
-    bits = _check_cycle(complex_, alpha)
-    n = len(complex_.generators)
-    cols = complex_.boundary_columns
-    for level in complex_.alexander_levels:
-        engine = new_engine(n, track=False)
-        sub = [i for i, g in enumerate(complex_.generators) if g.alexander <= level]
-        subcycles = new_engine(n, track=True)
-        for i in sub:
-            subcycles.add_column(cols[i])
-        for combo in subcycles.kernel_combos:
-            cycle_bits = 0
-            for pos in _bit_positions(combo):
-                cycle_bits |= 1 << sub[pos]
-            engine.add_column(cycle_bits)
-        for col in cols:
-            engine.add_column(col)
-        if engine.contains(bits):
-            return level
-    raise ValueError("class is zero in homology")
+    return rows.top(residue)
 
 
 def tau_spectrum(complex_: FilteredComplex) -> TauSpectrum:
-    """tau of every nonzero class (rank <= 20), else of a basis only."""
+    """tau of every nonzero class; per_class lists them all up to rank 20.
+
+    Each basis representative is reduced once.  The extremes are exact at
+    any rank: they are the gradings of the pivot rows of the residue span.
+    """
     basis = homology_basis(complex_)
     if not basis:
         raise ValueError("total homology is zero")
     rank = len(basis)
-    reps = [complex_._permute(c.representative.to_int()) for c in basis]
+    rows = complex_._tau_rows
     engine = complex_._tau_engine
-    order, _ = complex_._tau_row_order
-
-    def tau_of(bits: int) -> Fraction:
-        residue = engine.reduce(bits)
-        if not residue:
-            raise AssertionError("combination of basis classes reduced to zero")
-        leading = (residue & -residue).bit_length() - 1
-        return complex_.generators[order[leading]].alexander
+    residues = [
+        engine.reduce(rows.permute(c.representative.to_int())) for c in basis
+    ]
+    span = new_engine(len(complex_.generators), track=False)
+    for residue in residues:
+        span.add_column(residue)
+    if span.rank != rank:
+        raise AssertionError("basis classes are dependent modulo boundaries")
 
     per_class: dict[str, Fraction] = {}
-    if rank <= FULL_ENUMERATION_CAP:
-        # Gray-code walk: each step XORs one basis representative.
+    complete = rank <= FULL_ENUMERATION_CAP
+    if complete:
+        # Gray-code walk: each step XORs one basis residue.
         current = 0
         mask = 0
         for step in range(1, 1 << rank):
             flip = (step & -step).bit_length() - 1
-            current ^= reps[flip]
+            current ^= residues[flip]
             mask ^= 1 << flip
             cid = "+".join(f"b{i}" for i in _bit_positions(mask))
-            per_class[cid] = tau_of(current)
-        complete = True
+            per_class[cid] = rows.top(current)
     else:
-        for i, bits in enumerate(reps):
-            per_class[f"b{i}"] = tau_of(bits)
-        complete = False
-    values = per_class.values()
-    tau_max, tau_min = max(values), min(values)
+        for i, residue in enumerate(residues):
+            per_class[f"b{i}"] = rows.top(residue)
+    tau_max = rows.alexanders[min(span.pivot_rows)]
+    tau_min = rows.alexanders[max(span.pivot_rows)]
     return TauSpectrum(
         per_class=per_class,
         tau_max=tau_max,

@@ -1,46 +1,27 @@
 """Sparse linear algebra over GF(2): rank, kernel, image membership.
 
 Matrices are immutable value objects: two matrices are equal exactly when
-their (rows, cols, entry set) data agree.  All computations run through an
-elimination engine with deterministic lowest-row-first pivoting, so kernel
-bases and witnesses are bit-identical across runs, across thread counts,
-and across the two engine backends.
-
-Backends: the compiled core (ratslice._gf2core, built from Cython) is
-preferred; the pure-Python int-bitset engine is the fallback.  Set
-RATSLICE_GF2_BACKEND=python or =native to force one.  Entries are stored
+their (rows, cols, entry set) data agree.  All computations run through
+one elimination engine, the pure-Python int-bitset engine in
+ratslice._gf2py, with deterministic lowest-row-first pivoting, so kernel
+bases and witnesses are bit-identical across runs.  Entries are stored
 as a sparse set at the API boundary and packed into dense column bitsets
 for computation, which covers both the sparse and the dense regime.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from . import _gf2py
 
-try:
-    from . import _gf2core
-except ImportError:
-    _gf2core = None
-
-_FORCED = os.environ.get("RATSLICE_GF2_BACKEND", "").strip().lower()
-if _FORCED == "python":
-    _ENGINE_MODULE = _gf2py
-elif _FORCED == "native":
-    if _gf2core is None:
-        raise ImportError("RATSLICE_GF2_BACKEND=native but the compiled core is not built")
-    _ENGINE_MODULE = _gf2core
-else:
-    _ENGINE_MODULE = _gf2core if _gf2core is not None else _gf2py
-
-BACKEND_NAME = "native" if _ENGINE_MODULE is _gf2core else "python"
+# Named in benchmark run records.
+BACKEND_NAME = "python"
 
 
 def new_engine(nrows: int, track: bool = True):
-    """Fresh incremental elimination engine from the selected backend."""
-    return _ENGINE_MODULE.Elimination(nrows, track)
+    """Fresh incremental elimination engine."""
+    return _gf2py.Elimination(nrows, track)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,11 @@ grid is tau of that class.  Knot Floer ranks are recovered from the
 graded (rectangle count zero X, zero O) homology by deconvolving the
 binomial tower, after which they are symmetric in the Alexander grading.
 
-Size cap: n <= 10.  Up to n = 8 the complex is materialized; for n = 9
-and 10 tau is computed from the three Maslov slices around zero with
-boundary rows generated on the fly, so no full differential is stored.
+Size cap: n <= 10.  tau reads only the three Maslov slices around zero
+and never stores the full differential: it is the birth of the one
+essential Maslov-0 persistence bar, found by eliminating the boundaries
+into Maslov 0 and then the boundaries out of it with clearing.  The knot
+Floer ranks compile the whole complex.
 """
 
 from __future__ import annotations
@@ -30,12 +32,11 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .complexes import FilteredComplex, FloerClass, homology_basis
+from .complexes import FilteredComplex, FloerClass, TauRowOrder, homology_basis
 from .gf2 import new_engine
 from .parallel import ordered_map
 
 MAX_GRID_SIZE = 10
-MATERIALIZE_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -235,8 +236,7 @@ def _state_id(state: tuple[int, ...]) -> str:
     return "x" + "".join(str(v) for v in state)
 
 
-def compile_grid(grid: GridDiagram) -> FilteredComplex:
-    """Compile the grid into its filtered complex over GF(2)."""
+def _check_knot_grid(grid: GridDiagram) -> None:
     n = grid.n
     if n > MAX_GRID_SIZE:
         raise ValueError(
@@ -247,6 +247,12 @@ def compile_grid(grid: GridDiagram) -> FilteredComplex:
         raise ValueError(
             f"grid represents a {grid.components()}-component link, not a knot"
         )
+
+
+def compile_grid(grid: GridDiagram) -> FilteredComplex:
+    """Compile the grid into its filtered complex over GF(2)."""
+    _check_knot_grid(grid)
+    n = grid.n
     grader = _Grader(grid)
     states = list(itertools.permutations(range(n)))
 
@@ -278,116 +284,54 @@ def maslov_zero_class(complex_: FilteredComplex) -> FloerClass:
     return classes[0]
 
 
-def _tau_from_slices(
-    c0: list[tuple[Fraction, tuple[int, ...]]],
-    d0_columns: list[int],
-    d1_columns: list[int],
-    n_below: int,
-) -> Fraction:
-    """tau of the Maslov-0 class from the three middle Maslov slices.
+def tau(grid: GridDiagram) -> Fraction:
+    """tau of the knot presented by the grid.
 
-    c0 lists (alexander, state) for the Maslov-0 states; d0_columns are
-    their boundaries over the n_below Maslov(-1) states, and d1_columns
-    the boundaries of the Maslov-1 states over the c0 positions.  Cycles
-    are reduced modulo boundaries with rows ordered by descending
-    Alexander grading; the first kernel vector surviving the reduction
-    represents the rank-one Maslov-0 homology, and the leading row of its
-    canonical residue realizes tau.
+    Filter the Maslov-0 states by Alexander grading.  Eliminating the
+    boundaries of the Maslov-1 states, rows in TauRowOrder, marks the
+    Maslov-0 states whose cycles die (the pivot rows).  The boundaries of
+    the other Maslov-0 states are then fed in ascending filtration order;
+    a state whose boundary adds no pivot is born a new cycle, and the one
+    such state that never dies generates the Maslov-0 homology.  Its
+    Alexander grading is the least level that carries the class: tau.
     """
-    order = sorted(range(len(c0)), key=lambda i: (-c0[i][0], c0[i][1]))
-    position = [0] * len(c0)
-    for new, old in enumerate(order):
-        position[old] = new
-
-    def to_rows(bits: int) -> int:
-        out = 0
-        while bits:
-            low = bits & -bits
-            out |= 1 << position[low.bit_length() - 1]
-            bits ^= low
-        return out
-
-    boundaries = new_engine(len(c0), track=False)
-    for col in d1_columns:
-        boundaries.add_column(to_rows(col))
-    cycles = new_engine(max(n_below, 1), track=True)
-    for col in d0_columns:
-        cycles.add_column(col)
-    for combo in cycles.kernel_combos:
-        residue = boundaries.reduce(to_rows(combo))
-        if residue:
-            leading = (residue & -residue).bit_length() - 1
-            return c0[order[leading]][0]
-    raise AssertionError("no surviving Maslov-0 cycle: not a knot grid?")
-
-
-def _streamed_slices(grid: GridDiagram):
-    """Maslov {-1, 0, 1} slices without materializing the full complex."""
+    _check_knot_grid(grid)
     grader = _Grader(grid)
     slices: dict[int, list[tuple[int, ...]]] = {-1: [], 0: [], 1: []}
-    alexanders: dict[tuple[int, ...], Fraction] = {}
     for state in itertools.permutations(range(grid.n)):
         m = grader.maslov(state)
         if m in slices:
             slices[m].append(state)
-            if m == 0:
-                _, a = grader.gradings(state)
-                alexanders[state] = a
-    index_m1 = {s: i for i, s in enumerate(slices[-1])}
-    index_0 = {s: i for i, s in enumerate(slices[0])}
+    middle = slices[0]
+    rows = TauRowOrder([grader.gradings(s)[1] for s in middle])
+    row_of = {state: rows.position[i] for i, state in enumerate(middle)}
 
-    def column(state: tuple[int, ...], index: dict[tuple[int, ...], int]) -> int:
+    boundaries = new_engine(len(middle), track=False)
+    for state in slices[1]:
         bits = 0
         for target in _rectangle_targets(grid, state):
-            bits |= 1 << index[target]
-        return bits
+            bits |= 1 << row_of[target]
+        boundaries.add_column(bits)
+    dying = boundaries.pivot_rows
 
-    c0 = [(alexanders[s], s) for s in slices[0]]
-    d0 = ordered_map(lambda s: column(s, index_m1), slices[0])
-    d1 = ordered_map(lambda s: column(s, index_0), slices[1])
-    return c0, d0, d1, len(slices[-1])
-
-
-def tau(grid: GridDiagram, streamed: Optional[bool] = None) -> Fraction:
-    """tau of the knot presented by the grid.
-
-    Computed from the Maslov-0 homology class.  Small grids go through the
-    full compiled complex; for n >= 9 (or streamed=True) only the three
-    middle Maslov slices are held in memory.
-    """
-    if streamed is None:
-        streamed = grid.n > MATERIALIZE_LIMIT
-    if streamed:
-        if grid.n > MAX_GRID_SIZE:
-            raise ValueError(f"grid size {grid.n} exceeds the cap {MAX_GRID_SIZE}")
-        if not grid.is_knot():
-            raise ValueError("grid does not present a knot")
-        c0, d0, d1, n_below = _streamed_slices(grid)
-        return _tau_from_slices(c0, d0, d1, n_below)
-    complex_ = compile_grid(grid)
-    c0: list[tuple[Fraction, tuple[int, ...]]] = []
-    d0: list[int] = []
-    d1: list[int] = []
-    index0: dict[str, int] = {}
-    indexm1: dict[str, int] = {}
-    for g in complex_.generators:
-        if g.maslov == 0:
-            index0[g.id] = len(c0)
-            c0.append((g.alexander, tuple(int(ch) for ch in g.id[1:])))
-        elif g.maslov == -1:
-            indexm1[g.id] = len(indexm1)
-    for g in complex_.generators:
-        if g.maslov == 0:
-            bits = 0
-            for dst in complex_.differential.get(g.id, ()):
-                bits |= 1 << indexm1[dst]
-            d0.append(bits)
-        elif g.maslov == 1:
-            bits = 0
-            for dst in complex_.differential.get(g.id, ()):
-                bits |= 1 << index0[dst]
-            d1.append(bits)
-    return _tau_from_slices(c0, d0, d1, len(indexm1))
+    below = {state: i for i, state in enumerate(slices[-1])}
+    cycles = new_engine(len(below), track=False)
+    essential = []
+    for row in reversed(range(len(middle))):
+        if row in dying:
+            continue
+        bits = 0
+        for target in _rectangle_targets(grid, middle[rows.order[row]]):
+            bits |= 1 << below[target]
+        pivots = cycles.rank
+        cycles.add_column(bits)
+        if cycles.rank == pivots:
+            essential.append(row)
+    if len(essential) != 1:
+        raise AssertionError(
+            f"expected one essential Maslov-0 class, found {len(essential)}"
+        )
+    return rows.alexanders[essential[0]]
 
 
 def graded_ranks(

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's elimination engine:
 the dense rank oracle is textbook row reduction on lists of lists, the
-exhaustive tau oracle enumerates the entire boundary subspace, and the
+exhaustive tau oracle enumerates the entire boundary subspace, the level
+sweep asks the dense oracle one membership question per level, and the
 survivor enumerator is a plain recursion without memoization.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ratslice.complexes import FilteredComplex
+from ratslice.complexes import FilteredComplex, FloerClass
 from ratslice.gf2 import SparseMatrixGF2
 from ratslice.grid import GridDiagram
 
@@ -161,6 +162,27 @@ def exhaustive_tau(complex_: FilteredComplex, cycle_bits: int) -> Fraction:
             if value < best:
                 best = value
     return best
+
+
+def tau_by_level_sweep(complex_: FilteredComplex, alpha: FloerClass) -> Fraction:
+    """tau by the ascending level sweep with image-membership tests.
+
+    Visits only Alexander values realized by generators.  At level j the
+    class of the cycle z appears iff z = c + b with c supported in the
+    level-j subcomplex and b a boundary (c = z - b is then a cycle too),
+    i.e. iff z lies in the span of the boundary columns and the level-j
+    generators.
+    """
+    bits = alpha.representative.to_int()
+    n = len(complex_.generators)
+    assert bits and complex_.boundary_of(bits) == 0
+    support = frozenset(i for i in range(n) if bits >> i & 1)
+    for level in sorted({g.alexander for g in complex_.generators}):
+        below = [1 << i for i, g in enumerate(complex_.generators) if g.alexander <= level]
+        span = SparseMatrixGF2.from_columns(n, complex_.boundary_columns + below)
+        if dense_in_image(span, support):
+            return level
+    raise ValueError("class is zero in homology")
 
 
 def boundary_subspace_contains(complex_: FilteredComplex, bits: int) -> bool:

@@ -17,7 +17,6 @@ from ratslice.complexes import (
     connected_sum_shift,
     homology_ranks,
     tau,
-    tau_by_level_sweep,
     validate,
 )
 from ratslice.grid import (
@@ -29,7 +28,7 @@ from ratslice.grid import (
 )
 from ratslice.ratlink import SatelliteSpec, c_value, twist_normalize
 
-from helpers import exhaustive_tau, random_complex, random_knot_grid
+from helpers import exhaustive_tau, random_complex, random_knot_grid, tau_by_level_sweep
 
 F = Fraction
 

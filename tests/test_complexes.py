@@ -1,10 +1,11 @@
-"""Filtered complexes: validation, homology, tau (three routes), survivors."""
+"""Filtered complexes: validation, homology, tau against two oracles, survivors."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from ratslice import complexes
 from ratslice.complexes import (
     DeductionError,
     FilteredComplex,
@@ -15,7 +16,6 @@ from ratslice.complexes import (
     min_breadth_lower_bound,
     survivor_deduction,
     tau,
-    tau_by_level_sweep,
     tau_spectrum,
     total_homology_rank,
     validate,
@@ -28,6 +28,7 @@ from helpers import (
     exhaustive_tau,
     naive_survivors,
     random_complex,
+    tau_by_level_sweep,
 )
 from ratslice.gf2 import SparseMatrixGF2
 
@@ -269,6 +270,19 @@ def test_spectrum_zero_homology_rejected():
         tau_spectrum(pair)
 
 
+def _all_class_taus(c) -> set:
+    """Exhaustive tau of every nonzero class, by brute force."""
+    basis = homology_basis(c)
+    taus = set()
+    for mask in range(1, 1 << len(basis)):
+        bits = 0
+        for i in range(len(basis)):
+            if mask >> i & 1:
+                bits ^= basis[i].representative.to_int()
+        taus.add(exhaustive_tau(c, bits))
+    return taus
+
+
 def test_spectrum_extremes_match_per_class_brute_force():
     rng = random.Random(2718)
     checked = 0
@@ -281,17 +295,56 @@ def test_spectrum_extremes_match_per_class_brute_force():
         values = set(s.per_class.values())
         assert s.tau_max == max(values)
         assert s.tau_min == min(values)
-        basis = homology_basis(c)
-        n = len(c.generators)
-        brute = set()
-        for mask in range(1, 1 << len(basis)):
-            bits = 0
-            for i in range(len(basis)):
-                if mask >> i & 1:
-                    bits ^= basis[i].representative.to_int()
-            brute.add(exhaustive_tau(c, bits))
-        assert brute == values
+        assert _all_class_taus(c) == values
         checked += 1
+
+
+def test_spectrum_extremes_exact_above_enumeration_cap(monkeypatch):
+    # With the cap at 1 every complex of rank >= 2 lists a basis only; the
+    # extremes must still range over all classes.
+    monkeypatch.setattr(complexes, "FULL_ENUMERATION_CAP", 1)
+    rng = random.Random(1618)
+    checked = 0
+    while checked < 25:
+        c = random_complex(rng, max_generators=10)
+        rank = total_homology_rank(c)
+        if rank < 2:
+            continue
+        s = tau_spectrum(c)
+        assert not s.enumeration_complete
+        assert len(s.per_class) == rank
+        brute = _all_class_taus(c)
+        assert (s.tau_max, s.tau_min) == (max(brute), min(brute))
+        checked += 1
+
+
+def padded_example(padding: int) -> FilteredComplex:
+    """a, b at A=1 and c at A=-5 with dx = a + b + c, plus free generators.
+
+    [c] = [a + b] has tau -5 and [a] has tau 1, whatever the padding.
+    """
+    gens = [("a", F(0), F(1), "0"), ("b", F(0), F(1), "0"),
+            ("c", F(0), F(-5), "0"), ("x", F(1), F(1), "0")]
+    gens += [(f"p{i:02d}", F(0), F(0), "0") for i in range(padding)]
+    return FilteredComplex(gens, {"x": {"a", "b", "c"}})
+
+
+def test_spectrum_extremes_exact_at_rank_21():
+    s = tau_spectrum(padded_example(19))
+    assert not s.enumeration_complete
+    assert len(s.per_class) == 21
+    assert (s.tau_min, s.tau_max, s.breadth) == (F(-5), F(1), F(6))
+
+
+@pytest.mark.parametrize("padding", [0, 3])
+def test_spectrum_extremes_independent_of_cap(monkeypatch, padding):
+    full = tau_spectrum(padded_example(padding))
+    assert full.enumeration_complete
+    monkeypatch.setattr(complexes, "FULL_ENUMERATION_CAP", 1)
+    capped = tau_spectrum(padded_example(padding))
+    assert not capped.enumeration_complete
+    for s in (full, capped):
+        assert (s.tau_min, s.tau_max, s.breadth) == (F(-5), F(1), F(6))
 
 
 def test_connected_sum_shift_examples():
@@ -304,7 +357,7 @@ def test_connected_sum_shift_examples():
 
 
 def test_spectrum_basis_only_above_enumeration_cap():
-    # 21 free generators: homology rank 21 > 20, so the spectrum records a
+    # 21 free generators: homology rank 21 > 20, so the spectrum lists a
     # basis only and says so.
     gens = [(f"f{i}", F(0), F(i, 2), "0") for i in range(21)]
     s = tau_spectrum(FilteredComplex(gens, {}))

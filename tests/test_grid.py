@@ -98,6 +98,8 @@ def test_two_component_grid_rejected():
     assert grid.components() == 2
     with pytest.raises(ValueError, match="component"):
         compile_grid(grid)
+    with pytest.raises(ValueError, match="component"):
+        grid_tau(grid)
 
 
 def test_size_cap():
@@ -105,15 +107,18 @@ def test_size_cap():
     o = tuple((i + 1) % 11 for i in range(11))
     with pytest.raises(ValueError, match="cap"):
         compile_grid(GridDiagram(x, o))
-
-
-def test_streamed_path_agrees_with_materialized():
-    for grid in (UNKNOT, torus_knot_grid(2, 3), torus_knot_grid(3, -2)):
-        assert grid_tau(grid, streamed=True) == grid_tau(grid, streamed=False)
+    with pytest.raises(ValueError, match="cap"):
+        grid_tau(GridDiagram(x, o))
 
 
 def test_tau_via_floer_class_route():
-    for grid in (UNKNOT, torus_knot_grid(2, 3), torus_knot_grid(2, -3)):
+    # Grid tau (persistence on three Maslov slices) against the filtered
+    # complex tau of the Maslov-0 class on the whole compiled complex.
+    grids = [UNKNOT, torus_knot_grid(2, 3), torus_knot_grid(2, -3), torus_knot_grid(3, -2)]
+    rng = random.Random(2023)
+    for n in (3, 4, 5, 6):
+        grids += [random_knot_grid(rng, n) for _ in range(3)]
+    for grid in grids:
         c = compile_grid(grid)
         alpha = maslov_zero_class(c)
         assert tau(c, alpha) == grid_tau(grid)
@@ -121,7 +126,7 @@ def test_tau_via_floer_class_route():
 
 def test_tau_of_compiled_t2_minus5_complex():
     # The filtered-complex tau operation on the full 5040-generator
-    # complex, not just the slice shortcut.
+    # complex, not just the three Maslov slices.
     c = compile_grid(torus_knot_grid(2, -5))
     assert tau(c, maslov_zero_class(c)) == -2
 
@@ -163,7 +168,7 @@ def test_structure_random_grids():
 
 
 def test_structure_sampled_size_eight():
-    # One sampled grid at the materialization limit (~13 s).
+    # One sampled size-8 grid (~13 s).
     _structural_checks(random_knot_grid(random.Random(88), 8))
 
 
