@@ -17,11 +17,14 @@ grid is tau of that class.  Knot Floer ranks are recovered from the
 graded (rectangle count zero X, zero O) homology by deconvolving the
 binomial tower, after which they are symmetric in the Alexander grading.
 
-Size cap: n <= 10.  tau reads only the three Maslov slices around zero
-and never stores the full differential: it is the birth of the one
-essential Maslov-0 persistence bar, found by eliminating the boundaries
-into Maslov 0 and then the boundaries out of it with clearing.  The knot
-Floer ranks compile the whole complex.
+Size cap: n <= 10.  Neither tau nor the knot Floer ranks store the full
+differential.  tau reads only the three Maslov slices around zero: it is
+the birth of the one essential Maslov-0 persistence bar, found by
+eliminating the boundaries into Maslov 0 and then the boundaries out of
+it with clearing.  The graded differential preserves the Alexander
+grading, so the knot Floer ranks take the rank of each (M, A) block
+against the (M - 1, A) block alone.  compile_grid builds the whole
+filtered complex for the tests and maslov_zero_class.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional
 
 from .complexes import FilteredComplex, FloerClass, TauRowOrder, homology_basis
 from .gf2 import new_engine
@@ -146,7 +148,6 @@ class _Grader:
         self.n = grid.n
         self.ox = _DominanceTables(grid.o_markings)
         self.xx = _DominanceTables(grid.x_markings)
-        self.a_shift = Fraction(grid.n - 1, 2)
 
     def _pair_counts(self, state: tuple[int, ...], tables: _DominanceTables) -> int:
         # I(state, markings) + I(markings, state), strict dominance both ways.
@@ -157,58 +158,43 @@ class _Grader:
             total += suf[i][v] + pre[i][v]
         return total
 
+    def _maslov(
+        self, state: tuple[int, ...], inversions: int, tables: _DominanceTables
+    ) -> int:
+        return inversions - self._pair_counts(state, tables) + tables.self_pairs + 1
+
     def maslov(self, state: tuple[int, ...]) -> int:
-        inv = sum(
-            1
-            for j in range(self.n)
-            for k in range(j + 1, self.n)
-            if state[j] < state[k]
-        )
-        return inv - self._pair_counts(state, self.ox) + self.ox.self_pairs + 1
+        return self._maslov(state, _inversions(state), self.ox)
 
     def gradings(self, state: tuple[int, ...]) -> tuple[int, Fraction]:
-        m_o = self.maslov(state)
-        m_x = (
-            sum(
-                1
-                for j in range(self.n)
-                for k in range(j + 1, self.n)
-                if state[j] < state[k]
-            )
-            - self._pair_counts(state, self.xx)
-            + self.xx.self_pairs
-            + 1
-        )
-        return m_o, Fraction(m_o - m_x, 2) - self.a_shift
+        inversions = _inversions(state)
+        m_o = self._maslov(state, inversions, self.ox)
+        m_x = self._maslov(state, inversions, self.xx)
+        return m_o, Fraction(m_o - m_x - self.n + 1, 2)
 
 
-def _in_open(value: int, lo: int, hi: int) -> bool:
-    # Cyclic open interval (lo, hi); empty when lo == hi.
-    if lo < hi:
-        return lo < value < hi
-    return value > lo or value < hi
+def _inversions(state: tuple[int, ...]) -> int:
+    # Pairs j < k with state[j] < state[k]: I(state, state).
+    return sum(a < b for a, b in itertools.combinations(state, 2))
 
 
-def _in_halfopen(value: int, lo: int, hi: int) -> bool:
-    # Cyclic half-open interval [lo, hi).
-    if lo < hi:
-        return lo <= value < hi
-    return value >= lo or value < hi
-
-
-def _rectangle_targets(
-    grid: GridDiagram, state: tuple[int, ...]
+def _empty_rectangles(
+    state: tuple[int, ...], blocking: list[int]
 ) -> list[tuple[int, ...]]:
-    """Targets of the differential arrows leaving `state`.
+    """Targets of the rectangles leaving `state` with an empty interior.
 
-    For each pair of columns there are two complementary rectangles on the
-    torus with the right corner convention; a rectangle counts when its
-    interior holds no state point and no O marking.  Two surviving
-    rectangles to the same target cancel mod 2 (this already happens for
-    the 2x2 unknot grid).
+    blocking[c] is the bitmask of the marking rows in column c that a
+    rectangle may not contain.  For each pair of columns there are two
+    complementary rectangles on the torus with the right corner
+    convention.  A rectangle from column ci to cj and row ra to rb covers
+    the marking cells of columns [ci, cj) and rows [ra, rb); its lower
+    left corner is the state point (ci, ra), so the other state points it
+    may not contain are those of columns (ci, cj) in rows [ra, rb).  Two
+    empty rectangles to the same target cancel mod 2 (this already
+    happens for the 2x2 unknot grid).
     """
-    n = grid.n
-    o = grid.o_markings
+    n = len(state)
+    every_row = (1 << n) - 1
     parity: dict[tuple[int, ...], int] = {}
     for i in range(n):
         for j in range(i + 1, n):
@@ -216,20 +202,45 @@ def _rectangle_targets(
             swapped = list(state)
             swapped[i], swapped[j] = b, a
             target = tuple(swapped)
-            for (ci, cj, ra, rb) in ((i, j, a, b), (j, i, b, a)):
-                blocked = False
-                for c in range(n):
-                    if not _in_halfopen(c, ci, cj):
-                        continue
-                    if c != ci and _in_open(state[c], ra, rb):
-                        blocked = True
+            # Bitmask of the rows in the cyclic interval [a, b); the
+            # complementary rectangle covers the rows [b, a).
+            span = (1 << b) - (1 << a) if a < b else every_row ^ ((1 << a) - (1 << b))
+            for ci, inner, rows in (
+                (i, range(i + 1, j), span),
+                (j, itertools.chain(range(j + 1, n), range(i)), every_row ^ span),
+            ):
+                if blocking[ci] & rows:
+                    continue
+                for c in inner:
+                    if (blocking[c] | 1 << state[c]) & rows:
                         break
-                    if _in_halfopen(o[c], ra, rb):
-                        blocked = True
-                        break
-                if not blocked:
+                else:
                     parity[target] = parity.get(target, 0) ^ 1
     return [t for t, flag in sorted(parity.items()) if flag]
+
+
+def _rectangle_targets(
+    grid: GridDiagram, state: tuple[int, ...]
+) -> list[tuple[int, ...]]:
+    """Targets of the differential arrows leaving `state`.
+
+    A rectangle counts when its interior holds no state point and no O
+    marking; each X marking inside drops the Alexander filtration by 1.
+    """
+    return _empty_rectangles(state, [1 << row for row in grid.o_markings])
+
+
+def _graded_targets(
+    grid: GridDiagram, state: tuple[int, ...]
+) -> list[tuple[int, ...]]:
+    """Targets of the associated graded differential leaving `state`.
+
+    These are the arrows that preserve the Alexander grading: rectangles
+    with no state point, no O and no X marking inside.
+    """
+    return _empty_rectangles(
+        state, [1 << o | 1 << x for o, x in zip(grid.o_markings, grid.x_markings)]
+    )
 
 
 def _state_id(state: tuple[int, ...]) -> str:
@@ -334,53 +345,71 @@ def tau(grid: GridDiagram) -> Fraction:
     return rows.alexanders[essential[0]]
 
 
-def graded_ranks(
-    grid: GridDiagram, complex_: Optional[FilteredComplex] = None
-) -> dict[tuple[Fraction, Fraction], int]:
+def graded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int]:
     """Homology ranks of the associated graded object, keyed (M, A).
 
-    The graded differential keeps only filtration-preserving arrows, i.e.
-    rectangles containing neither X nor O markings.
+    The graded differential keeps only the filtration-preserving arrows,
+    i.e. rectangles containing neither X nor O markings, so it maps the
+    block of states graded (M, A) into the block graded (M - 1, A).  Each
+    Alexander level is walked in ascending Maslov order: a block's columns
+    are bitsets over the block below it, and the columns of that block are
+    kept to check that the differential squares to zero.  The rank at
+    (M, A) is |block| - rank out - rank in.  Raises if an arrow leaves the
+    block below or the square of the differential is nonzero.
     """
-    if complex_ is None:
-        complex_ = compile_grid(grid)
-    blocks: dict[tuple[Fraction, Fraction], list[str]] = {}
-    gradings: dict[str, tuple[Fraction, Fraction]] = {}
-    for g in complex_.generators:
-        gradings[g.id] = (g.maslov, g.alexander)
-        blocks.setdefault((g.maslov, g.alexander), []).append(g.id)
-    n_all = len(complex_.generators)
-    cols: dict[str, int] = {}
-    for g in complex_.generators:
-        bits = 0
-        for dst in complex_.differential.get(g.id, ()):
-            if gradings[dst][1] == g.alexander:
-                bits |= 1 << complex_.index[dst]
-        cols[g.id] = bits
-    block_rank: dict[tuple[Fraction, Fraction], int] = {}
-    for key, members in blocks.items():
-        engine = new_engine(n_all, track=False)
-        for gid in members:
-            engine.add_column(cols[gid])
-        block_rank[key] = engine.rank
+    _check_knot_grid(grid)
+    grader = _Grader(grid)
+    blocks: dict[tuple[int, Fraction], list[tuple[int, ...]]] = {}
+    for state in itertools.permutations(range(grid.n)):
+        blocks.setdefault(grader.gradings(state), []).append(state)
+
+    rank_out: dict[tuple[int, Fraction], int] = {}
+    # In this order the block below, when there is one, is the block just
+    # reduced, so columns_below holds its columns.
+    columns_below: list[int] = []
+    for key in sorted(blocks, key=lambda k: (k[1], k[0])):
+        m, a = key
+        row_of = {state: i for i, state in enumerate(blocks.get((m - 1, a), ()))}
+        engine = new_engine(len(row_of), track=False)
+        columns = []
+        for state in blocks[key]:
+            bits = 0
+            square = 0
+            for target in _graded_targets(grid, state):
+                row = row_of.get(target)
+                if row is None:
+                    raise AssertionError(
+                        f"graded arrow {state} -> {target} leaves the block "
+                        f"below (M, A) = ({m}, {a})"
+                    )
+                bits |= 1 << row
+                square ^= columns_below[row]
+            if square:
+                raise AssertionError(
+                    f"graded differential squares to nonzero on {state} at "
+                    f"(M, A) = ({m}, {a})"
+                )
+            engine.add_column(bits)
+            columns.append(bits)
+        rank_out[key] = engine.rank
+        columns_below = columns
+
     ranks: dict[tuple[Fraction, Fraction], int] = {}
     for (m, a), members in blocks.items():
-        r = len(members) - block_rank[(m, a)] - block_rank.get((m + 1, a), 0)
+        r = len(members) - rank_out[(m, a)] - rank_out.get((m + 1, a), 0)
         if r:
-            ranks[(m, a)] = r
+            ranks[(Fraction(m), a)] = r
     return ranks
 
 
-def hfk_bigraded_ranks(
-    grid: GridDiagram, complex_: Optional[FilteredComplex] = None
-) -> dict[tuple[Fraction, Fraction], int]:
+def hfk_bigraded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int]:
     """Knot Floer homology ranks, binomial tower deconvolved, keyed (M, A).
 
     The graded grid homology is the knot homology tensored with n-1 copies
     of a rank-2 bigraded factor supported at (0, 0) and (-1, -1); peeling
     the tower from the top Alexander grading down recovers the knot ranks.
     """
-    raw = graded_ranks(grid, complex_)
+    raw = graded_ranks(grid)
     n = grid.n
     remaining = dict(raw)
     result: dict[tuple[Fraction, Fraction], int] = {}
@@ -406,11 +435,9 @@ def hfk_bigraded_ranks(
     return result
 
 
-def hfk_ranks(
-    grid: GridDiagram, complex_: Optional[FilteredComplex] = None
-) -> dict[Fraction, int]:
+def hfk_ranks(grid: GridDiagram) -> dict[Fraction, int]:
     """Knot Floer ranks per Alexander grading (symmetric under A -> -A)."""
     out: dict[Fraction, int] = {}
-    for (m, a), r in hfk_bigraded_ranks(grid, complex_).items():
+    for (m, a), r in hfk_bigraded_ranks(grid).items():
         out[a] = out.get(a, 0) + r
     return out

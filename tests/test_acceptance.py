@@ -22,13 +22,20 @@ from ratslice.complexes import (
 from ratslice.grid import (
     GridDiagram,
     compile_grid,
+    graded_ranks,
     hfk_ranks,
     tau as grid_tau,
     torus_knot_grid,
 )
 from ratslice.ratlink import SatelliteSpec, c_value, twist_normalize
 
-from helpers import exhaustive_tau, random_complex, random_knot_grid, tau_by_level_sweep
+from helpers import (
+    compiled_graded_ranks,
+    exhaustive_tau,
+    random_complex,
+    random_knot_grid,
+    tau_by_level_sweep,
+)
 
 F = Fraction
 
@@ -73,7 +80,9 @@ def _structural(grid: GridDiagram) -> None:
     # In particular the knot-bearing Maslov-0 piece has rank exactly 1.
     assert ranks == {("0", F(-k)): comb(n - 1, k) for k in range(n)}
     assert ranks[("0", F(0))] == 1
-    hfk = hfk_ranks(grid, complex_)
+    # The block-local graded ranks agree with the compiled complex's.
+    assert graded_ranks(grid) == compiled_graded_ranks(complex_)
+    hfk = hfk_ranks(grid)
     assert hfk == {-a: r for a, r in hfk.items()}
 
 

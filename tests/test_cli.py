@@ -51,6 +51,51 @@ def test_tau_verb_spectrum_and_cycle(tmp_path, capsys):
     assert doc["tau"] == "1/4"
 
 
+# Documents printed before the knot Floer ranks went block-local; the
+# documents stay byte-identical.
+T34_HFK_DOCUMENT = """{
+  "citation": "tau-of-maslov-zero-grid-class",
+  "command": "grid-tau",
+  "hfk_ranks": {
+    "-2/1": 1,
+    "-3/1": 1,
+    "0/1": 1,
+    "2/1": 1,
+    "3/1": 1
+  },
+  "n": 7,
+  "source": "torus(3,4)",
+  "tau": "3/1"
+}
+"""
+
+T2_MINUS5_HFK_DOCUMENT = """{
+  "citation": "tau-of-maslov-zero-grid-class",
+  "command": "grid-tau",
+  "hfk_ranks": {
+    "-1/1": 1,
+    "-2/1": 1,
+    "0/1": 1,
+    "1/1": 1,
+    "2/1": 1
+  },
+  "n": 7,
+  "source": "torus(2,-5)",
+  "tau": "-2/1"
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "p,q,document",
+    [("3", "4", T34_HFK_DOCUMENT), ("2", "-5", T2_MINUS5_HFK_DOCUMENT)],
+)
+def test_grid_tau_hfk_documents_unchanged(capsys, p, q, document):
+    code, out, err = run_cli(capsys, "grid-tau", "--torus", p, q, "--hfk")
+    assert code == 0, err
+    assert out == document
+
+
 def test_cable_and_satellite_bounds_agree(capsys):
     cable = run_json(capsys, "cable-bound", "--p", "2", "--tau", "-2", "--lk", "2")
     assert cable["tau_interval"] == {"lo": "-2/1", "hi": "-1/1"}

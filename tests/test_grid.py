@@ -1,12 +1,20 @@
 """Grid diagrams: gradings, differential structure, tau calibration, moves."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from ratslice.complexes import homology_ranks, tau, total_homology_rank, validate
+import ratslice.grid as grid_module
+from ratslice.complexes import (
+    FilteredComplex,
+    homology_ranks,
+    tau,
+    total_homology_rank,
+    validate,
+)
 from ratslice.grid import (
     GridDiagram,
     compile_grid,
@@ -18,7 +26,13 @@ from ratslice.grid import (
     torus_knot_grid,
 )
 
-from helpers import commutable_columns, commute_columns, random_knot_grid, stabilize
+from helpers import (
+    commutable_columns,
+    commute_columns,
+    compiled_graded_ranks,
+    random_knot_grid,
+    stabilize,
+)
 
 F = Fraction
 
@@ -63,10 +77,16 @@ def test_torus_knot_tau_equals_seifert_genus():
         assert grid_tau(torus_knot_grid(p, -q)) == -expected
 
 
-def test_t34_hfk_matches_alexander_polynomial():
+def test_t34_hfk_matches_alexander_polynomial(monkeypatch):
     # T(3,4) is an L-space knot: its knot Floer ranks are the absolute
     # values of the Alexander polynomial coefficients
-    # t^3 - t^2 + 1 - t^-2 + t^-3.
+    # t^3 - t^2 + 1 - t^-2 + t^-3.  They come from the graded blocks
+    # alone: compiling the filtered complex would raise here.
+    def refuse(*args, **kwargs):
+        raise AssertionError("knot Floer ranks built a filtered complex")
+
+    monkeypatch.setattr(grid_module, "compile_grid", refuse)
+    monkeypatch.setattr(FilteredComplex, "__init__", refuse)
     assert hfk_ranks(torus_knot_grid(3, 4)) == {
         F(3): 1,
         F(2): 1,
@@ -100,6 +120,8 @@ def test_two_component_grid_rejected():
         compile_grid(grid)
     with pytest.raises(ValueError, match="component"):
         grid_tau(grid)
+    with pytest.raises(ValueError, match="component"):
+        graded_ranks(grid)
 
 
 def test_size_cap():
@@ -109,6 +131,8 @@ def test_size_cap():
         compile_grid(GridDiagram(x, o))
     with pytest.raises(ValueError, match="cap"):
         grid_tau(GridDiagram(x, o))
+    with pytest.raises(ValueError, match="cap"):
+        graded_ranks(GridDiagram(x, o))
 
 
 def test_tau_via_floer_class_route():
@@ -145,8 +169,10 @@ def _structural_checks(grid: GridDiagram) -> None:
     expected = {("0", F(-k)): comb(n - 1, k) for k in range(n)}
     assert ranks == expected
     assert total_homology_rank(c) == 2 ** (n - 1)
+    # The block-local graded ranks agree with the compiled complex's.
+    assert graded_ranks(grid) == compiled_graded_ranks(c)
     # Knot Floer ranks are symmetric under A -> -A after deconvolution.
-    hfk = hfk_ranks(grid, c)
+    hfk = hfk_ranks(grid)
     assert hfk == {-a: r for a, r in hfk.items()}
     assert sum(hfk.values()) % 2 == 1
 
@@ -181,18 +207,22 @@ def test_total_homology_rank_one_literal():
     assert total_homology_rank(compile_grid(UNKNOT)) == 1
 
 
+def _moved_trefoils() -> list[GridDiagram]:
+    trefoil = torus_knot_grid(2, 3)
+    stabilized = stabilize(trefoil, 2)
+    double = stabilize(stabilized, 0)
+    moved = [stabilized, double, stabilize(trefoil, 4)]
+    for source in (trefoil, stabilized, double):
+        for i in commutable_columns(source)[:2]:
+            moved.append(commute_columns(source, i))
+    return moved
+
+
 def test_tau_invariant_under_grid_moves():
     trefoil = torus_knot_grid(2, 3)
     expected_tau = grid_tau(trefoil)
     expected_hfk = hfk_ranks(trefoil)
-
-    moved = []
-    stabilized = stabilize(trefoil, 2)
-    double = stabilize(stabilized, 0)
-    moved += [stabilized, double, stabilize(trefoil, 4)]
-    for source in (trefoil, stabilized, double):
-        for i in commutable_columns(source)[:2]:
-            moved.append(commute_columns(source, i))
+    moved = _moved_trefoils()
     assert len(moved) >= 5
     for grid in moved:
         assert grid.is_knot()
@@ -207,7 +237,40 @@ def test_maslov_zero_class_unique_for_knots():
     assert alpha.spinc == "0"
 
 
-def test_graded_ranks_accept_precompiled_complex():
+def test_graded_ranks_match_compiled_complex():
+    # The torus and random grids are cross-checked in _structural_checks.
+    for grid in [torus_knot_grid(2, 3)] + _moved_trefoils():
+        assert graded_ranks(grid) == compiled_graded_ranks(compile_grid(grid))
+
+
+def test_graded_ranks_refuse_an_arrow_outside_the_block_below(monkeypatch):
+    graded_targets = grid_module._graded_targets
+
+    def with_loop(grid, state):
+        # An arrow to the state itself stays in the state's own block.
+        return graded_targets(grid, state) + [state]
+
+    monkeypatch.setattr(grid_module, "_graded_targets", with_loop)
+    with pytest.raises(AssertionError, match="leaves the block below"):
+        graded_ranks(torus_knot_grid(2, 3))
+
+
+def test_graded_ranks_refuse_a_nonzero_square(monkeypatch):
     grid = torus_knot_grid(2, 3)
-    c = compile_grid(grid)
-    assert graded_ranks(grid, c) == graded_ranks(grid)
+    graded_targets = grid_module._graded_targets
+    # Dropping an arrow x -> y whose target is no cycle leaves
+    # d(d(x)) = d(y), which is nonzero.
+    x, y = next(
+        (state, target)
+        for state in itertools.permutations(range(grid.n))
+        for target in graded_targets(grid, state)
+        if graded_targets(grid, target)
+    )
+
+    def without_arrow(g, state):
+        targets = graded_targets(g, state)
+        return [t for t in targets if t != y] if state == x else targets
+
+    monkeypatch.setattr(grid_module, "_graded_targets", without_arrow)
+    with pytest.raises(AssertionError, match="squares to nonzero"):
+        graded_ranks(grid)
