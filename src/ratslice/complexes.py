@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .gf2 import VectorGF2, new_engine
+from .gf2 import Elimination, VectorGF2, _bit_positions, new_engine
 
 FULL_ENUMERATION_CAP = 20
 
@@ -164,10 +164,8 @@ class FilteredComplex:
     def boundary_of(self, bits: int) -> int:
         out = 0
         cols = self.boundary_columns
-        while bits:
-            low = bits & -bits
-            out ^= cols[low.bit_length() - 1]
-            bits ^= low
+        for i in _bit_positions(bits):
+            out ^= cols[i]
         return out
 
     @cached_property
@@ -233,13 +231,6 @@ def validate(complex_: FilteredComplex) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def _bit_positions(bits: int):
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
 def homology_ranks(
     complex_: FilteredComplex,
 ) -> dict[tuple[str, Fraction], int]:
@@ -283,14 +274,17 @@ def homology_basis(complex_: FilteredComplex) -> list[FloerClass]:
         blocks.setdefault((g.spinc, g.maslov), []).append(i)
     cols = complex_.boundary_columns
     basis: list[FloerClass] = []
+    # Block (s, m + 1) is visited before (s, m); its engine holds exactly
+    # the boundaries that land in (s, m), so it is kept for that block.
+    kept: dict[tuple[str, Fraction], Elimination] = {}
     for (s, m) in sorted(blocks, key=lambda key: (key[0], -key[1])):
         members = blocks[(s, m)]
-        incoming = new_engine(n, track=False)
-        for i in blocks.get((s, m + 1), ()):
-            incoming.add_column(cols[i])
         cycles = new_engine(n, track=True)
         for i in members:
             cycles.add_column(cols[i])
+        if (s, m - 1) in blocks:
+            kept[(s, m)] = cycles
+        incoming = kept.pop((s, m + 1), None) or new_engine(n, track=False)
         quotient = new_engine(n, track=False)
         for combo in cycles.kernel_combos:
             bits = 0

@@ -31,9 +31,25 @@ def _fail(field: str, message: str) -> ValueError:
 
 
 def _need(doc: dict, field: str, context: str) -> Any:
+    if not isinstance(doc, dict):
+        raise _fail(context or "document", "expected an object")
     if field not in doc:
         raise _fail(f"{context}.{field}" if context else field, "missing field")
     return doc[field]
+
+
+def _need_list(doc: dict, field: str) -> list:
+    value = _need(doc, field, "")
+    if not isinstance(value, list):
+        raise _fail(field, "expected a list")
+    return value
+
+
+def _integer(value: Any, field: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise _fail(field, f"expected an integer, got {value!r}") from None
 
 
 def _rational(value: Any, field: str) -> Fraction:
@@ -65,10 +81,8 @@ def complex_to_json(complex_: FilteredComplex) -> dict:
 
 def complex_from_json(doc: dict) -> FilteredComplex:
     generators = []
-    for i, entry in enumerate(_need(doc, "generators", "")):
+    for i, entry in enumerate(_need_list(doc, "generators")):
         ctx = f"generators[{i}]"
-        if not isinstance(entry, dict):
-            raise _fail(ctx, "expected an object")
         generators.append(
             (
                 str(_need(entry, "id", ctx)),
@@ -154,8 +168,8 @@ def framed_from_json(doc: dict) -> FramedKnotData:
         else None
     )
     return FramedKnotData(
-        order=int(_need(doc, "order", "")),
-        slope=int(_need(doc, "slope", "")),
+        order=_integer(_need(doc, "order", ""), "order"),
+        slope=_integer(_need(doc, "slope", ""), "slope"),
         lk=_rational(_need(doc, "lk", ""), "lk"),
         tau_spectrum=spectrum_from_json(_need(doc, "tau_spectrum", "")),
         d_invariants=d,
@@ -182,13 +196,13 @@ def poincare_to_json(poly: PoincarePolynomial) -> dict:
 
 def poincare_from_json(doc: dict) -> PoincarePolynomial:
     terms = []
-    for i, entry in enumerate(_need(doc, "terms", "")):
+    for i, entry in enumerate(_need_list(doc, "terms")):
         ctx = f"terms[{i}]"
         terms.append(
             (
                 _rational(_need(entry, "maslov", ctx), f"{ctx}.maslov"),
                 _rational(_need(entry, "alexander", ctx), f"{ctx}.alexander"),
-                int(_need(entry, "rank", ctx)),
+                _integer(_need(entry, "rank", ctx), f"{ctx}.rank"),
             )
         )
     return PoincarePolynomial(terms=tuple(terms), spinc=str(doc.get("spinc", "0")))

@@ -1,27 +1,105 @@
-"""Sparse linear algebra over GF(2): rank, kernel, image membership.
+"""GF(2) linear algebra on Python int bitsets: one elimination engine.
 
-Matrices are immutable value objects: two matrices are equal exactly when
-their (rows, cols, entry set) data agree.  All computations run through
-one elimination engine, the pure-Python int-bitset engine in
-ratslice._gf2py, with deterministic lowest-row-first pivoting, so kernel
-bases and witnesses are bit-identical across runs.  Entries are stored
-as a sparse set at the API boundary and packed into dense column bitsets
-for computation, which covers both the sparse and the dense regime.
+Every rank, cycle basis and tau residue in the package comes from an
+Elimination built with new_engine; VectorGF2 is the value type of cycle
+representatives.  Columns are Python integers: bit i set means the
+column has a 1 in row i.  Pivoting is deterministic, lowest row index
+first, so echelon columns, kernel combinations and canonical residues
+are reproducible across runs.
+
+A column added to the engine is reduced against existing pivot columns
+until its lowest set bit is a fresh row (then it becomes a pivot) or it
+vanishes (then its combination mask is a kernel vector of the column set
+added so far).  Every stored pivot column has its pivot row as the lowest
+set bit, so reducing a target by repeatedly clearing its lowest pivot bit
+terminates and yields the unique coset representative supported away from
+all pivot rows.  With rows ordered by priority (bit 0 strongest), that
+representative is lexicographically minimal in its coset.  The pivot rows
+are the leading rows of the span's nonzero vectors, whatever order the
+columns were added in: exactly rank many, one per dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import _gf2py
-
 # Named in benchmark run records.
 BACKEND_NAME = "python"
 
 
-def new_engine(nrows: int, track: bool = True):
+def _lsb(x: int) -> int:
+    return (x & -x).bit_length() - 1
+
+
+def _bit_positions(bits: int):
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+class Elimination:
+    """Incremental column echelon over GF(2) with combination tracking."""
+
+    def __init__(self, nrows: int, track: bool = True):
+        self.nrows = nrows
+        self.track = track
+        self.ncols = 0
+        self._pivot_of_row: dict[int, int] = {}
+        self._cols: list[int] = []
+        self._combos: list[int] = []
+        self.kernel_combos: list[int] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self._cols)
+
+    @property
+    def pivot_rows(self):
+        """The rows that lead some vector of the span (a set-like view)."""
+        return self._pivot_of_row.keys()
+
+    def add_column(self, col: int) -> None:
+        """Feed one column; may create a pivot or a kernel combination."""
+        if col >> self.nrows:
+            raise ValueError("column has bits outside the row range")
+        combo = 1 << self.ncols
+        self.ncols += 1
+        while col:
+            row = _lsb(col)
+            idx = self._pivot_of_row.get(row)
+            if idx is None:
+                self._pivot_of_row[row] = len(self._cols)
+                self._cols.append(col)
+                self._combos.append(combo)
+                return
+            col ^= self._cols[idx]
+            if self.track:
+                combo ^= self._combos[idx]
+        if self.track:
+            self.kernel_combos.append(combo)
+
+    def reduce(self, target: int) -> int:
+        """Canonical representative of target modulo the column span."""
+        if target >> self.nrows:
+            raise ValueError("target has bits outside the row range")
+        out = 0
+        cur = target
+        while cur:
+            row = _lsb(cur)
+            idx = self._pivot_of_row.get(row)
+            if idx is None:
+                bit = 1 << row
+                out |= bit
+                cur ^= bit
+            else:
+                cur ^= self._cols[idx]
+        return out
+
+
+def new_engine(nrows: int, track: bool = True) -> Elimination:
     """Fresh incremental elimination engine."""
-    return _gf2py.Elimination(nrows, track)
+    return Elimination(nrows, track)
 
 
 @dataclass(frozen=True)
@@ -45,87 +123,3 @@ class VectorGF2:
         for i in self.support:
             bits |= 1 << i
         return bits
-
-    def is_zero(self) -> bool:
-        return not self.support
-
-
-@dataclass(frozen=True)
-class SparseMatrixGF2:
-    """A GF(2) matrix as a set of (row, col) positions of nonzero entries."""
-
-    rows: int
-    cols: int
-    entries: frozenset[tuple[int, int]] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", frozenset(self.entries))
-        for r, c in self.entries:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError(f"entry ({r}, {c}) out of range")
-
-    @classmethod
-    def from_columns(cls, rows: int, columns: list[int]) -> "SparseMatrixGF2":
-        entries = {
-            (r, c) for c, bits in enumerate(columns) for r in _bit_positions(bits)
-        }
-        return cls(rows, len(columns), frozenset(entries))
-
-    def column_bits(self) -> list[int]:
-        out = [0] * self.cols
-        for r, c in self.entries:
-            out[c] |= 1 << r
-        return out
-
-    def transpose(self) -> "SparseMatrixGF2":
-        return SparseMatrixGF2(self.cols, self.rows, frozenset((c, r) for r, c in self.entries))
-
-    def density(self) -> float:
-        total = self.rows * self.cols
-        return len(self.entries) / total if total else 0.0
-
-    def apply(self, v: VectorGF2) -> VectorGF2:
-        """Matrix-vector product Mv over GF(2)."""
-        if v.length != self.cols:
-            raise ValueError(f"vector length {v.length} != matrix cols {self.cols}")
-        bits = 0
-        cols = self.column_bits()
-        for c in v.support:
-            bits ^= cols[c]
-        return VectorGF2.from_int(self.rows, bits)
-
-
-def _bit_positions(bits: int):
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
-def rank(m: SparseMatrixGF2) -> int:
-    """Rank of m over GF(2)."""
-    engine = new_engine(m.rows, track=False)
-    for col in m.column_bits():
-        engine.add_column(col)
-    return engine.rank
-
-
-def kernel_basis(m: SparseMatrixGF2) -> list[VectorGF2]:
-    """Deterministic basis of the null space; len == cols - rank(m)."""
-    engine = new_engine(m.rows, track=True)
-    for col in m.column_bits():
-        engine.add_column(col)
-    return [VectorGF2.from_int(m.cols, combo) for combo in engine.kernel_combos]
-
-
-def in_image(m: SparseMatrixGF2, v: VectorGF2) -> VectorGF2 | None:
-    """A witness x with Mx = v if v lies in the column space, else None."""
-    if v.length != m.rows:
-        raise ValueError(f"vector length {v.length} != matrix rows {m.rows}")
-    engine = new_engine(m.rows, track=True)
-    for col in m.column_bits():
-        engine.add_column(col)
-    combo = engine.solve(v.to_int())
-    if combo is None:
-        return None
-    return VectorGF2.from_int(m.cols, combo)

@@ -13,57 +13,51 @@ import random
 from fractions import Fraction
 
 from ratslice.complexes import FilteredComplex, FloerClass
-from ratslice.gf2 import SparseMatrixGF2
 from ratslice.grid import GridDiagram
 
 
 # -- dense GF(2) oracle ----------------------------------------------------
+#
+# A matrix is given as (rows, columns): the row count and one int bitset
+# per column, bit r set for an entry in row r.
 
-def dense_rank(matrix: SparseMatrixGF2) -> int:
+def dense_rank(rows: int, columns: list[int]) -> int:
     """Row-reduction rank over GF(2) on a dense list-of-lists copy."""
-    rows = [[0] * matrix.cols for _ in range(matrix.rows)]
-    for r, c in matrix.entries:
-        rows[r][c] = 1
+    cols = len(columns)
+    table = [[columns[c] >> r & 1 for c in range(cols)] for r in range(rows)]
     rank = 0
     pivot_row = 0
-    for col in range(matrix.cols):
+    for col in range(cols):
         pivot = None
-        for r in range(pivot_row, matrix.rows):
-            if rows[r][col]:
+        for r in range(pivot_row, rows):
+            if table[r][col]:
                 pivot = r
                 break
         if pivot is None:
             continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        for r in range(matrix.rows):
-            if r != pivot_row and rows[r][col]:
-                rows[r] = [a ^ b for a, b in zip(rows[r], rows[pivot_row])]
+        table[pivot_row], table[pivot] = table[pivot], table[pivot_row]
+        for r in range(rows):
+            if r != pivot_row and table[r][col]:
+                table[r] = [a ^ b for a, b in zip(table[r], table[pivot_row])]
         rank += 1
         pivot_row += 1
-        if pivot_row == matrix.rows:
+        if pivot_row == rows:
             break
     return rank
 
 
-def dense_in_image(matrix: SparseMatrixGF2, support: frozenset[int]) -> bool:
+def dense_in_image(rows: int, columns: list[int], target: int) -> bool:
     """Membership via the augmented-rank criterion."""
-    augmented = SparseMatrixGF2(
-        matrix.rows,
-        matrix.cols + 1,
-        frozenset(matrix.entries) | {(r, matrix.cols) for r in support},
-    )
-    return dense_rank(augmented) == dense_rank(matrix)
+    return dense_rank(rows, columns + [target]) == dense_rank(rows, columns)
 
 
-def random_sparse_matrix(rng: random.Random, rows: int, cols: int) -> SparseMatrixGF2:
+def random_columns(rng: random.Random, rows: int, cols: int) -> list[int]:
+    """Column bitsets of a random rows x cols matrix of random density."""
     density = rng.choice([0.1, 0.3, 0.5])
-    entries = {
-        (r, c)
-        for r in range(rows)
-        for c in range(cols)
-        if rng.random() < density
-    }
-    return SparseMatrixGF2(rows, cols, frozenset(entries))
+    return [
+        sum(1 << r for r in range(rows) if rng.random() < density)
+        for _ in range(cols)
+    ]
 
 
 # -- random filtered complexes ----------------------------------------------
@@ -176,11 +170,9 @@ def tau_by_level_sweep(complex_: FilteredComplex, alpha: FloerClass) -> Fraction
     bits = alpha.representative.to_int()
     n = len(complex_.generators)
     assert bits and complex_.boundary_of(bits) == 0
-    support = frozenset(i for i in range(n) if bits >> i & 1)
     for level in sorted({g.alexander for g in complex_.generators}):
         below = [1 << i for i, g in enumerate(complex_.generators) if g.alexander <= level]
-        span = SparseMatrixGF2.from_columns(n, complex_.boundary_columns + below)
-        if dense_in_image(span, support):
+        if dense_in_image(n, complex_.boundary_columns + below, bits):
             return level
     raise ValueError("class is zero in homology")
 

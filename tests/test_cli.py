@@ -8,8 +8,9 @@ import sys
 import pytest
 
 from ratslice.cli import main
-from ratslice.formats import complex_to_json, dump_document, grid_to_text
+from ratslice.formats import complex_to_json, dump_document, framed_to_json, grid_to_text
 from ratslice.grid import torus_knot_grid
+from ratslice.paperdata import builtin
 
 
 def run_cli(capsys, *argv):
@@ -94,6 +95,93 @@ def test_grid_tau_hfk_documents_unchanged(capsys, p, q, document):
     code, out, err = run_cli(capsys, "grid-tau", "--torus", p, q, "--hfk")
     assert code == 0, err
     assert out == document
+
+
+# A rank-4 complex: classes in Spin^c labels 0 and 1, at Maslov 0 and 1,
+# and x -> a + b a Maslov+1 boundary into the (0, 0) class block, so the
+# class of a is carried by b.  The document was printed before the GF(2)
+# engine moved into ratslice.gf2; the basis ids must not move.
+PINNED_COMPLEX = {
+    "generators": [
+        {"id": "a", "maslov": "0", "alexander": "1", "spinc": "0"},
+        {"id": "b", "maslov": "0", "alexander": "0", "spinc": "0"},
+        {"id": "c", "maslov": "0", "alexander": "-1", "spinc": "0"},
+        {"id": "x", "maslov": "1", "alexander": "2", "spinc": "0"},
+        {"id": "y", "maslov": "1", "alexander": "1/2", "spinc": "0"},
+        {"id": "z", "maslov": "0", "alexander": "1/2", "spinc": "1"},
+    ],
+    "differential": {"x": ["a", "b"]},
+}
+
+PINNED_SPECTRUM_DOCUMENT = """{
+  "citation": "tau-from-filtered-complex",
+  "command": "tau",
+  "spectrum": {
+    "breadth": "3/2",
+    "enumeration_complete": true,
+    "per_class": {
+      "b0": "1/2",
+      "b0+b1": "1/2",
+      "b0+b1+b2": "1/2",
+      "b0+b1+b2+b3": "1/2",
+      "b0+b1+b3": "1/2",
+      "b0+b2": "1/2",
+      "b0+b2+b3": "1/2",
+      "b0+b3": "1/2",
+      "b1": "0/1",
+      "b1+b2": "0/1",
+      "b1+b2+b3": "1/2",
+      "b1+b3": "1/2",
+      "b2": "-1/1",
+      "b2+b3": "1/2",
+      "b3": "1/2"
+    },
+    "tau_max": "1/2",
+    "tau_min": "-1/1"
+  }
+}
+"""
+
+
+def test_tau_complex_per_class_document_unchanged(tmp_path, capsys):
+    path = tmp_path / "pinned.json"
+    path.write_text(json.dumps(PINNED_COMPLEX))
+    code, out, err = run_cli(capsys, "tau", "--complex", str(path))
+    assert code == 0, err
+    assert out == PINNED_SPECTRUM_DOCUMENT
+
+
+def _framed_document(**fields):
+    doc = framed_to_json(builtin("J_example_6.2"))
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "verb,flag,doc,field",
+    [
+        ("tau", "--complex", {"generators": 5}, "generators"),
+        ("deep-slice", "--polynomial", {"terms": 5}, "terms"),
+        ("deep-slice", "--polynomial", {"terms": [5]}, "terms[0]"),
+        (
+            "deep-slice",
+            "--polynomial",
+            {"terms": [{"maslov": "0", "alexander": "0", "rank": "x"}]},
+            "terms[0].rank",
+        ),
+        ("genus-bound", "--knot", _framed_document(tau_spectrum=5), "tau_spectrum"),
+        ("genus-bound", "--knot", _framed_document(order=[1]), "order"),
+        ("genus-bound", "--knot", _framed_document(order="x"), "order"),
+    ],
+)
+def test_wrong_json_type_names_field(tmp_path, capsys, verb, flag, doc, field):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    argv = [verb, flag, str(path)] + (["--target", "1"] if verb == "deep-slice" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {field}: ")
 
 
 def test_cable_and_satellite_bounds_agree(capsys):

@@ -30,7 +30,6 @@ from helpers import (
     random_complex,
     tau_by_level_sweep,
 )
-from ratslice.gf2 import SparseMatrixGF2
 
 F = Fraction
 
@@ -117,10 +116,8 @@ def test_homology_ranks_match_dense_oracle():
     rng = random.Random(42)
     for _ in range(40):
         c = random_complex(rng)
-        cols = c.boundary_columns
         n = len(c.generators)
-        full = SparseMatrixGF2.from_columns(n, cols)
-        expected_total = n - 2 * dense_rank(full)
+        expected_total = n - 2 * dense_rank(n, c.boundary_columns)
         assert total_homology_rank(c) == expected_total
         assert sum(homology_ranks(c).values()) == expected_total
 

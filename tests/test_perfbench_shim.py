@@ -1,0 +1,47 @@
+"""The traced benchmark entry point still finds every hook it times.
+
+perfbench/shim.py wraps ratslice functions by module and name (the GF(2)
+engine factory among them) and lists a hook whose target is missing as
+absent, which blanks its per-layer metrics without failing the run.
+These tests make such a rename fail here instead.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from ratslice.formats import complex_to_json
+from ratslice.paperdata import _rp1_model_complex
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(*argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+
+
+@pytest.mark.parametrize("job", ["grid-tau", "tau"])
+def test_shim_trace_has_no_absent_hooks(tmp_path, job):
+    if job == "grid-tau":
+        cli = ["grid-tau", "--torus", "2", "3"]
+    else:
+        path = tmp_path / "rp1.json"
+        path.write_text(json.dumps(complex_to_json(_rp1_model_complex())))
+        cli = ["tau", "--complex", str(path)]
+    trace = tmp_path / "t.json"
+    proc = _run("perfbench/shim.py", str(trace), "job", "--", *cli)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(trace.read_text())["absent"] == []
+
+
+def test_backend_name_readable():
+    proc = _run("-c", "import ratslice.gf2 as g; print(g.BACKEND_NAME)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "python\n"
