@@ -39,15 +39,6 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
-    def shift(self, t: Fraction) -> "Interval":
-        return Interval(self.lo + t, self.hi + t)
-
-    def scale(self, s: Fraction) -> "Interval":
-        s = Fraction(s)
-        if s < 0:
-            return Interval(self.hi * s, self.lo * s)
-        return Interval(self.lo * s, self.hi * s)
-
 
 @dataclass(frozen=True)
 class BoundReport:

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 input error (first offending field named on
 stderr), 2 violated check (an unsatisfied inequality check or a failed
 embedded verification).  Output documents are deterministic: byte
-identical across runs and thread counts for identical inputs, and every
-document carries a citation field naming the inequality used.
+identical across runs for identical inputs, and every document carries
+a citation field naming the inequality used.
 """
 
 from __future__ import annotations

@@ -46,10 +46,22 @@ def _need_list(doc: dict, field: str) -> list:
 
 
 def _integer(value: Any, field: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise _fail(field, f"expected an integer, got {value!r}") from None
+    if not isinstance(value, (bool, float)):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise _fail(field, f"expected an integer, got {value!r}")
+
+
+_JSON_TYPES = {bool: "a boolean", dict: "an object", list: "a list"}
+
+
+def _optional(value: Any, kind: type, field: str) -> Any:
+    """An optional field's value: None (absent or null) or of type kind."""
+    if value is None or isinstance(value, kind):
+        return value
+    raise _fail(field, f"expected {_JSON_TYPES[kind]}, got {value!r}")
 
 
 def _rational(value: Any, field: str) -> Fraction:
@@ -124,12 +136,15 @@ def spectrum_from_json(doc: dict, context: str = "tau_spectrum") -> TauSpectrum:
         str(cid): _rational(v, f"{context}.per_class[{cid!r}]")
         for cid, v in per_class_raw.items()
     }
+    complete = _optional(
+        doc.get("enumeration_complete"), bool, f"{context}.enumeration_complete"
+    )
     return TauSpectrum(
         per_class=per_class,
         tau_max=_rational(_need(doc, "tau_max", context), f"{context}.tau_max"),
         tau_min=_rational(_need(doc, "tau_min", context), f"{context}.tau_min"),
         breadth=_rational(_need(doc, "breadth", context), f"{context}.breadth"),
-        enumeration_complete=bool(doc.get("enumeration_complete", True)),
+        enumeration_complete=complete is not False,
     )
 
 
@@ -155,16 +170,16 @@ def framed_to_json(data: FramedKnotData) -> dict:
 
 
 def framed_from_json(doc: dict) -> FramedKnotData:
-    d_raw = doc.get("d_invariants")
+    d_raw = _optional(doc.get("d_invariants"), dict, "d_invariants")
     d = (
         {str(k): _rational(v, f"d_invariants[{k!r}]") for k, v in d_raw.items()}
-        if isinstance(d_raw, dict)
+        if d_raw is not None
         else None
     )
-    lf_raw = doc.get("linking_form")
+    lf_raw = _optional(doc.get("linking_form"), list, "linking_form")
     lf = (
         tuple(_rational(v, f"linking_form[{i}]") for i, v in enumerate(lf_raw))
-        if isinstance(lf_raw, list)
+        if lf_raw is not None
         else None
     )
     return FramedKnotData(
@@ -174,7 +189,7 @@ def framed_from_json(doc: dict) -> FramedKnotData:
         tau_spectrum=spectrum_from_json(_need(doc, "tau_spectrum", "")),
         d_invariants=d,
         linking_form=lf,
-        floer_simple=doc.get("floer_simple"),
+        floer_simple=_optional(doc.get("floer_simple"), bool, "floer_simple"),
     )
 
 

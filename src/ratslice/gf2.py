@@ -63,7 +63,7 @@ class Elimination:
         """Feed one column; may create a pivot or a kernel combination."""
         if col >> self.nrows:
             raise ValueError("column has bits outside the row range")
-        combo = 1 << self.ncols
+        combo = 1 << self.ncols if self.track else 0
         self.ncols += 1
         while col:
             row = _lsb(col)

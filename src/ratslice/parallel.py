@@ -1,39 +1,10 @@
-"""Deterministic parallel mapping helpers.
+"""Order-preserving map, kept only as a hook point.
 
-RATSLICE_THREADS caps the worker count (default: available cores).
-Results are always returned in input order, so output documents are
-byte-identical regardless of the thread count.
+It stays because perfbench/shim.py imports this module unguarded and
+patches ordered_map by name; it goes with the next benchmark change.
 """
 
-from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def worker_count() -> int:
-    raw = os.environ.get("RATSLICE_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ValueError(f"RATSLICE_THREADS must be an integer, got {raw!r}") from None
-        if n < 1:
-            raise ValueError("RATSLICE_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
-
-
-def ordered_map(fn: Callable[[T], R], items: Sequence[T] | Iterable[T]) -> list[R]:
-    """map() preserving input order, threaded when RATSLICE_THREADS > 1."""
-    items = list(items)
-    workers = min(worker_count(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(item) for item in items]
-    chunk = max(1, len(items) // (workers * 8))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+def ordered_map(fn, items):
+    """[fn(item) for item in items], sequentially and in input order."""
+    return [fn(item) for item in items]

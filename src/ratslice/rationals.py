@@ -13,7 +13,7 @@ from fractions import Fraction
 
 def parse_rational(text: str | int) -> Fraction:
     """Parse "a/b" or a bare integer string into a Fraction."""
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise ValueError(f"expected rational string 'a/b', got {text!r}")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +158,11 @@ def _framed_document(**fields):
     return doc
 
 
+def _framed_spectrum(**fields):
+    spectrum = framed_to_json(builtin("J_example_6.2"))["tau_spectrum"]
+    return _framed_document(tau_spectrum=dict(spectrum, **fields))
+
+
 @pytest.mark.parametrize(
     "verb,flag,doc,field",
     [
@@ -172,6 +178,31 @@ def _framed_document(**fields):
         ("genus-bound", "--knot", _framed_document(tau_spectrum=5), "tau_spectrum"),
         ("genus-bound", "--knot", _framed_document(order=[1]), "order"),
         ("genus-bound", "--knot", _framed_document(order="x"), "order"),
+        ("genus-bound", "--knot", _framed_document(order=2.5), "order"),
+        ("genus-bound", "--knot", _framed_document(order=True), "order"),
+        (
+            "deep-slice",
+            "--polynomial",
+            {"terms": [{"maslov": "0", "alexander": "0", "rank": 1.9}]},
+            "terms[0].rank",
+        ),
+        (
+            "genus-bound",
+            "--knot",
+            _framed_spectrum(
+                per_class={"b0": True}, tau_max="1/1", tau_min="1/1", breadth="0/1"
+            ),
+            "tau_spectrum.per_class['b0']",
+        ),
+        ("genus-bound", "--knot", _framed_document(d_invariants="x"), "d_invariants"),
+        ("genus-bound", "--knot", _framed_document(linking_form=5), "linking_form"),
+        ("genus-bound", "--knot", _framed_document(floer_simple="maybe"), "floer_simple"),
+        (
+            "genus-bound",
+            "--knot",
+            _framed_spectrum(enumeration_complete="no"),
+            "tau_spectrum.enumeration_complete",
+        ),
     ],
 )
 def test_wrong_json_type_names_field(tmp_path, capsys, verb, flag, doc, field):
@@ -298,16 +329,15 @@ def test_malformed_file_exit_one(tmp_path, capsys):
     assert "line 1" in err
 
 
-def test_output_deterministic_across_threads():
-    env = dict(os.environ)
-    outputs = []
-    for threads in ("1", "4"):
-        env["RATSLICE_THREADS"] = threads
-        proc = subprocess.run(
-            [sys.executable, "-m", "ratslice.cli", "grid-tau", "--torus", "2", "3"],
-            capture_output=True,
-            env=env,
-            check=True,
-        )
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
+def test_cli_import_loads_no_executor_or_logging():
+    # The standard executor package pulls in logging: ~14 ms a process.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    probe = (
+        "import sys, ratslice.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.partition('.')[0] in ('concurrent', 'logging')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout == "[]\n"

@@ -1,6 +1,7 @@
 """The GF(2) elimination engine against a dense row-reduction oracle."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -76,6 +77,20 @@ def test_kernel_random_spans_null_space():
         for combo in combos:
             assert combo and apply(cols, combo) == 0
         assert dense_rank(len(cols), combos) == len(combos)
+
+
+def test_untracked_engine_keeps_no_combination_masks():
+    # A tracked engine holds one mask per pivot, as wide as the column
+    # count so far: quadratic in n.  An untracked one must stay linear.
+    n = 4000
+    cols = identity(n)
+    tracemalloc.start()
+    try:
+        eliminate(n, cols, track=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * n
 
 
 def test_in_image_identity_contains_every_vector():

@@ -1,29 +1,12 @@
-"""The deterministic mapping helper and its environment knob."""
+"""The sequential, order-preserving map."""
 
-import pytest
-
-from ratslice.parallel import ordered_map, worker_count
+from ratslice.parallel import ordered_map
 
 
-def test_ordered_map_preserves_order(monkeypatch):
+def test_ordered_map_preserves_order():
     items = list(range(500))
-    for threads in ("1", "3"):
-        monkeypatch.setenv("RATSLICE_THREADS", threads)
-        assert ordered_map(lambda x: x * x, items) == [x * x for x in items]
+    assert ordered_map(lambda x: x * x, items) == [x * x for x in items]
 
 
 def test_ordered_map_empty():
     assert ordered_map(lambda x: x, []) == []
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("RATSLICE_THREADS", "7")
-    assert worker_count() == 7
-    monkeypatch.setenv("RATSLICE_THREADS", "0")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.setenv("RATSLICE_THREADS", "many")
-    with pytest.raises(ValueError, match="integer"):
-        worker_count()
-    monkeypatch.delenv("RATSLICE_THREADS")
-    assert worker_count() >= 1
