@@ -97,7 +97,7 @@ class TauRowOrder:
     of a span are the top gradings its nonzero vectors can have.
     """
 
-    def __init__(self, alexanders: Sequence[Fraction]):
+    def __init__(self, alexanders: Sequence[Fraction | int]):
         self.order = sorted(range(len(alexanders)), key=lambda i: (-alexanders[i], i))
         self.alexanders = [alexanders[i] for i in self.order]
         self.position = [0] * len(self.order)

@@ -9,6 +9,15 @@ one drops the Alexander filtration by 1).  Maslov and Alexander gradings
 come from the planar dominance counts, with the Alexander grading shifted
 by -(n-1)/2 so that the unknot's surviving class sits at level 0.
 
+Both per-state loops are integer loops.  The grading scan reads the
+Maslov grading and the doubled Alexander grading 2A from precombined
+dominance tables and a bitmask of the rows seen (_Grader).  The empty
+rectangles leaving a state are found in O(n^2) by sweeping rightwards
+from each state point while tracking the nearest blocker above it; the
+distance from each row up to the first blocking marking of each column
+is a table computed once per grid and blocking set (GridDiagram.o_near,
+GridDiagram.ox_near).
+
 The total homology of this complex is the homology of the 3-sphere
 tensored with one two-dimensional factor per extra marking pair: rank
 2^(n-1), with rank binomial(n-1, k) in Maslov grading -k.  The knot
@@ -32,6 +41,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from .complexes import FilteredComplex, FloerClass, TauRowOrder, homology_basis
@@ -60,6 +70,16 @@ class GridDiagram:
     @property
     def n(self) -> int:
         return len(self.x_markings)
+
+    @cached_property
+    def o_near(self) -> tuple[tuple[int, ...], ...]:
+        """_empty_rectangles' near table for the O markings (the differential)."""
+        return _near_table(self.n, [(o,) for o in self.o_markings])
+
+    @cached_property
+    def ox_near(self) -> tuple[tuple[int, ...], ...]:
+        """_empty_rectangles' near table for O and X (the graded differential)."""
+        return _near_table(self.n, list(zip(self.o_markings, self.x_markings)))
 
     def components(self) -> int:
         """Number of link components: cycles of the column return map."""
@@ -91,7 +111,8 @@ def torus_knot_grid(p: int, q: int) -> GridDiagram:
 
     The positive-q convention is calibrated so that the positive trefoil
     torus_knot_grid(2, 3) compiles to tau = +1; negative q mirrors the
-    positive grid.
+    positive grid.  A size over the cap is refused before anything is
+    allocated.
     """
     from math import gcd
 
@@ -102,6 +123,7 @@ def torus_knot_grid(p: int, q: int) -> GridDiagram:
     if gcd(p, abs(q)) != 1:
         raise ValueError(f"T({p},{q}) is a link, not a knot: gcd = {gcd(p, abs(q))}")
     n = p + abs(q)
+    _check_size(n)
     x = tuple(range(n))
     o = tuple((i + p) % n for i in range(n))
     # The diagonal-shift grid presents the negative (left-handed) torus
@@ -114,27 +136,23 @@ def torus_knot_grid(p: int, q: int) -> GridDiagram:
 
 
 class _DominanceTables:
-    """Suffix/prefix dominance counts for the planar grading formulas.
+    """Dominance sums of one marking permutation m, for the grading scan.
 
-    For a marking permutation m, suf[i][v] counts columns j >= i with
-    m(j) >= v and pre[i][v] counts columns j < i with m(j) < v, so the
-    strict-southwest pair counts against a state are plain sums.
+    sums[i][v] counts the columns j >= i with m(j) >= v plus the columns
+    j < i with m(j) < v, so the strict-dominance pair counts
+    I(state, m) + I(m, state) are the sum of sums[i][state[i]] over i.
     """
 
     def __init__(self, markings: tuple[int, ...]):
         n = len(markings)
-        self.suf = [[0] * (n + 1) for _ in range(n + 1)]
-        self.pre = [[0] * (n + 1) for _ in range(n + 1)]
-        for i in range(n - 1, -1, -1):
-            row = self.suf[i]
-            nxt = self.suf[i + 1]
-            for v in range(n + 1):
-                row[v] = nxt[v] + (1 if markings[i] >= v else 0)
-        for i in range(1, n + 1):
-            row = self.pre[i]
-            prev = self.pre[i - 1]
-            for v in range(n + 1):
-                row[v] = prev[v] + (1 if markings[i - 1] < v else 0)
+        self.sums = tuple(
+            tuple(
+                sum(1 for j in range(i, n) if markings[j] >= v)
+                + sum(1 for j in range(i) if markings[j] < v)
+                for v in range(n)
+            )
+            for i in range(n)
+        )
         self.self_pairs = sum(
             1
             for j in range(n)
@@ -144,79 +162,108 @@ class _DominanceTables:
 
 
 class _Grader:
+    """Maslov and doubled Alexander gradings of states, as integers.
+
+    M(state) = I(state, state) - I(state, O) - I(O, state) + I(O, O) + 1,
+    with I counting strictly dominating pairs and the inversions
+    I(state, state) read from a bitmask of the rows already seen.  The X
+    Maslov grading is the same with X, and the Alexander grading is
+    A = (M_O - M_X - n + 1) / 2, so 2A = I(state, X) + I(X, state)
+    - I(state, O) - I(O, state) + I(O, O) - I(X, X) - n + 1 needs no
+    inversions.  Callers build a Fraction only for the values they keep.
+    """
+
     def __init__(self, grid: GridDiagram):
-        self.n = grid.n
-        self.ox = _DominanceTables(grid.o_markings)
-        self.xx = _DominanceTables(grid.x_markings)
-
-    def _pair_counts(self, state: tuple[int, ...], tables: _DominanceTables) -> int:
-        # I(state, markings) + I(markings, state), strict dominance both ways.
-        total = 0
-        suf = tables.suf
-        pre = tables.pre
-        for i, v in enumerate(state):
-            total += suf[i][v] + pre[i][v]
-        return total
-
-    def _maslov(
-        self, state: tuple[int, ...], inversions: int, tables: _DominanceTables
-    ) -> int:
-        return inversions - self._pair_counts(state, tables) + tables.self_pairs + 1
+        n = grid.n
+        o = _DominanceTables(grid.o_markings)
+        x = _DominanceTables(grid.x_markings)
+        self.o_sums = o.sums
+        self.x_sums = x.sums
+        self.below = tuple((1 << v) - 1 for v in range(n))
+        self.maslov_shift = o.self_pairs + 1
+        self.alexander_shift = o.self_pairs - x.self_pairs - n + 1
 
     def maslov(self, state: tuple[int, ...]) -> int:
-        return self._maslov(state, _inversions(state), self.ox)
+        below = self.below
+        seen = 0
+        maslov = self.maslov_shift
+        for o_row, v in zip(self.o_sums, state):
+            maslov += (seen & below[v]).bit_count() - o_row[v]
+            seen |= 1 << v
+        return maslov
 
-    def gradings(self, state: tuple[int, ...]) -> tuple[int, Fraction]:
-        inversions = _inversions(state)
-        m_o = self._maslov(state, inversions, self.ox)
-        m_x = self._maslov(state, inversions, self.xx)
-        return m_o, Fraction(m_o - m_x - self.n + 1, 2)
+    def gradings(self, state: tuple[int, ...]) -> tuple[int, int]:
+        """(M, 2A) of the state."""
+        below = self.below
+        seen = 0
+        maslov = self.maslov_shift
+        alexander = self.alexander_shift
+        for o_row, x_row, v in zip(self.o_sums, self.x_sums, state):
+            o = o_row[v]
+            maslov += (seen & below[v]).bit_count() - o
+            alexander += x_row[v] - o
+            seen |= 1 << v
+        return maslov, alexander
 
 
-def _inversions(state: tuple[int, ...]) -> int:
-    # Pairs j < k with state[j] < state[k]: I(state, state).
-    return sum(a < b for a, b in itertools.combinations(state, 2))
+def _near_table(n: int, blocking: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    # near[a][c] = near[a][c + n]: cyclic distance from row a up to the
+    # first row of blocking[c] (0 when a itself is blocked).
+    near = []
+    for a in range(n):
+        row = [min((r - a) % n for r in rows) for rows in blocking]
+        near.append(tuple(row + row))
+    return tuple(near)
 
 
 def _empty_rectangles(
-    state: tuple[int, ...], blocking: list[int]
+    state: tuple[int, ...], near: tuple[tuple[int, ...], ...]
 ) -> list[tuple[int, ...]]:
     """Targets of the rectangles leaving `state` with an empty interior.
 
-    blocking[c] is the bitmask of the marking rows in column c that a
-    rectangle may not contain.  For each pair of columns there are two
-    complementary rectangles on the torus with the right corner
-    convention.  A rectangle from column ci to cj and row ra to rb covers
-    the marking cells of columns [ci, cj) and rows [ra, rb); its lower
-    left corner is the state point (ci, ra), so the other state points it
-    may not contain are those of columns (ci, cj) in rows [ra, rb).  Two
-    empty rectangles to the same target cancel mod 2 (this already
-    happens for the 2x2 unknot grid).
+    A rectangle from column ci to cj and row a = state[ci] to b = state[cj]
+    covers the marking cells of columns [ci, cj) and rows [a, b), all
+    cyclic; its lower left corner is the state point (ci, a), so the other
+    state points it may not contain are those of columns (ci, cj) in rows
+    [a, b).  near[a][c] is the cyclic distance from row a up to the first
+    marking in column c that a rectangle may not contain (see _near_table).
+
+    From each state point the sweep walks cj rightwards, keeping d, the
+    distance up from a to the nearest blocker in the columns covered so
+    far (markings of [ci, cj), state points of (ci, cj)).  The rectangle
+    to cj is empty exactly when (b - a) mod n <= d, and the walk stops
+    when d reaches 0, so a state costs O(n^2).  The two complementary
+    rectangles between a pair of columns have the same target; when both
+    are empty they cancel mod 2 (this already happens for the 2x2 unknot
+    grid).  Targets are returned sorted.
     """
     n = len(state)
-    every_row = (1 << n) - 1
-    parity: dict[tuple[int, ...], int] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = state[i], state[j]
-            swapped = list(state)
-            swapped[i], swapped[j] = b, a
-            target = tuple(swapped)
-            # Bitmask of the rows in the cyclic interval [a, b); the
-            # complementary rectangle covers the rows [b, a).
-            span = (1 << b) - (1 << a) if a < b else every_row ^ ((1 << a) - (1 << b))
-            for ci, inner, rows in (
-                (i, range(i + 1, j), span),
-                (j, itertools.chain(range(j + 1, n), range(i)), every_row ^ span),
-            ):
-                if blocking[ci] & rows:
-                    continue
-                for c in inner:
-                    if (blocking[c] | 1 << state[c]) & rows:
-                        break
-                else:
-                    parity[target] = parity.get(target, 0) ^ 1
-    return [t for t, flag in sorted(parity.items()) if flag]
+    wrapped = state + state
+    targets = []
+    for ci in range(n):
+        a = state[ci]
+        reach = near[a]
+        d = reach[ci]
+        c = ci + 1
+        while d and c < ci + n:
+            h = (wrapped[c] - a) % n
+            if h <= d:
+                cj = c - n if c >= n else c
+                target = list(state)
+                target[ci], target[cj] = target[cj], target[ci]
+                targets.append(tuple(target))
+                d = h
+            if reach[c] < d:
+                d = reach[c]
+            c += 1
+    targets.sort()
+    k = 1
+    while k < len(targets):
+        if targets[k] == targets[k - 1]:
+            del targets[k - 1 : k + 1]
+        else:
+            k += 1
+    return targets
 
 
 def _rectangle_targets(
@@ -227,7 +274,7 @@ def _rectangle_targets(
     A rectangle counts when its interior holds no state point and no O
     marking; each X marking inside drops the Alexander filtration by 1.
     """
-    return _empty_rectangles(state, [1 << row for row in grid.o_markings])
+    return _empty_rectangles(state, grid.o_near)
 
 
 def _graded_targets(
@@ -238,22 +285,23 @@ def _graded_targets(
     These are the arrows that preserve the Alexander grading: rectangles
     with no state point, no O and no X marking inside.
     """
-    return _empty_rectangles(
-        state, [1 << o | 1 << x for o, x in zip(grid.o_markings, grid.x_markings)]
-    )
+    return _empty_rectangles(state, grid.ox_near)
 
 
 def _state_id(state: tuple[int, ...]) -> str:
     return "x" + "".join(str(v) for v in state)
 
 
-def _check_knot_grid(grid: GridDiagram) -> None:
-    n = grid.n
+def _check_size(n: int) -> None:
     if n > MAX_GRID_SIZE:
         raise ValueError(
             f"grid size {n} exceeds the cap {MAX_GRID_SIZE}: the complex has n! "
             f"generators and {n}! is out of reach for exact elimination here"
         )
+
+
+def _check_knot_grid(grid: GridDiagram) -> None:
+    _check_size(grid.n)
     if not grid.is_knot():
         raise ValueError(
             f"grid represents a {grid.components()}-component link, not a knot"
@@ -268,14 +316,14 @@ def compile_grid(grid: GridDiagram) -> FilteredComplex:
     states = list(itertools.permutations(range(n)))
 
     def build(state: tuple[int, ...]):
-        maslov, alexander = grader.gradings(state)
+        maslov, alexander2 = grader.gradings(state)
         targets = _rectangle_targets(grid, state)
-        return state, maslov, alexander, targets
+        return state, maslov, alexander2, targets
 
     rows = ordered_map(build, states)
     generators = [
-        (_state_id(state), Fraction(maslov), alexander, "0")
-        for state, maslov, alexander, _ in rows
+        (_state_id(state), Fraction(maslov), Fraction(alexander2, 2), "0")
+        for state, maslov, alexander2, _ in rows
     ]
     differential = {
         _state_id(state): frozenset(_state_id(t) for t in targets)
@@ -305,6 +353,7 @@ def tau(grid: GridDiagram) -> Fraction:
     a state whose boundary adds no pivot is born a new cycle, and the one
     such state that never dies generates the Maslov-0 homology.  Its
     Alexander grading is the least level that carries the class: tau.
+    Rows are ordered by the doubled integer grading 2A.
     """
     _check_knot_grid(grid)
     grader = _Grader(grid)
@@ -342,7 +391,7 @@ def tau(grid: GridDiagram) -> Fraction:
         raise AssertionError(
             f"expected one essential Maslov-0 class, found {len(essential)}"
         )
-    return rows.alexanders[essential[0]]
+    return Fraction(rows.alexanders[essential[0]], 2)
 
 
 def graded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int]:
@@ -359,17 +408,18 @@ def graded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int]:
     """
     _check_knot_grid(grid)
     grader = _Grader(grid)
-    blocks: dict[tuple[int, Fraction], list[tuple[int, ...]]] = {}
+    # Keyed (M, 2A), integers until the ranks are returned.
+    blocks: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for state in itertools.permutations(range(grid.n)):
         blocks.setdefault(grader.gradings(state), []).append(state)
 
-    rank_out: dict[tuple[int, Fraction], int] = {}
+    rank_out: dict[tuple[int, int], int] = {}
     # In this order the block below, when there is one, is the block just
     # reduced, so columns_below holds its columns.
     columns_below: list[int] = []
     for key in sorted(blocks, key=lambda k: (k[1], k[0])):
-        m, a = key
-        row_of = {state: i for i, state in enumerate(blocks.get((m - 1, a), ()))}
+        m, a2 = key
+        row_of = {state: i for i, state in enumerate(blocks.get((m - 1, a2), ()))}
         engine = new_engine(len(row_of), track=False)
         columns = []
         for state in blocks[key]:
@@ -380,14 +430,14 @@ def graded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int]:
                 if row is None:
                     raise AssertionError(
                         f"graded arrow {state} -> {target} leaves the block "
-                        f"below (M, A) = ({m}, {a})"
+                        f"below (M, A) = ({m}, {Fraction(a2, 2)})"
                     )
                 bits |= 1 << row
                 square ^= columns_below[row]
             if square:
                 raise AssertionError(
                     f"graded differential squares to nonzero on {state} at "
-                    f"(M, A) = ({m}, {a})"
+                    f"(M, A) = ({m}, {Fraction(a2, 2)})"
                 )
             engine.add_column(bits)
             columns.append(bits)
@@ -395,10 +445,10 @@ def graded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int]:
         columns_below = columns
 
     ranks: dict[tuple[Fraction, Fraction], int] = {}
-    for (m, a), members in blocks.items():
-        r = len(members) - rank_out[(m, a)] - rank_out.get((m + 1, a), 0)
+    for (m, a2), members in blocks.items():
+        r = len(members) - rank_out[(m, a2)] - rank_out.get((m + 1, a2), 0)
         if r:
-            ranks[(Fraction(m), a)] = r
+            ranks[(Fraction(m), Fraction(a2, 2))] = r
     return ranks
 
 

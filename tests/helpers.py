@@ -3,12 +3,15 @@
 Everything here deliberately avoids the package's elimination engine:
 the dense rank oracle is textbook row reduction on lists of lists, the
 exhaustive tau oracle enumerates the entire boundary subspace, the level
-sweep asks the dense oracle one membership question per level, and the
-survivor enumerator is a plain recursion without memoization.
+sweep asks the dense oracle one membership question per level, the
+survivor enumerator is a plain recursion without memoization, and the
+grid oracles test every pair of columns for empty rectangles and count
+dominating pairs of points for the gradings.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -230,6 +233,82 @@ def compiled_graded_ranks(complex_: FilteredComplex) -> dict[tuple[Fraction, Fra
         if r:
             ranks[(m, a)] = r
     return ranks
+
+
+# -- grid rectangle and grading oracles ----------------------------------------
+
+def brute_force_rectangles(
+    state: tuple[int, ...], blocking: list[int]
+) -> list[tuple[int, ...]]:
+    """Targets of the empty rectangles leaving `state`, in O(n^3).
+
+    blocking[c] is the bitmask of the marking rows in column c that a
+    rectangle may not contain.  For each pair of columns i < j there are
+    two complementary rectangles on the torus: columns [i, j) by rows
+    [state[i], state[j]) and columns [j, i) by rows [state[j], state[i]),
+    all cyclic.  Each is tested cell by cell for blocking markings and
+    for state points in its interior columns; two empty rectangles to the
+    same target cancel mod 2.  Targets are returned sorted.
+    """
+    n = len(state)
+    every_row = (1 << n) - 1
+    parity: dict[tuple[int, ...], int] = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = state[i], state[j]
+            swapped = list(state)
+            swapped[i], swapped[j] = b, a
+            target = tuple(swapped)
+            # Bitmask of the rows in the cyclic interval [a, b); the
+            # complementary rectangle covers the rows [b, a).
+            span = (1 << b) - (1 << a) if a < b else every_row ^ ((1 << a) - (1 << b))
+            for ci, inner, rows in (
+                (i, range(i + 1, j), span),
+                (j, itertools.chain(range(j + 1, n), range(i)), every_row ^ span),
+            ):
+                if blocking[ci] & rows:
+                    continue
+                for c in inner:
+                    if (blocking[c] | 1 << state[c]) & rows:
+                        break
+                else:
+                    parity[target] = parity.get(target, 0) ^ 1
+    return [t for t, flag in sorted(parity.items()) if flag]
+
+
+def _inversions(state: tuple[int, ...]) -> int:
+    # Pairs j < k with state[j] < state[k]: I(state, state).
+    return sum(a < b for a, b in itertools.combinations(state, 2))
+
+
+def _dominance_pairs(state: tuple[int, ...], markings: tuple[int, ...]) -> int:
+    # I(state, m) + I(m, state): the state point (i, v) sits at a lattice
+    # corner and the marking of column j at the centre (j + 1/2, m(j) + 1/2)
+    # of its cell, so (i, v) lies strictly southwest of it exactly when
+    # i <= j and v <= m(j), and strictly northeast when j < i and m(j) < v.
+    return sum(
+        (i <= j and v <= m) + (j < i and m < v)
+        for i, v in enumerate(state)
+        for j, m in enumerate(markings)
+    )
+
+
+def textbook_gradings(grid: GridDiagram, state: tuple[int, ...]) -> tuple[int, Fraction]:
+    """(M, A) of a grid state from the planar dominance formulas.
+
+    M_O = I(x, x) - I(x, O) - I(O, x) + I(O, O) + 1, likewise M_X, and
+    A = (M_O - M_X - n + 1) / 2.
+    """
+    def maslov(markings: tuple[int, ...]) -> int:
+        return (
+            _inversions(state)
+            - _dominance_pairs(state, markings)
+            + _inversions(markings)
+            + 1
+        )
+
+    m_o = maslov(grid.o_markings)
+    return m_o, Fraction(m_o - maslov(grid.x_markings) - grid.n + 1, 2)
 
 
 # -- random grids ------------------------------------------------------------

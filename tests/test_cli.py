@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -327,6 +328,23 @@ def test_malformed_file_exit_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "tau", "--complex", str(path))
     assert code == 1
     assert "line 1" in err
+
+
+def test_grid_tau_huge_torus_refused_before_allocating():
+    # A (30000000 + 1)-column grid would need gigabytes for its marking
+    # tuples alone; under a 1 GiB address-space cap on the child it must
+    # still be refused with the cap named, not die of MemoryError.
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ratslice.cli", "grid-tau", "--torus", "30000000", "1"],
+        capture_output=True, text=True, env=env, preexec_fn=cap_address_space, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "exceeds the cap 10" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_import_loads_no_executor_or_logging():

@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -27,11 +27,13 @@ from ratslice.grid import (
 )
 
 from helpers import (
+    brute_force_rectangles,
     commutable_columns,
     commute_columns,
     compiled_graded_ranks,
     random_knot_grid,
     stabilize,
+    textbook_gradings,
 )
 
 F = Fraction
@@ -157,6 +159,42 @@ def test_tau_of_compiled_t2_minus5_complex():
 
 def test_trefoil_hfk_ranks_per_alexander():
     assert hfk_ranks(torus_knot_grid(2, 3)) == {F(1): 1, F(0): 1, F(-1): 1}
+
+
+def _oracle_grids() -> list[GridDiagram]:
+    # Every torus grid up to size 7, both chiralities, and 12 random knot
+    # grids of sizes 3-7.
+    grids = [
+        torus_knot_grid(p, sign * q)
+        for p in range(1, 7)
+        for q in range(1, 7)
+        for sign in (1, -1)
+        if p + q <= 7 and gcd(p, q) == 1
+    ]
+    rng = random.Random(7117)
+    return grids + [random_knot_grid(rng, n) for n in (3, 4, 5, 6, 7, 7) for _ in range(2)]
+
+
+def test_rectangle_sweep_matches_brute_force():
+    for grid in _oracle_grids():
+        o_blocking = [1 << o for o in grid.o_markings]
+        ox_blocking = [1 << o | 1 << x for o, x in zip(grid.o_markings, grid.x_markings)]
+        for state in itertools.permutations(range(grid.n)):
+            assert grid_module._rectangle_targets(grid, state) == (
+                brute_force_rectangles(state, o_blocking)
+            ), (grid, state)
+            assert grid_module._graded_targets(grid, state) == (
+                brute_force_rectangles(state, ox_blocking)
+            ), (grid, state)
+
+
+def test_integer_gradings_match_textbook_formula():
+    for grid in _oracle_grids():
+        grader = grid_module._Grader(grid)
+        for state in itertools.permutations(range(grid.n)):
+            m, a = textbook_gradings(grid, state)
+            assert grader.gradings(state) == (m, 2 * a), (grid, state)
+            assert grader.maslov(state) == m, (grid, state)
 
 
 def _structural_checks(grid: GridDiagram) -> None:

@@ -30,7 +30,7 @@ def _run(*argv):
 @pytest.mark.parametrize("job", ["grid-tau", "tau"])
 def test_shim_trace_has_no_absent_hooks(tmp_path, job):
     if job == "grid-tau":
-        cli = ["grid-tau", "--torus", "2", "3"]
+        cli = ["grid-tau", "--torus", "2", "3", "--hfk"]
     else:
         path = tmp_path / "rp1.json"
         path.write_text(json.dumps(complex_to_json(_rp1_model_complex())))
@@ -38,7 +38,16 @@ def test_shim_trace_has_no_absent_hooks(tmp_path, job):
     trace = tmp_path / "t.json"
     proc = _run("perfbench/shim.py", str(trace), "job", "--", *cli)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(trace.read_text())["absent"] == []
+    record = json.loads(trace.read_text())
+    assert record["absent"] == []
+    if job == "grid-tau":
+        # A hook that is present but bypassed reads 0.  tau and the knot
+        # Floer ranks each grade all 5! states of the trefoil grid, and
+        # tau's rectangles and elimination go through the hooks.
+        hot = record["hot"]
+        assert hot["scan_states"] >= 240
+        assert hot["rect_calls"] >= 1
+        assert hot["columns"] > 0
 
 
 def test_backend_name_readable():
