@@ -15,7 +15,6 @@ import sys
 from fractions import Fraction
 
 from . import bounds, braid, complexes, formats, grid, paperdata, ratlink
-from .gf2 import VectorGF2
 from .rationals import format_rational, parse_rational
 
 EXIT_OK = 0
@@ -87,10 +86,10 @@ def _cmd_tau(args):
         unknown = [gid for gid in ids if gid not in complex_.index]
         if unknown:
             raise ValueError(f"cycle: unknown generator id {unknown[0]!r}")
-        support = frozenset(complex_.index[gid] for gid in ids)
-        alpha = complexes.FloerClass(
-            representative=VectorGF2(len(complex_.generators), support)
-        )
+        bits = 0
+        for gid in ids:
+            bits |= 1 << complex_.index[gid]
+        alpha = complexes.FloerClass(representative=bits)
         doc["tau"] = format_rational(complexes.tau(complex_, alpha))
         doc["cycle"] = sorted(ids)
     else:

@@ -7,12 +7,19 @@ never raises Alexander, preserves the Spin^c label, and squares to zero.
 The Alexander grading of a chain is the maximum over its support, so every
 Alexander level j cuts out a subcomplex (all generators with A <= j).
 
+Each complex is eliminated once (FilteredComplex._tau_engine): its
+boundary columns in generator order, rows in TauRowOrder, combinations
+tracked.  The kernel combinations are the cycles and the pivot rows lead
+the boundaries, so the homology ranks and the homology basis read it, as
+in Zomorodian-Carlsson's persistence algorithm.  A cycle is an int bitset
+over generator indices, bit i for generator i.
+
 For a nonzero homology class alpha, tau(alpha) is the least level j at
 which alpha is hit by the map H(level-j subcomplex) -> H(total complex);
 equivalently the minimum over cycle representatives z of alpha of the top
-Alexander grading in z.  Every tau here is read from one elimination of
-the boundary columns with rows in TauRowOrder, highest Alexander grading
-first: the canonical residue of a cycle modulo boundaries is then the
+Alexander grading in z.  Every tau here is read from the same
+elimination, whose rows put the highest Alexander grading first: the
+canonical residue of a cycle modulo boundaries is then the
 representative whose top grading is smallest possible, and tau is the
 grading of its leading row.  Reduction is linear, so the residues of a
 homology basis span the residues of all classes, and the extremes of the
@@ -28,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .gf2 import Elimination, VectorGF2, _bit_positions, new_engine
+from .gf2 import _bit_positions, new_engine
 
 FULL_ENUMERATION_CAP = 20
 
@@ -59,9 +66,12 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class FloerClass:
-    """A nonzero homology class, carried by a cycle representative."""
+    """A nonzero homology class, carried by a cycle representative.
 
-    representative: VectorGF2
+    The representative is an int bitset over generator indices.
+    """
+
+    representative: int
     spinc: Optional[str] = None
     maslov: Optional[Fraction] = None
 
@@ -123,7 +133,6 @@ class FilteredComplex:
         self,
         generators: Iterable[Generator | tuple[str, Fraction, Fraction, str]],
         differential: Mapping[str, Iterable[str]],
-        _checked: bool = False,
     ):
         self.generators: tuple[Generator, ...] = tuple(
             g if isinstance(g, Generator) else Generator(*g) for g in generators
@@ -134,15 +143,9 @@ class FilteredComplex:
             if frozenset(dsts)
         }
         self.index = {g.id: i for i, g in enumerate(self.generators)}
-        if not _checked:
-            report = validate(self)
-            if not report.ok:
-                raise InvalidComplexError("; ".join(report.violations))
-
-    @classmethod
-    def unchecked(cls, generators, differential) -> "FilteredComplex":
-        """Skip construction-time validation (for building report examples)."""
-        return cls(generators, differential, _checked=True)
+        report = validate(self)
+        if not report.ok:
+            raise InvalidComplexError("; ".join(report.violations))
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -174,8 +177,15 @@ class FilteredComplex:
 
     @cached_property
     def _tau_engine(self):
-        """Boundary columns eliminated in TauRowOrder."""
-        engine = new_engine(len(self.generators), track=False)
+        """The complex's one elimination: boundary columns in generator
+        order, rows in TauRowOrder, combinations tracked.
+
+        The differential is block diagonal over (Spin^c, Maslov) sources, so
+        every stored column stays inside one block: a kernel combination is
+        a cycle of the block of its highest bit (its own column), and a
+        pivot row is a boundary of the block of generator order[row].
+        """
+        engine = new_engine(len(self.generators), track=True)
         for col in self.boundary_columns:
             engine.add_column(self._tau_rows.permute(col))
         return engine
@@ -236,26 +246,20 @@ def homology_ranks(
 ) -> dict[tuple[str, Fraction], int]:
     """Rank of the homology per (Spin^c label, Maslov grading).
 
-    The differential preserves Spin^c and drops Maslov by 1, so it is block
-    diagonal over (spinc, maslov) sources; the rank at a bigrading is
-    dim - rank(boundary out) - rank(boundary in).
+    Cycles per block minus boundaries per block, both read from the
+    complex's one elimination.
     """
-    blocks: dict[tuple[str, Fraction], list[int]] = {}
-    for i, g in enumerate(complex_.generators):
-        blocks.setdefault((g.spinc, g.maslov), []).append(i)
-    cols = complex_.boundary_columns
-    block_rank: dict[tuple[str, Fraction], int] = {}
-    for key, members in blocks.items():
-        engine = new_engine(len(complex_.generators), track=False)
-        for i in members:
-            engine.add_column(cols[i])
-        block_rank[key] = engine.rank
+    gens = complex_.generators
+    engine = complex_._tau_engine
     ranks: dict[tuple[str, Fraction], int] = {}
-    for (s, m), members in blocks.items():
-        r = len(members) - block_rank[(s, m)] - block_rank.get((s, m + 1), 0)
-        if r:
-            ranks[(s, m)] = r
-    return ranks
+    for combo in engine.kernel_combos:
+        g = gens[combo.bit_length() - 1]
+        key = (g.spinc, g.maslov)
+        ranks[key] = ranks.get(key, 0) + 1
+    for row in engine.pivot_rows:
+        g = gens[complex_._tau_rows.order[row]]
+        ranks[(g.spinc, g.maslov)] -= 1
+    return {key: r for key, r in ranks.items() if r}
 
 
 def total_homology_rank(complex_: FilteredComplex) -> int:
@@ -265,54 +269,36 @@ def total_homology_rank(complex_: FilteredComplex) -> int:
 def homology_basis(complex_: FilteredComplex) -> list[FloerClass]:
     """Deterministic basis of the total homology, one cycle per class.
 
-    Representatives are canonically reduced modulo boundaries and are
-    homogeneous in (Spin^c, Maslov); blocks are visited in sorted order.
+    The cycles are the kernel combinations of the complex's one
+    elimination, grouped by (Spin^c, Maslov) block; blocks are visited by
+    Spin^c label, then descending Maslov grading.  A cycle is kept when
+    its residue modulo the boundaries is independent of the residues of
+    the cycles kept before it.  Each representative is the raw cycle, an
+    int bitset over generator indices, homogeneous in (Spin^c, Maslov).
     """
-    n = len(complex_.generators)
+    gens = complex_.generators
+    rows = complex_._tau_rows
+    engine = complex_._tau_engine
     blocks: dict[tuple[str, Fraction], list[int]] = {}
-    for i, g in enumerate(complex_.generators):
-        blocks.setdefault((g.spinc, g.maslov), []).append(i)
-    cols = complex_.boundary_columns
+    for combo in engine.kernel_combos:
+        g = gens[combo.bit_length() - 1]
+        blocks.setdefault((g.spinc, g.maslov), []).append(combo)
+    span = new_engine(len(gens))
     basis: list[FloerClass] = []
-    # Block (s, m + 1) is visited before (s, m); its engine holds exactly
-    # the boundaries that land in (s, m), so it is kept for that block.
-    kept: dict[tuple[str, Fraction], Elimination] = {}
     for (s, m) in sorted(blocks, key=lambda key: (key[0], -key[1])):
-        members = blocks[(s, m)]
-        cycles = new_engine(n, track=True)
-        for i in members:
-            cycles.add_column(cols[i])
-        if (s, m - 1) in blocks:
-            kept[(s, m)] = cycles
-        incoming = kept.pop((s, m + 1), None) or new_engine(n, track=False)
-        quotient = new_engine(n, track=False)
-        for combo in cycles.kernel_combos:
-            bits = 0
-            for pos in _bit_positions(combo):
-                bits |= 1 << members[pos]
-            residue = incoming.reduce(bits)
-            if not residue:
-                continue
-            before = quotient.rank
-            quotient.add_column(residue)
-            if quotient.rank > before:
-                basis.append(
-                    FloerClass(
-                        representative=VectorGF2.from_int(n, residue),
-                        spinc=s,
-                        maslov=m,
-                    )
-                )
+        for cycle in blocks[(s, m)]:
+            before = span.rank
+            span.add_column(engine.reduce(rows.permute(cycle)))
+            if span.rank > before:
+                basis.append(FloerClass(representative=cycle, spinc=s, maslov=m))
     return basis
 
 
 def _check_cycle(complex_: FilteredComplex, alpha: FloerClass) -> int:
-    rep = alpha.representative
-    if rep.length != len(complex_.generators):
-        raise ValueError(
-            f"representative length {rep.length} != {len(complex_.generators)} generators"
-        )
-    bits = rep.to_int()
+    bits = alpha.representative
+    n = len(complex_.generators)
+    if bits < 0 or bits >> n:
+        raise ValueError(f"representative has bits outside the {n} generators")
     if complex_.boundary_of(bits):
         raise ValueError("representative is not a cycle")
     return bits
@@ -341,9 +327,9 @@ def tau_spectrum(complex_: FilteredComplex) -> TauSpectrum:
     rows = complex_._tau_rows
     engine = complex_._tau_engine
     residues = [
-        engine.reduce(rows.permute(c.representative.to_int())) for c in basis
+        engine.reduce(rows.permute(c.representative)) for c in basis
     ]
-    span = new_engine(len(complex_.generators), track=False)
+    span = new_engine(len(complex_.generators))
     for residue in residues:
         span.add_column(residue)
     if span.rank != rank:

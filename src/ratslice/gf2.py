@@ -1,11 +1,15 @@
 """GF(2) linear algebra on Python int bitsets: one elimination engine.
 
 Every rank, cycle basis and tau residue in the package comes from an
-Elimination built with new_engine; VectorGF2 is the value type of cycle
-representatives.  Columns are Python integers: bit i set means the
-column has a 1 in row i.  Pivoting is deterministic, lowest row index
-first, so echelon columns, kernel combinations and canonical residues
-are reproducible across runs.
+Elimination built with new_engine.  Columns, and every other GF(2)
+vector in the package, cycle representatives included, are Python
+integers: bit i set means a 1 in row i.  Pivoting is deterministic,
+lowest row index first, so echelon columns, kernel combinations and
+canonical residues are reproducible across runs.
+
+Combination tracking is off by default.  Only the one elimination of a
+filtered complex (FilteredComplex._tau_engine) turns it on: its kernel
+combinations are the complex's cycles.
 
 A column added to the engine is reduced against existing pivot columns
 until its lowest set bit is a fresh row (then it becomes a pivot) or it
@@ -21,14 +25,8 @@ columns were added in: exactly rank many, one per dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 # Named in benchmark run records.
 BACKEND_NAME = "python"
-
-
-def _lsb(x: int) -> int:
-    return (x & -x).bit_length() - 1
 
 
 def _bit_positions(bits: int):
@@ -39,9 +37,13 @@ def _bit_positions(bits: int):
 
 
 class Elimination:
-    """Incremental column echelon over GF(2) with combination tracking."""
+    """Incremental column echelon over GF(2), optionally tracking combinations.
 
-    def __init__(self, nrows: int, track: bool = True):
+    With track set, kernel_combos lists one mask over the columns added
+    so far for each column that vanished; its highest bit is that column.
+    """
+
+    def __init__(self, nrows: int, track: bool = False):
         self.nrows = nrows
         self.track = track
         self.ncols = 0
@@ -66,7 +68,7 @@ class Elimination:
         combo = 1 << self.ncols if self.track else 0
         self.ncols += 1
         while col:
-            row = _lsb(col)
+            row = (col & -col).bit_length() - 1
             idx = self._pivot_of_row.get(row)
             if idx is None:
                 self._pivot_of_row[row] = len(self._cols)
@@ -86,7 +88,7 @@ class Elimination:
         out = 0
         cur = target
         while cur:
-            row = _lsb(cur)
+            row = (cur & -cur).bit_length() - 1
             idx = self._pivot_of_row.get(row)
             if idx is None:
                 bit = 1 << row
@@ -97,29 +99,7 @@ class Elimination:
         return out
 
 
-def new_engine(nrows: int, track: bool = True) -> Elimination:
+def new_engine(nrows: int, track: bool = False) -> Elimination:
     """Fresh incremental elimination engine."""
     return Elimination(nrows, track)
 
-
-@dataclass(frozen=True)
-class VectorGF2:
-    """A GF(2) vector given by its length and support set."""
-
-    length: int
-    support: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        object.__setattr__(self, "support", frozenset(self.support))
-        if any(not (0 <= i < self.length) for i in self.support):
-            raise ValueError("support index out of range")
-
-    @classmethod
-    def from_int(cls, length: int, bits: int) -> "VectorGF2":
-        return cls(length, frozenset(_bit_positions(bits)))
-
-    def to_int(self) -> int:
-        bits = 0
-        for i in self.support:
-            bits |= 1 << i
-        return bits

@@ -33,7 +33,7 @@ eliminating the boundaries into Maslov 0 and then the boundaries out of
 it with clearing.  The graded differential preserves the Alexander
 grading, so the knot Floer ranks take the rank of each (M, A) block
 against the (M - 1, A) block alone.  compile_grid builds the whole
-filtered complex for the tests and maslov_zero_class.
+filtered complex; only the tests use it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from .complexes import FilteredComplex, FloerClass, TauRowOrder, homology_basis
+from .complexes import FilteredComplex, TauRowOrder
 from .gf2 import new_engine
 from .parallel import ordered_map
 
@@ -333,16 +333,6 @@ def compile_grid(grid: GridDiagram) -> FilteredComplex:
     return FilteredComplex(generators, differential)
 
 
-def maslov_zero_class(complex_: FilteredComplex) -> FloerClass:
-    """The generator of the homology in Maslov grading zero."""
-    classes = [c for c in homology_basis(complex_) if c.maslov == 0]
-    if len(classes) != 1:
-        raise ValueError(
-            f"expected a single Maslov-0 class, found {len(classes)}"
-        )
-    return classes[0]
-
-
 def tau(grid: GridDiagram) -> Fraction:
     """tau of the knot presented by the grid.
 
@@ -366,7 +356,7 @@ def tau(grid: GridDiagram) -> Fraction:
     rows = TauRowOrder([grader.gradings(s)[1] for s in middle])
     row_of = {state: rows.position[i] for i, state in enumerate(middle)}
 
-    boundaries = new_engine(len(middle), track=False)
+    boundaries = new_engine(len(middle))
     for state in slices[1]:
         bits = 0
         for target in _rectangle_targets(grid, state):
@@ -375,7 +365,7 @@ def tau(grid: GridDiagram) -> Fraction:
     dying = boundaries.pivot_rows
 
     below = {state: i for i, state in enumerate(slices[-1])}
-    cycles = new_engine(len(below), track=False)
+    cycles = new_engine(len(below))
     essential = []
     for row in reversed(range(len(middle))):
         if row in dying:
@@ -420,7 +410,7 @@ def graded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int]:
     for key in sorted(blocks, key=lambda k: (k[1], k[0])):
         m, a2 = key
         row_of = {state: i for i, state in enumerate(blocks.get((m - 1, a2), ()))}
-        engine = new_engine(len(row_of), track=False)
+        engine = new_engine(len(row_of))
         columns = []
         for state in blocks[key]:
             bits = 0

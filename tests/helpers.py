@@ -1,12 +1,13 @@
-"""Independent oracles and random-instance generators for the test suite.
+"""Independent oracles, random-instance generators and shared checks.
 
-Everything here deliberately avoids the package's elimination engine:
-the dense rank oracle is textbook row reduction on lists of lists, the
+The oracles deliberately avoid the package's elimination engine: the
+dense rank oracle is textbook row reduction on lists of lists, the
 exhaustive tau oracle enumerates the entire boundary subspace, the level
 sweep asks the dense oracle one membership question per level, the
 survivor enumerator is a plain recursion without memoization, and the
 grid oracles test every pair of columns for empty rectangles and count
-dominating pairs of points for the gradings.
+dominating pairs of points for the gradings.  maslov_zero_class and
+structural_checks are shared test code built on the package itself.
 """
 
 from __future__ import annotations
@@ -14,9 +15,17 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
-from ratslice.complexes import FilteredComplex, FloerClass
-from ratslice.grid import GridDiagram
+from ratslice.complexes import (
+    FilteredComplex,
+    FloerClass,
+    homology_basis,
+    homology_ranks,
+    total_homology_rank,
+    validate,
+)
+from ratslice.grid import GridDiagram, compile_grid, graded_ranks, hfk_ranks
 
 
 # -- dense GF(2) oracle ----------------------------------------------------
@@ -170,7 +179,7 @@ def tau_by_level_sweep(complex_: FilteredComplex, alpha: FloerClass) -> Fraction
     i.e. iff z lies in the span of the boundary columns and the level-j
     generators.
     """
-    bits = alpha.representative.to_int()
+    bits = alpha.representative
     n = len(complex_.generators)
     assert bits and complex_.boundary_of(bits) == 0
     for level in sorted({g.alexander for g in complex_.generators}):
@@ -233,6 +242,39 @@ def compiled_graded_ranks(complex_: FilteredComplex) -> dict[tuple[Fraction, Fra
         if r:
             ranks[(m, a)] = r
     return ranks
+
+
+# -- compiled grid complexes ---------------------------------------------------
+
+def maslov_zero_class(complex_: FilteredComplex) -> FloerClass:
+    """The generator of the homology in Maslov grading zero."""
+    classes = [c for c in homology_basis(complex_) if c.maslov == 0]
+    if len(classes) != 1:
+        raise ValueError(
+            f"expected a single Maslov-0 class, found {len(classes)}"
+        )
+    return classes[0]
+
+
+def structural_checks(grid: GridDiagram) -> None:
+    """The homology of a knot grid's complexes has its known shape."""
+    complex_ = compile_grid(grid)  # construction verifies d^2 = 0 and both drops
+    report = validate(complex_)
+    assert report.ok, report.violations
+    n = grid.n
+    # The filtered grid complex computes the 3-sphere homology tensored
+    # with an (n-1)-fold rank-2 tower: rank binomial(n-1, k) at Maslov -k.
+    # In particular the knot-bearing Maslov-0 piece has rank exactly 1.
+    ranks = homology_ranks(complex_)
+    assert ranks == {("0", Fraction(-k)): comb(n - 1, k) for k in range(n)}
+    assert ranks[("0", Fraction(0))] == 1
+    assert total_homology_rank(complex_) == 2 ** (n - 1)
+    # The block-local graded ranks agree with the compiled complex's.
+    assert graded_ranks(grid) == compiled_graded_ranks(complex_)
+    # Knot Floer ranks are symmetric under A -> -A after deconvolution.
+    hfk = hfk_ranks(grid)
+    assert hfk == {-a: r for a, r in hfk.items()}
+    assert sum(hfk.values()) % 2 == 1
 
 
 # -- grid rectangle and grading oracles ----------------------------------------

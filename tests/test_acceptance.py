@@ -8,32 +8,27 @@ are Fractions end to end, and no tolerance is ever applied.
 import random
 import time
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 from ratslice import bounds, paperdata
 from ratslice.braid import BraidWord, components, torus_braid, writhe
 from ratslice.complexes import (
     TauSpectrum,
     connected_sum_shift,
-    homology_ranks,
     tau,
-    validate,
 )
 from ratslice.grid import (
     GridDiagram,
-    compile_grid,
-    graded_ranks,
-    hfk_ranks,
     tau as grid_tau,
     torus_knot_grid,
 )
 from ratslice.ratlink import SatelliteSpec, c_value, twist_normalize
 
 from helpers import (
-    compiled_graded_ranks,
     exhaustive_tau,
     random_complex,
     random_knot_grid,
+    structural_checks,
     tau_by_level_sweep,
 )
 
@@ -69,23 +64,6 @@ def test_criterion_1_grid_pipeline_exactness():
         assert grid_tau(torus_knot_grid(2, -5)) == -2
 
 
-def _structural(grid: GridDiagram) -> None:
-    complex_ = compile_grid(grid)  # construction verifies d^2 = 0 and both drops
-    report = validate(complex_)
-    assert report.ok, report.violations
-    n = grid.n
-    ranks = homology_ranks(complex_)
-    # The filtered grid complex computes the 3-sphere homology tensored
-    # with an (n-1)-fold rank-2 tower: rank binomial(n-1, k) at Maslov -k.
-    # In particular the knot-bearing Maslov-0 piece has rank exactly 1.
-    assert ranks == {("0", F(-k)): comb(n - 1, k) for k in range(n)}
-    assert ranks[("0", F(0))] == 1
-    # The block-local graded ranks agree with the compiled complex's.
-    assert graded_ranks(grid) == compiled_graded_ranks(complex_)
-    hfk = hfk_ranks(grid)
-    assert hfk == {-a: r for a, r in hfk.items()}
-
-
 def test_criterion_2_structural_suite():
     with Criterion(2, "structural suite over torus and random grids", 300):
         torus = [
@@ -95,11 +73,11 @@ def test_criterion_2_structural_suite():
             if q and gcd(p, abs(q)) == 1 and p + abs(q) <= 6
         ]
         for p, q in torus:
-            _structural(torus_knot_grid(p, q))
+            structural_checks(torus_knot_grid(p, q))
         rng = random.Random(52_2024)
         for n in (3, 4, 5, 6, 7):
             for _ in range(10):
-                _structural(random_knot_grid(rng, n))
+                structural_checks(random_knot_grid(rng, n))
 
 
 def test_criterion_3_tau_oracle_equivalence():
@@ -115,7 +93,7 @@ def test_criterion_3_tau_oracle_equivalence():
                 continue
             alpha = rng.choice(basis)
             value = tau(c, alpha)
-            assert value == exhaustive_tau(c, alpha.representative.to_int())
+            assert value == exhaustive_tau(c, alpha.representative)
             if checked % 4 == 0:
                 assert value == tau_by_level_sweep(c, alpha)
             checked += 1

@@ -52,6 +52,9 @@ def test_tau_verb_spectrum_and_cycle(tmp_path, capsys):
     assert doc["spectrum"]["tau_min"] == "-1/4"
     doc = run_json(capsys, "tau", "--complex", str(path), "--cycle", "a")
     assert doc["tau"] == "1/4"
+    # A repeated id names the same generator once, as a set would.
+    doc = run_json(capsys, "tau", "--complex", str(path), "--cycle", "a,a")
+    assert doc["tau"] == "1/4"
 
 
 # Documents printed before the knot Floer ranks went block-local; the

@@ -20,7 +20,6 @@ from ratslice.complexes import (
     total_homology_rank,
     validate,
 )
-from ratslice.gf2 import VectorGF2
 
 from helpers import (
     boundary_subspace_contains,
@@ -46,12 +45,22 @@ def rp1_model() -> FilteredComplex:
 
 # -- validation ---------------------------------------------------------------
 
+def unvalidated(monkeypatch, generators, differential) -> FilteredComplex:
+    """A complex built with construction-time validation switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            complexes, "validate", lambda _: complexes.ValidationReport(())
+        )
+        return FilteredComplex(generators, differential)
+
+
 def test_validate_single_generator_ok():
     assert validate(single_generator()).ok
 
 
-def test_validate_lists_alexander_raise():
-    bad = FilteredComplex.unchecked(
+def test_validate_lists_alexander_raise(monkeypatch):
+    bad = unvalidated(
+        monkeypatch,
         [("x", F(0), F(0), "0"), ("y", F(-1), F(1), "0")],
         {"x": {"y"}},
     )
@@ -60,8 +69,9 @@ def test_validate_lists_alexander_raise():
     assert any("Alexander" in v and "x -> y" in v for v in report.violations)
 
 
-def test_validate_lists_maslov_drop_two():
-    bad = FilteredComplex.unchecked(
+def test_validate_lists_maslov_drop_two(monkeypatch):
+    bad = unvalidated(
+        monkeypatch,
         [("x", F(0), F(0), "0"), ("y", F(-2), F(0), "0")],
         {"x": {"y"}},
     )
@@ -69,16 +79,18 @@ def test_validate_lists_maslov_drop_two():
     assert any("Maslov" in v for v in report.violations)
 
 
-def test_validate_lists_spinc_change():
-    bad = FilteredComplex.unchecked(
+def test_validate_lists_spinc_change(monkeypatch):
+    bad = unvalidated(
+        monkeypatch,
         [("x", F(0), F(0), "0"), ("y", F(-1), F(0), "1")],
         {"x": {"y"}},
     )
     assert any("Spin^c" in v for v in validate(bad).violations)
 
 
-def test_validate_detects_nonzero_square():
-    bad = FilteredComplex.unchecked(
+def test_validate_detects_nonzero_square(monkeypatch):
+    bad = unvalidated(
+        monkeypatch,
         [("x", F(1), F(0), "0"), ("y", F(0), F(0), "0"), ("z", F(-1), F(0), "0")],
         {"x": {"y"}, "y": {"z"}},
     )
@@ -122,6 +134,29 @@ def test_homology_ranks_match_dense_oracle():
         assert sum(homology_ranks(c).values()) == expected_total
 
 
+def test_homology_ranks_per_block_match_dense_oracle():
+    # Per (Spin^c, Maslov) block: |block| - rank(d out) - rank(d in), where
+    # d into block (s, m) is d out of block (s, m + 1).
+    rng = random.Random(4343)
+    checked = 0
+    while checked < 40:
+        c = random_complex(rng)
+        if len({g.spinc for g in c.generators}) < 2:
+            continue
+        n = len(c.generators)
+        columns = {}
+        for g, col in zip(c.generators, c.boundary_columns):
+            columns.setdefault((g.spinc, g.maslov), []).append(col)
+        expected = {}
+        for (s, m), cols in columns.items():
+            into = columns.get((s, m + 1), [])
+            r = len(cols) - dense_rank(n, cols) - dense_rank(n, into)
+            if r:
+                expected[(s, m)] = r
+        assert homology_ranks(c) == expected
+        checked += 1
+
+
 def test_homology_basis_members_are_independent_cycles():
     rng = random.Random(43)
     for _ in range(25):
@@ -129,7 +164,7 @@ def test_homology_basis_members_are_independent_cycles():
         basis = homology_basis(c)
         assert len(basis) == total_homology_rank(c)
         for cls in basis:
-            bits = cls.representative.to_int()
+            bits = cls.representative
             assert bits
             assert c.boundary_of(bits) == 0
             assert not boundary_subspace_contains(c, bits)
@@ -147,7 +182,7 @@ def test_tau_rejects_non_cycle():
     c = FilteredComplex(
         [("x", F(0), F(0), "0"), ("y", F(-1), F(0), "0")], {"x": {"y"}}
     )
-    alpha = FloerClass(representative=VectorGF2(2, frozenset({c.index["x"]})))
+    alpha = FloerClass(representative=1 << c.index["x"])
     with pytest.raises(ValueError, match="cycle"):
         tau(c, alpha)
 
@@ -156,9 +191,18 @@ def test_tau_rejects_zero_class():
     c = FilteredComplex(
         [("x", F(1), F(0), "0"), ("y", F(0), F(0), "0")], {"x": {"y"}}
     )
-    alpha = FloerClass(representative=VectorGF2(2, frozenset({c.index["y"]})))
+    alpha = FloerClass(representative=1 << c.index["y"])
     with pytest.raises(ValueError, match="zero"):
         tau(c, alpha)
+
+
+def test_tau_refuses_out_of_range_representative():
+    c = FilteredComplex(
+        [("x", F(1), F(0), "0"), ("y", F(0), F(0), "0")], {"x": {"y"}}
+    )
+    for bits in (-1, -(1 << c.index["y"]), 1 << 2, 1 << c.index["y"] | 1 << 5):
+        with pytest.raises(ValueError, match="outside the 2 generators"):
+            tau(c, FloerClass(representative=bits))
 
 
 def _random_nonzero_class(rng, c):
@@ -168,10 +212,10 @@ def _random_nonzero_class(rng, c):
     picks = [cls for cls in basis if rng.random() < 0.6] or [rng.choice(basis)]
     bits = 0
     for cls in picks:
-        bits ^= cls.representative.to_int()
+        bits ^= cls.representative
     if bits == 0:
-        bits = basis[0].representative.to_int()
-    return FloerClass(representative=VectorGF2.from_int(len(c.generators), bits))
+        bits = basis[0].representative
+    return FloerClass(representative=bits)
 
 
 def test_tau_matches_exhaustive_and_sweep_on_random_complexes():
@@ -183,7 +227,7 @@ def test_tau_matches_exhaustive_and_sweep_on_random_complexes():
         if alpha is None:
             continue
         value = tau(c, alpha)
-        assert value == exhaustive_tau(c, alpha.representative.to_int())
+        assert value == exhaustive_tau(c, alpha.representative)
         assert value == tau_by_level_sweep(c, alpha)
         checked += 1
 
@@ -216,12 +260,7 @@ def test_tau_stable_under_relabeling_and_cancelling_pair():
             + [("pair_top", m, a_top, label), ("pair_bot", m - 1, a_bot, label)],
             {**{s: set(d) for s, d in c.differential.items()}, "pair_top": {"pair_bot"}},
         )
-        grown = FloerClass(
-            representative=VectorGF2.from_int(
-                len(extended.generators), alpha.representative.to_int()
-            )
-        )
-        assert tau(extended, grown) == value
+        assert tau(extended, alpha) == value
 
 
 def test_tau_subadditive_on_class_sums():
@@ -235,10 +274,7 @@ def test_tau_subadditive_on_class_sums():
         if len(basis) < 2:
             continue
         a, g = rng.sample(basis, 2)
-        bits = a.representative.to_int() ^ g.representative.to_int()
-        summed = FloerClass(
-            representative=VectorGF2.from_int(len(c.generators), bits)
-        )
+        summed = FloerClass(representative=a.representative ^ g.representative)
         assert tau(c, summed) <= max(tau(c, a), tau(c, g))
         checked += 1
 
@@ -275,7 +311,7 @@ def _all_class_taus(c) -> set:
         bits = 0
         for i in range(len(basis)):
             if mask >> i & 1:
-                bits ^= basis[i].representative.to_int()
+                bits ^= basis[i].representative
         taus.add(exhaustive_tau(c, bits))
     return taus
 

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from ratslice.gf2 import VectorGF2, new_engine
+from ratslice.gf2 import new_engine
 
 from helpers import dense_in_image, dense_rank, random_columns
 
@@ -128,8 +128,3 @@ def test_rank_nullity_for_all_small_shapes():
         for ncols in range(1, 6):
             engine = eliminate(rows, random_columns(rng, rows, ncols))
             assert engine.rank + len(engine.kernel_combos) == ncols
-
-
-def test_out_of_range_entry_rejected():
-    with pytest.raises(ValueError):
-        VectorGF2(3, frozenset({3}))

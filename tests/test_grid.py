@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 import pytest
 
@@ -13,7 +13,6 @@ from ratslice.complexes import (
     homology_ranks,
     tau,
     total_homology_rank,
-    validate,
 )
 from ratslice.grid import (
     GridDiagram,
@@ -21,7 +20,6 @@ from ratslice.grid import (
     graded_ranks,
     hfk_bigraded_ranks,
     hfk_ranks,
-    maslov_zero_class,
     tau as grid_tau,
     torus_knot_grid,
 )
@@ -31,8 +29,10 @@ from helpers import (
     commutable_columns,
     commute_columns,
     compiled_graded_ranks,
+    maslov_zero_class,
     random_knot_grid,
     stabilize,
+    structural_checks,
     textbook_gradings,
 )
 
@@ -197,43 +197,25 @@ def test_integer_gradings_match_textbook_formula():
             assert grader.maslov(state) == m, (grid, state)
 
 
-def _structural_checks(grid: GridDiagram) -> None:
-    c = compile_grid(grid)  # constructor re-verifies d^2 = 0 and the drops
-    assert validate(c).ok
-    n = grid.n
-    # Homology is the 3-sphere tensored with the (n-1)-fold rank-2 tower:
-    # rank binomial(n-1, k) in Maslov grading -k, rank one at Maslov zero.
-    ranks = homology_ranks(c)
-    expected = {("0", F(-k)): comb(n - 1, k) for k in range(n)}
-    assert ranks == expected
-    assert total_homology_rank(c) == 2 ** (n - 1)
-    # The block-local graded ranks agree with the compiled complex's.
-    assert graded_ranks(grid) == compiled_graded_ranks(c)
-    # Knot Floer ranks are symmetric under A -> -A after deconvolution.
-    hfk = hfk_ranks(grid)
-    assert hfk == {-a: r for a, r in hfk.items()}
-    assert sum(hfk.values()) % 2 == 1
-
-
 @pytest.mark.parametrize(
     "p,q",
     [(p, q) for p in range(1, 6) for q in range(-5, 6)
      if q and p + abs(q) <= 6 and __import__("math").gcd(p, abs(q)) == 1],
 )
 def test_structure_torus_grids_up_to_six(p, q):
-    _structural_checks(torus_knot_grid(p, q))
+    structural_checks(torus_knot_grid(p, q))
 
 
 def test_structure_random_grids():
     rng = random.Random(6061)
     for n in (3, 4, 5, 6):
         for _ in range(3):
-            _structural_checks(random_knot_grid(rng, n))
+            structural_checks(random_knot_grid(rng, n))
 
 
 def test_structure_sampled_size_eight():
     # One sampled size-8 grid (~13 s).
-    _structural_checks(random_knot_grid(random.Random(88), 8))
+    structural_checks(random_knot_grid(random.Random(88), 8))
 
 
 @pytest.mark.xfail(
@@ -276,7 +258,7 @@ def test_maslov_zero_class_unique_for_knots():
 
 
 def test_graded_ranks_match_compiled_complex():
-    # The torus and random grids are cross-checked in _structural_checks.
+    # The torus and random grids are cross-checked in structural_checks.
     for grid in [torus_knot_grid(2, 3)] + _moved_trefoils():
         assert graded_ranks(grid) == compiled_graded_ranks(compile_grid(grid))
 
