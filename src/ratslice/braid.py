@@ -61,18 +61,7 @@ def splitting_counts(b: BraidWord) -> tuple[int, int]:
 
 def components(b: BraidWord) -> int:
     """Number of components of the braid closure."""
-    perm = b.permutation()
-    seen = [False] * b.index
-    count = 0
-    for start in range(b.index):
-        if seen[start]:
-            continue
-        count += 1
-        s = start
-        while not seen[s]:
-            seen[s] = True
-            s = perm[s]
-    return count
+    return len(set(_cycle_labels(b.permutation())))
 
 
 def torus_braid(p: int, q: int) -> BraidWord:
@@ -142,8 +131,15 @@ def parse_braid(text: str) -> BraidWord:
         index = int(head.strip())
     except ValueError:
         raise ValueError(f"malformed braid header {head!r}: expected an integer") from None
-    letters = tuple(int(tok) for tok in tail.split())
-    return BraidWord(index, letters)
+    letters = []
+    for position, tok in enumerate(tail.split(), 1):
+        try:
+            letters.append(int(tok))
+        except ValueError:
+            raise ValueError(
+                f"malformed braid letter {position} {tok!r}: expected an integer"
+            ) from None
+    return BraidWord(index, tuple(letters))
 
 
 def format_braid(b: BraidWord) -> str:

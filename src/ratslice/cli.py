@@ -59,6 +59,8 @@ def _spectrum_from_args(args) -> complexes.TauSpectrum:
         raise ValueError("--tau-max and --tau-min must be given together")
     hi = parse_rational(args.tau_max)
     lo = parse_rational(args.tau_min)
+    if lo > hi:
+        raise ValueError(f"--tau-min {args.tau_min} is above --tau-max {args.tau_max}")
     per_class = {"max": hi} if hi == lo else {"max": hi, "min": lo}
     return complexes.TauSpectrum(
         per_class=per_class,

@@ -399,8 +399,10 @@ def survivor_deduction(
     bigradings whose Maslov gradings differ by exactly 1 and whose
     higher-Maslov member sits at strictly greater Alexander grading
     (page >= 1 differentials strictly drop the filtration).  Entries with
-    maslov None use the Alexander-only rule.  Outcomes are collected by
-    depth-first search memoized on the remaining rank vector.
+    maslov None use the Alexander-only rule.  Outcomes are collected by a
+    sweep over rank levels: each step applies every cancellable pair to
+    every rank vector of the current level, and the survivors are read off
+    the level whose sum is the target.
     """
     entries = _normalize_ranks(ranks)
     total = sum(c for _, _, c in entries)
@@ -421,30 +423,22 @@ def survivor_deduction(
             if m_hi is not None and m_lo is not None and m_hi != m_lo + 1:
                 continue
             pairs.append((hi, lo))
+    level = {tuple(c for _, _, c in entries)}
+    for _ in range((total - target_rank) // 2):
+        after: set[tuple[int, ...]] = set()
+        for vector in level:
+            for hi, lo in pairs:
+                if vector[hi] and vector[lo]:
+                    nxt = list(vector)
+                    nxt[hi] -= 1
+                    nxt[lo] -= 1
+                    after.add(tuple(nxt))
+        level = after
     alexanders = [a for a, _, _ in entries]
-    memo: dict[tuple[int, ...], frozenset[tuple[Fraction, ...]]] = {}
-
-    def search(vector: tuple[int, ...]) -> frozenset[tuple[Fraction, ...]]:
-        if sum(vector) == target_rank:
-            survivors = []
-            for value, count in zip(alexanders, vector):
-                survivors.extend([value] * count)
-            return frozenset({tuple(survivors)})
-        cached = memo.get(vector)
-        if cached is not None:
-            return cached
-        outcomes: set[tuple[Fraction, ...]] = set()
-        for hi, lo in pairs:
-            if vector[hi] and vector[lo]:
-                nxt = list(vector)
-                nxt[hi] -= 1
-                nxt[lo] -= 1
-                outcomes |= search(tuple(nxt))
-        result = frozenset(outcomes)
-        memo[vector] = result
-        return result
-
-    outcomes = search(tuple(c for _, _, c in entries))
+    outcomes = frozenset(
+        tuple(a for a, count in zip(alexanders, vector) for _ in range(count))
+        for vector in level
+    )
     if not outcomes:
         raise DeductionError(
             "target rank unreachable: no sequence of cancellable pairs "

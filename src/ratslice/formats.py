@@ -210,17 +210,21 @@ def poincare_to_json(poly: PoincarePolynomial) -> dict:
 
 
 def poincare_from_json(doc: dict) -> PoincarePolynomial:
-    terms = []
+    terms: dict[tuple[Fraction, Fraction], int] = {}
     for i, entry in enumerate(_need_list(doc, "terms")):
         ctx = f"terms[{i}]"
-        terms.append(
-            (
-                _rational(_need(entry, "maslov", ctx), f"{ctx}.maslov"),
-                _rational(_need(entry, "alexander", ctx), f"{ctx}.alexander"),
-                _integer(_need(entry, "rank", ctx), f"{ctx}.rank"),
-            )
-        )
-    return PoincarePolynomial(terms=tuple(terms), spinc=str(doc.get("spinc", "0")))
+        maslov = _rational(_need(entry, "maslov", ctx), f"{ctx}.maslov")
+        alexander = _rational(_need(entry, "alexander", ctx), f"{ctx}.alexander")
+        rank = _integer(_need(entry, "rank", ctx), f"{ctx}.rank")
+        if rank <= 0:
+            raise _fail(f"{ctx}.rank", f"expected a positive integer, got {rank}")
+        if (maslov, alexander) in terms:
+            raise _fail(ctx, "duplicate bigrading in polynomial")
+        terms[maslov, alexander] = rank
+    return PoincarePolynomial(
+        terms=tuple((m, a, r) for (m, a), r in terms.items()),
+        spinc=str(doc.get("spinc", "0")),
+    )
 
 
 def verdict_to_json(verdict: DeepSliceVerdict) -> dict:

@@ -207,6 +207,24 @@ def _framed_spectrum(**fields):
             _framed_spectrum(enumeration_complete="no"),
             "tau_spectrum.enumeration_complete",
         ),
+        (
+            "deep-slice",
+            "--polynomial",
+            {"terms": [{"maslov": "0", "alexander": "0", "rank": 0}]},
+            "terms[0].rank",
+        ),
+        (
+            "deep-slice",
+            "--polynomial",
+            {
+                "terms": [
+                    {"maslov": "0", "alexander": "0", "rank": 1},
+                    {"maslov": "1", "alexander": "1", "rank": 1},
+                    {"maslov": "0/1", "alexander": "0", "rank": 2},
+                ]
+            },
+            "terms[2]",
+        ),
     ],
 )
 def test_wrong_json_type_names_field(tmp_path, capsys, verb, flag, doc, field):
@@ -265,6 +283,49 @@ def test_deep_slice_verb(capsys):
     doc = run_json(capsys, "deep-slice", "--builtin", "lift_8_20", "--target", "1")
     assert doc["verdict"]["deep_slice"] is True
     assert doc["verdict"]["possible_tau"] == ["-1/1", "1/1"]
+
+
+def test_deep_slice_many_cancellations_deep(tmp_path):
+    # 1200 cancellations deep: answered, not a RecursionError traceback.
+    path = tmp_path / "two_terms.json"
+    path.write_text(
+        json.dumps(
+            {
+                "terms": [
+                    {"maslov": "1", "alexander": "1", "rank": 1200},
+                    {"maslov": "0", "alexander": "0", "rank": 1201},
+                ]
+            }
+        )
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "ratslice.cli",
+            "deep-slice", "--polynomial", str(path), "--target", "1",
+        ],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"]["possible_tau"] == ["0/1"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["braid-info", "--braid", "3: 1 x"],
+            "malformed braid letter 2 'x': expected an integer",
+        ),
+        (
+            ["genus-bound", "--tau-max", "0", "--tau-min", "1"],
+            "--tau-min 1 is above --tau-max 0",
+        ),
+    ],
+)
+def test_bad_flag_value_names_it(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def test_braid_info_verb(capsys):

@@ -464,6 +464,36 @@ def test_survivors_match_naive_enumeration():
             assert naive_survivors(entries, target) == set()
             continue
         assert set(outcomes) == naive_survivors(entries, target)
+    # Bigradings sharing an Alexander grading at different Maslov gradings
+    # (distinct rank vectors with one survivor multiset), two to five
+    # cancellations deep.
+    rng = random.Random(12)
+    compared = 0
+    for _ in range(60):
+        entries = []
+        for a in rng.sample(pool[:5], rng.randint(2, 4)):
+            for m in rng.sample([a - 1, a, a + 1], rng.randint(1, 2)):
+                entries.append((a, m, rng.randint(1, 3)))
+        total = sum(r for _, _, r in entries)
+        if total < 4:
+            continue
+        target = total - 2 * rng.randint(2, min(5, total // 2))
+        expected = naive_survivors(entries, target)
+        try:
+            outcomes = survivor_deduction(entries, target)
+        except DeductionError:
+            assert expected == set()
+            continue
+        assert set(outcomes) == expected
+        assert len(outcomes) == len(expected)
+        compared += 1
+    assert compared >= 15
+
+
+def test_survivors_many_cancellations_deep():
+    # 1200 cancellations, each between the same two bigradings.
+    ranks = [(F(1), F(1), 1200), (F(0), F(0), 1201)]
+    assert survivor_deduction(ranks, 1) == frozenset({(F(0),)})
 
 
 def test_survivors_parity_error():
