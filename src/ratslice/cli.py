@@ -83,14 +83,16 @@ def _add_spectrum_arguments(parser) -> None:
 def _cmd_tau(args):
     complex_ = formats.complex_from_json(_load_json(args.complex))
     doc = {"command": "tau", "citation": "tau-from-filtered-complex"}
-    if args.cycle:
-        ids = [tok for tok in args.cycle.replace(",", " ").split() if tok]
+    if args.cycle is not None:
+        ids = args.cycle.replace(",", " ").split()
         unknown = [gid for gid in ids if gid not in complex_.index]
         if unknown:
             raise ValueError(f"cycle: unknown generator id {unknown[0]!r}")
-        bits = 0
-        for gid in ids:
-            bits |= 1 << complex_.index[gid]
+        if not ids or len(set(ids)) < len(ids):
+            raise ValueError(
+                f"cycle: expected distinct generator ids, got {args.cycle!r}"
+            )
+        bits = sum(1 << complex_.index[gid] for gid in ids)
         alpha = complexes.FloerClass(representative=bits)
         doc["tau"] = format_rational(complexes.tau(complex_, alpha))
         doc["cycle"] = sorted(ids)

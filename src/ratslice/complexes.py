@@ -7,29 +7,28 @@ never raises Alexander, preserves the Spin^c label, and squares to zero.
 The Alexander grading of a chain is the maximum over its support, so every
 Alexander level j cuts out a subcomplex (all generators with A <= j).
 
-Each complex is eliminated once (FilteredComplex._tau_engine): its
-boundary columns in generator order, rows in TauRowOrder, combinations
-tracked.  The kernel combinations are the cycles and the pivot rows lead
-the boundaries, so the homology ranks and the homology basis read it, as
-in Zomorodian-Carlsson's persistence algorithm.  A cycle is an int bitset
-over generator indices, bit i for generator i.
+Every tau here comes from one persistence sweep with clearing
+(essential_rows; Zomorodian-Carlsson, Bauer-Kerber-Reininghaus).  Rows
+are generators in TauRowOrder, highest Alexander grading first.  The
+pivot rows of the boundaries (FilteredComplex._tau_engine) are the
+cycles that die; the boundaries out of the other rows are fed in
+ascending filtration order, and a row whose boundary adds no pivot is
+the birth of an essential class.  A cycle is an int bitset over
+generator indices, bit i for generator i.
 
 For a nonzero homology class alpha, tau(alpha) is the least level j at
 which alpha is hit by the map H(level-j subcomplex) -> H(total complex);
 equivalently the minimum over cycle representatives z of alpha of the top
-Alexander grading in z.  Every tau here is read from the same
-elimination, whose rows put the highest Alexander grading first: the
-canonical residue of a cycle modulo boundaries is then the
-representative whose top grading is smallest possible, and tau is the
-grading of its leading row.  Reduction is linear, so the residues of a
-homology basis span the residues of all classes, and the extremes of the
-tau spectrum are the gradings of that span's pivot rows.  The test suite
-checks this against the exhaustive minimum over representatives and the
-ascending level sweep on small complexes.
+Alexander grading in z.  The births are the leading rows of the cycles
+that no boundary leads, so the cycles born there are a filtered basis:
+tau of a sum of them is the largest of their birth gradings.  The test
+suite checks this against the exhaustive minimum over representatives
+and the ascending level sweep on small complexes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -177,18 +176,35 @@ class FilteredComplex:
 
     @cached_property
     def _tau_engine(self):
-        """The complex's one elimination: boundary columns in generator
-        order, rows in TauRowOrder, combinations tracked.
-
-        The differential is block diagonal over (Spin^c, Maslov) sources, so
-        every stored column stays inside one block: a kernel combination is
-        a cycle of the block of its highest bit (its own column), and a
-        pivot row is a boundary of the block of generator order[row].
+        """The boundaries into the rows: boundary columns in generator
+        order, rows in TauRowOrder.  Its pivot rows are the cycles that die.
         """
-        engine = new_engine(len(self.generators), track=True)
+        engine = new_engine(len(self.generators))
         for col in self.boundary_columns:
             engine.add_column(self._tau_rows.permute(col))
         return engine
+
+
+def essential_rows(boundaries, cycles, boundary_of_row) -> list[int]:
+    """Birth rows of the essential classes: persistence with clearing.
+
+    Rows are in TauRowOrder; the pivot rows of boundaries are the cycles
+    that die and are skipped.  boundary_of_row(row) of every other row is
+    fed to cycles highest row first, in ascending filtration order; a row
+    whose column adds no pivot is a birth.  Births come highest row first;
+    a tracking cycles engine lists their kernel combinations, over feed
+    positions, in the same order.
+    """
+    dying = boundaries.pivot_rows
+    births = []
+    for row in reversed(range(boundaries.nrows)):
+        if row in dying:
+            continue
+        pivots = cycles.rank
+        cycles.add_column(boundary_of_row(row))
+        if cycles.rank == pivots:
+            births.append(row)
+    return births
 
 
 def validate(complex_: FilteredComplex) -> ValidationReport:
@@ -244,22 +260,9 @@ def validate(complex_: FilteredComplex) -> ValidationReport:
 def homology_ranks(
     complex_: FilteredComplex,
 ) -> dict[tuple[str, Fraction], int]:
-    """Rank of the homology per (Spin^c label, Maslov grading).
-
-    Cycles per block minus boundaries per block, both read from the
-    complex's one elimination.
-    """
-    gens = complex_.generators
-    engine = complex_._tau_engine
-    ranks: dict[tuple[str, Fraction], int] = {}
-    for combo in engine.kernel_combos:
-        g = gens[combo.bit_length() - 1]
-        key = (g.spinc, g.maslov)
-        ranks[key] = ranks.get(key, 0) + 1
-    for row in engine.pivot_rows:
-        g = gens[complex_._tau_rows.order[row]]
-        ranks[(g.spinc, g.maslov)] -= 1
-    return {key: r for key, r in ranks.items() if r}
+    """Rank of the homology per (Spin^c label, Maslov grading): the
+    homology_basis classes counted per block."""
+    return dict(Counter((c.spinc, c.maslov) for c in homology_basis(complex_)))
 
 
 def total_homology_rank(complex_: FilteredComplex) -> int:
@@ -267,31 +270,35 @@ def total_homology_rank(complex_: FilteredComplex) -> int:
 
 
 def homology_basis(complex_: FilteredComplex) -> list[FloerClass]:
-    """Deterministic basis of the total homology, one cycle per class.
+    """A filtered basis of the total homology, one class per essential row.
 
-    The cycles are the kernel combinations of the complex's one
-    elimination, grouped by (Spin^c, Maslov) block; blocks are visited by
-    Spin^c label, then descending Maslov grading.  A cycle is kept when
-    its residue modulo the boundaries is independent of the residues of
-    the cycles kept before it.  Each representative is the raw cycle, an
-    int bitset over generator indices, homogeneous in (Spin^c, Maslov).
+    The essential_rows sweep runs with a tracked cycles engine; each
+    class is the cycle born at its own generator (the birth), whose
+    leading row in TauRowOrder is the birth row.  The differential is
+    block diagonal, so each cycle stays inside the (Spin^c, Maslov) block
+    of its birth.  Classes are ordered by Spin^c label, then descending
+    Maslov grading, then the generator index of the birth.
     """
     gens = complex_.generators
-    rows = complex_._tau_rows
-    engine = complex_._tau_engine
-    blocks: dict[tuple[str, Fraction], list[int]] = {}
-    for combo in engine.kernel_combos:
-        g = gens[combo.bit_length() - 1]
-        blocks.setdefault((g.spinc, g.maslov), []).append(combo)
-    span = new_engine(len(gens))
-    basis: list[FloerClass] = []
-    for (s, m) in sorted(blocks, key=lambda key: (key[0], -key[1])):
-        for cycle in blocks[(s, m)]:
-            before = span.rank
-            span.add_column(engine.reduce(rows.permute(cycle)))
-            if span.rank > before:
-                basis.append(FloerClass(representative=cycle, spinc=s, maslov=m))
-    return basis
+    order = complex_._tau_rows.order
+    cols = complex_.boundary_columns
+    boundaries = complex_._tau_engine
+    cycles = new_engine(len(gens), track=True)
+    births = essential_rows(boundaries, cycles, lambda row: cols[order[row]])
+    dying = boundaries.pivot_rows
+    fed = [order[row] for row in reversed(range(len(gens))) if row not in dying]
+    born = sorted(
+        zip((order[row] for row in births), cycles.kernel_combos),
+        key=lambda pair: (gens[pair[0]].spinc, -gens[pair[0]].maslov, pair[0]),
+    )
+    return [
+        FloerClass(
+            representative=sum(1 << fed[k] for k in _bit_positions(combo)),
+            spinc=gens[i].spinc,
+            maslov=gens[i].maslov,
+        )
+        for i, combo in born
+    ]
 
 
 def _check_cycle(complex_: FilteredComplex, alpha: FloerClass) -> int:
@@ -317,41 +324,31 @@ def tau(complex_: FilteredComplex, alpha: FloerClass) -> Fraction:
 def tau_spectrum(complex_: FilteredComplex) -> TauSpectrum:
     """tau of every nonzero class; per_class lists them all up to rank 20.
 
-    Each basis representative is reduced once.  The extremes are exact at
-    any rank: they are the gradings of the pivot rows of the residue span.
+    The homology basis is filtered, so tau of a sum of basis classes is
+    the grading of the smallest birth row in it, and the extremes are the
+    gradings of the smallest and largest birth rows, at any rank.
     """
     basis = homology_basis(complex_)
     if not basis:
         raise ValueError("total homology is zero")
-    rank = len(basis)
     rows = complex_._tau_rows
-    engine = complex_._tau_engine
-    residues = [
-        engine.reduce(rows.permute(c.representative)) for c in basis
+    births = [
+        min(rows.position[i] for i in _bit_positions(c.representative))
+        for c in basis
     ]
-    span = new_engine(len(complex_.generators))
-    for residue in residues:
-        span.add_column(residue)
-    if span.rank != rank:
-        raise AssertionError("basis classes are dependent modulo boundaries")
-
-    per_class: dict[str, Fraction] = {}
+    rank = len(basis)
+    per_class = {f"b{i}": rows.alexanders[row] for i, row in enumerate(births)}
     complete = rank <= FULL_ENUMERATION_CAP
     if complete:
-        # Gray-code walk: each step XORs one basis residue.
-        current = 0
-        mask = 0
-        for step in range(1, 1 << rank):
-            flip = (step & -step).bit_length() - 1
-            current ^= residues[flip]
-            mask ^= 1 << flip
+        # first[mask]: the smallest birth row of the sum of classes in mask.
+        first = [len(rows.order)] * (1 << rank)
+        for mask in range(1, 1 << rank):
+            low = (mask & -mask).bit_length() - 1
+            first[mask] = min(first[mask & (mask - 1)], births[low])
             cid = "+".join(f"b{i}" for i in _bit_positions(mask))
-            per_class[cid] = rows.top(current)
-    else:
-        for i, residue in enumerate(residues):
-            per_class[f"b{i}"] = rows.top(residue)
-    tau_max = rows.alexanders[min(span.pivot_rows)]
-    tau_min = rows.alexanders[max(span.pivot_rows)]
+            per_class[cid] = rows.alexanders[first[mask]]
+    tau_max = rows.alexanders[min(births)]
+    tau_min = rows.alexanders[max(births)]
     return TauSpectrum(
         per_class=per_class,
         tau_max=tau_max,

@@ -110,7 +110,12 @@ def complex_from_json(doc: dict) -> FilteredComplex:
     for src, dsts in raw.items():
         if not isinstance(dsts, list):
             raise _fail(f"differential[{src!r}]", "expected a list of ids")
-        differential[str(src)] = frozenset(str(d) for d in dsts)
+        targets: set[str] = set()
+        for dst in map(str, dsts):
+            if dst in targets:
+                raise _fail(f"differential[{src!r}]", f"repeated target {dst!r}")
+            targets.add(dst)
+        differential[str(src)] = frozenset(targets)
     return FilteredComplex(generators, differential)
 
 

@@ -1,15 +1,15 @@
 """GF(2) linear algebra on Python int bitsets: one elimination engine.
 
-Every rank, cycle basis and tau residue in the package comes from an
+Every rank, homology basis and tau in the package comes from an
 Elimination built with new_engine.  Columns, and every other GF(2)
 vector in the package, cycle representatives included, are Python
 integers: bit i set means a 1 in row i.  Pivoting is deterministic,
 lowest row index first, so echelon columns, kernel combinations and
 canonical residues are reproducible across runs.
 
-Combination tracking is off by default.  Only the one elimination of a
-filtered complex (FilteredComplex._tau_engine) turns it on: its kernel
-combinations are the complex's cycles.
+Combination tracking is off by default.  Only the cleared persistence
+sweep of complexes.homology_basis turns it on: the kernel combination of
+each essential row is the cycle born there.
 
 A column added to the engine is reduced against existing pivot columns
 until its lowest set bit is a fresh row (then it becomes a pivot) or it

@@ -28,9 +28,10 @@ binomial tower, after which they are symmetric in the Alexander grading.
 
 Size cap: n <= 10.  Neither tau nor the knot Floer ranks store the full
 differential.  tau reads only the three Maslov slices around zero: it is
-the birth of the one essential Maslov-0 persistence bar, found by
-eliminating the boundaries into Maslov 0 and then the boundaries out of
-it with clearing.  The graded differential preserves the Alexander
+the birth of the one essential Maslov-0 persistence bar, found by the
+same clearing sweep that gives a filtered complex its homology basis
+(complexes.essential_rows), run on the boundaries into Maslov 0 and the
+boundaries out of it.  The graded differential preserves the Alexander
 grading, so the knot Floer ranks take the rank of each (M, A) block
 against the (M - 1, A) block alone.  compile_grid builds the whole
 filtered complex; only the tests use it.
@@ -44,7 +45,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from .complexes import FilteredComplex, TauRowOrder
+from .complexes import FilteredComplex, TauRowOrder, essential_rows
 from .gf2 import new_engine
 from .parallel import ordered_map
 
@@ -336,14 +337,12 @@ def compile_grid(grid: GridDiagram) -> FilteredComplex:
 def tau(grid: GridDiagram) -> Fraction:
     """tau of the knot presented by the grid.
 
-    Filter the Maslov-0 states by Alexander grading.  Eliminating the
-    boundaries of the Maslov-1 states, rows in TauRowOrder, marks the
-    Maslov-0 states whose cycles die (the pivot rows).  The boundaries of
-    the other Maslov-0 states are then fed in ascending filtration order;
-    a state whose boundary adds no pivot is born a new cycle, and the one
-    such state that never dies generates the Maslov-0 homology.  Its
+    Filter the Maslov-0 states by Alexander grading, rows in TauRowOrder
+    by the doubled integer grading 2A.  The boundaries of the Maslov-1
+    states mark the Maslov-0 states whose cycles die, and essential_rows
+    feeds the boundaries of the others into Maslov -1 with clearing.  The
+    one row born that never dies generates the Maslov-0 homology; its
     Alexander grading is the least level that carries the class: tau.
-    Rows are ordered by the doubled integer grading 2A.
     """
     _check_knot_grid(grid)
     grader = _Grader(grid)
@@ -362,21 +361,16 @@ def tau(grid: GridDiagram) -> Fraction:
         for target in _rectangle_targets(grid, state):
             bits |= 1 << row_of[target]
         boundaries.add_column(bits)
-    dying = boundaries.pivot_rows
 
     below = {state: i for i, state in enumerate(slices[-1])}
-    cycles = new_engine(len(below))
-    essential = []
-    for row in reversed(range(len(middle))):
-        if row in dying:
-            continue
+
+    def boundary_of_row(row: int) -> int:
         bits = 0
         for target in _rectangle_targets(grid, middle[rows.order[row]]):
             bits |= 1 << below[target]
-        pivots = cycles.rank
-        cycles.add_column(bits)
-        if cycles.rank == pivots:
-            essential.append(row)
+        return bits
+
+    essential = essential_rows(boundaries, new_engine(len(below)), boundary_of_row)
     if len(essential) != 1:
         raise AssertionError(
             f"expected one essential Maslov-0 class, found {len(essential)}"

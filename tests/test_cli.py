@@ -52,9 +52,25 @@ def test_tau_verb_spectrum_and_cycle(tmp_path, capsys):
     assert doc["spectrum"]["tau_min"] == "-1/4"
     doc = run_json(capsys, "tau", "--complex", str(path), "--cycle", "a")
     assert doc["tau"] == "1/4"
-    # A repeated id names the same generator once, as a set would.
-    doc = run_json(capsys, "tau", "--complex", str(path), "--cycle", "a,a")
-    assert doc["tau"] == "1/4"
+
+
+@pytest.mark.parametrize(
+    "cycle",
+    [
+        "a,a",  # a + a = 0 over GF(2): not the class of a.
+        "a b,a",
+        "",  # An empty cycle is no class, not a request for the spectrum.
+        " , ",
+    ],
+)
+def test_tau_cycle_refuses_repeated_or_empty_ids(tmp_path, capsys, cycle):
+    from ratslice.paperdata import _rp1_model_complex
+
+    path = tmp_path / "rp1.json"
+    path.write_text(dump_document(complex_to_json(_rp1_model_complex())))
+    code, out, err = run_cli(capsys, "tau", "--complex", str(path), "--cycle", cycle)
+    assert (code, out) == (1, "")
+    assert err == f"error: cycle: expected distinct generator ids, got {cycle!r}\n"
 
 
 # Documents printed before the knot Floer ranks went block-local; the
@@ -156,6 +172,63 @@ def test_tau_complex_per_class_document_unchanged(tmp_path, capsys):
     assert out == PINNED_SPECTRUM_DOCUMENT
 
 
+# Rank 21, above the enumeration cap: a, b at A=1 and c at A=-5 with
+# dx = a + b + c, plus 19 free generators at A=0.  per_class lists the
+# filtered basis, which carries both extremes: b0 = [b] (tau 1) and
+# b1 = [c] = [a + b] (tau -5).
+RANK21_GENERATORS = [("a", "0", "1"), ("b", "0", "1"), ("c", "0", "-5"), ("x", "1", "1")]
+RANK21_COMPLEX = {
+    "generators": [
+        {"id": g, "maslov": m, "alexander": a, "spinc": "0"}
+        for g, m, a in RANK21_GENERATORS + [(f"p{i:02d}", "0", "0") for i in range(19)]
+    ],
+    "differential": {"x": ["a", "b", "c"]},
+}
+
+RANK21_SPECTRUM_DOCUMENT = """{
+  "citation": "tau-from-filtered-complex",
+  "command": "tau",
+  "spectrum": {
+    "breadth": "6/1",
+    "enumeration_complete": false,
+    "per_class": {
+      "b0": "1/1",
+      "b1": "-5/1",
+      "b10": "0/1",
+      "b11": "0/1",
+      "b12": "0/1",
+      "b13": "0/1",
+      "b14": "0/1",
+      "b15": "0/1",
+      "b16": "0/1",
+      "b17": "0/1",
+      "b18": "0/1",
+      "b19": "0/1",
+      "b2": "0/1",
+      "b20": "0/1",
+      "b3": "0/1",
+      "b4": "0/1",
+      "b5": "0/1",
+      "b6": "0/1",
+      "b7": "0/1",
+      "b8": "0/1",
+      "b9": "0/1"
+    },
+    "tau_max": "1/1",
+    "tau_min": "-5/1"
+  }
+}
+"""
+
+
+def test_tau_complex_rank21_document(tmp_path, capsys):
+    path = tmp_path / "rank21.json"
+    path.write_text(json.dumps(RANK21_COMPLEX))
+    code, out, err = run_cli(capsys, "tau", "--complex", str(path))
+    assert code == 0, err
+    assert out == RANK21_SPECTRUM_DOCUMENT
+
+
 def _framed_document(**fields):
     doc = framed_to_json(builtin("J_example_6.2"))
     doc.update(fields)
@@ -224,6 +297,20 @@ def _framed_spectrum(**fields):
                 ]
             },
             "terms[2]",
+        ),
+        # d x = a + a = 0 over GF(2): read as a set, the list would give
+        # d x = a and zero homology instead of rank 2.
+        (
+            "tau",
+            "--complex",
+            {
+                "generators": [
+                    {"id": "a", "maslov": "0", "alexander": "0", "spinc": "0"},
+                    {"id": "x", "maslov": "1", "alexander": "0", "spinc": "0"},
+                ],
+                "differential": {"x": ["a", "a"]},
+            },
+            "differential['x']",
         ),
     ],
 )

@@ -1,6 +1,7 @@
 """Filtered complexes: validation, homology, tau against two oracles, survivors."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from helpers import (
     boundary_subspace_contains,
     dense_rank,
     exhaustive_tau,
+    max_alexander,
     naive_survivors,
     random_complex,
     tau_by_level_sweep,
@@ -303,16 +305,16 @@ def test_spectrum_zero_homology_rejected():
         tau_spectrum(pair)
 
 
-def _all_class_taus(c) -> set:
-    """Exhaustive tau of every nonzero class, by brute force."""
+def _all_class_taus(c) -> Counter:
+    """Exhaustive tau of every nonzero class, by brute force, as a multiset."""
     basis = homology_basis(c)
-    taus = set()
+    taus = Counter()
     for mask in range(1, 1 << len(basis)):
         bits = 0
         for i in range(len(basis)):
             if mask >> i & 1:
                 bits ^= basis[i].representative
-        taus.add(exhaustive_tau(c, bits))
+        taus[exhaustive_tau(c, bits)] += 1
     return taus
 
 
@@ -325,7 +327,7 @@ def test_spectrum_extremes_match_per_class_brute_force():
             continue
         s = tau_spectrum(c)
         assert s.enumeration_complete
-        values = set(s.per_class.values())
+        values = Counter(s.per_class.values())
         assert s.tau_max == max(values)
         assert s.tau_min == min(values)
         assert _all_class_taus(c) == values
@@ -378,6 +380,46 @@ def test_spectrum_extremes_independent_of_cap(monkeypatch, padding):
     assert not capped.enumeration_complete
     for s in (full, capped):
         assert (s.tau_min, s.tau_max, s.breadth) == (F(-5), F(1), F(6))
+
+
+def test_homology_basis_representatives_carry_tau():
+    # The basis is filtered: each class is carried by the cycle born at
+    # its own generator, whose top grading is already the least possible.
+    rng = random.Random(1414)
+    checked = 0
+    while checked < 40:
+        c = random_complex(rng, max_generators=10)
+        basis = homology_basis(c)
+        if not basis:
+            continue
+        for cls in basis:
+            assert tau(c, cls) == max_alexander(c, cls.representative)
+        checked += 1
+
+
+def test_spectrum_lists_basis_taus_above_cap(monkeypatch):
+    # Above the cap per_class lists the basis only, and that basis
+    # carries both extremes of the spectrum.
+    monkeypatch.setattr(complexes, "FULL_ENUMERATION_CAP", 1)
+    rng = random.Random(2929)
+    checked = 0
+    while checked < 25:
+        c = random_complex(rng, max_generators=10)
+        basis = homology_basis(c)
+        if len(basis) < 2:
+            continue
+        s = tau_spectrum(c)
+        assert s.per_class == {f"b{i}": tau(c, cls) for i, cls in enumerate(basis)}
+        values = s.per_class.values()
+        assert (min(values), max(values)) == (s.tau_min, s.tau_max)
+        checked += 1
+
+
+def test_spectrum_basis_attains_extremes_at_rank_21():
+    s = tau_spectrum(padded_example(19))
+    assert not s.enumeration_complete
+    values = s.per_class.values()
+    assert (min(values), max(values)) == (s.tau_min, s.tau_max) == (F(-5), F(1))
 
 
 def test_connected_sum_shift_examples():
