@@ -28,6 +28,7 @@ and the ascending level sweep on small complexes.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,6 +93,11 @@ class TauSpectrum:
     def __post_init__(self):
         if self.breadth != self.tau_max - self.tau_min or self.breadth < 0:
             raise ValueError("breadth must equal tau_max - tau_min >= 0")
+        # The classes share a handful of value objects: check each once,
+        # and scan in order only to name the first class out of range.
+        values = {id(v): v for v in self.per_class.values()}
+        if all(self.tau_min <= v <= self.tau_max for v in values.values()):
+            return
         for cid, value in self.per_class.items():
             if not self.tau_min <= value <= self.tau_max:
                 raise ValueError(f"class {cid}: tau outside [tau_min, tau_max]")
@@ -337,16 +343,20 @@ def tau_spectrum(complex_: FilteredComplex) -> TauSpectrum:
         for c in basis
     ]
     rank = len(basis)
-    per_class = {f"b{i}": rows.alexanders[row] for i, row in enumerate(births)}
+    names = [f"b{i}" for i in range(rank)]
+    per_class = {name: rows.alexanders[row] for name, row in zip(names, births)}
     complete = rank <= FULL_ENUMERATION_CAP
     if complete:
-        # first[mask]: the smallest birth row of the sum of classes in mask.
-        first = [len(rows.order)] * (1 << rank)
-        for mask in range(1, 1 << rank):
-            low = (mask & -mask).bit_length() - 1
-            first[mask] = min(first[mask & (mask - 1)], births[low])
-            cid = "+".join(f"b{i}" for i in _bit_positions(mask))
-            per_class[cid] = rows.alexanders[first[mask]]
+        # Entry mask - 1 of the two tables is the sum of the classes in
+        # mask: first holds its smallest birth row, ids the names of its
+        # classes in ascending order.  Class k appends the masks 2^k + r,
+        # each extending the entry of r.
+        first: list[int] = []
+        ids: list[str] = []
+        for name, row in zip(names, births):
+            first += [row] + [f if f < row else row for f in first]
+            ids += [name] + [f"{cid}+{name}" for cid in ids]
+        per_class.update(zip(ids, map(rows.alexanders.__getitem__, first)))
     tau_max = rows.alexanders[min(births)]
     tau_min = rows.alexanders[max(births)]
     return TauSpectrum(
@@ -399,7 +409,9 @@ def survivor_deduction(
     maslov None use the Alexander-only rule.  Outcomes are collected by a
     sweep over rank levels: each step applies every cancellable pair to
     every rank vector of the current level, and the survivors are read off
-    the level whose sum is the target.
+    the level whose sum is the target.  When every entry has a Maslov
+    grading, a target below the Maslov parity imbalance is refused before
+    the sweep.
     """
     entries = _normalize_ranks(ranks)
     total = sum(c for _, _, c in entries)
@@ -412,6 +424,21 @@ def survivor_deduction(
             f"parity mismatch: cancellations remove rank in pairs, but "
             f"total {total} - target {target_rank} is odd"
         )
+    if all(m is not None for _, m, _ in entries):
+        # A cancellation removes one unit at M and one at M + 1, so per
+        # residue M mod 1 the units at even floor(M) minus those at odd
+        # floor(M) never change, and at least |that| many survive.
+        parity: Counter = Counter()
+        for _, m, count in entries:
+            parity[m % 1] += -count if math.floor(m) % 2 else count
+        imbalance = sum(abs(d) for d in parity.values())
+        if target_rank < imbalance:
+            raise DeductionError(
+                f"target rank {target_rank} unreachable: a cancellation "
+                f"pairs units at Maslov M and M + 1, so the imbalance "
+                f"{imbalance} between units at even and odd floor(M) (per "
+                f"residue M mod 1) always survives"
+            )
     pairs: list[tuple[int, int]] = []
     for hi, (a_hi, m_hi, _) in enumerate(entries):
         for lo, (a_lo, m_lo, _) in enumerate(entries):

@@ -122,9 +122,14 @@ def complex_from_json(doc: dict) -> FilteredComplex:
 # -- tau spectra and framed knots ---------------------------------------
 
 def spectrum_to_json(spectrum: TauSpectrum) -> dict:
+    # The classes share a handful of value objects: render each once.
+    values = {id(v): v for v in spectrum.per_class.values()}
+    texts = {key: format_rational(v) for key, v in values.items()}
     return {
+        # Sorted here, so that dump_document's own key sort is a linear pass.
         "per_class": {
-            cid: format_rational(v) for cid, v in sorted(spectrum.per_class.items())
+            cid: texts[id(spectrum.per_class[cid])]
+            for cid in sorted(spectrum.per_class)
         },
         "tau_max": format_rational(spectrum.tau_max),
         "tau_min": format_rational(spectrum.tau_min),

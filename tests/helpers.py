@@ -22,6 +22,7 @@ from ratslice.complexes import (
     FloerClass,
     homology_basis,
     homology_ranks,
+    tau,
     total_homology_rank,
     validate,
 )
@@ -80,19 +81,25 @@ _GRADING_POOL = [
 
 
 def random_complex(rng: random.Random, max_generators: int = 12) -> FilteredComplex:
-    """A random valid filtered complex.
+    """A random valid filtered complex of at most max_generators generators."""
+    n = rng.randint(1, max_generators)
+    spincs = ["0", "1"][: rng.randint(1, 2)]
+    return disguised_complex(rng, n, rng.randint(0, n // 2), spincs)
+
+
+def disguised_complex(
+    rng: random.Random, n: int, n_pairs: int, spincs: list[str]
+) -> FilteredComplex:
+    """A random valid filtered complex of n generators, n_pairs of them paired.
 
     Built as a direct sum of free generators and cancelling arrow pairs
     with admissible gradings, then disguised by random filtered basis
     changes (x -> x + z with equal Maslov, equal Spin^c and A(z) <= A(x)),
-    which preserve every invariant.
+    which preserve every invariant.  Its homology has rank n - 2 n_pairs.
     """
-    n = rng.randint(1, max_generators)
-    spincs = ["0", "1"][: rng.randint(1, 2)]
     maslov = []
     alexander = []
     labels = []
-    n_pairs = rng.randint(0, n // 2)
     columns = [0] * n
     for k in range(n_pairs):
         x, y = 2 * k, 2 * k + 1
@@ -187,6 +194,24 @@ def tau_by_level_sweep(complex_: FilteredComplex, alpha: FloerClass) -> Fraction
         if dense_in_image(n, complex_.boundary_columns + below, bits):
             return level
     raise ValueError("class is zero in homology")
+
+
+def spectrum_by_definition(complex_: FilteredComplex) -> dict[str, Fraction]:
+    """tau of every nonzero homology class, keyed by its basis names.
+
+    A class is a nonempty set of homology_basis classes; its id joins
+    their names b<i> in ascending i with "+", and its value is tau of the
+    sum of their representatives.
+    """
+    basis = homology_basis(complex_)
+    per_class = {}
+    for mask in range(1, 1 << len(basis)):
+        members = [i for i in range(len(basis)) if mask >> i & 1]
+        bits = 0
+        for i in members:
+            bits ^= basis[i].representative
+        per_class["+".join(f"b{i}" for i in members)] = tau(complex_, FloerClass(bits))
+    return per_class
 
 
 def boundary_subspace_contains(complex_: FilteredComplex, bits: int) -> bool:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -13,6 +14,9 @@ from ratslice.cli import main
 from ratslice.formats import complex_to_json, dump_document, framed_to_json, grid_to_text
 from ratslice.grid import torus_knot_grid
 from ratslice.paperdata import builtin
+from ratslice.rationals import format_rational
+
+from helpers import disguised_complex, spectrum_by_definition
 
 
 def run_cli(capsys, *argv):
@@ -170,6 +174,19 @@ def test_tau_complex_per_class_document_unchanged(tmp_path, capsys):
     code, out, err = run_cli(capsys, "tau", "--complex", str(path))
     assert code == 0, err
     assert out == PINNED_SPECTRUM_DOCUMENT
+
+
+def test_tau_complex_per_class_is_tau_of_each_sum(tmp_path, capsys):
+    # Rank 13: each id names its basis classes in ascending order, and its
+    # value is tau of the sum of their representatives.
+    complex_ = disguised_complex(random.Random(13), 13 + 2 * 8, 8, ["0", "1"])
+    path = tmp_path / "rank13.json"
+    path.write_text(json.dumps(complex_to_json(complex_)))
+    per_class = run_json(capsys, "tau", "--complex", str(path))["spectrum"]["per_class"]
+    expected = spectrum_by_definition(complex_)
+    assert len(expected) == 2**13 - 1
+    assert per_class == {cid: format_rational(v) for cid, v in expected.items()}
+    assert len(set(per_class.values())) > 1
 
 
 # Rank 21, above the enumeration cap: a, b at A=1 and c at A=-5 with
@@ -396,6 +413,31 @@ def test_deep_slice_many_cancellations_deep(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verdict"]["possible_tau"] == ["0/1"]
+
+
+def test_deep_slice_maslov_imbalance_refused_at_once(tmp_path):
+    # M = A = -3..3, rank 20 each and 21 at 0: odd-Maslov units outnumber
+    # even ones by 19, so one survivor is unreachable.
+    path = tmp_path / "diagonal.json"
+    terms = [
+        {"maslov": str(k), "alexander": str(k), "rank": 20 + (k == 0)}
+        for k in range(-3, 4)
+    ]
+    path.write_text(json.dumps({"terms": terms}))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    # The level sweep took 43.7 s on this input; the refusal comes first.
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "ratslice.cli",
+            "deep-slice", "--polynomial", str(path), "--target", "1",
+        ],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "target rank 1 unreachable" in proc.stderr
+    assert "imbalance 19" in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Filtered complexes: validation, homology, tau against two oracles, survivors."""
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from ratslice.complexes import (
     DeductionError,
     FilteredComplex,
     FloerClass,
+    TauSpectrum,
     connected_sum_shift,
     homology_basis,
     homology_ranks,
@@ -29,6 +31,7 @@ from helpers import (
     max_alexander,
     naive_survivors,
     random_complex,
+    spectrum_by_definition,
     tau_by_level_sweep,
 )
 
@@ -334,6 +337,49 @@ def test_spectrum_extremes_match_per_class_brute_force():
         checked += 1
 
 
+def test_spectrum_ids_map_to_tau_of_their_sum():
+    rng = random.Random(4242)
+    checked = 0
+    while checked < 40:
+        c = random_complex(rng, max_generators=12)
+        if not 2 <= total_homology_rank(c) <= 10:
+            continue
+        assert tau_spectrum(c).per_class == spectrum_by_definition(c)
+        checked += 1
+
+
+def test_spectrum_refuses_value_outside_extremes():
+    ok = {"b0": F(0), "b1": F(1), "b0+b1": F(1)}
+    TauSpectrum(ok, tau_max=F(1), tau_min=F(0), breadth=F(1), enumeration_complete=True)
+    # The first offender in per_class order is named, not the first in
+    # sorted order: b0 shares its value object, b2 has an equal value in
+    # another object.
+    low = F(-3)
+    per_class = {"b1": F(0), "b0+b1": low, "b0": low, "b2": F(-3)}
+    with pytest.raises(ValueError, match=r"^class b0\+b1: tau outside"):
+        TauSpectrum(
+            per_class, tau_max=F(1), tau_min=F(0), breadth=F(1),
+            enumeration_complete=True,
+        )
+    with pytest.raises(ValueError, match=r"^class b2: tau outside"):
+        TauSpectrum(
+            {"b0": F(0), "b1": F(0), "b2": F(2)}, tau_max=F(1), tau_min=F(0),
+            breadth=F(1), enumeration_complete=True,
+        )
+
+
+@pytest.mark.parametrize(
+    "tau_max,tau_min,breadth",
+    [(F(1), F(0), F(2)), (F(1), F(0), F(1, 2)), (F(0), F(1), F(-1))],
+)
+def test_spectrum_refuses_breadth_not_spread(tau_max, tau_min, breadth):
+    with pytest.raises(ValueError, match="breadth must equal tau_max - tau_min"):
+        TauSpectrum(
+            {"b0": F(0)}, tau_max=tau_max, tau_min=tau_min, breadth=breadth,
+            enumeration_complete=True,
+        )
+
+
 def test_spectrum_extremes_exact_above_enumeration_cap(monkeypatch):
     # With the cap at 1 every complex of rank >= 2 lists a basis only; the
     # extremes must still range over all classes.
@@ -442,6 +488,21 @@ def test_spectrum_basis_only_above_enumeration_cap():
     assert s.tau_min == F(0)
 
 
+def test_connected_sum_shift_adds_t_to_every_class():
+    rng = random.Random(77)
+    checked = 0
+    while checked < 10:
+        c = random_complex(rng, max_generators=10)
+        if total_homology_rank(c) < 2:
+            continue
+        s = tau_spectrum(c)
+        t = F(rng.randint(-12, 12), rng.randint(1, 9))
+        shifted = connected_sum_shift(s, t)
+        assert shifted.per_class == {cid: v + t for cid, v in s.per_class.items()}
+        assert list(shifted.per_class) == list(s.per_class)
+        checked += 1
+
+
 def test_connected_sum_shift_breadth_invariance_random():
     rng = random.Random(5)
     s = tau_spectrum(rp1_model())
@@ -547,6 +608,39 @@ def test_survivors_unreachable_error():
     # Two units at the same grading can never cancel against each other.
     with pytest.raises(DeductionError, match="unreachable"):
         survivor_deduction([(F(0), F(0), 2)], 0)
+
+
+def diagonal_ranks(rank: int) -> list:
+    """Seven terms on the diagonal M = A = -3..3, rank `rank` each, one more at 0."""
+    return [(F(k), F(k), rank + (k == 0)) for k in range(-3, 4)]
+
+
+def test_survivors_maslov_imbalance_refused_at_once():
+    # Units at odd Maslov outnumber those at even Maslov by 19, and every
+    # cancellation removes one of each: at least 19 survive.
+    start = time.perf_counter()
+    with pytest.raises(DeductionError, match=r"target rank 1 unreachable.* 19 "):
+        survivor_deduction(diagonal_ranks(20), 1)
+    assert time.perf_counter() - start < 1
+
+
+def test_survivors_maslov_imbalance_per_residue():
+    # M = 1/2 (floor 0, even) and M = 1 (odd) never cancel: the imbalances
+    # of the two residues add up instead of cancelling out.
+    ranks = [(F(1), F(1, 2), 1), (F(0), F(1), 1)]
+    with pytest.raises(DeductionError, match=r"unreachable.* 2 "):
+        survivor_deduction(ranks, 0)
+    assert survivor_deduction(ranks, 2) == frozenset({(F(0), F(1))})
+    # The imbalance is met exactly: one odd unit is left over.
+    assert survivor_deduction([(F(1), F(1), 2), (F(0), F(0), 1)], 1) == frozenset(
+        {(F(1),)}
+    )
+    # An entry without a Maslov grading cancels by Alexander alone, so the
+    # check is skipped for the whole input.
+    for m_hi in (None, F(0)):
+        assert survivor_deduction([(F(1), m_hi, 1), (F(0), None, 1)], 0) == frozenset(
+            {()}
+        )
 
 
 def test_min_breadth_examples():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ratslice.complexes import tau_spectrum, total_homology_rank
 from ratslice.formats import (
     complex_from_json,
     complex_to_json,
@@ -104,3 +105,32 @@ def test_grid_text_roundtrip():
         grid_from_text("0 1\n")
     with pytest.raises(ValueError, match="integers"):
         grid_from_text("0 x\n1 0\n")
+
+
+def test_spectrum_roundtrip_full_enumeration():
+    rng = random.Random(31)
+    checked = 0
+    while checked < 10:
+        c = random_complex(rng, max_generators=12)
+        if total_homology_rank(c) < 3:
+            continue
+        s = tau_spectrum(c)
+        doc = spectrum_to_json(s)
+        back = spectrum_from_json(doc)
+        assert back == s
+        assert list(back.per_class) == sorted(s.per_class)
+        assert spectrum_to_json(back) == doc
+        checked += 1
+
+
+def test_spectrum_parse_error_names_first_bad_class():
+    doc = {
+        "per_class": {"b0": "1/2", "b1": "1/2", "b0+b1": "oops", "b2": "oops"},
+        "tau_max": "1/2", "tau_min": "1/2", "breadth": "0/1",
+    }
+    with pytest.raises(ValueError, match=r"^tau_spectrum\.per_class\['b0\+b1'\]: "):
+        spectrum_from_json(doc)
+    # True equals 1 but is refused.
+    doc["per_class"] = {"b0": 1, "b1": True}
+    with pytest.raises(ValueError, match=r"per_class\['b1'\]"):
+        spectrum_from_json(doc)
