@@ -50,7 +50,6 @@ class BoundReport:
     inputs: dict
     citation: str
     satisfied: Optional[bool] = None
-    clamped_value: Optional[Fraction] = None
     is_equality: bool = False
     anomaly: Optional[str] = None
 
@@ -59,6 +58,10 @@ class BoundReport:
             raise ValueError("citation must be nonempty")
         if self.direction not in ("lower", "upper"):
             raise ValueError(f"direction must be lower|upper, got {self.direction!r}")
+
+    @property
+    def clamped_value(self) -> Fraction:
+        return max(self.bound_value, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -160,15 +163,13 @@ def genus_lower_bound_breadth(spectrum: TauSpectrum) -> BoundReport:
     The same value bounds the rational PL slice genus, since the breadth
     is insensitive to connected sums with local knots.
     """
-    raw = Fraction(spectrum.breadth - 1, 2)
     return BoundReport(
         name="rational-slice-genus-from-tau-breadth",
-        bound_value=raw,
+        bound_value=Fraction(spectrum.breadth - 1, 2),
         direction="lower",
         inputs={"tau_max": spectrum.tau_max, "tau_min": spectrum.tau_min,
                 "breadth": spectrum.breadth},
         citation="tau-breadth-vs-rational-slice-genus",
-        clamped_value=max(raw, Fraction(0)),
     )
 
 
@@ -185,15 +186,13 @@ def surface_bound_with_c(spectrum: TauSpectrum, c: int, p: int) -> BoundReport:
         2 * spectrum.tau_max + Fraction(c, p),
         -2 * spectrum.tau_min - Fraction(c, p),
     )
-    raw = p * lhs - p
     return BoundReport(
         name="neg-euler-bound-at-fixed-c",
-        bound_value=raw,
+        bound_value=p * lhs - p,
         direction="lower",
         inputs={"c": c, "p": p, "tau_max": spectrum.tau_max,
                 "tau_min": spectrum.tau_min, "lhs": lhs},
         citation="surface-bound-at-fixed-boundary-constant",
-        clamped_value=max(raw, Fraction(0)),
     )
 
 
@@ -235,14 +234,12 @@ def seifert_framed_bound(spectrum: TauSpectrum, p: int) -> BoundReport:
     if p < 1:
         raise ValueError("p must be >= 1")
     max_abs = max(abs(spectrum.tau_max), abs(spectrum.tau_min))
-    raw = p * (2 * max_abs - 1)
     return BoundReport(
         name="neg-euler-bound-seifert-framed",
-        bound_value=raw,
+        bound_value=p * (2 * max_abs - 1),
         direction="lower",
         inputs={"p": p, "max_abs_tau": max_abs, "max_abs_two_tau": 2 * max_abs},
         citation="seifert-framed-surface-bound",
-        clamped_value=max(raw, Fraction(0)),
     )
 
 
@@ -269,18 +266,17 @@ def link_cobordism_bound(
     """
     if comps_in < 1 or comps_out < 1:
         raise ValueError("component counts must be >= 1")
-    raw = (
-        Fraction(c1_pairing)
-        + Fraction(self_square)
-        + 2 * Fraction(tau_out)
-        - 2 * Fraction(tau_in)
-        - comps_in
-        - comps_out
-        + 2
-    )
     return BoundReport(
         name="neg-euler-bound-link-cobordism",
-        bound_value=raw,
+        bound_value=(
+            Fraction(c1_pairing)
+            + Fraction(self_square)
+            + 2 * Fraction(tau_out)
+            - 2 * Fraction(tau_in)
+            - comps_in
+            - comps_out
+            + 2
+        ),
         direction="lower",
         inputs={
             "c1_pairing": c1_pairing,
@@ -291,7 +287,6 @@ def link_cobordism_bound(
             "comps_out": comps_out,
         },
         citation="link-cobordism-adjunction-bound",
-        clamped_value=max(raw, Fraction(0)),
     )
 
 
@@ -313,7 +308,6 @@ def slice_bennequin_check(
         inputs={"tb_q": tb_q, "rot_q": rot_q, "chi": chi, "p": p},
         citation="rational-slice-bennequin-inequality",
         satisfied=slack >= 0,
-        clamped_value=max(slack, Fraction(0)),
     )
 
 
@@ -349,7 +343,6 @@ def floer_simple_genus(spectrum: TauSpectrum) -> BoundReport:
         direction="lower",
         inputs={"breadth": spectrum.breadth},
         citation="floer-simple-genus-formula",
-        clamped_value=max(value, Fraction(0)),
         is_equality=True,
         anomaly="disk-bounding: formula is negative" if value < 0 else None,
     )

@@ -63,11 +63,7 @@ def _spectrum_from_args(args) -> complexes.TauSpectrum:
         raise ValueError(f"--tau-min {args.tau_min} is above --tau-max {args.tau_max}")
     per_class = {"max": hi} if hi == lo else {"max": hi, "min": lo}
     return complexes.TauSpectrum(
-        per_class=per_class,
-        tau_max=hi,
-        tau_min=lo,
-        breadth=hi - lo,
-        enumeration_complete=False,
+        per_class=per_class, tau_max=hi, tau_min=lo, enumeration_complete=False
     )
 
 
@@ -127,14 +123,13 @@ def _cmd_grid_tau(args):
 
 
 def _cmd_cable_bound(args):
-    interval = bounds.cable_tau_interval(
-        args.p, parse_rational(args.tau), parse_rational(args.lk)
-    )
+    tau, lk = parse_rational(args.tau), parse_rational(args.lk)
+    interval = bounds.cable_tau_interval(args.p, tau, lk)
     return EXIT_OK, {
         "command": "cable-bound",
         "p": args.p,
-        "tau": args.tau,
-        "lk": args.lk,
+        "tau": format_rational(tau),
+        "lk": format_rational(lk),
         "tau_interval": formats.interval_to_json(interval),
         "citation": "cable-tau-two-sided-estimate",
     }
@@ -222,7 +217,7 @@ def _cmd_c_value(args):
     return EXIT_OK, {
         "command": "c-value",
         "braid": braid.format_braid(word),
-        "framing_lk": args.lk,
+        "framing_lk": format_rational(spec.framing_lk),
         "order": args.order,
         "c": value,
         "citation": "satellite-boundary-constant",

@@ -87,12 +87,11 @@ class TauSpectrum:
     per_class: dict[str, Fraction]
     tau_max: Fraction
     tau_min: Fraction
-    breadth: Fraction
     enumeration_complete: bool
 
     def __post_init__(self):
-        if self.breadth != self.tau_max - self.tau_min or self.breadth < 0:
-            raise ValueError("breadth must equal tau_max - tau_min >= 0")
+        if self.tau_min > self.tau_max:
+            raise ValueError("tau_min must not exceed tau_max")
         # The classes share a handful of value objects: check each once,
         # and scan in order only to name the first class out of range.
         values = {id(v): v for v in self.per_class.values()}
@@ -101,6 +100,10 @@ class TauSpectrum:
         for cid, value in self.per_class.items():
             if not self.tau_min <= value <= self.tau_max:
                 raise ValueError(f"class {cid}: tau outside [tau_min, tau_max]")
+
+    @property
+    def breadth(self) -> Fraction:
+        return self.tau_max - self.tau_min
 
 
 class TauRowOrder:
@@ -357,13 +360,10 @@ def tau_spectrum(complex_: FilteredComplex) -> TauSpectrum:
             first += [row] + [f if f < row else row for f in first]
             ids += [name] + [f"{cid}+{name}" for cid in ids]
         per_class.update(zip(ids, map(rows.alexanders.__getitem__, first)))
-    tau_max = rows.alexanders[min(births)]
-    tau_min = rows.alexanders[max(births)]
     return TauSpectrum(
         per_class=per_class,
-        tau_max=tau_max,
-        tau_min=tau_min,
-        breadth=tau_max - tau_min,
+        tau_max=rows.alexanders[min(births)],
+        tau_min=rows.alexanders[max(births)],
         enumeration_complete=complete,
     )
 
@@ -375,7 +375,6 @@ def connected_sum_shift(spectrum: TauSpectrum, t: Fraction) -> TauSpectrum:
         per_class={cid: v + t for cid, v in spectrum.per_class.items()},
         tau_max=spectrum.tau_max + t,
         tau_min=spectrum.tau_min + t,
-        breadth=spectrum.breadth,
         enumeration_complete=spectrum.enumeration_complete,
     )
 

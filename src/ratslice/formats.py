@@ -71,6 +71,15 @@ def _rational(value: Any, field: str) -> Fraction:
         raise _fail(field, str(exc)) from None
 
 
+def _agree(doc: dict, field: str, context: str, derived: Fraction, rule: str) -> None:
+    """A document's copy of a value its record derives must equal it."""
+    path = f"{context}.{field}" if context else field
+    written = _rational(_need(doc, field, context), path)
+    if written != derived:
+        got = f"got {format_rational(written)}"
+        raise _fail(path, f"expected {rule} = {format_rational(derived)}, {got}")
+
+
 # -- filtered complexes -------------------------------------------------
 
 def complex_to_json(complex_: FilteredComplex) -> dict:
@@ -149,13 +158,14 @@ def spectrum_from_json(doc: dict, context: str = "tau_spectrum") -> TauSpectrum:
     complete = _optional(
         doc.get("enumeration_complete"), bool, f"{context}.enumeration_complete"
     )
-    return TauSpectrum(
+    spectrum = TauSpectrum(
         per_class=per_class,
         tau_max=_rational(_need(doc, "tau_max", context), f"{context}.tau_max"),
         tau_min=_rational(_need(doc, "tau_min", context), f"{context}.tau_min"),
-        breadth=_rational(_need(doc, "breadth", context), f"{context}.breadth"),
         enumeration_complete=complete is not False,
     )
+    _agree(doc, "breadth", context, spectrum.breadth, "tau_max - tau_min")
+    return spectrum
 
 
 def framed_to_json(data: FramedKnotData) -> dict:
@@ -192,15 +202,16 @@ def framed_from_json(doc: dict) -> FramedKnotData:
         if lf_raw is not None
         else None
     )
-    return FramedKnotData(
+    data = FramedKnotData(
         order=_integer(_need(doc, "order", ""), "order"),
         slope=_integer(_need(doc, "slope", ""), "slope"),
-        lk=_rational(_need(doc, "lk", ""), "lk"),
         tau_spectrum=spectrum_from_json(_need(doc, "tau_spectrum", "")),
         d_invariants=d,
         linking_form=lf,
         floer_simple=_optional(doc.get("floer_simple"), bool, "floer_simple"),
     )
+    _agree(doc, "lk", "", data.lk, "-slope/order")
+    return data
 
 
 # -- polynomials and verdicts -------------------------------------------
@@ -265,11 +276,7 @@ def report_to_json(report: BoundReport) -> dict:
         "inputs": _encode_value(report.inputs),
         "citation": report.citation,
         "satisfied": report.satisfied,
-        "clamped_value": (
-            format_rational(report.clamped_value)
-            if report.clamped_value is not None
-            else None
-        ),
+        "clamped_value": format_rational(report.clamped_value),
         "is_equality": report.is_equality,
         "anomaly": report.anomaly,
     }

@@ -40,6 +40,7 @@ filtered complex; only the tests use it.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -50,6 +51,9 @@ from .gf2 import new_engine
 from .parallel import ordered_map
 
 MAX_GRID_SIZE = 10
+# The largest Maslov-0 slice grid tau is measured to answer within 3 GB:
+# T(2,-7) at n = 9.  T(3,-7) at n = 10 has 478,886 states and runs out.
+MAX_TAU_SLICE = 58_748
 
 
 @dataclass(frozen=True)
@@ -234,9 +238,9 @@ def _empty_rectangles(
     far (markings of [ci, cj), state points of (ci, cj)).  The rectangle
     to cj is empty exactly when (b - a) mod n <= d, and the walk stops
     when d reaches 0, so a state costs O(n^2).  The two complementary
-    rectangles between a pair of columns have the same target; when both
-    are empty they cancel mod 2 (this already happens for the 2x2 unknot
-    grid).  Targets are returned sorted.
+    rectangles between a pair of columns have the same target, listed
+    twice when both are empty (as on the 2x2 unknot grid): callers sum
+    the targets mod 2 as they build each column.
     """
     n = len(state)
     wrapped = state + state
@@ -257,13 +261,6 @@ def _empty_rectangles(
             if reach[c] < d:
                 d = reach[c]
             c += 1
-    targets.sort()
-    k = 1
-    while k < len(targets):
-        if targets[k] == targets[k - 1]:
-            del targets[k - 1 : k + 1]
-        else:
-            k += 1
     return targets
 
 
@@ -327,9 +324,9 @@ def compile_grid(grid: GridDiagram) -> FilteredComplex:
         for state, maslov, alexander2, _ in rows
     ]
     differential = {
-        _state_id(state): frozenset(_state_id(t) for t in targets)
+        _state_id(state): frozenset(map(_state_id, odd))
         for state, _, _, targets in rows
-        if targets
+        if (odd := {t for t, k in Counter(targets).items() if k % 2})
     }
     return FilteredComplex(generators, differential)
 
@@ -352,6 +349,11 @@ def tau(grid: GridDiagram) -> Fraction:
         if m in slices:
             slices[m].append(state)
     middle = slices[0]
+    if len(middle) > MAX_TAU_SLICE:
+        raise ValueError(
+            f"the Maslov-0 slice holds {len(middle)} states, above the limit "
+            f"of {MAX_TAU_SLICE} that grid tau is measured to answer"
+        )
     rows = TauRowOrder([grader.gradings(s)[1] for s in middle])
     row_of = {state: rows.position[i] for i, state in enumerate(middle)}
 
@@ -359,7 +361,7 @@ def tau(grid: GridDiagram) -> Fraction:
     for state in slices[1]:
         bits = 0
         for target in _rectangle_targets(grid, state):
-            bits |= 1 << row_of[target]
+            bits ^= 1 << row_of[target]
         boundaries.add_column(bits)
 
     below = {state: i for i, state in enumerate(slices[-1])}
@@ -367,7 +369,7 @@ def tau(grid: GridDiagram) -> Fraction:
     def boundary_of_row(row: int) -> int:
         bits = 0
         for target in _rectangle_targets(grid, middle[rows.order[row]]):
-            bits |= 1 << below[target]
+            bits ^= 1 << below[target]
         return bits
 
     essential = essential_rows(boundaries, new_engine(len(below)), boundary_of_row)
@@ -416,7 +418,7 @@ def graded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int]:
                         f"graded arrow {state} -> {target} leaves the block "
                         f"below (M, A) = ({m}, {Fraction(a2, 2)})"
                     )
-                bits |= 1 << row
+                bits ^= 1 << row
                 square ^= columns_below[row]
             if square:
                 raise AssertionError(

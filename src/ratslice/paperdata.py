@@ -67,12 +67,11 @@ class DeepSliceVerdict:
     """
 
     possible_tau: frozenset[Fraction]
-    deep_slice: bool
     citation: str
 
-    def __post_init__(self):
-        if self.deep_slice != (Fraction(0) not in self.possible_tau):
-            raise ValueError("deep_slice flag contradicts possible_tau")
+    @property
+    def deep_slice(self) -> bool:
+        return Fraction(0) not in self.possible_tau
 
 
 def _rp1_model_complex() -> FilteredComplex:
@@ -94,7 +93,6 @@ def builtin(name: str) -> FramedKnotData | PoincarePolynomial:
         return FramedKnotData(
             order=2,
             slope=1,
-            lk=Fraction(-1, 2),
             tau_spectrum=spectrum,
             d_invariants={"0": Fraction(1, 4), "1": Fraction(-1, 4)},
             linking_form=(Fraction(0), Fraction(1, 2)),
@@ -105,12 +103,10 @@ def builtin(name: str) -> FramedKnotData | PoincarePolynomial:
             per_class={"b0": Fraction(-2)},
             tau_max=Fraction(-2),
             tau_min=Fraction(-2),
-            breadth=Fraction(0),
             enumeration_complete=True,
         )
         return FramedKnotData(
-            order=1, slope=0, lk=Fraction(0), tau_spectrum=spectrum,
-            floer_simple=False,
+            order=1, slope=0, tau_spectrum=spectrum, floer_simple=False,
         )
     if name == "J_example_6.2":
         rp1 = builtin("RP1_in_RP3")
@@ -119,7 +115,6 @@ def builtin(name: str) -> FramedKnotData | PoincarePolynomial:
         return FramedKnotData(
             order=2,
             slope=1,
-            lk=Fraction(-1, 2),
             tau_spectrum=shifted,
             d_invariants={"0": Fraction(1, 4), "1": Fraction(-1, 4)},
             linking_form=(Fraction(0), Fraction(1, 2)),
@@ -153,10 +148,8 @@ def deep_slice_report(
         raise ValueError("ambient homology rank must be >= 1")
     ranks = [(a, m, r) for m, a, r in polynomial.terms]
     outcomes = survivor_deduction(ranks, lspace_total_rank)
-    possible = frozenset(value for outcome in outcomes for value in outcome)
     return DeepSliceVerdict(
-        possible_tau=possible,
-        deep_slice=Fraction(0) not in possible,
+        possible_tau=frozenset(value for outcome in outcomes for value in outcome),
         citation="deep-slice-obstruction-from-survivor-tau",
     )
 

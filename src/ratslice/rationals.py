@@ -8,16 +8,25 @@ lowest terms with b >= 1, e.g. "-7/4", "0/1", "5/1".
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(text: str | int) -> Fraction:
-    """Parse "a/b" or a bare integer string into a Fraction."""
+    """Parse an integer, or text matching [+-]?[0-9]+(/[0-9]+)? once stripped.
+
+    Fraction alone would also read decimals, exponents and underscores,
+    and "1e6000000" would cost it seconds: those forms are refused.
+    """
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise ValueError(f"expected rational string 'a/b', got {text!r}")
     try:
+        if not _RATIONAL.fullmatch(text.strip()):
+            raise ValueError("expected an integer or 'a/b'")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational {text!r}: {exc}") from None

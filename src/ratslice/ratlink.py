@@ -28,15 +28,14 @@ class FramedKnotData:
     """Input record for the bound evaluators.
 
     order: order of the knot's homology class (q >= 1); slope: the integer
-    r with boundary q*lambda + r*mu; lk: the rational linking -r/q of knot
-    and framing.  Optional extras feed specific evaluators: d_invariants
+    r with boundary q*lambda + r*mu, so the linking of knot and framing is
+    lk = -r/q.  Optional extras feed specific evaluators: d_invariants
     per Spin^c label, linking form values in [0, 1), and a Floer-simple
     flag.
     """
 
     order: int
     slope: int
-    lk: Fraction
     tau_spectrum: TauSpectrum
     d_invariants: Optional[dict[str, Fraction]] = None
     linking_form: Optional[tuple[Fraction, ...]] = None
@@ -45,13 +44,15 @@ class FramedKnotData:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be >= 1")
-        if self.lk * self.order != -self.slope:
-            raise ValueError("lk must equal -slope/order exactly")
         if self.linking_form is not None:
             values = tuple(Fraction(v) for v in self.linking_form)
             object.__setattr__(self, "linking_form", values)
             if any(not (0 <= v < 1) for v in values):
                 raise ValueError("linking form values must lie in [0, 1)")
+
+    @property
+    def lk(self) -> Fraction:
+        return lk_from_slope(self.order, self.slope)
 
 
 @dataclass(frozen=True)

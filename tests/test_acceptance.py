@@ -221,7 +221,7 @@ def test_criterion_9_optimal_c_mechanism():
             lo = hi - F(rng.randint(0, 10), rng.choice([1, 2, 3, 4]))
             per = {"max": hi} if hi == lo else {"max": hi, "min": lo}
             spectrum = TauSpectrum(
-                per_class=per, tau_max=hi, tau_min=lo, breadth=hi - lo,
+                per_class=per, tau_max=hi, tau_min=lo,
                 enumeration_complete=False,
             )
             for p in range(1, 7):

@@ -35,8 +35,7 @@ def spectrum(hi, lo) -> TauSpectrum:
     hi, lo = F(hi), F(lo)
     per = {"max": hi} if hi == lo else {"max": hi, "min": lo}
     return TauSpectrum(
-        per_class=per, tau_max=hi, tau_min=lo, breadth=hi - lo,
-        enumeration_complete=False,
+        per_class=per, tau_max=hi, tau_min=lo, enumeration_complete=False,
     )
 
 

@@ -6,6 +6,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -341,6 +342,53 @@ def test_wrong_json_type_names_field(tmp_path, capsys, verb, flag, doc, field):
     assert err.startswith(f"error: {field}: ")
 
 
+def test_knot_document_derived_values_must_agree(tmp_path, capsys):
+    # breadth and lk are derived on the records; a document's copies are
+    # checked against them and the refusal names the document path.
+    cases = [
+        (_framed_spectrum(breadth="1/1"), "tau_spectrum.breadth: expected "
+         "tau_max - tau_min = 1/2, got 1/1"),
+        (_framed_document(lk="1/2"), "lk: expected -slope/order = -1/2, got 1/2"),
+    ]
+    path = tmp_path / "knot.json"
+    for doc, message in cases:
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, "genus-bound", "--knot", str(path)) == (
+            1, "", f"error: {message}\n"
+        )
+
+
+def test_huge_exponent_grading_refused_at_once(tmp_path, capsys):
+    # Fraction reads "1e6000000" in about 5 s, and the CLI then died
+    # naming no field; the rational grammar refuses it before any work.
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({
+        "generators": [
+            {"id": "a", "maslov": "0", "alexander": "1e6000000", "spinc": "0"}
+        ],
+        "differential": {},
+    }))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "tau", "--complex", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: generators[0].alexander: malformed rational")
+
+
+def test_rational_flags_echo_canonical_form(capsys):
+    doc = run_json(capsys, "cable-bound", "--p", "2", "--tau", "-2", "--lk", "2")
+    assert (doc["tau"], doc["lk"]) == ("-2/1", "2/1")
+    doc = run_json(capsys, "cable-bound", "--p", "2", "--tau", "-4/2", "--lk", "+6/3")
+    assert (doc["tau"], doc["lk"]) == ("-2/1", "2/1")
+    doc = run_json(
+        capsys, "c-value", "--braid", "4: 1 2 3 1 2 3", "--lk", "-2/4", "--order", "2"
+    )
+    assert doc["framing_lk"] == "-1/2"
+    assert run_cli(capsys, "cable-bound", "--p", "2", "--tau", "1.5", "--lk", "0") == (
+        1, "", "error: malformed rational '1.5': expected an integer or 'a/b'\n"
+    )
+
+
 def test_cable_and_satellite_bounds_agree(capsys):
     cable = run_json(capsys, "cable-bound", "--p", "2", "--tau", "-2", "--lk", "2")
     assert cable["tau_interval"] == {"lo": "-2/1", "hi": "-1/1"}
@@ -538,6 +586,16 @@ def test_grid_tau_huge_torus_refused_before_allocating():
     assert proc.returncode == 1
     assert "exceeds the cap 10" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_grid_tau_oversize_slice_exits_one(monkeypatch, capsys):
+    import ratslice.grid as grid_module
+
+    monkeypatch.setattr(grid_module, "MAX_TAU_SLICE", 10)
+    code, out, err = run_cli(capsys, "grid-tau", "--torus", "2", "-5")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the Maslov-0 slice holds ")
+    assert "above the limit of 10 " in err
 
 
 def test_cli_import_loads_no_executor_or_logging():

@@ -23,6 +23,8 @@ from ratslice.complexes import (
     total_homology_rank,
     validate,
 )
+from ratslice.formats import spectrum_from_json
+from ratslice.rationals import format_rational
 
 from helpers import (
     boundary_subspace_contains,
@@ -350,21 +352,18 @@ def test_spectrum_ids_map_to_tau_of_their_sum():
 
 def test_spectrum_refuses_value_outside_extremes():
     ok = {"b0": F(0), "b1": F(1), "b0+b1": F(1)}
-    TauSpectrum(ok, tau_max=F(1), tau_min=F(0), breadth=F(1), enumeration_complete=True)
+    TauSpectrum(ok, tau_max=F(1), tau_min=F(0), enumeration_complete=True)
     # The first offender in per_class order is named, not the first in
     # sorted order: b0 shares its value object, b2 has an equal value in
     # another object.
     low = F(-3)
     per_class = {"b1": F(0), "b0+b1": low, "b0": low, "b2": F(-3)}
     with pytest.raises(ValueError, match=r"^class b0\+b1: tau outside"):
-        TauSpectrum(
-            per_class, tau_max=F(1), tau_min=F(0), breadth=F(1),
-            enumeration_complete=True,
-        )
+        TauSpectrum(per_class, tau_max=F(1), tau_min=F(0), enumeration_complete=True)
     with pytest.raises(ValueError, match=r"^class b2: tau outside"):
         TauSpectrum(
             {"b0": F(0), "b1": F(0), "b2": F(2)}, tau_max=F(1), tau_min=F(0),
-            breadth=F(1), enumeration_complete=True,
+            enumeration_complete=True,
         )
 
 
@@ -373,11 +372,25 @@ def test_spectrum_refuses_value_outside_extremes():
     [(F(1), F(0), F(2)), (F(1), F(0), F(1, 2)), (F(0), F(1), F(-1))],
 )
 def test_spectrum_refuses_breadth_not_spread(tau_max, tau_min, breadth):
-    with pytest.raises(ValueError, match="breadth must equal tau_max - tau_min"):
-        TauSpectrum(
-            {"b0": F(0)}, tau_max=tau_max, tau_min=tau_min, breadth=breadth,
-            enumeration_complete=True,
+    # The record derives its breadth, so only a document can disagree with
+    # tau_max - tau_min; extremes out of order are refused by the record.
+    doc = {
+        "per_class": {"b0": "0/1"},
+        "tau_max": format_rational(tau_max),
+        "tau_min": format_rational(tau_min),
+        "breadth": format_rational(breadth),
+    }
+    if tau_min > tau_max:
+        match = "^tau_min must not exceed tau_max$"
+        with pytest.raises(ValueError, match=match):
+            TauSpectrum({"b0": F(0)}, tau_max, tau_min, enumeration_complete=True)
+    else:
+        match = (
+            r"^tau_spectrum\.breadth: expected tau_max - tau_min = 1/1, "
+            f"got {format_rational(breadth)}$"
         )
+    with pytest.raises(ValueError, match=match):
+        spectrum_from_json(doc)
 
 
 def test_spectrum_extremes_exact_above_enumeration_cap(monkeypatch):

@@ -1,6 +1,7 @@
 """Document codecs: bit-exact round trips and named-field errors."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,20 @@ def test_rational_formatting():
         parse_rational("1/0")
     with pytest.raises(ValueError, match="malformed"):
         parse_rational("0.5x")
+    assert parse_rational(" +6/4 ") == F(3, 2)
+    assert parse_rational(-3) == -3
+
+
+@pytest.mark.parametrize(
+    "text", ["1.5", "1e3", "1_000", "1e6000000", "1/0", "1/-2", "1 / 2", "", True]
+)
+def test_rational_grammar_refuses_other_forms_at_once(text):
+    # Fraction itself would read the first four; "1e6000000" alone takes
+    # it about 5 s and yields a number too long to print.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="rational"):
+        parse_rational(text)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_complex_roundtrip_random():
@@ -72,6 +87,21 @@ def test_framed_roundtrip_builtins():
         back = framed_from_json(doc)
         assert framed_to_json(back) == doc
         assert back == data
+
+
+def test_framed_document_lk_must_equal_minus_slope_over_order():
+    doc = framed_to_json(builtin("J_example_6.2"))
+    assert doc["lk"] == "-1/2"
+    doc["lk"] = "-2/4"  # the same value, not in lowest terms
+    assert framed_from_json(doc).lk == F(-1, 2)
+    doc["lk"] = "1/2"
+    with pytest.raises(
+        ValueError, match=r"^lk: expected -slope/order = -1/2, got 1/2$"
+    ):
+        framed_from_json(doc)
+    del doc["lk"]
+    with pytest.raises(ValueError, match=r"^lk: missing field$"):
+        framed_from_json(doc)
 
 
 def test_spectrum_roundtrip():

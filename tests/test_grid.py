@@ -2,8 +2,9 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 
@@ -175,15 +176,66 @@ def _oracle_grids() -> list[GridDiagram]:
     return grids + [random_knot_grid(rng, n) for n in (3, 4, 5, 6, 7, 7) for _ in range(2)]
 
 
+def _maslov_zero_size(grid: GridDiagram) -> int:
+    grader = grid_module._Grader(grid)
+    return sum(
+        1 for s in itertools.permutations(range(grid.n)) if grader.maslov(s) == 0
+    )
+
+
+def test_tau_refuses_maslov_zero_slice_above_limit(monkeypatch):
+    grid = torus_knot_grid(2, -5)
+    size = _maslov_zero_size(grid)
+    monkeypatch.setattr(grid_module, "MAX_TAU_SLICE", size)
+    assert grid_tau(grid) == -2
+    monkeypatch.setattr(grid_module, "MAX_TAU_SLICE", size - 1)
+    with pytest.raises(
+        ValueError,
+        match=rf"^the Maslov-0 slice holds {size} states, above the limit of "
+        rf"{size - 1} ",
+    ):
+        grid_tau(grid)
+
+
+def test_targets_listed_twice_cancel(monkeypatch):
+    # Columns sum their targets mod 2.  With every target listed twice
+    # there are no arrows at all: every Maslov-0 state is a class of its
+    # own for tau, and every state is one for the graded ranks.
+    grid = torus_knot_grid(2, -5)
+    size = _maslov_zero_size(grid)
+    rectangle_targets = grid_module._rectangle_targets
+    monkeypatch.setattr(
+        grid_module, "_rectangle_targets", lambda g, s: 2 * rectangle_targets(g, s)
+    )
+    with pytest.raises(AssertionError, match=f"found {size}$"):
+        grid_tau(grid)
+    graded_targets = grid_module._graded_targets
+    monkeypatch.setattr(
+        grid_module, "_graded_targets", lambda g, s: 2 * graded_targets(g, s)
+    )
+    assert sum(graded_ranks(grid).values()) == factorial(grid.n)
+
+
+def _odd_targets(targets: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The targets listed an odd number of times: the arrows mod 2."""
+    counts = Counter(targets)
+    return sorted(t for t, k in counts.items() if k % 2)
+
+
 def test_rectangle_sweep_matches_brute_force():
+    # Both rectangles of the 2x2 unknot state (0, 1) are empty and end at
+    # (1, 0): the sweep lists the target twice, and the arrows cancel.
+    state = (0, 1)
+    assert grid_module._rectangle_targets(UNKNOT, state) == [(1, 0), (1, 0)]
+    assert brute_force_rectangles(state, [1 << o for o in UNKNOT.o_markings]) == []
     for grid in _oracle_grids():
         o_blocking = [1 << o for o in grid.o_markings]
         ox_blocking = [1 << o | 1 << x for o, x in zip(grid.o_markings, grid.x_markings)]
         for state in itertools.permutations(range(grid.n)):
-            assert grid_module._rectangle_targets(grid, state) == (
+            assert _odd_targets(grid_module._rectangle_targets(grid, state)) == (
                 brute_force_rectangles(state, o_blocking)
             ), (grid, state)
-            assert grid_module._graded_targets(grid, state) == (
+            assert _odd_targets(grid_module._graded_targets(grid, state)) == (
                 brute_force_rectangles(state, ox_blocking)
             ), (grid, state)
 

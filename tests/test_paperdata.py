@@ -111,9 +111,25 @@ def test_deep_slice_stable_under_term_order():
     )
 
 
+def test_builtin_derived_values():
+    # breadth = tau_max - tau_min and lk = -slope/order, as the embedded
+    # records stated them before both were derived.
+    expected = {
+        "RP1_in_RP3": (F(1, 2), F(-1, 2)),
+        "T(2,-5)": (F(0), F(0)),
+        "J_example_6.2": (F(1, 2), F(-1, 2)),
+    }
+    for name, (breadth, lk) in expected.items():
+        data = builtin(name)
+        assert (data.tau_spectrum.breadth, data.lk) == (breadth, lk), name
+
+
 def test_verdict_consistency_enforced():
-    with pytest.raises(ValueError):
-        DeepSliceVerdict(frozenset({F(0)}), True, "x")
+    # The flag is derived from possible_tau, so it cannot contradict it.
+    assert not DeepSliceVerdict(frozenset({F(0)}), "x").deep_slice
+    assert not DeepSliceVerdict(frozenset({F(-1), F(0)}), "x").deep_slice
+    assert DeepSliceVerdict(frozenset({F(-1), F(1)}), "x").deep_slice
+    assert DeepSliceVerdict(frozenset(), "x").deep_slice
 
 
 def test_dual_knot_breadth_values():

@@ -132,16 +132,16 @@ def test_framed_knot_data_validation():
     from ratslice.paperdata import builtin
 
     rp1 = builtin("RP1_in_RP3")
+    # lk is derived from the slope, so no record can carry a wrong one; a
+    # document's copy is checked by formats.framed_from_json.
     assert rp1.lk == F(-1, 2)
-    with pytest.raises(ValueError, match="lk"):
-        FramedKnotData(
-            order=2, slope=1, lk=F(1, 2), tau_spectrum=rp1.tau_spectrum
-        )
+    assert FramedKnotData(3, -2, rp1.tau_spectrum).lk == F(2, 3)
+    with pytest.raises(ValueError, match="order"):
+        FramedKnotData(order=0, slope=1, tau_spectrum=rp1.tau_spectrum)
     with pytest.raises(ValueError, match="linking form"):
         FramedKnotData(
             order=2,
             slope=1,
-            lk=F(-1, 2),
             tau_spectrum=rp1.tau_spectrum,
             linking_form=(F(3, 2),),
         )
