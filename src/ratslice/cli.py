@@ -37,6 +37,19 @@ def _load_json(path: str) -> dict:
     return doc
 
 
+def _rational_flag(flag: str, text: str) -> Fraction:
+    """parse_rational, naming the flag when the text is refused."""
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
+def _check_positive(flag: str, value: int | None, what: str) -> None:
+    if value is not None and value < 1:
+        raise ValueError(f"{flag}: {what} must be >= 1")
+
+
 def _spectrum_from_args(args) -> complexes.TauSpectrum:
     sources = [
         args.knot is not None,
@@ -57,8 +70,8 @@ def _spectrum_from_args(args) -> complexes.TauSpectrum:
         return data.tau_spectrum
     if args.tau_max is None or args.tau_min is None:
         raise ValueError("--tau-max and --tau-min must be given together")
-    hi = parse_rational(args.tau_max)
-    lo = parse_rational(args.tau_min)
+    hi = _rational_flag("--tau-max", args.tau_max)
+    lo = _rational_flag("--tau-min", args.tau_min)
     if lo > hi:
         raise ValueError(f"--tau-min {args.tau_min} is above --tau-max {args.tau_max}")
     per_class = {"max": hi} if hi == lo else {"max": hi, "min": lo}
@@ -107,6 +120,11 @@ def _cmd_grid_tau(args):
     else:
         diagram = formats.grid_from_text(_read(args.grid))
         source = args.grid
+    if args.hfk and diagram.n > grid.MAX_HFK_SIZE:
+        raise ValueError(
+            f"--hfk: grid size {diagram.n} exceeds the cap {grid.MAX_HFK_SIZE} "
+            f"for knot Floer ranks"
+        )
     doc = {
         "command": "grid-tau",
         "source": source,
@@ -123,7 +141,8 @@ def _cmd_grid_tau(args):
 
 
 def _cmd_cable_bound(args):
-    tau, lk = parse_rational(args.tau), parse_rational(args.lk)
+    tau, lk = _rational_flag("--tau", args.tau), _rational_flag("--lk", args.lk)
+    _check_positive("--p", args.p, "p")
     interval = bounds.cable_tau_interval(args.p, tau, lk)
     return EXIT_OK, {
         "command": "cable-bound",
@@ -139,8 +158,8 @@ def _cmd_satellite_bound(args):
     word = braid.parse_braid(args.braid)
     interval = bounds.bp_tau_interval(
         word.index,
-        parse_rational(args.tau),
-        parse_rational(args.lk),
+        _rational_flag("--tau", args.tau),
+        _rational_flag("--lk", args.lk),
         braid.writhe(word),
         braid.components(word),
     )
@@ -166,6 +185,7 @@ def _cmd_genus_bound(args):
 
 def _cmd_seifert_framed_bound(args):
     spectrum = _spectrum_from_args(args)
+    _check_positive("--p", args.p, "p")
     report = bounds.seifert_framed_bound(spectrum, args.p)
     return EXIT_OK, {
         "command": "seifert-framed-bound",
@@ -183,6 +203,7 @@ def _cmd_deep_slice(args):
             raise ValueError(f"builtin {args.builtin!r} is not a Poincare polynomial")
     else:
         poly = formats.poincare_from_json(_load_json(args.polynomial))
+    _check_positive("--target", args.target, "ambient homology rank")
     verdict = paperdata.deep_slice_report(poly, args.target)
     return EXIT_OK, {
         "command": "deep-slice",
@@ -212,7 +233,8 @@ def _cmd_braid_info(args):
 
 def _cmd_c_value(args):
     word = braid.parse_braid(args.braid)
-    spec = ratlink.SatelliteSpec(pattern=word, framing_lk=parse_rational(args.lk))
+    spec = ratlink.SatelliteSpec(pattern=word, framing_lk=_rational_flag("--lk", args.lk))
+    _check_positive("--order", args.order, "order")
     value = ratlink.c_value(spec, order=args.order)
     return EXIT_OK, {
         "command": "c-value",
@@ -225,12 +247,9 @@ def _cmd_c_value(args):
 
 
 def _cmd_slice_bennequin(args):
-    report = bounds.slice_bennequin_check(
-        parse_rational(args.tb),
-        parse_rational(args.rot),
-        args.chi,
-        args.p,
-    )
+    tb, rot = _rational_flag("--tb", args.tb), _rational_flag("--rot", args.rot)
+    _check_positive("--p", args.p, "p")
+    report = bounds.slice_bennequin_check(tb, rot, args.chi, args.p)
     code = EXIT_OK if report.satisfied else EXIT_VIOLATED
     return code, {
         "command": "slice-bennequin",

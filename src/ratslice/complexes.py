@@ -396,21 +396,13 @@ def _normalize_ranks(
     return entries
 
 
-def survivor_deduction(
+def _cancellation_plan(
     ranks: Sequence[RankEntry], target_rank: int
-) -> frozenset[tuple[Fraction, ...]]:
-    """All multisets of Alexander gradings that can survive cancellation.
-
-    One cancellation removes a unit of rank from each member of a pair of
-    bigradings whose Maslov gradings differ by exactly 1 and whose
-    higher-Maslov member sits at strictly greater Alexander grading
-    (page >= 1 differentials strictly drop the filtration).  Entries with
-    maslov None use the Alexander-only rule.  Outcomes are collected by a
-    sweep over rank levels: each step applies every cancellable pair to
-    every rank vector of the current level, and the survivors are read off
-    the level whose sum is the target.  When every entry has a Maslov
-    grading, a target below the Maslov parity imbalance is refused before
-    the sweep.
+) -> tuple[list[RankEntry], list[tuple[int, int]], int]:
+    """Merged entries, cancellable (hi, lo) pairs and the number of
+    cancellations down to the target, after the refusals every deduction
+    shares: total below the target, odd difference, and (when every entry
+    has a Maslov grading) a target below the Maslov parity imbalance.
     """
     entries = _normalize_ranks(ranks)
     total = sum(c for _, _, c in entries)
@@ -446,8 +438,34 @@ def survivor_deduction(
             if m_hi is not None and m_lo is not None and m_hi != m_lo + 1:
                 continue
             pairs.append((hi, lo))
+    return entries, pairs, (total - target_rank) // 2
+
+
+_UNREACHABLE = (
+    "target rank unreachable: no sequence of cancellable pairs "
+    "(Maslov difference 1, Alexander strictly dropping) reaches it"
+)
+
+
+def survivor_deduction(
+    ranks: Sequence[RankEntry], target_rank: int
+) -> frozenset[tuple[Fraction, ...]]:
+    """All multisets of Alexander gradings that can survive cancellation.
+
+    One cancellation removes a unit of rank from each member of a pair of
+    bigradings whose Maslov gradings differ by exactly 1 and whose
+    higher-Maslov member sits at strictly greater Alexander grading
+    (page >= 1 differentials strictly drop the filtration).  Entries with
+    maslov None use the Alexander-only rule.  Outcomes are collected by a
+    sweep over rank levels: each step applies every cancellable pair to
+    every rank vector of the current level, and the survivors are read off
+    the level whose sum is the target.  When every entry has a Maslov
+    grading, a target below the Maslov parity imbalance is refused before
+    the sweep.
+    """
+    entries, pairs, cancellations = _cancellation_plan(ranks, target_rank)
     level = {tuple(c for _, _, c in entries)}
-    for _ in range((total - target_rank) // 2):
+    for _ in range(cancellations):
         after: set[tuple[int, ...]] = set()
         for vector in level:
             for hi, lo in pairs:
@@ -463,11 +481,102 @@ def survivor_deduction(
         for vector in level
     )
     if not outcomes:
-        raise DeductionError(
-            "target rank unreachable: no sequence of cancellable pairs "
-            "(Maslov difference 1, Alexander strictly dropping) reaches it"
-        )
+        raise DeductionError(_UNREACHABLE)
     return outcomes
+
+
+def survivable_gradings(
+    ranks: Sequence[RankEntry], target_rank: int
+) -> frozenset[Fraction]:
+    """The Alexander gradings at which some unit can survive cancellation.
+
+    Equal to the union of survivor_deduction's outcomes, with the same
+    refusals, for entries that all carry a Maslov grading; one max-flow
+    per entry answers it instead of a listing of rank vectors.
+
+    Why it is exact: a multiset of k cancellable pairs that uses each
+    entry i at most c_i times can be applied in any order, since every
+    unit a later pair needs is still there.  So the outcomes of k
+    cancellations are exactly c minus the degrees of the b-matchings of
+    size k in the graph of cancellable pairs, with capacities c.  A pair
+    joins M and M + 1 in one residue M mod 1, so the graph is bipartite:
+    entries at even floor(M) on one side, odd floor(M) on the other.  A
+    larger b-matching shrinks to size k by dropping pairs, so k
+    cancellations exist exactly when the maximum flow from the even
+    entries to the odd ones reaches k, and a unit at entry i can survive
+    exactly when it still does with c_i lowered by 1.
+    """
+    if any(m is None for _, m, _ in ranks):
+        raise DeductionError(
+            "every entry needs a Maslov grading: the flow model pairs units "
+            "at Maslov M and M + 1; the Alexander-only rule of entries with "
+            "maslov None is survivor_deduction's"
+        )
+    entries, pairs, cancellations = _cancellation_plan(ranks, target_rank)
+    caps = [c for _, _, c in entries]
+    used = _cancellation_flow(entries, pairs, caps, cancellations)
+    if sum(used) < 2 * cancellations:
+        raise DeductionError(_UNREACHABLE)
+    possible = {a for (a, _, c), u in zip(entries, used) if u < c}
+    for i, (a, _, _) in enumerate(entries):
+        if a in possible:
+            continue
+        caps[i] -= 1
+        used = _cancellation_flow(entries, pairs, caps, cancellations)
+        caps[i] += 1
+        if sum(used) == 2 * cancellations:
+            possible.add(a)
+    return frozenset(possible)
+
+
+def _cancellation_flow(entries, pairs, caps, limit) -> list[int]:
+    """Units each entry gives to a maximum b-matching of cancellable
+    pairs with capacities caps, stopped at limit pairs.
+
+    Edmonds-Karp: a source feeds the entries at even floor(M), the
+    entries at odd floor(M) drain into a sink, each pair is an edge from
+    its even member to its odd one, and every BFS augmenting path carries
+    its bottleneck.  The cost depends on the number of entries, not the
+    ranks.
+    """
+    n = len(entries)
+    source, sink = n, n + 1
+    residual: list[dict[int, int]] = [{} for _ in range(n + 2)]
+    ends = [
+        (i, sink) if math.floor(m) % 2 else (source, i)
+        for i, (_, m, _) in enumerate(entries)
+    ]
+    for (u, v), cap in zip(ends, caps):
+        residual[u][v] = cap
+        residual[v][u] = 0
+    for hi, lo in pairs:
+        u, v = (lo, hi) if math.floor(entries[hi][1]) % 2 else (hi, lo)
+        residual[u][v] = limit
+        residual[v][u] = 0
+    flow = 0
+    while flow < limit:
+        parent = {source: source}
+        queue = [source]
+        for u in queue:
+            for v, cap in residual[u].items():
+                if cap and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+            if sink in parent:
+                break
+        if sink not in parent:
+            break
+        push, v = limit - flow, sink
+        while v != source:
+            push = min(push, residual[parent[v]][v])
+            v = parent[v]
+        v = sink
+        while v != source:
+            residual[parent[v]][v] -= push
+            residual[v][parent[v]] += push
+            v = parent[v]
+        flow += push
+    return [residual[v][u] for u, v in ends]
 
 
 def min_breadth_lower_bound(

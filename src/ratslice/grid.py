@@ -51,6 +51,9 @@ from .gf2 import new_engine
 from .parallel import ordered_map
 
 MAX_GRID_SIZE = 10
+# Knot Floer ranks grade every one of the n! states: at n = 9 T(2,7) takes
+# 12 s at 134 MB, and at n = 10 T(3,7) runs out of 3 GB after 102 s.
+MAX_HFK_SIZE = 9
 # The largest Maslov-0 slice grid tau is measured to answer within 3 GB:
 # T(2,-7) at n = 9.  T(3,-7) at n = 10 has 478,886 states and runs out.
 MAX_TAU_SLICE = 58_748

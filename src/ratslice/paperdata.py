@@ -30,7 +30,7 @@ from .complexes import (
     TauSpectrum,
     connected_sum_shift,
     min_breadth_lower_bound,
-    survivor_deduction,
+    survivable_gradings,
     tau_spectrum,
 )
 from .ratlink import FramedKnotData
@@ -138,18 +138,18 @@ def builtin(name: str) -> FramedKnotData | PoincarePolynomial:
 def deep_slice_report(
     polynomial: PoincarePolynomial, lspace_total_rank: int
 ) -> DeepSliceVerdict:
-    """Run the survivor deduction down to the ambient homology rank.
+    """Ask which Alexander gradings can survive down to the ambient rank.
 
     For an L-space double branched cover the rank per Spin^c structure is
-    one, so a single class survives; the possible Alexander gradings of
-    the survivors are the possible tau values.
+    one, so a single class survives; the Alexander gradings at which a
+    class can survive (complexes.survivable_gradings) are the possible
+    tau values.
     """
     if lspace_total_rank < 1:
         raise ValueError("ambient homology rank must be >= 1")
     ranks = [(a, m, r) for m, a, r in polynomial.terms]
-    outcomes = survivor_deduction(ranks, lspace_total_rank)
     return DeepSliceVerdict(
-        possible_tau=frozenset(value for outcome in outcomes for value in outcome),
+        possible_tau=survivable_gradings(ranks, lspace_total_rank),
         citation="deep-slice-obstruction-from-survivor-tau",
     )
 

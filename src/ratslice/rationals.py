@@ -28,7 +28,9 @@ def parse_rational(text: str | int) -> Fraction:
         if not _RATIONAL.fullmatch(text.strip()):
             raise ValueError("expected an integer or 'a/b'")
         return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise ValueError(f"malformed rational {text!r}: zero denominator") from None
+    except ValueError as exc:
         raise ValueError(f"malformed rational {text!r}: {exc}") from None
 
 

@@ -385,7 +385,7 @@ def test_rational_flags_echo_canonical_form(capsys):
     )
     assert doc["framing_lk"] == "-1/2"
     assert run_cli(capsys, "cable-bound", "--p", "2", "--tau", "1.5", "--lk", "0") == (
-        1, "", "error: malformed rational '1.5': expected an integer or 'a/b'\n"
+        1, "", "error: --tau: malformed rational '1.5': expected an integer or 'a/b'\n"
     )
 
 
@@ -488,6 +488,80 @@ def test_deep_slice_maslov_imbalance_refused_at_once(tmp_path):
     assert "imbalance 19" in proc.stderr
 
 
+def _diagonal_polynomial(path, rank):
+    """Seven terms on the diagonal M = A = -3..3, rank `rank` each, one more at 0."""
+    terms = [
+        {"maslov": str(k), "alexander": str(k), "rank": rank + (k == 0)}
+        for k in range(-3, 4)
+    ]
+    path.write_text(json.dumps({"terms": terms}))
+    return path
+
+
+def test_deep_slice_never_lists_rank_vectors(tmp_path, capsys, monkeypatch):
+    # deep-slice asks which gradings can survive; the level sweep that
+    # lists every rank vector must stay off its path.
+    from ratslice import complexes
+
+    def listing(*args):
+        raise AssertionError("deep-slice listed rank vectors")
+
+    monkeypatch.setattr(complexes, "survivor_deduction", listing)
+    doc = run_json(capsys, "deep-slice", "--builtin", "lift_8_20", "--target", "1")
+    assert doc["verdict"]["possible_tau"] == ["-1/1", "1/1"]
+    path = _diagonal_polynomial(tmp_path / "diagonal.json", 20)
+    doc = run_json(capsys, "deep-slice", "--polynomial", str(path), "--target", "19")
+    assert doc["verdict"] == {
+        "citation": "deep-slice-obstruction-from-survivor-tau",
+        "deep_slice": True,
+        "possible_tau": ["-1/1", "-3/1", "1/1", "3/1"],
+    }
+
+
+@pytest.mark.parametrize("shape,rank,target,possible", [
+    ("diagonal", 20, 19, ["-1/1", "-3/1", "1/1", "3/1"]),
+    ("diagonal", 30, 29, ["-1/1", "-3/1", "1/1", "3/1"]),
+    ("two terms", 10**6, 1, ["0/1"]),
+])
+def test_deep_slice_stress_inputs_answer_at_once(tmp_path, shape, rank, target, possible):
+    # The level sweep took 48 s on the rank-20 diagonal and ran past 60 s
+    # at rank 30; the flows answer within the interpreter's start-up.
+    path = tmp_path / "poly.json"
+    if shape == "diagonal":
+        _diagonal_polynomial(path, rank)
+    else:
+        path.write_text(json.dumps({"terms": [
+            {"maslov": "1", "alexander": "1", "rank": rank},
+            {"maslov": "0", "alexander": "0", "rank": rank + 1},
+        ]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "ratslice.cli",
+            "deep-slice", "--polynomial", str(path), "--target", str(target),
+        ],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"]["possible_tau"] == possible
+
+
+def test_grid_tau_hfk_above_cap_refused_before_tau(monkeypatch, capsys):
+    import ratslice.grid as grid_module
+
+    def no_scan(*args):
+        raise AssertionError("scanned a grid above the --hfk cap")
+
+    monkeypatch.setattr(grid_module, "MAX_HFK_SIZE", 4)
+    monkeypatch.setattr(grid_module, "tau", no_scan)
+    monkeypatch.setattr(grid_module, "hfk_ranks", no_scan)
+    assert run_cli(capsys, "grid-tau", "--torus", "2", "3", "--hfk") == (
+        1, "", "error: --hfk: grid size 5 exceeds the cap 4 for knot Floer ranks\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -498,6 +572,58 @@ def test_deep_slice_maslov_imbalance_refused_at_once(tmp_path):
         (
             ["genus-bound", "--tau-max", "0", "--tau-min", "1"],
             "--tau-min 1 is above --tau-max 0",
+        ),
+        (
+            ["cable-bound", "--p", "2", "--tau", "0", "--lk", "1/0"],
+            "--lk: malformed rational '1/0': zero denominator",
+        ),
+        (
+            ["satellite-bound", "--braid", "2: 1", "--tau", "x", "--lk", "0"],
+            "--tau: malformed rational 'x': expected an integer or 'a/b'",
+        ),
+        (
+            ["satellite-bound", "--braid", "2: 1", "--tau", "0", "--lk", "1e3"],
+            "--lk: malformed rational '1e3': expected an integer or 'a/b'",
+        ),
+        (
+            ["genus-bound", "--tau-max", "1.5", "--tau-min", "0"],
+            "--tau-max: malformed rational '1.5': expected an integer or 'a/b'",
+        ),
+        (
+            ["genus-bound", "--tau-max", "1", "--tau-min", "1_000"],
+            "--tau-min: malformed rational '1_000': expected an integer or 'a/b'",
+        ),
+        (
+            ["c-value", "--braid", "2: 1", "--lk", "1/0"],
+            "--lk: malformed rational '1/0': zero denominator",
+        ),
+        (
+            ["slice-bennequin", "--tb", "0.5", "--rot", "0", "--chi", "-2", "--p", "1"],
+            "--tb: malformed rational '0.5': expected an integer or 'a/b'",
+        ),
+        (
+            ["slice-bennequin", "--tb", "0", "--rot", "1/0", "--chi", "-2", "--p", "1"],
+            "--rot: malformed rational '1/0': zero denominator",
+        ),
+        (
+            ["cable-bound", "--p", "0", "--tau", "0", "--lk", "0"],
+            "--p: p must be >= 1",
+        ),
+        (
+            ["seifert-framed-bound", "--builtin", "J_example_6.2", "--p", "0"],
+            "--p: p must be >= 1",
+        ),
+        (
+            ["slice-bennequin", "--tb", "-1", "--rot", "0", "--chi", "-2", "--p", "0"],
+            "--p: p must be >= 1",
+        ),
+        (
+            ["c-value", "--braid", "2: 1", "--lk", "0", "--order", "0"],
+            "--order: order must be >= 1",
+        ),
+        (
+            ["deep-slice", "--builtin", "lift_8_20", "--target", "0"],
+            "--target: ambient homology rank must be >= 1",
         ),
     ],
 )

@@ -1,9 +1,12 @@
 """Filtered complexes: validation, homology, tau against two oracles, survivors."""
 
+import importlib.util
+import math
 import random
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,7 @@ from ratslice.complexes import (
     homology_basis,
     homology_ranks,
     min_breadth_lower_bound,
+    survivable_gradings,
     survivor_deduction,
     tau,
     tau_spectrum,
@@ -654,6 +658,87 @@ def test_survivors_maslov_imbalance_per_residue():
         assert survivor_deduction([(F(1), m_hi, 1), (F(0), None, 1)], 0) == frozenset(
             {()}
         )
+
+
+def _perfbench_oracle():
+    """perfbench/oracle.py, loaded by path: it imports nothing of ratslice."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _answer(fn, ranks, target):
+    try:
+        return fn(ranks, target)
+    except DeductionError as exc:
+        return str(exc)
+
+
+def _random_maslov_input(rng):
+    """Up to six entries with fractional residues, and a target that is
+    reachable by parity and imbalance four times in five."""
+    entries = []
+    for _ in range(rng.randint(1, 6)):
+        m = F(rng.randint(-3, 3)) + rng.choice([F(0), F(0), F(1, 3), F(1, 2)])
+        a = F(rng.randint(-3, 3)) + rng.choice([F(0), F(0), F(1, 2)])
+        entries.append((a, m, rng.randint(0, 4)))
+    total = sum(c for _, _, c in entries)
+    parity = Counter()
+    for _, m, c in entries:
+        parity[m % 1] += -c if math.floor(m) % 2 else c
+    imbalance = sum(abs(d) for d in parity.values())
+    if rng.random() < 0.8 and imbalance <= total:
+        return entries, imbalance + 2 * rng.randint(0, (total - imbalance) // 2)
+    return entries, rng.randint(-1, total + 1)
+
+
+# One phrase from each refusal: total, parity, imbalance, and no plan.
+REFUSALS = ("below the target", "parity mismatch", "imbalance", "no sequence")
+
+
+def test_survivable_gradings_match_the_enumeration():
+    # survivable_gradings answers by max-flow what the union of the level
+    # sweep's outcomes lists; every refusal must read the same.
+    oracle = _perfbench_oracle()
+    rng = random.Random(13)
+    refusals = Counter()
+    small = 0
+    for _ in range(4000):
+        entries, target = _random_maslov_input(rng)
+        expected = _answer(survivor_deduction, entries, target)
+        if not isinstance(expected, str):
+            expected = frozenset(a for outcome in expected for a in outcome)
+        assert _answer(survivable_gradings, entries, target) == expected, (
+            entries, target,
+        )
+        if isinstance(expected, str):
+            refusals.update(kind for kind in REFUSALS if kind in expected)
+        if sum(c for _, _, c in entries) <= 8 and target >= 0:
+            answer = set() if isinstance(expected, str) else expected
+            naive = naive_survivors(entries, target)
+            assert {a for outcome in naive for a in outcome} == answer
+            terms = [(m, a, c) for a, m, c in entries]
+            assert oracle.survivors(terms, target) == answer
+            small += 1
+    assert set(refusals) == set(REFUSALS)
+    assert small >= 1000
+
+
+def test_survivable_gradings_refusals():
+    with pytest.raises(DeductionError, match="Maslov grading"):
+        survivable_gradings([(F(1), F(1), 1), (F(0), None, 1)], 0)
+    with pytest.raises(DeductionError, match="^target rank unreachable: no sequence"):
+        survivable_gradings([(F(1), F(0), 1), (F(0), F(1), 1)], 0)
+    # Rank 30 on the seven-term diagonal: the level sweep ran for over a
+    # minute; the flows answer at once, as they do at rank 10^6.
+    start = time.perf_counter()
+    assert survivable_gradings(diagonal_ranks(30), 29) == {F(-3), F(-1), F(1), F(3)}
+    assert survivable_gradings([(F(1), F(1), 10**6), (F(0), F(0), 10**6 + 1)], 1) == {
+        F(0)
+    }
+    assert time.perf_counter() - start < 1
 
 
 def test_min_breadth_examples():
