@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .complexes import TauSpectrum
+if TYPE_CHECKING:
+    from .complexes import TauSpectrum
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,12 @@ stderr), 2 violated check (an unsatisfied inequality check or a failed
 embedded verification).  Output documents are deterministic: byte
 identical across runs for identical inputs, and every document carries
 a citation field naming the inequality used.
+
+Each handler imports the ratslice modules it runs at the top of its
+body, so a process compiles and runs only what its verb needs:
+`cable-bound` never loads the grid or GF(2) code.  Modules are called
+as attributes (`formats.dump_document`), so patches on a module's
+attributes reach the CLI.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import bounds, braid, complexes, formats, grid, paperdata, ratlink
 from .rationals import format_rational, parse_rational
 
 EXIT_OK = 0
@@ -51,6 +56,8 @@ def _check_positive(flag: str, value: int | None, what: str) -> None:
 
 
 def _spectrum_from_args(args) -> complexes.TauSpectrum:
+    from . import complexes, formats
+
     sources = [
         args.knot is not None,
         args.builtin is not None,
@@ -64,6 +71,8 @@ def _spectrum_from_args(args) -> complexes.TauSpectrum:
     if args.knot is not None:
         return formats.framed_from_json(_load_json(args.knot)).tau_spectrum
     if args.builtin is not None:
+        from . import paperdata, ratlink
+
         data = paperdata.builtin(args.builtin)
         if not isinstance(data, ratlink.FramedKnotData):
             raise ValueError(f"builtin {args.builtin!r} is not a framed knot")
@@ -90,6 +99,8 @@ def _add_spectrum_arguments(parser) -> None:
 # -- verb handlers: each returns (exit code, document) --------------------
 
 def _cmd_tau(args):
+    from . import complexes, formats
+
     complex_ = formats.complex_from_json(_load_json(args.complex))
     doc = {"command": "tau", "citation": "tau-from-filtered-complex"}
     if args.cycle is not None:
@@ -111,6 +122,8 @@ def _cmd_tau(args):
 
 
 def _cmd_grid_tau(args):
+    from . import formats, grid
+
     if (args.grid is None) == (args.torus is None):
         raise ValueError("specify exactly one of --grid FILE or --torus p q")
     if args.torus is not None:
@@ -141,6 +154,8 @@ def _cmd_grid_tau(args):
 
 
 def _cmd_cable_bound(args):
+    from . import bounds, formats
+
     tau, lk = _rational_flag("--tau", args.tau), _rational_flag("--lk", args.lk)
     _check_positive("--p", args.p, "p")
     interval = bounds.cable_tau_interval(args.p, tau, lk)
@@ -155,6 +170,8 @@ def _cmd_cable_bound(args):
 
 
 def _cmd_satellite_bound(args):
+    from . import bounds, braid, formats
+
     word = braid.parse_braid(args.braid)
     interval = bounds.bp_tau_interval(
         word.index,
@@ -174,6 +191,8 @@ def _cmd_satellite_bound(args):
 
 
 def _cmd_genus_bound(args):
+    from . import bounds, formats
+
     spectrum = _spectrum_from_args(args)
     report = bounds.genus_lower_bound_breadth(spectrum)
     return EXIT_OK, {
@@ -184,6 +203,8 @@ def _cmd_genus_bound(args):
 
 
 def _cmd_seifert_framed_bound(args):
+    from . import bounds, formats
+
     spectrum = _spectrum_from_args(args)
     _check_positive("--p", args.p, "p")
     report = bounds.seifert_framed_bound(spectrum, args.p)
@@ -195,6 +216,8 @@ def _cmd_seifert_framed_bound(args):
 
 
 def _cmd_deep_slice(args):
+    from . import formats, paperdata
+
     if (args.polynomial is None) == (args.builtin is None):
         raise ValueError("specify exactly one of --polynomial FILE or --builtin NAME")
     if args.builtin is not None:
@@ -215,6 +238,8 @@ def _cmd_deep_slice(args):
 
 
 def _cmd_braid_info(args):
+    from . import braid
+
     word = braid.parse_braid(args.braid)
     k, l = braid.splitting_counts(word)
     return EXIT_OK, {
@@ -232,6 +257,8 @@ def _cmd_braid_info(args):
 
 
 def _cmd_c_value(args):
+    from . import braid, ratlink
+
     word = braid.parse_braid(args.braid)
     spec = ratlink.SatelliteSpec(pattern=word, framing_lk=_rational_flag("--lk", args.lk))
     _check_positive("--order", args.order, "order")
@@ -247,6 +274,8 @@ def _cmd_c_value(args):
 
 
 def _cmd_slice_bennequin(args):
+    from . import bounds, formats
+
     tb, rot = _rational_flag("--tb", args.tb), _rational_flag("--rot", args.rot)
     _check_positive("--p", args.p, "p")
     report = bounds.slice_bennequin_check(tb, rot, args.chi, args.p)
@@ -258,162 +287,10 @@ def _cmd_slice_bennequin(args):
     }
 
 
-# -- verify-paper ----------------------------------------------------------
-
-def _paper_checks() -> list[dict]:
-    """Every exact worked number from the source material, recomputed."""
-    checks: list[dict] = []
-
-    def check(name: str, citation: str, expected, actual) -> None:
-        checks.append(
-            {
-                "name": name,
-                "citation": citation,
-                "expected": expected,
-                "actual": actual,
-                "ok": expected == actual,
-            }
-        )
-
-    rp1 = paperdata.builtin("RP1_in_RP3")
-    j = paperdata.builtin("J_example_6.2")
-    t25 = paperdata.builtin("T(2,-5)")
-    lift = paperdata.builtin("lift_8_20")
-
-    check(
-        "grid tau of T(2,-5)",
-        "negative (2,5) torus knot tau",
-        "-2/1",
-        format_rational(grid.tau(grid.torus_knot_grid(2, -5))),
-    )
-    check(
-        "embedded tau of T(2,-5)",
-        "negative (2,5) torus knot tau",
-        "-2/1",
-        format_rational(t25.tau_spectrum.tau_max),
-    )
-    check(
-        "core circle spectrum extremes",
-        "order-2 core circle tau from d-invariants",
-        ["1/4", "-1/4"],
-        [format_rational(rp1.tau_spectrum.tau_max), format_rational(rp1.tau_spectrum.tau_min)],
-    )
-    check(
-        "connected sum shift by -2",
-        "tau additivity under local knotting",
-        ["-7/4", "-9/4"],
-        [format_rational(j.tau_spectrum.tau_max), format_rational(j.tau_spectrum.tau_min)],
-    )
-    verdict = paperdata.deep_slice_report(lift, 1)
-    check(
-        "lift of 8_20 survivor tau values",
-        "deep-slice obstruction in the branched double cover",
-        {"possible_tau": ["-1/1", "1/1"], "deep_slice": True},
-        {
-            "possible_tau": sorted(format_rational(v) for v in verdict.possible_tau),
-            "deep_slice": verdict.deep_slice,
-        },
-    )
-    check(
-        "lift of 8_20 polynomial terms",
-        "three-term polynomial at gradings 7/9 + {-1,0,1}",
-        [["-2/9", "-1/1", 1], ["7/9", "0/1", 1], ["16/9", "1/1", 1]],
-        [[format_rational(m), format_rational(a), r] for m, a, r in lift.terms],
-    )
-    check(
-        "dual knot breadth at genus 2",
-        "surviving gradings differ by at least two",
-        "2/1",
-        format_rational(paperdata.dual_knot_breadth(2)),
-    )
-    check(
-        "linking from surface slope (2, 1)",
-        "boundary slope determines linking -r/q",
-        "-1/2",
-        format_rational(ratlink.lk_from_slope(2, 1)),
-    )
-    check(
-        "re-framing shift (-1/2) + 3",
-        "linking shifts by the framing change",
-        "5/2",
-        format_rational(ratlink.lk_shift(Fraction(-1, 2), 3)),
-    )
-    check(
-        "torus braid writhe (mr-1)ms at m=2, r=2, s=1",
-        "standard torus braid writhe",
-        6,
-        braid.writhe(braid.torus_braid(4, 2)),
-    )
-    seifert = ratlink.SatelliteSpec(
-        pattern=braid.torus_braid(2, 1), framing_lk=Fraction(-1, 2)
-    )
-    check(
-        "Seifert-framed boundary constant",
-        "rational-longitude surfaces have c = 0",
-        0,
-        ratlink.c_value(seifert, order=2),
-    )
-    sample = ratlink.SatelliteSpec(
-        pattern=braid.BraidWord(4, (1, -2, 3, 3)), framing_lk=Fraction(-3, 4)
-    )
-    check(
-        "c invariance under twist normalization",
-        "boundary constant independent of the description",
-        [ratlink.c_value(sample)] * 7,
-        [ratlink.c_value(ratlink.twist_normalize(sample, m)) for m in range(-3, 4)],
-    )
-    table = bounds.exterior_grading_table(
-        p=3, n=2, lk_n=Fraction(1, 3), maxa=Fraction(2), num_columns=1
-    )
-    maxa_prime = 3 * Fraction(2) + Fraction(3 * 2, 2) * Fraction(1, 3)
-    check(
-        "grading table entry (x3, C(maxa))",
-        "exterior generator bigradings, row x3",
-        ["0/1", format_rational(maxa_prime - 3 - 1)],
-        [format_rational(table[3][0].a), format_rational(table[3][0].a_prime)],
-    )
-    check(
-        "grading table entry (x4, C(maxa))",
-        "exterior generator bigradings, row x4",
-        ["0/1", format_rational(maxa_prime - 2 * 3)],
-        [format_rational(table[4][0].a), format_rational(table[4][0].a_prime)],
-    )
-    check(
-        "breadth genus bound on the composite",
-        "raw breadth bound can be vacuous",
-        "-1/4",
-        format_rational(bounds.genus_lower_bound_breadth(j.tau_spectrum).bound_value),
-    )
-    check(
-        "Seifert-framed bound sees 2|tau| = 9/2",
-        "doubled tau maximum of the composite",
-        "9/2",
-        format_rational(
-            bounds.seifert_framed_bound(j.tau_spectrum, 2).inputs["max_abs_two_tau"]
-        ),
-    )
-    check(
-        "explicit surface gives 2*genus + 1 <= 3",
-        "degree-2 surface with -chi = 4",
-        "3/1",
-        format_rational(bounds.surface_genus_upper(Fraction(4), 2)),
-    )
-    check(
-        "d-invariant difference bound on the projective space",
-        "d-invariants are +-1/4",
-        "1/2",
-        format_rational(
-            bounds.d_invariant_bound(
-                {"0": Fraction(1, 4), "1": Fraction(-1, 4)},
-                {"0": "1", "1": "0"},
-            )
-        ),
-    )
-    return checks
-
-
 def _cmd_verify_paper(args):
-    checks = _paper_checks()
+    from . import paperdata
+
+    checks = paperdata.paper_checks()
     all_ok = all(c["ok"] for c in checks)
     doc = {
         "command": "verify-paper",
@@ -518,6 +395,8 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    from . import formats
+
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]

@@ -17,13 +17,17 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .bounds import BoundReport, Interval
-from .complexes import FilteredComplex, TauSpectrum
-from .paperdata import DeepSliceVerdict, PoincarePolynomial
 from .rationals import format_rational, parse_rational
-from .ratlink import FramedKnotData
+
+# Record types are imported by the parsers that build them, so a verb that
+# only renders documents loads none of their modules.
+if TYPE_CHECKING:
+    from .bounds import BoundReport, Interval
+    from .complexes import FilteredComplex, TauSpectrum
+    from .paperdata import DeepSliceVerdict, PoincarePolynomial
+    from .ratlink import FramedKnotData
 
 
 def _fail(field: str, message: str) -> ValueError:
@@ -101,6 +105,8 @@ def complex_to_json(complex_: FilteredComplex) -> dict:
 
 
 def complex_from_json(doc: dict) -> FilteredComplex:
+    from .complexes import FilteredComplex
+
     generators = []
     for i, entry in enumerate(_need_list(doc, "generators")):
         ctx = f"generators[{i}]"
@@ -148,6 +154,8 @@ def spectrum_to_json(spectrum: TauSpectrum) -> dict:
 
 
 def spectrum_from_json(doc: dict, context: str = "tau_spectrum") -> TauSpectrum:
+    from .complexes import TauSpectrum
+
     per_class_raw = _need(doc, "per_class", context)
     if not isinstance(per_class_raw, dict) or not per_class_raw:
         raise _fail(f"{context}.per_class", "expected a nonempty object")
@@ -190,6 +198,8 @@ def framed_to_json(data: FramedKnotData) -> dict:
 
 
 def framed_from_json(doc: dict) -> FramedKnotData:
+    from .ratlink import FramedKnotData
+
     d_raw = _optional(doc.get("d_invariants"), dict, "d_invariants")
     d = (
         {str(k): _rational(v, f"d_invariants[{k!r}]") for k, v in d_raw.items()}
@@ -231,6 +241,8 @@ def poincare_to_json(poly: PoincarePolynomial) -> dict:
 
 
 def poincare_from_json(doc: dict) -> PoincarePolynomial:
+    from .paperdata import PoincarePolynomial
+
     terms: dict[tuple[Fraction, Fraction], int] = {}
     for i, entry in enumerate(_need_list(doc, "terms")):
         ctx = f"terms[{i}]"

@@ -17,6 +17,9 @@ Four inputs ship with the package:
 
 Only the 8_20 polynomial is shipped; verdicts for other lifted knots go
 through the same pipeline with user-supplied polynomials.
+
+`paper_checks` recomputes every worked number above, and more, for the
+`verify-paper` command.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .complexes import (
     survivable_gradings,
     tau_spectrum,
 )
+from .rationals import format_rational
 from .ratlink import FramedKnotData
 
 BUILTIN_NAMES = ("RP1_in_RP3", "T(2,-5)", "J_example_6.2", "lift_8_20")
@@ -202,3 +206,160 @@ def dual_knot_breadth(g: int) -> Fraction:
 def satellite_pl_genus_growth(g: int, p: int) -> Fraction:
     """Compose the dual-knot breadth with the satellite breadth growth."""
     return satellite_breadth_lower(p, dual_knot_breadth(g))
+
+
+def paper_checks() -> list[dict]:
+    """Every exact worked number from the source material, recomputed.
+
+    The verify-paper document lists these checks in this order.
+    """
+    from . import bounds, braid, grid, ratlink
+
+    checks: list[dict] = []
+
+    def check(name: str, citation: str, expected, actual) -> None:
+        checks.append(
+            {
+                "name": name,
+                "citation": citation,
+                "expected": expected,
+                "actual": actual,
+                "ok": expected == actual,
+            }
+        )
+
+    rp1 = builtin("RP1_in_RP3")
+    j = builtin("J_example_6.2")
+    t25 = builtin("T(2,-5)")
+    lift = builtin("lift_8_20")
+
+    check(
+        "grid tau of T(2,-5)",
+        "negative (2,5) torus knot tau",
+        "-2/1",
+        format_rational(grid.tau(grid.torus_knot_grid(2, -5))),
+    )
+    check(
+        "embedded tau of T(2,-5)",
+        "negative (2,5) torus knot tau",
+        "-2/1",
+        format_rational(t25.tau_spectrum.tau_max),
+    )
+    check(
+        "core circle spectrum extremes",
+        "order-2 core circle tau from d-invariants",
+        ["1/4", "-1/4"],
+        [format_rational(rp1.tau_spectrum.tau_max), format_rational(rp1.tau_spectrum.tau_min)],
+    )
+    check(
+        "connected sum shift by -2",
+        "tau additivity under local knotting",
+        ["-7/4", "-9/4"],
+        [format_rational(j.tau_spectrum.tau_max), format_rational(j.tau_spectrum.tau_min)],
+    )
+    verdict = deep_slice_report(lift, 1)
+    check(
+        "lift of 8_20 survivor tau values",
+        "deep-slice obstruction in the branched double cover",
+        {"possible_tau": ["-1/1", "1/1"], "deep_slice": True},
+        {
+            "possible_tau": sorted(format_rational(v) for v in verdict.possible_tau),
+            "deep_slice": verdict.deep_slice,
+        },
+    )
+    check(
+        "lift of 8_20 polynomial terms",
+        "three-term polynomial at gradings 7/9 + {-1,0,1}",
+        [["-2/9", "-1/1", 1], ["7/9", "0/1", 1], ["16/9", "1/1", 1]],
+        [[format_rational(m), format_rational(a), r] for m, a, r in lift.terms],
+    )
+    check(
+        "dual knot breadth at genus 2",
+        "surviving gradings differ by at least two",
+        "2/1",
+        format_rational(dual_knot_breadth(2)),
+    )
+    check(
+        "linking from surface slope (2, 1)",
+        "boundary slope determines linking -r/q",
+        "-1/2",
+        format_rational(ratlink.lk_from_slope(2, 1)),
+    )
+    check(
+        "re-framing shift (-1/2) + 3",
+        "linking shifts by the framing change",
+        "5/2",
+        format_rational(ratlink.lk_shift(Fraction(-1, 2), 3)),
+    )
+    check(
+        "torus braid writhe (mr-1)ms at m=2, r=2, s=1",
+        "standard torus braid writhe",
+        6,
+        braid.writhe(braid.torus_braid(4, 2)),
+    )
+    seifert = ratlink.SatelliteSpec(
+        pattern=braid.torus_braid(2, 1), framing_lk=Fraction(-1, 2)
+    )
+    check(
+        "Seifert-framed boundary constant",
+        "rational-longitude surfaces have c = 0",
+        0,
+        ratlink.c_value(seifert, order=2),
+    )
+    sample = ratlink.SatelliteSpec(
+        pattern=braid.BraidWord(4, (1, -2, 3, 3)), framing_lk=Fraction(-3, 4)
+    )
+    check(
+        "c invariance under twist normalization",
+        "boundary constant independent of the description",
+        [ratlink.c_value(sample)] * 7,
+        [ratlink.c_value(ratlink.twist_normalize(sample, m)) for m in range(-3, 4)],
+    )
+    table = bounds.exterior_grading_table(
+        p=3, n=2, lk_n=Fraction(1, 3), maxa=Fraction(2), num_columns=1
+    )
+    maxa_prime = 3 * Fraction(2) + Fraction(3 * 2, 2) * Fraction(1, 3)
+    check(
+        "grading table entry (x3, C(maxa))",
+        "exterior generator bigradings, row x3",
+        ["0/1", format_rational(maxa_prime - 3 - 1)],
+        [format_rational(table[3][0].a), format_rational(table[3][0].a_prime)],
+    )
+    check(
+        "grading table entry (x4, C(maxa))",
+        "exterior generator bigradings, row x4",
+        ["0/1", format_rational(maxa_prime - 2 * 3)],
+        [format_rational(table[4][0].a), format_rational(table[4][0].a_prime)],
+    )
+    check(
+        "breadth genus bound on the composite",
+        "raw breadth bound can be vacuous",
+        "-1/4",
+        format_rational(bounds.genus_lower_bound_breadth(j.tau_spectrum).bound_value),
+    )
+    check(
+        "Seifert-framed bound sees 2|tau| = 9/2",
+        "doubled tau maximum of the composite",
+        "9/2",
+        format_rational(
+            bounds.seifert_framed_bound(j.tau_spectrum, 2).inputs["max_abs_two_tau"]
+        ),
+    )
+    check(
+        "explicit surface gives 2*genus + 1 <= 3",
+        "degree-2 surface with -chi = 4",
+        "3/1",
+        format_rational(bounds.surface_genus_upper(Fraction(4), 2)),
+    )
+    check(
+        "d-invariant difference bound on the projective space",
+        "d-invariants are +-1/4",
+        "1/2",
+        format_rational(
+            bounds.d_invariant_bound(
+                {"0": Fraction(1, 4), "1": Fraction(-1, 4)},
+                {"0": "1", "1": "0"},
+            )
+        ),
+    )
+    return checks

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .braid import BraidWord, full_twist, writhe
-from .complexes import TauSpectrum
+
+if TYPE_CHECKING:
+    from .complexes import TauSpectrum
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Command-line surface: verbs, documents, exit codes, determinism."""
 
+import importlib
 import json
 import os
 import random
@@ -12,7 +13,13 @@ from pathlib import Path
 import pytest
 
 from ratslice.cli import main
-from ratslice.formats import complex_to_json, dump_document, framed_to_json, grid_to_text
+from ratslice.formats import (
+    complex_to_json,
+    dump_document,
+    framed_to_json,
+    grid_to_text,
+    poincare_to_json,
+)
 from ratslice.grid import torus_knot_grid
 from ratslice.paperdata import builtin
 from ratslice.rationals import format_rational
@@ -24,6 +31,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh_env():
+    """The environment of a fresh `python -m ratslice.cli` on this checkout."""
+    return dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
 
 def run_json(capsys, *argv):
@@ -450,13 +462,12 @@ def test_deep_slice_many_cancellations_deep(tmp_path):
             }
         )
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
         [
             sys.executable, "-m", "ratslice.cli",
             "deep-slice", "--polynomial", str(path), "--target", "1",
         ],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=fresh_env(), timeout=60,
     )
     assert "Traceback" not in proc.stderr
     assert proc.returncode == 0, proc.stderr
@@ -472,14 +483,13 @@ def test_deep_slice_maslov_imbalance_refused_at_once(tmp_path):
         for k in range(-3, 4)
     ]
     path.write_text(json.dumps({"terms": terms}))
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     # The level sweep took 43.7 s on this input; the refusal comes first.
     proc = subprocess.run(
         [
             sys.executable, "-m", "ratslice.cli",
             "deep-slice", "--polynomial", str(path), "--target", "1",
         ],
-        capture_output=True, text=True, env=env, timeout=10,
+        capture_output=True, text=True, env=fresh_env(), timeout=10,
     )
     assert "Traceback" not in proc.stderr
     assert proc.returncode == 1
@@ -534,14 +544,13 @@ def test_deep_slice_stress_inputs_answer_at_once(tmp_path, shape, rank, target, 
             {"maslov": "1", "alexander": "1", "rank": rank},
             {"maslov": "0", "alexander": "0", "rank": rank + 1},
         ]}))
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     start = time.perf_counter()
     proc = subprocess.run(
         [
             sys.executable, "-m", "ratslice.cli",
             "deep-slice", "--polynomial", str(path), "--target", str(target),
         ],
-        capture_output=True, text=True, env=env, timeout=5,
+        capture_output=True, text=True, env=fresh_env(), timeout=5,
     )
     assert time.perf_counter() - start < 1
     assert proc.returncode == 0, proc.stderr
@@ -704,10 +713,9 @@ def test_grid_tau_huge_torus_refused_before_allocating():
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "ratslice.cli", "grid-tau", "--torus", "30000000", "1"],
-        capture_output=True, text=True, env=env, preexec_fn=cap_address_space, timeout=60,
+        capture_output=True, text=True, env=fresh_env(), preexec_fn=cap_address_space, timeout=60,
     )
     assert proc.returncode == 1
     assert "exceeds the cap 10" in proc.stderr
@@ -724,15 +732,110 @@ def test_grid_tau_oversize_slice_exits_one(monkeypatch, capsys):
     assert "above the limit of 10 " in err
 
 
-def test_cli_import_loads_no_executor_or_logging():
-    # The standard executor package pulls in logging: ~14 ms a process.
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+def _modules_after(*argv):
+    """Every module a fresh interpreter holds after main(argv); import only if empty."""
     probe = (
-        "import sys, ratslice.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.partition('.')[0] in ('concurrent', 'logging')))"
+        "import json, sys\n"
+        "from ratslice.cli import main\n"
+        "if sys.argv[1:]:\n"
+        "    main(sys.argv[1:])\n"
+        "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", probe, *argv],
+        capture_output=True, text=True, env=fresh_env(),
     )
-    assert proc.stdout == "[]\n"
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+def test_cli_import_loads_no_executor_or_logging():
+    # The standard executor package pulls in logging: ~14 ms a process.
+    # grid-tau is the verb that loads the grid and its thread pool.
+    loaded = _modules_after("grid-tau", "--torus", "2", "3")
+    assert "ratslice.parallel" in loaded
+    assert {m for m in loaded if m.partition(".")[0] in ("concurrent", "logging")} == set()
+
+
+# -- start-up: a verb loads only the modules it runs ----------------------
+
+_HEAVY = {f"ratslice.{name}" for name in ("grid", "parallel", "paperdata", "complexes", "gf2")}
+
+
+def test_cli_import_loads_only_rationals():
+    loaded = _modules_after()
+    assert {m for m in loaded if m.partition(".")[0] == "ratslice"} == {
+        "ratslice", "ratslice.cli", "ratslice.rationals"
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["cable-bound", "--p", "2", "--tau", "-2", "--lk", "2"],
+    ["satellite-bound", "--braid", "3: 1 2 1 2", "--tau", "1", "--lk", "0"],
+    ["braid-info", "--braid", "4: 1 2 3 1 2 3"],
+    ["c-value", "--braid", "4: 1 2 3 1 2 3", "--lk", "-2/4", "--order", "2"],
+    ["slice-bennequin", "--tb", "-1", "--rot", "0", "--chi", "-2", "--p", "1"],
+], ids=lambda argv: argv[0])
+def test_bound_verbs_load_no_grid_or_complex_modules(argv):
+    assert _modules_after(*argv) & _HEAVY == set()
+
+
+def test_tau_complex_loads_neither_grid_nor_paperdata(tmp_path):
+    path = tmp_path / "pinned.json"
+    path.write_text(json.dumps(PINNED_COMPLEX))
+    loaded = _modules_after("tau", "--complex", str(path))
+    assert "ratslice.complexes" in loaded
+    assert loaded & {"ratslice.grid", "ratslice.paperdata"} == set()
+
+
+def _verb_inputs(directory):
+    """README-style input files for the file-reading verbs."""
+    (directory / "complex.json").write_text(json.dumps(PINNED_COMPLEX))
+    (directory / "knot.grid").write_text(grid_to_text(torus_knot_grid(2, -3)))
+    (directory / "knot.json").write_text(json.dumps(framed_to_json(builtin("J_example_6.2"))))
+    (directory / "poly.json").write_text(json.dumps(poincare_to_json(builtin("lift_8_20"))))
+
+
+@pytest.mark.parametrize("argv", [
+    ["tau", "--complex", "complex.json"],
+    ["tau", "--complex", "complex.json", "--cycle", "b"],
+    ["grid-tau", "--grid", "knot.grid", "--hfk"],
+    ["cable-bound", "--p", "2", "--tau", "-2", "--lk", "2"],
+    ["satellite-bound", "--braid", "3: 1 2 1 2", "--tau", "1", "--lk", "0"],
+    ["genus-bound", "--tau-max", "3/2", "--tau-min", "-1/2"],
+    ["genus-bound", "--builtin", "J_example_6.2"],
+    ["seifert-framed-bound", "--knot", "knot.json", "--p", "2"],
+    ["deep-slice", "--polynomial", "poly.json", "--target", "1"],
+    ["deep-slice", "--builtin", "lift_8_20", "--target", "1"],
+    ["braid-info", "--braid", "4: 1 2 3 1 2 3"],
+    ["c-value", "--braid", "4: 1 2 3 1 2 3", "--lk", "-2/4", "--order", "2"],
+    ["slice-bennequin", "--tb", "5", "--rot", "0", "--chi", "0", "--p", "1"],
+    ["verify-paper"],
+], ids=lambda argv: argv[0] + "".join(a for a in argv[1:] if a.startswith("--")))
+def test_fresh_interpreter_matches_in_process(tmp_path, monkeypatch, capsysbinary, argv):
+    # A fresh interpreter loads each module when a verb first asks for
+    # it, in the verb's own order; here every module is already loaded.
+    # An import cycle or a missing import that this process hides shows
+    # as a traceback or a different document there.
+    _verb_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    out = capsysbinary.readouterr().out
+    proc = subprocess.run(
+        [sys.executable, "-m", "ratslice.cli", *argv],
+        capture_output=True, env=fresh_env(), cwd=tmp_path,
+    )
+    assert (proc.returncode, proc.stdout) == (code, out), proc.stderr.decode()
+
+
+def test_console_script_resolves_to_main(monkeypatch):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["ratslice"]
+    assert target == "ratslice.cli:main"
+    module, _, attr = target.partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    # The installed command calls main() with no arguments.
+    monkeypatch.setattr(sys, "argv", ["ratslice", "braid-info", "--braid", "2: 1"])
+    assert entry() == 0
