@@ -116,11 +116,9 @@ def exterior_grading_table(
 
 
 def cable_tau_interval(p: int, tau_alpha: Fraction, lk_n: Fraction) -> Interval:
-    """Two-sided estimate for tau of the (p, pn+1) cable, framing lk_n."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    base = p * Fraction(tau_alpha) + Fraction(p * (p - 1), 2) * Fraction(lk_n)
-    return Interval(base, base + (p - 1))
+    """Two-sided estimate for tau of the (p, pn+1) cable, framing lk_n: the
+    satellite estimate of its pattern, the (p, 1) torus braid."""
+    return bp_tau_interval(p, tau_alpha, lk_n, p - 1, 1)
 
 
 def bp_tau_interval(

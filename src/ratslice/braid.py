@@ -13,6 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# The strand permutation is a list of index entries: braid-info answers at
+# index 10^6 in 1.1 s at 134 MB, and at 3 * 10^7 it runs out of 1 GiB.
+MAX_PERMUTATION_INDEX = 1_000_000
+
 
 @dataclass(frozen=True)
 class BraidWord:
@@ -41,6 +45,11 @@ class BraidWord:
 
     def permutation(self) -> tuple[int, ...]:
         """Strand permutation of the word (start position -> end position)."""
+        if self.index > MAX_PERMUTATION_INDEX:
+            raise ValueError(
+                f"braid index {self.index} exceeds the limit "
+                f"{MAX_PERMUTATION_INDEX} for the strand permutation"
+            )
         perm = list(range(self.index))
         for letter in self.word:
             k = abs(letter) - 1

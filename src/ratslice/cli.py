@@ -102,7 +102,7 @@ def _cmd_tau(args):
     from . import complexes, formats
 
     complex_ = formats.complex_from_json(_load_json(args.complex))
-    doc = {"command": "tau", "citation": "tau-from-filtered-complex"}
+    doc = {"citation": "tau-from-filtered-complex"}
     if args.cycle is not None:
         ids = args.cycle.replace(",", " ").split()
         unknown = [gid for gid in ids if gid not in complex_.index]
@@ -139,7 +139,6 @@ def _cmd_grid_tau(args):
             f"for knot Floer ranks"
         )
     doc = {
-        "command": "grid-tau",
         "source": source,
         "n": diagram.n,
         "tau": format_rational(grid.tau(diagram)),
@@ -160,7 +159,6 @@ def _cmd_cable_bound(args):
     _check_positive("--p", args.p, "p")
     interval = bounds.cable_tau_interval(args.p, tau, lk)
     return EXIT_OK, {
-        "command": "cable-bound",
         "p": args.p,
         "tau": format_rational(tau),
         "lk": format_rational(lk),
@@ -173,18 +171,13 @@ def _cmd_satellite_bound(args):
     from . import bounds, braid, formats
 
     word = braid.parse_braid(args.braid)
-    interval = bounds.bp_tau_interval(
-        word.index,
-        _rational_flag("--tau", args.tau),
-        _rational_flag("--lk", args.lk),
-        braid.writhe(word),
-        braid.components(word),
-    )
+    tau, lk = _rational_flag("--tau", args.tau), _rational_flag("--lk", args.lk)
+    w, comps = braid.writhe(word), braid.components(word)
+    interval = bounds.bp_tau_interval(word.index, tau, lk, w, comps)
     return EXIT_OK, {
-        "command": "satellite-bound",
         "braid": braid.format_braid(word),
-        "writhe": braid.writhe(word),
-        "components": braid.components(word),
+        "writhe": w,
+        "components": comps,
         "tau_interval": formats.interval_to_json(interval),
         "citation": "braided-satellite-tau-estimate",
     }
@@ -196,7 +189,6 @@ def _cmd_genus_bound(args):
     spectrum = _spectrum_from_args(args)
     report = bounds.genus_lower_bound_breadth(spectrum)
     return EXIT_OK, {
-        "command": "genus-bound",
         "report": formats.report_to_json(report),
         "citation": report.citation,
     }
@@ -209,7 +201,6 @@ def _cmd_seifert_framed_bound(args):
     _check_positive("--p", args.p, "p")
     report = bounds.seifert_framed_bound(spectrum, args.p)
     return EXIT_OK, {
-        "command": "seifert-framed-bound",
         "report": formats.report_to_json(report),
         "citation": report.citation,
     }
@@ -229,7 +220,6 @@ def _cmd_deep_slice(args):
     _check_positive("--target", args.target, "ambient homology rank")
     verdict = paperdata.deep_slice_report(poly, args.target)
     return EXIT_OK, {
-        "command": "deep-slice",
         "spinc": poly.spinc,
         "target_rank": args.target,
         "verdict": formats.verdict_to_json(verdict),
@@ -243,7 +233,6 @@ def _cmd_braid_info(args):
     word = braid.parse_braid(args.braid)
     k, l = braid.splitting_counts(word)
     return EXIT_OK, {
-        "command": "braid-info",
         "braid": braid.format_braid(word),
         "index": word.index,
         "length": len(word.word),
@@ -264,7 +253,6 @@ def _cmd_c_value(args):
     _check_positive("--order", args.order, "order")
     value = ratlink.c_value(spec, order=args.order)
     return EXIT_OK, {
-        "command": "c-value",
         "braid": braid.format_braid(word),
         "framing_lk": format_rational(spec.framing_lk),
         "order": args.order,
@@ -281,7 +269,6 @@ def _cmd_slice_bennequin(args):
     report = bounds.slice_bennequin_check(tb, rot, args.chi, args.p)
     code = EXIT_OK if report.satisfied else EXIT_VIOLATED
     return code, {
-        "command": "slice-bennequin",
         "report": formats.report_to_json(report),
         "citation": report.citation,
     }
@@ -293,7 +280,6 @@ def _cmd_verify_paper(args):
     checks = paperdata.paper_checks()
     all_ok = all(c["ok"] for c in checks)
     doc = {
-        "command": "verify-paper",
         "checks": checks,
         "all_ok": all_ok,
         "citation": "embedded-worked-example-suite",
@@ -406,6 +392,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    doc["command"] = args.verb
     print(formats.dump_document(doc))
     return code
 

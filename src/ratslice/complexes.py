@@ -492,7 +492,7 @@ def survivable_gradings(
 
     Equal to the union of survivor_deduction's outcomes, with the same
     refusals, for entries that all carry a Maslov grading; one max-flow
-    per entry answers it instead of a listing of rank vectors.
+    answers it instead of a listing of rank vectors.
 
     Why it is exact: a multiset of k cancellable pairs that uses each
     entry i at most c_i times can be applied in any order, since every
@@ -503,8 +503,12 @@ def survivable_gradings(
     entries at even floor(M) on one side, odd floor(M) on the other.  A
     larger b-matching shrinks to size k by dropping pairs, so k
     cancellations exist exactly when the maximum flow from the even
-    entries to the odd ones reaches k, and a unit at entry i can survive
-    exactly when it still does with c_i lowered by 1.
+    entries to the odd ones reaches k.  Any other flow of value k is this
+    one plus residual cycles; a cycle that frees a unit at a saturated
+    even entry runs through the reverse of its source edge, and the rest
+    of it is a residual path from the source to that entry.  So an even
+    entry can keep a unit exactly when the source reaches it in the
+    residual graph, and an odd entry exactly when it reaches the sink.
     """
     if any(m is None for _, m, _ in ranks):
         raise DeductionError(
@@ -513,41 +517,47 @@ def survivable_gradings(
             "maslov None is survivor_deduction's"
         )
     entries, pairs, cancellations = _cancellation_plan(ranks, target_rank)
-    caps = [c for _, _, c in entries]
-    used = _cancellation_flow(entries, pairs, caps, cancellations)
-    if sum(used) < 2 * cancellations:
+    flow, residual = _cancellation_flow(entries, pairs, cancellations)
+    if flow < cancellations:
         raise DeductionError(_UNREACHABLE)
-    possible = {a for (a, _, c), u in zip(entries, used) if u < c}
-    for i, (a, _, _) in enumerate(entries):
-        if a in possible:
-            continue
-        caps[i] -= 1
-        used = _cancellation_flow(entries, pairs, caps, cancellations)
-        caps[i] += 1
-        if sum(used) == 2 * cancellations:
-            possible.add(a)
-    return frozenset(possible)
+    transposed = [{u: residual[u][v] for u in out} for v, out in enumerate(residual)]
+    reached = (_reached(residual, len(entries)), _reached(transposed, len(entries) + 1))
+    return frozenset(
+        a for i, (a, m, _) in enumerate(entries) if i in reached[math.floor(m) % 2]
+    )
 
 
-def _cancellation_flow(entries, pairs, caps, limit) -> list[int]:
-    """Units each entry gives to a maximum b-matching of cancellable
-    pairs with capacities caps, stopped at limit pairs.
+def _reached(graph, start, stop=None) -> dict[int, int]:
+    """BFS parents of the nodes start reaches by positive capacities, up to stop."""
+    parent = {start: start}
+    queue = [start]
+    for u in queue:
+        for v, cap in graph[u].items():
+            if cap and v not in parent:
+                parent[v] = u
+                queue.append(v)
+        if stop in parent:
+            break
+    return parent
+
+
+def _cancellation_flow(entries, pairs, limit) -> tuple[int, list[dict[int, int]]]:
+    """Size and residual graph of a maximum b-matching of cancellable
+    pairs with capacities the ranks, stopped at limit pairs.
 
     Edmonds-Karp: a source feeds the entries at even floor(M), the
     entries at odd floor(M) drain into a sink, each pair is an edge from
     its even member to its odd one, and every BFS augmenting path carries
-    its bottleneck.  The cost depends on the number of entries, not the
-    ranks.
+    its bottleneck.  Nodes n and n + 1 are the source and the sink, and
+    residual[u][v] is the capacity left from u to v.  The cost depends on
+    the number of entries, not the ranks.
     """
     n = len(entries)
     source, sink = n, n + 1
     residual: list[dict[int, int]] = [{} for _ in range(n + 2)]
-    ends = [
-        (i, sink) if math.floor(m) % 2 else (source, i)
-        for i, (_, m, _) in enumerate(entries)
-    ]
-    for (u, v), cap in zip(ends, caps):
-        residual[u][v] = cap
+    for i, (_, m, count) in enumerate(entries):
+        u, v = (i, sink) if math.floor(m) % 2 else (source, i)
+        residual[u][v] = count
         residual[v][u] = 0
     for hi, lo in pairs:
         u, v = (lo, hi) if math.floor(entries[hi][1]) % 2 else (hi, lo)
@@ -555,28 +565,18 @@ def _cancellation_flow(entries, pairs, caps, limit) -> list[int]:
         residual[v][u] = 0
     flow = 0
     while flow < limit:
-        parent = {source: source}
-        queue = [source]
-        for u in queue:
-            for v, cap in residual[u].items():
-                if cap and v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-            if sink in parent:
-                break
+        parent = _reached(residual, source, sink)
         if sink not in parent:
             break
-        push, v = limit - flow, sink
-        while v != source:
-            push = min(push, residual[parent[v]][v])
-            v = parent[v]
-        v = sink
-        while v != source:
-            residual[parent[v]][v] -= push
-            residual[v][parent[v]] += push
-            v = parent[v]
+        path = [sink]
+        while path[-1] != source:
+            path.append(parent[path[-1]])
+        push = min(limit - flow, *(residual[u][v] for v, u in zip(path, path[1:])))
+        for v, u in zip(path, path[1:]):
+            residual[u][v] -= push
+            residual[v][u] += push
         flow += push
-    return [residual[v][u] for u, v in ends]
+    return flow, residual
 
 
 def min_breadth_lower_bound(

@@ -38,6 +38,23 @@ def fresh_env():
     return dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
 
+ADDRESS_SPACE_CAP = 1 << 30
+
+
+def run_capped(*argv, timeout):
+    """`python -m ratslice.cli argv` in a child capped at 1 GiB of address
+    space and killed after `timeout` seconds, so a regression fails fast
+    instead of hanging the suite or paging the machine."""
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+
+    return subprocess.run(
+        [sys.executable, "-m", "ratslice.cli", *argv],
+        capture_output=True, text=True, env=fresh_env(),
+        preexec_fn=cap_address_space, timeout=timeout,
+    )
+
+
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
@@ -484,12 +501,8 @@ def test_deep_slice_maslov_imbalance_refused_at_once(tmp_path):
     ]
     path.write_text(json.dumps({"terms": terms}))
     # The level sweep took 43.7 s on this input; the refusal comes first.
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "ratslice.cli",
-            "deep-slice", "--polynomial", str(path), "--target", "1",
-        ],
-        capture_output=True, text=True, env=fresh_env(), timeout=10,
+    proc = run_capped(
+        "deep-slice", "--polynomial", str(path), "--target", "1", timeout=10
     )
     assert "Traceback" not in proc.stderr
     assert proc.returncode == 1
@@ -532,27 +545,40 @@ def test_deep_slice_never_lists_rank_vectors(tmp_path, capsys, monkeypatch):
     ("diagonal", 20, 19, ["-1/1", "-3/1", "1/1", "3/1"]),
     ("diagonal", 30, 29, ["-1/1", "-3/1", "1/1", "3/1"]),
     ("two terms", 10**6, 1, ["0/1"]),
+    # 500 terms at A = i, M = i mod 2: a unit at odd i cancels one at an
+    # even j < i.  Two survive, one at even e and one at odd o; the rest
+    # match up (2t + 1 with 2t, skipping the survivors) exactly when
+    # e >= o - 1, so every grading can survive (with o = 1 or e = 498).
+    ("500 terms, M = A mod 2", 1, 2, sorted(format_rational(a) for a in range(500))),
+    # M = (i + 1) mod 2: nothing lies below A = 0 or above A = 499, so
+    # those two always survive, and 2t cancels 2t - 1 for the rest.
+    ("500 terms, M = A + 1 mod 2", 1, 2, ["0/1", "499/1"]),
 ])
 def test_deep_slice_stress_inputs_answer_at_once(tmp_path, shape, rank, target, possible):
     # The level sweep took 48 s on the rank-20 diagonal and ran past 60 s
-    # at rank 30; the flows answer within the interpreter's start-up.
+    # at rank 30; the flows answer within the interpreter's start-up.  On
+    # 500 terms one flow per term ran past 60 s; the single flow takes
+    # about a second, half of it _cancellation_plan's pair scan.
     path = tmp_path / "poly.json"
     if shape == "diagonal":
         _diagonal_polynomial(path, rank)
-    else:
+    elif shape == "two terms":
         path.write_text(json.dumps({"terms": [
             {"maslov": "1", "alexander": "1", "rank": rank},
             {"maslov": "0", "alexander": "0", "rank": rank + 1},
         ]}))
+    else:
+        shift = shape.endswith("+ 1 mod 2")
+        path.write_text(json.dumps({"terms": [
+            {"maslov": str((i + shift) % 2), "alexander": str(i), "rank": rank}
+            for i in range(500)
+        ]}))
+    seconds = 5 if shape.startswith("500") else 1
     start = time.perf_counter()
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "ratslice.cli",
-            "deep-slice", "--polynomial", str(path), "--target", str(target),
-        ],
-        capture_output=True, text=True, env=fresh_env(), timeout=5,
+    proc = run_capped(
+        "deep-slice", "--polynomial", str(path), "--target", str(target), timeout=5
     )
-    assert time.perf_counter() - start < 1
+    assert time.perf_counter() - start < seconds
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verdict"]["possible_tau"] == possible
 
@@ -710,16 +736,45 @@ def test_grid_tau_huge_torus_refused_before_allocating():
     # A (30000000 + 1)-column grid would need gigabytes for its marking
     # tuples alone; under a 1 GiB address-space cap on the child it must
     # still be refused with the cap named, not die of MemoryError.
-    def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "ratslice.cli", "grid-tau", "--torus", "30000000", "1"],
-        capture_output=True, text=True, env=fresh_env(), preexec_fn=cap_address_space, timeout=60,
-    )
+    proc = run_capped("grid-tau", "--torus", "30000000", "1", timeout=60)
     assert proc.returncode == 1
     assert "exceeds the cap 10" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["braid-info", "--braid", "30000000: 1"],
+    ["satellite-bound", "--braid", "30000000: 1", "--tau", "0", "--lk", "0"],
+], ids=lambda argv: argv[0])
+def test_braid_verbs_refuse_a_huge_index_before_allocating(argv):
+    # The strand permutation of a 3 * 10^7-strand braid ran out of 1 GiB
+    # after 1.5-1.9 s; the index is refused first, with the limit named.
+    proc = run_capped(*argv, timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "error: braid index 30000000 exceeds the limit 1000000 "
+        "for the strand permutation\n"
+    )
+
+
+def test_c_value_answers_at_any_braid_index():
+    # c-value reads the index, the framing and the writhe; it never builds
+    # the strand permutation.  At framing 0 the constant is the writhe.
+    proc = run_capped("c-value", "--braid", "30000000: 1", "--lk", "0", timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["c"] == 1
+
+
+def test_braid_index_limit_refuses_before_the_permutation(monkeypatch, capsys):
+    from ratslice import braid
+
+    monkeypatch.setattr(braid, "MAX_PERMUTATION_INDEX", 3)
+    message = "error: braid index 4 exceeds the limit 3 for the strand permutation\n"
+    assert run_cli(capsys, "braid-info", "--braid", "4: 1 2 3") == (1, "", message)
+    assert run_cli(
+        capsys, "satellite-bound", "--braid", "4: 1 2 3", "--tau", "0", "--lk", "0"
+    ) == (1, "", message)
+    assert run_json(capsys, "braid-info", "--braid", "3: 1 2")["permutation"] == [1, 2, 0]
 
 
 def test_grid_tau_oversize_slice_exits_one(monkeypatch, capsys):

@@ -726,6 +726,48 @@ def test_survivable_gradings_match_the_enumeration():
     assert small >= 1000
 
 
+def test_survivable_gradings_runs_one_flow(monkeypatch):
+    # Every answer is read off the residual graph of one flow; the plan's
+    # refusals come before it and run none.
+    flows = []
+    flow = complexes._cancellation_flow
+
+    def counted(*args):
+        flows.append(args)
+        return flow(*args)
+
+    monkeypatch.setattr(complexes, "_cancellation_flow", counted)
+    rng = random.Random(17)
+    for _ in range(300):
+        entries, target = _random_maslov_input(rng)
+        flows.clear()
+        answer = _answer(survivable_gradings, entries, target)
+        planned = not isinstance(answer, str) or "no sequence" in answer
+        assert len(flows) == planned, (entries, target)
+    flows.clear()
+    assert survivable_gradings(diagonal_ranks(30), 29) == {F(-3), F(-1), F(1), F(3)}
+    assert len(flows) == 1
+
+
+@pytest.mark.parametrize("ranks,saturated,possible", [
+    # One unit at M = 1 cancels either unit below it at M = 0.  The flow
+    # takes A = 0 first; that unit survives when the pair moves to A = 1.
+    ([(F(0), F(0), 1), (F(1), F(0), 1), (F(2), F(1), 1)], 0, {F(0), F(1)}),
+    # The mirror case on the sink's side: the unit at M = 0 cancels either
+    # unit above it at M = 1, and the flow takes A = 1 first.
+    ([(F(0), F(0), 1), (F(1), F(1), 1), (F(2), F(1), 1)], 1, {F(1), F(2)}),
+], ids=["source side", "sink side"])
+def test_survivable_gradings_reroute_a_saturated_term(ranks, saturated, possible):
+    entries, pairs, cancellations = complexes._cancellation_plan(ranks, 1)
+    flow, residual = complexes._cancellation_flow(entries, pairs, cancellations)
+    source, sink = len(entries), len(entries) + 1
+    # The flow used the term's only unit: no slack is left on its edge.
+    assert flow == 1
+    assert residual[source].get(saturated, 0) == residual[saturated].get(sink, 0) == 0
+    assert survivable_gradings(ranks, 1) == possible
+    assert entries[saturated][0] in possible
+
+
 def test_survivable_gradings_refusals():
     with pytest.raises(DeductionError, match="Maslov grading"):
         survivable_gradings([(F(1), F(1), 1), (F(0), None, 1)], 0)
