@@ -153,26 +153,26 @@ def spectrum_to_json(spectrum: TauSpectrum) -> dict:
     }
 
 
-def spectrum_from_json(doc: dict, context: str = "tau_spectrum") -> TauSpectrum:
+def spectrum_from_json(doc: dict) -> TauSpectrum:
     from .complexes import TauSpectrum
 
-    per_class_raw = _need(doc, "per_class", context)
+    per_class_raw = _need(doc, "per_class", "tau_spectrum")
     if not isinstance(per_class_raw, dict) or not per_class_raw:
-        raise _fail(f"{context}.per_class", "expected a nonempty object")
+        raise _fail("tau_spectrum.per_class", "expected a nonempty object")
     per_class = {
-        str(cid): _rational(v, f"{context}.per_class[{cid!r}]")
+        str(cid): _rational(v, f"tau_spectrum.per_class[{cid!r}]")
         for cid, v in per_class_raw.items()
     }
     complete = _optional(
-        doc.get("enumeration_complete"), bool, f"{context}.enumeration_complete"
+        doc.get("enumeration_complete"), bool, "tau_spectrum.enumeration_complete"
     )
     spectrum = TauSpectrum(
         per_class=per_class,
-        tau_max=_rational(_need(doc, "tau_max", context), f"{context}.tau_max"),
-        tau_min=_rational(_need(doc, "tau_min", context), f"{context}.tau_min"),
+        tau_max=_rational(_need(doc, "tau_max", "tau_spectrum"), "tau_spectrum.tau_max"),
+        tau_min=_rational(_need(doc, "tau_min", "tau_spectrum"), "tau_spectrum.tau_min"),
         enumeration_complete=complete is not False,
     )
-    _agree(doc, "breadth", context, spectrum.breadth, "tau_max - tau_min")
+    _agree(doc, "breadth", "tau_spectrum", spectrum.breadth, "tau_max - tau_min")
     return spectrum
 
 

@@ -32,7 +32,6 @@ from .complexes import (
     FilteredComplex,
     TauSpectrum,
     connected_sum_shift,
-    min_breadth_lower_bound,
     survivable_gradings,
     tau_spectrum,
 )
@@ -162,45 +161,25 @@ def dual_knot_breadth(g: int) -> Fraction:
     """Certified tau-breadth lower bound for the dual knot of an L-space knot.
 
     The dual knot of -1 surgery on a genus-g L-space knot (g >= 2) has
-    knot Floer homology of total rank 4g+1 supported in the five Alexander
-    gradings {-g, -(g-1), 0, g-1, g}, with rank exactly 1 at the extremes
-    (the knot is fibered), and ambient homology rank 4g-1: exactly one
-    cancellation happens.  Maslov gradings are not pinned here, so the
-    deduction uses the Alexander-only cancellation rule, and the reported
-    bound is the minimum over all rank completions of the three interior
-    gradings.
+    knot Floer homology of total rank 4g+1 supported in the five distinct
+    Alexander gradings {-g, -(g-1), 0, g-1, g}, with rank exactly 1 at the
+    extremes (the knot is fibered), and ambient homology rank 4g-1: exactly
+    one cancellation happens.  Maslov gradings are not pinned here, so it
+    may pair any two distinct gradings; the bound is the least breadth over
+    every rank completion of the interior gradings and every cancellation:
+
+    * the cancellation empties at most its two gradings, so at least three
+      of the five survive;
+    * a triple whose least member is -g, -(g-1) or 0 has largest member at
+      least 0, g-1 or g, so its breadth is at least g (2g-2 >= g);
+    * with rank 1 at g-1, cancelling g against g-1 leaves {-g, -(g-1), 0}.
     """
     if g < 2:
         raise ValueError(
             "needs genus >= 2: the construction covers all L-space knots "
             "except the trefoil"
         )
-    supported = [
-        Fraction(-g),
-        Fraction(-(g - 1)),
-        Fraction(0),
-        Fraction(g - 1),
-        Fraction(g),
-    ]
-    interior_total = (4 * g + 1) - 2  # extremes carry rank exactly 1
-    best: Fraction | None = None
-    for r1 in range(1, interior_total - 1):
-        for r2 in range(1, interior_total - r1):
-            r3 = interior_total - r1 - r2
-            if r3 < 1:
-                continue
-            ranks = [
-                (supported[0], None, 1),
-                (supported[1], None, r1),
-                (supported[2], None, r2),
-                (supported[3], None, r3),
-                (supported[4], None, 1),
-            ]
-            value = min_breadth_lower_bound(ranks, 4 * g - 1)
-            if best is None or value < best:
-                best = value
-    assert best is not None
-    return best
+    return Fraction(g)
 
 
 def satellite_pl_genus_growth(g: int, p: int) -> Fraction:

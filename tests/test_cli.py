@@ -541,6 +541,20 @@ def test_deep_slice_never_lists_rank_vectors(tmp_path, capsys, monkeypatch):
     }
 
 
+def test_no_verb_reaches_the_level_sweep(capsys, monkeypatch):
+    # verify-paper's dual-knot breadth is a closed form, and deep-slice
+    # runs one flow: no command lists rank vectors.
+    from ratslice import complexes
+
+    def listing(*args):
+        raise AssertionError("verify-paper listed rank vectors")
+
+    monkeypatch.setattr(complexes, "survivor_deduction", listing)
+    code, out, err = run_cli(capsys, "verify-paper")
+    assert code == 0, err
+    assert json.loads(out)["all_ok"] is True
+
+
 @pytest.mark.parametrize("shape,rank,target,possible", [
     ("diagonal", 20, 19, ["-1/1", "-3/1", "1/1", "3/1"]),
     ("diagonal", 30, 29, ["-1/1", "-3/1", "1/1", "3/1"]),
@@ -557,8 +571,8 @@ def test_deep_slice_never_lists_rank_vectors(tmp_path, capsys, monkeypatch):
 def test_deep_slice_stress_inputs_answer_at_once(tmp_path, shape, rank, target, possible):
     # The level sweep took 48 s on the rank-20 diagonal and ran past 60 s
     # at rank 30; the flows answer within the interpreter's start-up.  On
-    # 500 terms one flow per term ran past 60 s; the single flow takes
-    # about a second, half of it _cancellation_plan's pair scan.
+    # 500 terms one flow per term ran past 60 s; the single flow and the
+    # interpreter's start take about 0.35 s.
     path = tmp_path / "poly.json"
     if shape == "diagonal":
         _diagonal_polynomial(path, rank)

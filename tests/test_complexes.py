@@ -19,7 +19,6 @@ from ratslice.complexes import (
     connected_sum_shift,
     homology_basis,
     homology_ranks,
-    min_breadth_lower_bound,
     survivable_gradings,
     survivor_deduction,
     tau,
@@ -550,19 +549,6 @@ def test_survivors_lift_8_20():
     assert outcomes == frozenset({(F(-1),), (F(1),)})
 
 
-def test_survivors_five_grading_pattern():
-    ranks = [
-        (F(-2), None, 1),
-        (F(-1), None, 2),
-        (F(0), None, 3),
-        (F(1), None, 2),
-        (F(2), None, 1),
-    ]
-    outcomes = survivor_deduction(ranks, 7)
-    assert all(len(set(out)) >= 3 for out in outcomes)
-    assert min(max(out) - min(out) for out in outcomes) == 2
-
-
 def test_survivors_match_naive_enumeration():
     rng = random.Random(11)
     pool = [F(-2), F(-1), F(0), F(1), F(2), F(1, 2)]
@@ -571,8 +557,7 @@ def test_survivors_match_naive_enumeration():
         gradings = rng.sample(pool, size)
         entries = []
         for a in gradings:
-            m = None if rng.random() < 0.5 else a + rng.randint(-1, 1)
-            entries.append((a, m, rng.randint(1, 3)))
+            entries.append((a, a + rng.randint(-1, 1), rng.randint(1, 3)))
         total = sum(r for _, _, r in entries)
         drop = rng.randint(0, total // 2)
         target = total - 2 * drop
@@ -652,12 +637,6 @@ def test_survivors_maslov_imbalance_per_residue():
     assert survivor_deduction([(F(1), F(1), 2), (F(0), F(0), 1)], 1) == frozenset(
         {(F(1),)}
     )
-    # An entry without a Maslov grading cancels by Alexander alone, so the
-    # check is skipped for the whole input.
-    for m_hi in (None, F(0)):
-        assert survivor_deduction([(F(1), m_hi, 1), (F(0), None, 1)], 0) == frozenset(
-            {()}
-        )
 
 
 def _perfbench_oracle():
@@ -698,15 +677,31 @@ def _random_maslov_input(rng):
 REFUSALS = ("below the target", "parity mismatch", "imbalance", "no sequence")
 
 
+def pairs_by_definition(entries):
+    """Every (hi, lo) with Maslov one apart and Alexander strictly dropping."""
+    return {
+        (hi, lo)
+        for hi, (a_hi, m_hi, _) in enumerate(entries)
+        for lo, (a_lo, m_lo, _) in enumerate(entries)
+        if m_hi == m_lo + 1 and a_hi > a_lo
+    }
+
+
 def test_survivable_gradings_match_the_enumeration():
     # survivable_gradings answers by max-flow what the union of the level
-    # sweep's outcomes lists; every refusal must read the same.
+    # sweep's outcomes lists; every refusal must read the same.  The plan
+    # lists its pairs as sorted prefixes; they must be the pairs of the
+    # definition, each once (a target equal to the total refuses nothing).
     oracle = _perfbench_oracle()
     rng = random.Random(13)
     refusals = Counter()
     small = 0
     for _ in range(4000):
         entries, target = _random_maslov_input(rng)
+        total = sum(c for _, _, c in entries)
+        merged, pairs, _ = complexes._cancellation_plan(entries, total)
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == pairs_by_definition(merged), entries
         expected = _answer(survivor_deduction, entries, target)
         if not isinstance(expected, str):
             expected = frozenset(a for outcome in expected for a in outcome)
@@ -724,6 +719,21 @@ def test_survivable_gradings_match_the_enumeration():
             small += 1
     assert set(refusals) == set(REFUSALS)
     assert small >= 1000
+
+
+def test_cancellation_plan_lists_2000_terms_at_once():
+    # A = i, M = i mod 2: the unit at odd i pairs with every even j < i,
+    # 500,500 pairs.  Comparing every entry with every other took 9.5 s.
+    terms = [(F(i), F(i % 2), 1) for i in range(2000)]
+    start = time.perf_counter()
+    entries, pairs, cancellations = complexes._cancellation_plan(terms, 2)
+    assert time.perf_counter() - start < 1
+    assert entries == terms
+    assert cancellations == 999
+    assert len(pairs) == 500_500
+    assert set(pairs) == {
+        (hi, lo) for hi in range(1, 2000, 2) for lo in range(0, hi, 2)
+    }
 
 
 def test_survivable_gradings_runs_one_flow(monkeypatch):
@@ -769,8 +779,6 @@ def test_survivable_gradings_reroute_a_saturated_term(ranks, saturated, possible
 
 
 def test_survivable_gradings_refusals():
-    with pytest.raises(DeductionError, match="Maslov grading"):
-        survivable_gradings([(F(1), F(1), 1), (F(0), None, 1)], 0)
     with pytest.raises(DeductionError, match="^target rank unreachable: no sequence"):
         survivable_gradings([(F(1), F(0), 1), (F(0), F(1), 1)], 0)
     # Rank 30 on the seven-term diagonal: the level sweep ran for over a
@@ -781,29 +789,3 @@ def test_survivable_gradings_refusals():
         F(0)
     }
     assert time.perf_counter() - start < 1
-
-
-def test_min_breadth_examples():
-    assert min_breadth_lower_bound([(F(3), F(0), 1)], 1) == 0
-    ranks_g2 = [
-        (F(-2), None, 1),
-        (F(-1), None, 2),
-        (F(0), None, 3),
-        (F(1), None, 2),
-        (F(2), None, 1),
-    ]
-    assert min_breadth_lower_bound(ranks_g2, 7) == 2
-    # With interior ranks >= 2 the only way to empty two gradings in one
-    # cancellation is the extreme pair, so the genus-3 pattern gives 4.
-    ranks_g3 = [
-        (F(-3), None, 1),
-        (F(-2), None, 4),
-        (F(0), None, 3),
-        (F(2), None, 4),
-        (F(3), None, 1),
-    ]
-    outcomes = naive_survivors(ranks_g3, 11)
-    assert min_breadth_lower_bound(ranks_g3, 11) == min(
-        max(o) - min(o) for o in outcomes
-    )
-    assert min_breadth_lower_bound(ranks_g3, 11) == 4

@@ -170,6 +170,23 @@ def test_dual_knot_breadth_against_naive_enumeration():
         assert dual_knot_breadth(g) == min(max(o) - min(o) for o in outcomes)
 
 
+def test_dual_knot_breadth_closed_form_exhaustive():
+    # Every rank completion (1, r1, r2, r3, 1) of the five gradings and
+    # every outcome of its one cancellation, by the Alexander-only rule.
+    for g in range(2, 7):
+        gradings = [F(-g), F(-(g - 1)), F(0), F(g - 1), F(g)]
+        least = None
+        for r1 in range(1, 4 * g - 2):
+            for r2 in range(1, 4 * g - 1 - r1):
+                ranks = (1, r1, r2, 4 * g - 1 - r1 - r2, 1)
+                entries = [(a, None, r) for a, r in zip(gradings, ranks)]
+                for outcome in naive_survivors(entries, 4 * g - 1):
+                    breadth = max(outcome) - min(outcome)
+                    least = breadth if least is None else min(least, breadth)
+        assert dual_knot_breadth(g) == least == g
+    assert [dual_knot_breadth(g) for g in range(2, 13)] == list(range(2, 13))
+
+
 def test_dual_knot_breadth_at_least_two():
     for g in range(2, 11):
         assert dual_knot_breadth(g) >= 2
