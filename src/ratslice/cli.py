@@ -113,8 +113,7 @@ def _cmd_tau(args):
                 f"cycle: expected distinct generator ids, got {args.cycle!r}"
             )
         bits = sum(1 << complex_.index[gid] for gid in ids)
-        alpha = complexes.FloerClass(representative=bits)
-        doc["tau"] = format_rational(complexes.tau(complex_, alpha))
+        doc["tau"] = format_rational(complexes.tau(complex_, bits))
         doc["cycle"] = sorted(ids)
     else:
         doc["spectrum"] = formats.spectrum_to_json(complexes.tau_spectrum(complex_))

@@ -23,7 +23,8 @@ Alexander grading in z.  The births are the leading rows of the cycles
 that no boundary leads, so the cycles born there are a filtered basis:
 tau of a sum of them is the largest of their birth gradings.  The test
 suite checks this against the exhaustive minimum over representatives
-and the ascending level sweep on small complexes.
+and the ascending level sweep on small complexes, and the births against
+a textbook persistence reduction without clearing.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .gf2 import _bit_positions, new_engine
 
@@ -63,18 +64,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-@dataclass(frozen=True)
-class FloerClass:
-    """A nonzero homology class, carried by a cycle representative.
-
-    The representative is an int bitset over generator indices.
-    """
-
-    representative: int
-    spinc: Optional[str] = None
-    maslov: Optional[Fraction] = None
 
 
 @dataclass(frozen=True)
@@ -201,9 +190,9 @@ def essential_rows(boundaries, cycles, boundary_of_row) -> list[int]:
     Rows are in TauRowOrder; the pivot rows of boundaries are the cycles
     that die and are skipped.  boundary_of_row(row) of every other row is
     fed to cycles highest row first, in ascending filtration order; a row
-    whose column adds no pivot is a birth.  Births come highest row first;
-    a tracking cycles engine lists their kernel combinations, over feed
-    positions, in the same order.
+    whose column adds no pivot is a birth: a cycle is born there, with the
+    birth as its leading row, that no boundary leads.  Births come highest
+    row first.
     """
     dying = boundaries.pivot_rows
     births = []
@@ -271,61 +260,51 @@ def homology_ranks(
     complex_: FilteredComplex,
 ) -> dict[tuple[str, Fraction], int]:
     """Rank of the homology per (Spin^c label, Maslov grading): the
-    homology_basis classes counted per block."""
-    return dict(Counter((c.spinc, c.maslov) for c in homology_basis(complex_)))
+    homology_basis births counted per block."""
+    gens = complex_.generators
+    births = homology_basis(complex_)
+    return dict(Counter((gens[i].spinc, gens[i].maslov) for i in births))
 
 
 def total_homology_rank(complex_: FilteredComplex) -> int:
     return sum(homology_ranks(complex_).values())
 
 
-def homology_basis(complex_: FilteredComplex) -> list[FloerClass]:
-    """A filtered basis of the total homology, one class per essential row.
+def homology_basis(complex_: FilteredComplex) -> list[int]:
+    """Birth generators of a filtered basis of the total homology.
 
-    The essential_rows sweep runs with a tracked cycles engine; each
-    class is the cycle born at its own generator (the birth), whose
-    leading row in TauRowOrder is the birth row.  The differential is
-    block diagonal, so each cycle stays inside the (Spin^c, Maslov) block
-    of its birth.  Classes are ordered by Spin^c label, then descending
-    Maslov grading, then the generator index of the birth.
+    Each index is the generator of an essential_rows birth: a class is
+    born there, whose tau is the birth's Alexander grading.  The
+    differential is block diagonal, so the class lies in the (Spin^c,
+    Maslov) block of its birth.  Births are ordered by Spin^c label, then
+    descending Maslov grading, then generator index.
     """
     gens = complex_.generators
     order = complex_._tau_rows.order
     cols = complex_.boundary_columns
-    boundaries = complex_._tau_engine
-    cycles = new_engine(len(gens), track=True)
-    births = essential_rows(boundaries, cycles, lambda row: cols[order[row]])
-    dying = boundaries.pivot_rows
-    fed = [order[row] for row in reversed(range(len(gens))) if row not in dying]
-    born = sorted(
-        zip((order[row] for row in births), cycles.kernel_combos),
-        key=lambda pair: (gens[pair[0]].spinc, -gens[pair[0]].maslov, pair[0]),
+    births = essential_rows(
+        complex_._tau_engine, new_engine(len(gens)), lambda row: cols[order[row]]
     )
-    return [
-        FloerClass(
-            representative=sum(1 << fed[k] for k in _bit_positions(combo)),
-            spinc=gens[i].spinc,
-            maslov=gens[i].maslov,
-        )
-        for i, combo in born
-    ]
+    return sorted(
+        (order[row] for row in births),
+        key=lambda i: (gens[i].spinc, -gens[i].maslov, i),
+    )
 
 
-def _check_cycle(complex_: FilteredComplex, alpha: FloerClass) -> int:
-    bits = alpha.representative
+def _check_cycle(complex_: FilteredComplex, bits: int) -> None:
     n = len(complex_.generators)
     if bits < 0 or bits >> n:
         raise ValueError(f"representative has bits outside the {n} generators")
     if complex_.boundary_of(bits):
         raise ValueError("representative is not a cycle")
-    return bits
 
 
-def tau(complex_: FilteredComplex, alpha: FloerClass) -> Fraction:
-    """Minimal Alexander level at which alpha appears in homology."""
-    bits = _check_cycle(complex_, alpha)
+def tau(complex_: FilteredComplex, cycle: int) -> Fraction:
+    """Minimal Alexander level at which the class of cycle (an int
+    bitset over generator indices) appears in homology."""
+    _check_cycle(complex_, cycle)
     rows = complex_._tau_rows
-    residue = complex_._tau_engine.reduce(rows.permute(bits))
+    residue = complex_._tau_engine.reduce(rows.permute(cycle))
     if not residue:
         raise ValueError("class is zero in homology")
     return rows.top(residue)
@@ -342,10 +321,7 @@ def tau_spectrum(complex_: FilteredComplex) -> TauSpectrum:
     if not basis:
         raise ValueError("total homology is zero")
     rows = complex_._tau_rows
-    births = [
-        min(rows.position[i] for i in _bit_positions(c.representative))
-        for c in basis
-    ]
+    births = [rows.position[i] for i in basis]
     rank = len(basis)
     names = [f"b{i}" for i in range(rank)]
     per_class = {name: rows.alexanders[row] for name, row in zip(names, births)}

@@ -58,6 +58,19 @@ def _integer(value: Any, field: str) -> int:
     raise _fail(field, f"expected an integer, got {value!r}")
 
 
+def _positive(value: Any, field: str) -> int:
+    number = _integer(value, field)
+    if number < 1:
+        raise _fail(field, f"expected a positive integer, got {number}")
+    return number
+
+
+def _string(value: Any, field: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise _fail(field, f"expected a string, got {value!r}")
+
+
 _JSON_TYPES = {bool: "a boolean", dict: "an object", list: "a list"}
 
 
@@ -112,10 +125,10 @@ def complex_from_json(doc: dict) -> FilteredComplex:
         ctx = f"generators[{i}]"
         generators.append(
             (
-                str(_need(entry, "id", ctx)),
+                _string(_need(entry, "id", ctx), f"{ctx}.id"),
                 _rational(_need(entry, "maslov", ctx), f"{ctx}.maslov"),
                 _rational(_need(entry, "alexander", ctx), f"{ctx}.alexander"),
-                str(_need(entry, "spinc", ctx)),
+                _string(_need(entry, "spinc", ctx), f"{ctx}.spinc"),
             )
         )
     differential = {}
@@ -123,12 +136,13 @@ def complex_from_json(doc: dict) -> FilteredComplex:
     if not isinstance(raw, dict):
         raise _fail("differential", "expected an object")
     for src, dsts in raw.items():
+        field = f"differential[{src!r}]"
         if not isinstance(dsts, list):
-            raise _fail(f"differential[{src!r}]", "expected a list of ids")
+            raise _fail(field, "expected a list of ids")
         targets: set[str] = set()
-        for dst in map(str, dsts):
-            if dst in targets:
-                raise _fail(f"differential[{src!r}]", f"repeated target {dst!r}")
+        for dst in dsts:
+            if _string(dst, field) in targets:
+                raise _fail(field, f"repeated target {dst!r}")
             targets.add(dst)
         differential[str(src)] = frozenset(targets)
     return FilteredComplex(generators, differential)
@@ -166,10 +180,19 @@ def spectrum_from_json(doc: dict) -> TauSpectrum:
     complete = _optional(
         doc.get("enumeration_complete"), bool, "tau_spectrum.enumeration_complete"
     )
+    tau_max = _rational(_need(doc, "tau_max", "tau_spectrum"), "tau_spectrum.tau_max")
+    tau_min = _rational(_need(doc, "tau_min", "tau_spectrum"), "tau_spectrum.tau_min")
+    # The record refuses the same values without naming a field.
+    if tau_min > tau_max:
+        raise _fail("tau_spectrum.tau_min", "must not exceed tau_max")
+    for cid, value in per_class.items():
+        if not tau_min <= value <= tau_max:
+            field = f"tau_spectrum.per_class[{cid!r}]"
+            raise _fail(field, "tau outside [tau_min, tau_max]")
     spectrum = TauSpectrum(
         per_class=per_class,
-        tau_max=_rational(_need(doc, "tau_max", "tau_spectrum"), "tau_spectrum.tau_max"),
-        tau_min=_rational(_need(doc, "tau_min", "tau_spectrum"), "tau_spectrum.tau_min"),
+        tau_max=tau_max,
+        tau_min=tau_min,
         enumeration_complete=complete is not False,
     )
     _agree(doc, "breadth", "tau_spectrum", spectrum.breadth, "tau_max - tau_min")
@@ -207,13 +230,14 @@ def framed_from_json(doc: dict) -> FramedKnotData:
         else None
     )
     lf_raw = _optional(doc.get("linking_form"), list, "linking_form")
-    lf = (
-        tuple(_rational(v, f"linking_form[{i}]") for i, v in enumerate(lf_raw))
-        if lf_raw is not None
-        else None
-    )
+    lf = None
+    if lf_raw is not None:
+        lf = tuple(_rational(v, f"linking_form[{i}]") for i, v in enumerate(lf_raw))
+        for i, v in enumerate(lf):
+            if not 0 <= v < 1:
+                raise _fail(f"linking_form[{i}]", "expected a value in [0, 1)")
     data = FramedKnotData(
-        order=_integer(_need(doc, "order", ""), "order"),
+        order=_positive(_need(doc, "order", ""), "order"),
         slope=_integer(_need(doc, "slope", ""), "slope"),
         tau_spectrum=spectrum_from_json(_need(doc, "tau_spectrum", "")),
         d_invariants=d,
@@ -248,15 +272,13 @@ def poincare_from_json(doc: dict) -> PoincarePolynomial:
         ctx = f"terms[{i}]"
         maslov = _rational(_need(entry, "maslov", ctx), f"{ctx}.maslov")
         alexander = _rational(_need(entry, "alexander", ctx), f"{ctx}.alexander")
-        rank = _integer(_need(entry, "rank", ctx), f"{ctx}.rank")
-        if rank <= 0:
-            raise _fail(f"{ctx}.rank", f"expected a positive integer, got {rank}")
+        rank = _positive(_need(entry, "rank", ctx), f"{ctx}.rank")
         if (maslov, alexander) in terms:
             raise _fail(ctx, "duplicate bigrading in polynomial")
         terms[maslov, alexander] = rank
     return PoincarePolynomial(
         terms=tuple((m, a, r) for (m, a), r in terms.items()),
-        spinc=str(doc.get("spinc", "0")),
+        spinc=_string(doc.get("spinc", "0"), "spinc"),
     )
 
 

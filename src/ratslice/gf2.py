@@ -2,19 +2,13 @@
 
 Every rank, homology basis and tau in the package comes from an
 Elimination built with new_engine.  Columns, and every other GF(2)
-vector in the package, cycle representatives included, are Python
-integers: bit i set means a 1 in row i.  Pivoting is deterministic,
-lowest row index first, so echelon columns, kernel combinations and
-canonical residues are reproducible across runs.
-
-Combination tracking is off by default.  Only the cleared persistence
-sweep of complexes.homology_basis turns it on: the kernel combination of
-each essential row is the cycle born there.
+vector in the package, cycles included, are Python integers: bit i set
+means a 1 in row i.  Pivoting is deterministic, lowest row index first,
+so echelon columns and canonical residues are reproducible across runs.
 
 A column added to the engine is reduced against existing pivot columns
 until its lowest set bit is a fresh row (then it becomes a pivot) or it
-vanishes (then its combination mask is a kernel vector of the column set
-added so far).  Every stored pivot column has its pivot row as the lowest
+vanishes.  Every stored pivot column has its pivot row as the lowest
 set bit, so reducing a target by repeatedly clearing its lowest pivot bit
 terminates and yields the unique coset representative supported away from
 all pivot rows.  With rows ordered by priority (bit 0 strongest), that
@@ -37,20 +31,12 @@ def _bit_positions(bits: int):
 
 
 class Elimination:
-    """Incremental column echelon over GF(2), optionally tracking combinations.
+    """Incremental column echelon over GF(2)."""
 
-    With track set, kernel_combos lists one mask over the columns added
-    so far for each column that vanished; its highest bit is that column.
-    """
-
-    def __init__(self, nrows: int, track: bool = False):
+    def __init__(self, nrows: int):
         self.nrows = nrows
-        self.track = track
-        self.ncols = 0
         self._pivot_of_row: dict[int, int] = {}
         self._cols: list[int] = []
-        self._combos: list[int] = []
-        self.kernel_combos: list[int] = []
 
     @property
     def rank(self) -> int:
@@ -62,24 +48,17 @@ class Elimination:
         return self._pivot_of_row.keys()
 
     def add_column(self, col: int) -> None:
-        """Feed one column; may create a pivot or a kernel combination."""
+        """Feed one column; it becomes a pivot column or vanishes."""
         if col >> self.nrows:
             raise ValueError("column has bits outside the row range")
-        combo = 1 << self.ncols if self.track else 0
-        self.ncols += 1
         while col:
             row = (col & -col).bit_length() - 1
             idx = self._pivot_of_row.get(row)
             if idx is None:
                 self._pivot_of_row[row] = len(self._cols)
                 self._cols.append(col)
-                self._combos.append(combo)
                 return
             col ^= self._cols[idx]
-            if self.track:
-                combo ^= self._combos[idx]
-        if self.track:
-            self.kernel_combos.append(combo)
 
     def reduce(self, target: int) -> int:
         """Canonical representative of target modulo the column span."""
@@ -99,7 +78,7 @@ class Elimination:
         return out
 
 
-def new_engine(nrows: int, track: bool = False) -> Elimination:
+def new_engine(nrows: int) -> Elimination:
     """Fresh incremental elimination engine."""
-    return Elimination(nrows, track)
+    return Elimination(nrows)
 

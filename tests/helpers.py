@@ -4,10 +4,12 @@ The oracles deliberately avoid the package's elimination engine: the
 dense rank oracle is textbook row reduction on lists of lists, the
 exhaustive tau oracle enumerates the entire boundary subspace, the level
 sweep asks the dense oracle one membership question per level, the
-survivor enumerator is a plain recursion without memoization, and the
-grid oracles test every pair of columns for empty rectangles and count
-dominating pairs of points for the gradings.  maslov_zero_class and
-structural_checks are shared test code built on the package itself.
+persistence oracle is the textbook reduction (Zomorodian-Carlsson) with
+no clearing, the survivor enumerator is a plain recursion without
+memoization, and the grid oracles test every pair of columns for empty
+rectangles and count dominating pairs of points for the gradings.
+basis_cycles, maslov_zero_class and structural_checks are shared test
+code that holds the package's homology basis to the persistence oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from math import comb
 
 from ratslice.complexes import (
     FilteredComplex,
-    FloerClass,
     homology_basis,
     homology_ranks,
     tau,
@@ -177,7 +178,7 @@ def exhaustive_tau(complex_: FilteredComplex, cycle_bits: int) -> Fraction:
     return best
 
 
-def tau_by_level_sweep(complex_: FilteredComplex, alpha: FloerClass) -> Fraction:
+def tau_by_level_sweep(complex_: FilteredComplex, bits: int) -> Fraction:
     """tau by the ascending level sweep with image-membership tests.
 
     Visits only Alexander values realized by generators.  At level j the
@@ -186,7 +187,6 @@ def tau_by_level_sweep(complex_: FilteredComplex, alpha: FloerClass) -> Fraction
     i.e. iff z lies in the span of the boundary columns and the level-j
     generators.
     """
-    bits = alpha.representative
     n = len(complex_.generators)
     assert bits and complex_.boundary_of(bits) == 0
     for level in sorted({g.alexander for g in complex_.generators}):
@@ -201,17 +201,70 @@ def spectrum_by_definition(complex_: FilteredComplex) -> dict[str, Fraction]:
 
     A class is a nonempty set of homology_basis classes; its id joins
     their names b<i> in ascending i with "+", and its value is tau of the
-    sum of their representatives.
+    sum of their cycles from the persistence oracle.
     """
-    basis = homology_basis(complex_)
+    cycles = basis_cycles(complex_)
     per_class = {}
-    for mask in range(1, 1 << len(basis)):
-        members = [i for i in range(len(basis)) if mask >> i & 1]
+    for mask in range(1, 1 << len(cycles)):
+        members = [i for i in range(len(cycles)) if mask >> i & 1]
         bits = 0
         for i in members:
-            bits ^= basis[i].representative
-        per_class["+".join(f"b{i}" for i in members)] = tau(complex_, FloerClass(bits))
+            bits ^= cycles[i]
+        per_class["+".join(f"b{i}" for i in members)] = tau(complex_, bits)
     return per_class
+
+
+def _set_bits(bits: int):
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def essential_cycles(complex_: FilteredComplex) -> dict[int, int]:
+    """Birth generator -> a cycle born there, by textbook persistence.
+
+    Generators enter in ascending filtration: Alexander ascending, ties
+    by descending index.  Chains are kept as bitsets over entry times, so
+    a chain's latest generator is its highest bit.  Each boundary column
+    is reduced on its latest generator against the columns reduced
+    before it, tracking the combination of generators whose boundaries
+    it sums.  A column that vanishes, at a generator that is no column's
+    latest generator, is essential: its combination is a cycle born at
+    that generator that no boundary kills.  There is no clearing.
+    """
+    gens = complex_.generators
+    entry = sorted(range(len(gens)), key=lambda i: (gens[i].alexander, -i))
+    time = {i: t for t, i in enumerate(entry)}
+    reduced: dict[int, tuple[int, int]] = {}  # latest time -> (column, combination)
+    vanished = []
+    for t, i in enumerate(entry):
+        col = sum(1 << time[j] for j in _set_bits(complex_.boundary_columns[i]))
+        combo = 1 << t
+        while col:
+            latest = col.bit_length() - 1
+            if latest not in reduced:
+                reduced[latest] = (col, combo)
+                break
+            other_col, other_combo = reduced[latest]
+            col ^= other_col
+            combo ^= other_combo
+        else:
+            vanished.append((t, combo))
+    return {
+        entry[t]: sum(1 << entry[s] for s in _set_bits(combo))
+        for t, combo in vanished
+        if t not in reduced
+    }
+
+
+def basis_cycles(complex_: FilteredComplex) -> list[int]:
+    """The persistence oracle's cycle of each homology_basis birth, in
+    basis order, after checking that both find the same births."""
+    cycles = essential_cycles(complex_)
+    basis = homology_basis(complex_)
+    assert sorted(cycles) == sorted(basis)
+    return [cycles[i] for i in basis]
 
 
 def boundary_subspace_contains(complex_: FilteredComplex, bits: int) -> bool:
@@ -271,14 +324,16 @@ def compiled_graded_ranks(complex_: FilteredComplex) -> dict[tuple[Fraction, Fra
 
 # -- compiled grid complexes ---------------------------------------------------
 
-def maslov_zero_class(complex_: FilteredComplex) -> FloerClass:
-    """The generator of the homology in Maslov grading zero."""
-    classes = [c for c in homology_basis(complex_) if c.maslov == 0]
-    if len(classes) != 1:
+def maslov_zero_class(complex_: FilteredComplex) -> int:
+    """A cycle generating the homology in Maslov grading zero."""
+    cycles = essential_cycles(complex_)
+    assert sorted(cycles) == sorted(homology_basis(complex_))
+    births = [i for i in cycles if complex_.generators[i].maslov == 0]
+    if len(births) != 1:
         raise ValueError(
-            f"expected a single Maslov-0 class, found {len(classes)}"
+            f"expected a single Maslov-0 class, found {len(births)}"
         )
-    return classes[0]
+    return cycles[births[0]]
 
 
 def structural_checks(grid: GridDiagram) -> None:

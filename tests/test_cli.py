@@ -208,7 +208,7 @@ def test_tau_complex_per_class_document_unchanged(tmp_path, capsys):
 
 def test_tau_complex_per_class_is_tau_of_each_sum(tmp_path, capsys):
     # Rank 13: each id names its basis classes in ascending order, and its
-    # value is tau of the sum of their representatives.
+    # value is tau of the sum of their cycles.
     complex_ = disguised_complex(random.Random(13), 13 + 2 * 8, 8, ["0", "1"])
     path = tmp_path / "rank13.json"
     path.write_text(json.dumps(complex_to_json(complex_)))
@@ -358,6 +358,58 @@ def _framed_spectrum(**fields):
                 "differential": {"x": ["a", "a"]},
             },
             "differential['x']",
+        ),
+        # Ids and labels are JSON strings; other values were coerced with
+        # str(), so null became "None" and the target 1 matched the id "1".
+        (
+            "tau",
+            "--complex",
+            {"generators": [{"id": None, "maslov": "0", "alexander": "0", "spinc": "0"}]},
+            "generators[0].id",
+        ),
+        (
+            "tau",
+            "--complex",
+            {"generators": [{"id": "a", "maslov": "0", "alexander": "0", "spinc": None}]},
+            "generators[0].spinc",
+        ),
+        (
+            "tau",
+            "--complex",
+            {
+                "generators": [
+                    {"id": "1", "maslov": "0", "alexander": "0", "spinc": "0"},
+                    {"id": "x", "maslov": "1", "alexander": "0", "spinc": "0"},
+                ],
+                "differential": {"x": [1]},
+            },
+            "differential['x']",
+        ),
+        (
+            "deep-slice",
+            "--polynomial",
+            {"terms": [{"maslov": "0", "alexander": "0", "rank": 1}], "spinc": [1, 2]},
+            "spinc",
+        ),
+        # Record invariants, refused with the document field named.
+        ("genus-bound", "--knot", _framed_document(order=0), "order"),
+        (
+            "genus-bound",
+            "--knot",
+            _framed_spectrum(tau_min="-1/1"),
+            "tau_spectrum.tau_min",
+        ),
+        (
+            "genus-bound",
+            "--knot",
+            _framed_spectrum(per_class={"b0": "5/1", "b0+b1": "-7/4", "b1": "-9/4"}),
+            "tau_spectrum.per_class['b0']",
+        ),
+        (
+            "genus-bound",
+            "--knot",
+            _framed_document(linking_form=["1/2", "3/2"]),
+            "linking_form[1]",
         ),
     ],
 )

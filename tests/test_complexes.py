@@ -14,7 +14,6 @@ from ratslice import complexes
 from ratslice.complexes import (
     DeductionError,
     FilteredComplex,
-    FloerClass,
     TauSpectrum,
     connected_sum_shift,
     homology_basis,
@@ -30,6 +29,7 @@ from ratslice.formats import spectrum_from_json
 from ratslice.rationals import format_rational
 
 from helpers import (
+    basis_cycles,
     boundary_subspace_contains,
     dense_rank,
     exhaustive_tau,
@@ -171,10 +171,9 @@ def test_homology_basis_members_are_independent_cycles():
     rng = random.Random(43)
     for _ in range(25):
         c = random_complex(rng)
-        basis = homology_basis(c)
-        assert len(basis) == total_homology_rank(c)
-        for cls in basis:
-            bits = cls.representative
+        cycles = basis_cycles(c)
+        assert len(cycles) == total_homology_rank(c)
+        for bits in cycles:
             assert bits
             assert c.boundary_of(bits) == 0
             assert not boundary_subspace_contains(c, bits)
@@ -184,26 +183,23 @@ def test_homology_basis_members_are_independent_cycles():
 
 def test_tau_unknot_model_is_zero():
     c = single_generator()
-    alpha = homology_basis(c)[0]
-    assert tau(c, alpha) == 0
+    assert tau(c, basis_cycles(c)[0]) == 0
 
 
 def test_tau_rejects_non_cycle():
     c = FilteredComplex(
         [("x", F(0), F(0), "0"), ("y", F(-1), F(0), "0")], {"x": {"y"}}
     )
-    alpha = FloerClass(representative=1 << c.index["x"])
     with pytest.raises(ValueError, match="cycle"):
-        tau(c, alpha)
+        tau(c, 1 << c.index["x"])
 
 
 def test_tau_rejects_zero_class():
     c = FilteredComplex(
         [("x", F(1), F(0), "0"), ("y", F(0), F(0), "0")], {"x": {"y"}}
     )
-    alpha = FloerClass(representative=1 << c.index["y"])
     with pytest.raises(ValueError, match="zero"):
-        tau(c, alpha)
+        tau(c, 1 << c.index["y"])
 
 
 def test_tau_refuses_out_of_range_representative():
@@ -212,20 +208,18 @@ def test_tau_refuses_out_of_range_representative():
     )
     for bits in (-1, -(1 << c.index["y"]), 1 << 2, 1 << c.index["y"] | 1 << 5):
         with pytest.raises(ValueError, match="outside the 2 generators"):
-            tau(c, FloerClass(representative=bits))
+            tau(c, bits)
 
 
 def _random_nonzero_class(rng, c):
-    basis = homology_basis(c)
-    if not basis:
+    cycles = basis_cycles(c)
+    if not cycles:
         return None
-    picks = [cls for cls in basis if rng.random() < 0.6] or [rng.choice(basis)]
+    picks = [z for z in cycles if rng.random() < 0.6] or [rng.choice(cycles)]
     bits = 0
-    for cls in picks:
-        bits ^= cls.representative
-    if bits == 0:
-        bits = basis[0].representative
-    return FloerClass(representative=bits)
+    for z in picks:
+        bits ^= z
+    return bits or cycles[0]
 
 
 def test_tau_matches_exhaustive_and_sweep_on_random_complexes():
@@ -237,7 +231,7 @@ def test_tau_matches_exhaustive_and_sweep_on_random_complexes():
         if alpha is None:
             continue
         value = tau(c, alpha)
-        assert value == exhaustive_tau(c, alpha.representative)
+        assert value == exhaustive_tau(c, alpha)
         assert value == tau_by_level_sweep(c, alpha)
         checked += 1
 
@@ -246,10 +240,10 @@ def test_tau_stable_under_relabeling_and_cancelling_pair():
     rng = random.Random(4242)
     for _ in range(20):
         c = random_complex(rng, max_generators=8)
-        basis = homology_basis(c)
-        if not basis:
+        cycles = basis_cycles(c)
+        if not cycles:
             continue
-        alpha = basis[0]
+        alpha = cycles[0]
         value = tau(c, alpha)
 
         relabel = {g.id: f"rn_{g.id}" for g in c.generators}
@@ -280,12 +274,11 @@ def test_tau_subadditive_on_class_sums():
     checked = 0
     while checked < 30:
         c = random_complex(rng, max_generators=10)
-        basis = homology_basis(c)
-        if len(basis) < 2:
+        cycles = basis_cycles(c)
+        if len(cycles) < 2:
             continue
-        a, g = rng.sample(basis, 2)
-        summed = FloerClass(representative=a.representative ^ g.representative)
-        assert tau(c, summed) <= max(tau(c, a), tau(c, g))
+        a, g = rng.sample(cycles, 2)
+        assert tau(c, a ^ g) <= max(tau(c, a), tau(c, g))
         checked += 1
 
 
@@ -315,13 +308,13 @@ def test_spectrum_zero_homology_rejected():
 
 def _all_class_taus(c) -> Counter:
     """Exhaustive tau of every nonzero class, by brute force, as a multiset."""
-    basis = homology_basis(c)
+    cycles = basis_cycles(c)
     taus = Counter()
-    for mask in range(1, 1 << len(basis)):
+    for mask in range(1, 1 << len(cycles)):
         bits = 0
-        for i in range(len(basis)):
+        for i in range(len(cycles)):
             if mask >> i & 1:
-                bits ^= basis[i].representative
+                bits ^= cycles[i]
         taus[exhaustive_tau(c, bits)] += 1
     return taus
 
@@ -384,9 +377,9 @@ def test_spectrum_refuses_breadth_not_spread(tau_max, tau_min, breadth):
         "breadth": format_rational(breadth),
     }
     if tau_min > tau_max:
-        match = "^tau_min must not exceed tau_max$"
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match="^tau_min must not exceed tau_max$"):
             TauSpectrum({"b0": F(0)}, tau_max, tau_min, enumeration_complete=True)
+        match = r"^tau_spectrum\.tau_min: must not exceed tau_max$"
     else:
         match = (
             r"^tau_spectrum\.breadth: expected tau_max - tau_min = 1/1, "
@@ -454,8 +447,8 @@ def test_homology_basis_representatives_carry_tau():
         basis = homology_basis(c)
         if not basis:
             continue
-        for cls in basis:
-            assert tau(c, cls) == max_alexander(c, cls.representative)
+        for i, bits in zip(basis, basis_cycles(c)):
+            assert tau(c, bits) == max_alexander(c, bits) == c.generators[i].alexander
         checked += 1
 
 
@@ -467,11 +460,11 @@ def test_spectrum_lists_basis_taus_above_cap(monkeypatch):
     checked = 0
     while checked < 25:
         c = random_complex(rng, max_generators=10)
-        basis = homology_basis(c)
-        if len(basis) < 2:
+        cycles = basis_cycles(c)
+        if len(cycles) < 2:
             continue
         s = tau_spectrum(c)
-        assert s.per_class == {f"b{i}": tau(c, cls) for i, cls in enumerate(basis)}
+        assert s.per_class == {f"b{i}": tau(c, z) for i, z in enumerate(cycles)}
         values = s.per_class.values()
         assert (min(values), max(values)) == (s.tau_min, s.tau_max)
         checked += 1

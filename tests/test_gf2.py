@@ -10,8 +10,8 @@ from ratslice.gf2 import new_engine
 from helpers import dense_in_image, dense_rank, random_columns
 
 
-def eliminate(rows: int, columns: list[int], track: bool = True):
-    engine = new_engine(rows, track=track)
+def eliminate(rows: int, columns: list[int]):
+    engine = new_engine(rows)
     for col in columns:
         engine.add_column(col)
     return engine
@@ -28,14 +28,6 @@ def transpose(rows: int, columns: list[int]) -> list[int]:
     ]
 
 
-def apply(columns: list[int], combo: int) -> int:
-    out = 0
-    for c, col in enumerate(columns):
-        if combo >> c & 1:
-            out ^= col
-    return out
-
-
 def test_rank_identity():
     assert eliminate(3, identity(3)).rank == 3
 
@@ -48,8 +40,7 @@ def test_rank_random_matches_dense_oracle():
     rng = random.Random(20240817)
     for _ in range(100):
         cols = random_columns(rng, 8, 8)
-        for track in (True, False):
-            assert eliminate(8, cols, track).rank == dense_rank(8, cols)
+        assert eliminate(8, cols).rank == dense_rank(8, cols)
 
 
 def test_rank_transpose_invariance():
@@ -60,33 +51,14 @@ def test_rank_transpose_invariance():
         assert eliminate(rows, cols).rank == eliminate(ncols, transpose(rows, cols)).rank
 
 
-def test_kernel_identity_empty():
-    assert eliminate(4, identity(4)).kernel_combos == []
-
-
-def test_kernel_one_by_two():
-    assert eliminate(1, [1, 1]).kernel_combos == [0b11]
-
-
-def test_kernel_random_spans_null_space():
-    rng = random.Random(99)
-    for _ in range(60):
-        cols = random_columns(rng, 10, 10)
-        combos = eliminate(10, cols).kernel_combos
-        assert len(combos) == len(cols) - dense_rank(10, cols)
-        for combo in combos:
-            assert combo and apply(cols, combo) == 0
-        assert dense_rank(len(cols), combos) == len(combos)
-
-
-def test_untracked_engine_keeps_no_combination_masks():
-    # A tracked engine holds one mask per pivot, as wide as the column
-    # count so far: quadratic in n.  An untracked one must stay linear.
+def test_engine_memory_stays_linear():
+    # A mask per pivot as wide as the column count so far would be
+    # quadratic in n; the engine keeps only its pivot columns.
     n = 4000
     cols = identity(n)
     tracemalloc.start()
     try:
-        eliminate(n, cols, track=False)
+        eliminate(n, cols)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -114,7 +86,7 @@ def test_in_image_random_agrees_with_dense_oracle():
         rows = rng.randint(1, 8)
         cols = random_columns(rng, rows, rng.randint(1, 8))
         target = sum(1 << r for r in range(rows) if rng.random() < 0.4)
-        engine = eliminate(rows, cols, track=rng.random() < 0.5)
+        engine = eliminate(rows, cols)
         residue = engine.reduce(target)
         assert (residue == 0) == dense_in_image(rows, cols, target)
         assert not any(residue >> r & 1 for r in engine.pivot_rows)
@@ -126,5 +98,5 @@ def test_rank_nullity_for_all_small_shapes():
     rng = random.Random(3)
     for rows in range(1, 6):
         for ncols in range(1, 6):
-            engine = eliminate(rows, random_columns(rng, rows, ncols))
-            assert engine.rank + len(engine.kernel_combos) == ncols
+            cols = random_columns(rng, rows, ncols)
+            assert eliminate(rows, cols).rank == dense_rank(rows, cols)

@@ -304,9 +304,10 @@ def test_tau_invariant_under_grid_moves():
 
 def test_maslov_zero_class_unique_for_knots():
     c = compile_grid(torus_knot_grid(2, 3))
-    alpha = maslov_zero_class(c)
-    assert alpha.maslov == 0
-    assert alpha.spinc == "0"
+    cycle = maslov_zero_class(c)
+    assert cycle and c.boundary_of(cycle) == 0
+    support = [g for i, g in enumerate(c.generators) if cycle >> i & 1]
+    assert {(g.maslov, g.spinc) for g in support} == {(0, "0")}
 
 
 def test_graded_ranks_match_compiled_complex():
