@@ -27,6 +27,11 @@ if TYPE_CHECKING:
     from .complexes import TauSpectrum
 
 
+def _check_p(p: int) -> None:
+    if p < 1:
+        raise ValueError("p must be >= 1")
+
+
 @dataclass(frozen=True)
 class Interval:
     """A closed interval with exact rational endpoints."""
@@ -89,8 +94,7 @@ def exterior_grading_table(
     down a column alternates the two difference rules: odd steps drop both
     gradings by 1, even steps keep the first and drop the second by p-1.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_p(p)
     if num_columns < 1:
         raise ValueError("need at least one column")
     lk_n = Fraction(lk_n)
@@ -133,8 +137,7 @@ def bp_tau_interval(
     Centered in doubled-tau terms at 2p*tau + (p-1)p*lk + w with radius
     (p-1) + comps - 1, returned halved as an interval for tau itself.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_p(p)
     if not 1 <= comps <= p:
         raise ValueError("component count must lie in 1..p")
     center = 2 * p * Fraction(tau_alpha) + (p - 1) * p * Fraction(framing_lk) + w
@@ -179,8 +182,7 @@ def surface_bound_with_c(spectrum: TauSpectrum, c: int, p: int) -> BoundReport:
     max(2*tau_max + c/p, -2*tau_min - c/p) <= (-chi + p)/p; solving for
     -chi gives the reported bound.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_p(p)
     lhs = max(
         2 * spectrum.tau_max + Fraction(c, p),
         -2 * spectrum.tau_min - Fraction(c, p),
@@ -206,8 +208,7 @@ def optimal_c(
     c* = -p*(tau_max + tau_min); at c* itself the bound equals the
     breadth-based one.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_p(p)
     c_star = -p * (spectrum.tau_max + spectrum.tau_min)
     floor_c = c_star.numerator // c_star.denominator
     candidates = sorted({floor_c, -((-c_star.numerator) // c_star.denominator)})
@@ -220,8 +221,7 @@ def optimal_c(
 
 def surface_genus_upper(neg_chi: Fraction, p: int) -> Fraction:
     """(-chi + p)/p: what an explicit surface says about 2*genus + 1."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_p(p)
     return Fraction(Fraction(neg_chi) + p, p)
 
 
@@ -230,8 +230,7 @@ def seifert_framed_bound(spectrum: TauSpectrum, p: int) -> BoundReport:
 
     Each tau obeys 2|tau| <= -chi/p + 1, so -chi >= p*(2*max|tau| - 1).
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_p(p)
     max_abs = max(abs(spectrum.tau_max), abs(spectrum.tau_min))
     return BoundReport(
         name="neg-euler-bound-seifert-framed",
@@ -245,8 +244,7 @@ def seifert_framed_bound(spectrum: TauSpectrum, p: int) -> BoundReport:
 def satellite_breadth_lower(p: int, breadth: Fraction) -> Fraction:
     """Breadth growth under index-p braided satellites that close to knots:
     the satellite's tau breadth is at least p*(breadth - 1) + 1."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_p(p)
     return p * (Fraction(breadth) - 1) + 1
 
 
@@ -297,8 +295,7 @@ def slice_bennequin_check(
     The report's satisfied flag is False when the proposed surface is
     impossible; slack is the margin -chi/p - tb - rot.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_p(p)
     slack = Fraction(-chi, p) - Fraction(tb_q) - Fraction(rot_q)
     return BoundReport(
         name="rational-slice-bennequin",

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .rationals import format_rational, parse_rational
 
@@ -40,14 +39,6 @@ def _load_json(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top-level JSON value must be an object")
     return doc
-
-
-def _rational_flag(flag: str, text: str) -> Fraction:
-    """parse_rational, naming the flag when the text is refused."""
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _check_positive(flag: str, value: int | None, what: str) -> None:
@@ -73,14 +64,14 @@ def _spectrum_from_args(args) -> complexes.TauSpectrum:
     if args.builtin is not None:
         from . import paperdata, ratlink
 
-        data = paperdata.builtin(args.builtin)
+        data = formats.named("--builtin", paperdata.builtin, args.builtin)
         if not isinstance(data, ratlink.FramedKnotData):
-            raise ValueError(f"builtin {args.builtin!r} is not a framed knot")
+            raise ValueError(f"--builtin: {args.builtin!r} is not a framed knot")
         return data.tau_spectrum
     if args.tau_max is None or args.tau_min is None:
         raise ValueError("--tau-max and --tau-min must be given together")
-    hi = _rational_flag("--tau-max", args.tau_max)
-    lo = _rational_flag("--tau-min", args.tau_min)
+    hi = formats.named("--tau-max", parse_rational, args.tau_max)
+    lo = formats.named("--tau-min", parse_rational, args.tau_min)
     if lo > hi:
         raise ValueError(f"--tau-min {args.tau_min} is above --tau-max {args.tau_max}")
     per_class = {"max": hi} if hi == lo else {"max": hi, "min": lo}
@@ -107,13 +98,14 @@ def _cmd_tau(args):
         ids = args.cycle.replace(",", " ").split()
         unknown = [gid for gid in ids if gid not in complex_.index]
         if unknown:
-            raise ValueError(f"cycle: unknown generator id {unknown[0]!r}")
+            raise ValueError(f"--cycle: unknown generator id {unknown[0]!r}")
         if not ids or len(set(ids)) < len(ids):
             raise ValueError(
-                f"cycle: expected distinct generator ids, got {args.cycle!r}"
+                f"--cycle: expected distinct generator ids, got {args.cycle!r}"
             )
         bits = sum(1 << complex_.index[gid] for gid in ids)
-        doc["tau"] = format_rational(complexes.tau(complex_, bits))
+        tau = formats.named("--cycle", complexes.tau, complex_, bits)
+        doc["tau"] = format_rational(tau)
         doc["cycle"] = sorted(ids)
     else:
         doc["spectrum"] = formats.spectrum_to_json(complexes.tau_spectrum(complex_))
@@ -127,10 +119,10 @@ def _cmd_grid_tau(args):
         raise ValueError("specify exactly one of --grid FILE or --torus p q")
     if args.torus is not None:
         p, q = args.torus
-        diagram = grid.torus_knot_grid(p, q)
+        diagram = formats.named("--torus", grid.torus_knot_grid, p, q)
         source = f"torus({p},{q})"
     else:
-        diagram = formats.grid_from_text(_read(args.grid))
+        diagram = formats.named(args.grid, formats.grid_from_text, _read(args.grid))
         source = args.grid
     if args.hfk and diagram.n > grid.MAX_HFK_SIZE:
         raise ValueError(
@@ -154,7 +146,8 @@ def _cmd_grid_tau(args):
 def _cmd_cable_bound(args):
     from . import bounds, formats
 
-    tau, lk = _rational_flag("--tau", args.tau), _rational_flag("--lk", args.lk)
+    tau = formats.named("--tau", parse_rational, args.tau)
+    lk = formats.named("--lk", parse_rational, args.lk)
     _check_positive("--p", args.p, "p")
     interval = bounds.cable_tau_interval(args.p, tau, lk)
     return EXIT_OK, {
@@ -169,8 +162,9 @@ def _cmd_cable_bound(args):
 def _cmd_satellite_bound(args):
     from . import bounds, braid, formats
 
-    word = braid.parse_braid(args.braid)
-    tau, lk = _rational_flag("--tau", args.tau), _rational_flag("--lk", args.lk)
+    word = formats.named("--braid", braid.parse_braid, args.braid)
+    tau = formats.named("--tau", parse_rational, args.tau)
+    lk = formats.named("--lk", parse_rational, args.lk)
     w, comps = braid.writhe(word), braid.components(word)
     interval = bounds.bp_tau_interval(word.index, tau, lk, w, comps)
     return EXIT_OK, {
@@ -211,9 +205,9 @@ def _cmd_deep_slice(args):
     if (args.polynomial is None) == (args.builtin is None):
         raise ValueError("specify exactly one of --polynomial FILE or --builtin NAME")
     if args.builtin is not None:
-        poly = paperdata.builtin(args.builtin)
+        poly = formats.named("--builtin", paperdata.builtin, args.builtin)
         if not isinstance(poly, paperdata.PoincarePolynomial):
-            raise ValueError(f"builtin {args.builtin!r} is not a Poincare polynomial")
+            raise ValueError(f"--builtin: {args.builtin!r} is not a Poincare polynomial")
     else:
         poly = formats.poincare_from_json(_load_json(args.polynomial))
     _check_positive("--target", args.target, "ambient homology rank")
@@ -227,9 +221,9 @@ def _cmd_deep_slice(args):
 
 
 def _cmd_braid_info(args):
-    from . import braid
+    from . import braid, formats
 
-    word = braid.parse_braid(args.braid)
+    word = formats.named("--braid", braid.parse_braid, args.braid)
     k, l = braid.splitting_counts(word)
     return EXIT_OK, {
         "braid": braid.format_braid(word),
@@ -245,10 +239,11 @@ def _cmd_braid_info(args):
 
 
 def _cmd_c_value(args):
-    from . import braid, ratlink
+    from . import braid, formats, ratlink
 
-    word = braid.parse_braid(args.braid)
-    spec = ratlink.SatelliteSpec(pattern=word, framing_lk=_rational_flag("--lk", args.lk))
+    word = formats.named("--braid", braid.parse_braid, args.braid)
+    lk = formats.named("--lk", parse_rational, args.lk)
+    spec = ratlink.SatelliteSpec(pattern=word, framing_lk=lk)
     _check_positive("--order", args.order, "order")
     value = ratlink.c_value(spec, order=args.order)
     return EXIT_OK, {
@@ -263,7 +258,8 @@ def _cmd_c_value(args):
 def _cmd_slice_bennequin(args):
     from . import bounds, formats
 
-    tb, rot = _rational_flag("--tb", args.tb), _rational_flag("--rot", args.rot)
+    tb = formats.named("--tb", parse_rational, args.tb)
+    rot = formats.named("--rot", parse_rational, args.rot)
     _check_positive("--p", args.p, "p")
     report = bounds.slice_bennequin_check(tb, rot, args.chi, args.p)
     code = EXIT_OK if report.satisfied else EXIT_VIOLATED

@@ -81,7 +81,7 @@ class TauSpectrum:
 
     def __post_init__(self):
         if self.tau_min > self.tau_max:
-            raise ValueError("tau_min must not exceed tau_max")
+            raise ValueError("tau_min: must not exceed tau_max")
         # The classes share a handful of value objects: check each once,
         # and scan in order only to name the first class out of range.
         values = {id(v): v for v in self.per_class.values()}
@@ -89,7 +89,7 @@ class TauSpectrum:
             return
         for cid, value in self.per_class.items():
             if not self.tau_min <= value <= self.tau_max:
-                raise ValueError(f"class {cid}: tau outside [tau_min, tau_max]")
+                raise ValueError(f"per_class[{cid!r}]: tau outside [tau_min, tau_max]")
 
     @property
     def breadth(self) -> Fraction:

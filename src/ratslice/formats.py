@@ -1,8 +1,14 @@
 """Stable file formats for the pipeline documents.
 
 All rationals are serialized as "a/b" strings in lowest terms, never as
-floating point, so every document round-trips bit-exactly.  Parsers name
-the first offending field in their error messages.
+floating point, so every document round-trips bit-exactly.
+
+A refusal names the first offending field.  Each record states its own
+rules once, relative to itself ("order: expected a positive integer,
+got 0"); the parsers here check only JSON types and add the document
+path, and `named` does every prefixing, for document paths and CLI
+flags alike.  A record checks its rules once all of its fields are
+read, so a malformed value is named before a broken rule.
 
 Formats:
 * FilteredComplex: {"generators": [{"id", "maslov", "alexander", "spinc"}],
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 from .rationals import format_rational, parse_rational
 
@@ -28,6 +34,23 @@ if TYPE_CHECKING:
     from .complexes import FilteredComplex, TauSpectrum
     from .paperdata import DeepSliceVerdict, PoincarePolynomial
     from .ratlink import FramedKnotData
+
+
+T = TypeVar("T")
+
+
+def named(path: str, parse: Callable[..., T], *args: Any) -> T:
+    """parse(*args), with path prefixed to any ValueError it raises.
+
+    A path ending in "." leads a record's own field names
+    ("tau_spectrum." + "tau_min: ..."); any other path names the value
+    itself ("--braid" + ": " + "letter 5 out of range ...").
+    """
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        separator = "" if path.endswith(".") else ": "
+        raise ValueError(f"{path}{separator}{exc}") from None
 
 
 def _fail(field: str, message: str) -> ValueError:
@@ -58,13 +81,6 @@ def _integer(value: Any, field: str) -> int:
     raise _fail(field, f"expected an integer, got {value!r}")
 
 
-def _positive(value: Any, field: str) -> int:
-    number = _integer(value, field)
-    if number < 1:
-        raise _fail(field, f"expected a positive integer, got {number}")
-    return number
-
-
 def _string(value: Any, field: str) -> str:
     if isinstance(value, str):
         return value
@@ -82,10 +98,7 @@ def _optional(value: Any, kind: type, field: str) -> Any:
 
 
 def _rational(value: Any, field: str) -> Fraction:
-    try:
-        return parse_rational(value)
-    except ValueError as exc:
-        raise _fail(field, str(exc)) from None
+    return named(field, parse_rational, value)
 
 
 def _agree(doc: dict, field: str, context: str, derived: Fraction, rule: str) -> None:
@@ -182,18 +195,8 @@ def spectrum_from_json(doc: dict) -> TauSpectrum:
     )
     tau_max = _rational(_need(doc, "tau_max", "tau_spectrum"), "tau_spectrum.tau_max")
     tau_min = _rational(_need(doc, "tau_min", "tau_spectrum"), "tau_spectrum.tau_min")
-    # The record refuses the same values without naming a field.
-    if tau_min > tau_max:
-        raise _fail("tau_spectrum.tau_min", "must not exceed tau_max")
-    for cid, value in per_class.items():
-        if not tau_min <= value <= tau_max:
-            field = f"tau_spectrum.per_class[{cid!r}]"
-            raise _fail(field, "tau outside [tau_min, tau_max]")
-    spectrum = TauSpectrum(
-        per_class=per_class,
-        tau_max=tau_max,
-        tau_min=tau_min,
-        enumeration_complete=complete is not False,
+    spectrum = named(
+        "tau_spectrum.", TauSpectrum, per_class, tau_max, tau_min, complete is not False
     )
     _agree(doc, "breadth", "tau_spectrum", spectrum.breadth, "tau_max - tau_min")
     return spectrum
@@ -230,14 +233,13 @@ def framed_from_json(doc: dict) -> FramedKnotData:
         else None
     )
     lf_raw = _optional(doc.get("linking_form"), list, "linking_form")
-    lf = None
-    if lf_raw is not None:
-        lf = tuple(_rational(v, f"linking_form[{i}]") for i, v in enumerate(lf_raw))
-        for i, v in enumerate(lf):
-            if not 0 <= v < 1:
-                raise _fail(f"linking_form[{i}]", "expected a value in [0, 1)")
+    lf = (
+        tuple(_rational(v, f"linking_form[{i}]") for i, v in enumerate(lf_raw))
+        if lf_raw is not None
+        else None
+    )
     data = FramedKnotData(
-        order=_positive(_need(doc, "order", ""), "order"),
+        order=_integer(_need(doc, "order", ""), "order"),
         slope=_integer(_need(doc, "slope", ""), "slope"),
         tau_spectrum=spectrum_from_json(_need(doc, "tau_spectrum", "")),
         d_invariants=d,
@@ -267,18 +269,16 @@ def poincare_to_json(poly: PoincarePolynomial) -> dict:
 def poincare_from_json(doc: dict) -> PoincarePolynomial:
     from .paperdata import PoincarePolynomial
 
-    terms: dict[tuple[Fraction, Fraction], int] = {}
+    terms = []
     for i, entry in enumerate(_need_list(doc, "terms")):
         ctx = f"terms[{i}]"
-        maslov = _rational(_need(entry, "maslov", ctx), f"{ctx}.maslov")
-        alexander = _rational(_need(entry, "alexander", ctx), f"{ctx}.alexander")
-        rank = _positive(_need(entry, "rank", ctx), f"{ctx}.rank")
-        if (maslov, alexander) in terms:
-            raise _fail(ctx, "duplicate bigrading in polynomial")
-        terms[maslov, alexander] = rank
+        terms.append((
+            _rational(_need(entry, "maslov", ctx), f"{ctx}.maslov"),
+            _rational(_need(entry, "alexander", ctx), f"{ctx}.alexander"),
+            _integer(_need(entry, "rank", ctx), f"{ctx}.rank"),
+        ))
     return PoincarePolynomial(
-        terms=tuple((m, a, r) for (m, a), r in terms.items()),
-        spinc=_string(doc.get("spinc", "0"), "spinc"),
+        terms=tuple(terms), spinc=_string(doc.get("spinc", "0"), "spinc")
     )
 
 

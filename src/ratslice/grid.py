@@ -48,7 +48,6 @@ from math import comb
 
 from .complexes import FilteredComplex, TauRowOrder, essential_rows
 from .gf2 import new_engine
-from .parallel import ordered_map
 
 MAX_GRID_SIZE = 10
 # Knot Floer ranks grade every one of the n! states: at n = 9 T(2,7) takes
@@ -312,16 +311,11 @@ def _check_knot_grid(grid: GridDiagram) -> None:
 def compile_grid(grid: GridDiagram) -> FilteredComplex:
     """Compile the grid into its filtered complex over GF(2)."""
     _check_knot_grid(grid)
-    n = grid.n
     grader = _Grader(grid)
-    states = list(itertools.permutations(range(n)))
-
-    def build(state: tuple[int, ...]):
-        maslov, alexander2 = grader.gradings(state)
-        targets = _rectangle_targets(grid, state)
-        return state, maslov, alexander2, targets
-
-    rows = ordered_map(build, states)
+    rows = [
+        (state, *grader.gradings(state), _rectangle_targets(grid, state))
+        for state in itertools.permutations(range(grid.n))
+    ]
     generators = [
         (_state_id(state), Fraction(maslov), Fraction(alexander2, 2), "0")
         for state, maslov, alexander2, _ in rows
@@ -462,8 +456,6 @@ def hfk_bigraded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int
         for k in range(0, n):
             shifted = (m - k, a - k)
             weight = comb(n - 1, k) * count
-            if weight == 0:
-                continue
             left = remaining.get(shifted, 0) - weight
             if left:
                 remaining[shifted] = left

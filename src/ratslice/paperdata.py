@@ -53,11 +53,13 @@ class PoincarePolynomial:
             (Fraction(m), Fraction(a), int(r)) for m, a, r in self.terms
         )
         object.__setattr__(self, "terms", terms)
-        if any(r <= 0 for _, _, r in terms):
-            raise ValueError("ranks must be positive")
-        bigradings = [(m, a) for m, a, _ in terms]
-        if len(set(bigradings)) != len(bigradings):
-            raise ValueError("duplicate bigrading in polynomial")
+        bigradings = set()
+        for i, (m, a, r) in enumerate(terms):
+            if r < 1:
+                raise ValueError(f"terms[{i}].rank: expected a positive integer, got {r}")
+            if (m, a) in bigradings:
+                raise ValueError(f"terms[{i}]: duplicate bigrading in polynomial")
+            bigradings.add((m, a))
 
 
 @dataclass(frozen=True)

@@ -45,12 +45,13 @@ class FramedKnotData:
 
     def __post_init__(self):
         if self.order < 1:
-            raise ValueError("order must be >= 1")
+            raise ValueError(f"order: expected a positive integer, got {self.order}")
         if self.linking_form is not None:
             values = tuple(Fraction(v) for v in self.linking_form)
             object.__setattr__(self, "linking_form", values)
-            if any(not (0 <= v < 1) for v in values):
-                raise ValueError("linking form values must lie in [0, 1)")
+            for i, v in enumerate(values):
+                if not 0 <= v < 1:
+                    raise ValueError(f"linking_form[{i}]: expected a value in [0, 1)")
 
     @property
     def lk(self) -> Fraction:

@@ -104,7 +104,36 @@ def test_tau_cycle_refuses_repeated_or_empty_ids(tmp_path, capsys, cycle):
     path.write_text(dump_document(complex_to_json(_rp1_model_complex())))
     code, out, err = run_cli(capsys, "tau", "--complex", str(path), "--cycle", cycle)
     assert (code, out) == (1, "")
-    assert err == f"error: cycle: expected distinct generator ids, got {cycle!r}\n"
+    assert err == f"error: --cycle: expected distinct generator ids, got {cycle!r}\n"
+
+
+@pytest.mark.parametrize(
+    "cycle,message",
+    [
+        ("q", "unknown generator id 'q'"),
+        ("x", "representative is not a cycle"),  # d x = a + b
+        ("a,b", "class is zero in homology"),  # a + b = d x
+    ],
+)
+def test_tau_cycle_refusal_names_the_flag(tmp_path, capsys, cycle, message):
+    path = tmp_path / "pinned.json"
+    path.write_text(json.dumps(PINNED_COMPLEX))
+    assert run_cli(capsys, "tau", "--complex", str(path), "--cycle", cycle) == (
+        1, "", f"error: --cycle: {message}\n"
+    )
+
+
+def test_grid_file_refusal_names_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.grid"
+    for text, message in [
+        ("0 1 x\n2 0 1\n", "grid rows must contain only integers"),
+        ("0 1 2\n", "grid file must have exactly two nonempty rows, found 1"),
+        ("0 1 2\n0 2 1\n", "X and O may not share a cell"),
+    ]:
+        path.write_text(text)
+        assert run_cli(capsys, "grid-tau", "--grid", str(path)) == (
+            1, "", f"error: {path}: {message}\n"
+        )
 
 
 # Documents printed before the knot Floer ranks went block-local; the
@@ -411,6 +440,20 @@ def _framed_spectrum(**fields):
             _framed_document(linking_form=["1/2", "3/2"]),
             "linking_form[1]",
         ),
+        # A record checks its rules once every field is read, so with two
+        # errors the malformed value is named before the broken rule.
+        ("genus-bound", "--knot", _framed_document(order=0, slope="x"), "slope"),
+        (
+            "deep-slice",
+            "--polynomial",
+            {
+                "terms": [
+                    {"maslov": "0", "alexander": "0", "rank": 0},
+                    {"maslov": "1.5", "alexander": "0", "rank": 1},
+                ]
+            },
+            "terms[1].maslov",
+        ),
     ],
 )
 def test_wrong_json_type_names_field(tmp_path, capsys, verb, flag, doc, field):
@@ -668,7 +711,7 @@ def test_grid_tau_hfk_above_cap_refused_before_tau(monkeypatch, capsys):
     [
         (
             ["braid-info", "--braid", "3: 1 x"],
-            "malformed braid letter 2 'x': expected an integer",
+            "--braid: malformed braid letter 2 'x': expected an integer",
         ),
         (
             ["genus-bound", "--tau-max", "0", "--tau-min", "1"],
@@ -725,6 +768,41 @@ def test_grid_tau_hfk_above_cap_refused_before_tau(monkeypatch, capsys):
         (
             ["deep-slice", "--builtin", "lift_8_20", "--target", "0"],
             "--target: ambient homology rank must be >= 1",
+        ),
+        # Parsers and records that do not know the flag they serve.
+        (
+            ["braid-info", "--braid", "x: 1"],
+            "--braid: malformed braid header 'x': expected an integer",
+        ),
+        (
+            ["braid-info", "--braid", "3: 5"],
+            "--braid: letter 5 out of range for index 3",
+        ),
+        (
+            ["satellite-bound", "--braid", "0:", "--tau", "0", "--lk", "0"],
+            "--braid: braid index must be >= 1",
+        ),
+        (
+            ["c-value", "--braid", "2: 0", "--lk", "0"],
+            "--braid: letter 0 out of range for index 2",
+        ),
+        (["grid-tau", "--torus", "0", "3"], "--torus: p must be >= 1"),
+        (
+            ["grid-tau", "--torus", "2", "4"],
+            "--torus: T(2,4) is a link, not a knot: gcd = 2",
+        ),
+        (
+            ["genus-bound", "--builtin", "nope"],
+            "--builtin: unknown builtin 'nope'; available: RP1_in_RP3, T(2,-5), "
+            "J_example_6.2, lift_8_20",
+        ),
+        (
+            ["seifert-framed-bound", "--builtin", "lift_8_20", "--p", "1"],
+            "--builtin: 'lift_8_20' is not a framed knot",
+        ),
+        (
+            ["deep-slice", "--builtin", "T(2,-5)"],
+            "--builtin: 'T(2,-5)' is not a Poincare polynomial",
         ),
     ],
 )
@@ -872,9 +950,10 @@ def _modules_after(*argv):
 
 def test_cli_import_loads_no_executor_or_logging():
     # The standard executor package pulls in logging: ~14 ms a process.
-    # grid-tau is the verb that loads the grid and its thread pool.
+    # grid-tau is the verb that loads the grid; it runs no pool.
     loaded = _modules_after("grid-tau", "--torus", "2", "3")
-    assert "ratslice.parallel" in loaded
+    assert "ratslice.grid" in loaded
+    assert "ratslice.parallel" not in loaded
     assert {m for m in loaded if m.partition(".")[0] in ("concurrent", "logging")} == set()
 
 

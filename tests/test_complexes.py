@@ -354,9 +354,10 @@ def test_spectrum_refuses_value_outside_extremes():
     # another object.
     low = F(-3)
     per_class = {"b1": F(0), "b0+b1": low, "b0": low, "b2": F(-3)}
-    with pytest.raises(ValueError, match=r"^class b0\+b1: tau outside"):
+    message = r": tau outside \[tau_min, tau_max\]$"
+    with pytest.raises(ValueError, match=r"^per_class\['b0\+b1'\]" + message):
         TauSpectrum(per_class, tau_max=F(1), tau_min=F(0), enumeration_complete=True)
-    with pytest.raises(ValueError, match=r"^class b2: tau outside"):
+    with pytest.raises(ValueError, match=r"^per_class\['b2'\]" + message):
         TauSpectrum(
             {"b0": F(0), "b1": F(0), "b2": F(2)}, tau_max=F(1), tau_min=F(0),
             enumeration_complete=True,
@@ -377,7 +378,7 @@ def test_spectrum_refuses_breadth_not_spread(tau_max, tau_min, breadth):
         "breadth": format_rational(breadth),
     }
     if tau_min > tau_max:
-        with pytest.raises(ValueError, match="^tau_min must not exceed tau_max$"):
+        with pytest.raises(ValueError, match="^tau_min: must not exceed tau_max$"):
             TauSpectrum({"b0": F(0)}, tau_max, tau_min, enumeration_complete=True)
         match = r"^tau_spectrum\.tau_min: must not exceed tau_max$"
     else:

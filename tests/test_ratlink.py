@@ -136,12 +136,17 @@ def test_framed_knot_data_validation():
     # document's copy is checked by formats.framed_from_json.
     assert rp1.lk == F(-1, 2)
     assert FramedKnotData(3, -2, rp1.tau_spectrum).lk == F(2, 3)
-    with pytest.raises(ValueError, match="order"):
+    with pytest.raises(
+        ValueError, match=r"^order: expected a positive integer, got 0$"
+    ):
         FramedKnotData(order=0, slope=1, tau_spectrum=rp1.tau_spectrum)
-    with pytest.raises(ValueError, match="linking form"):
+    # The first value out of range is named by its index.
+    with pytest.raises(
+        ValueError, match=r"^linking_form\[1\]: expected a value in \[0, 1\)$"
+    ):
         FramedKnotData(
             order=2,
             slope=1,
             tau_spectrum=rp1.tau_spectrum,
-            linking_form=(F(3, 2),),
+            linking_form=(F(1, 2), F(3, 2), F(-1)),
         )
