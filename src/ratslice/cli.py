@@ -9,7 +9,7 @@ a citation field naming the inequality used.
 Each handler imports the ratslice modules it runs at the top of its
 body, so a process compiles and runs only what its verb needs:
 `cable-bound` never loads the grid or GF(2) code.  Modules are called
-as attributes (`formats.dump_document`), so patches on a module's
+as attributes (`formats.write_document`), so patches on a module's
 attributes reach the CLI.
 """
 
@@ -123,20 +123,23 @@ def _cmd_grid_tau(args):
         source = f"torus({p},{q})"
     else:
         diagram = formats.named(args.grid, formats.grid_from_text, _read(args.grid))
+        formats.named(args.grid, grid.check_knot_grid, diagram)
         source = args.grid
     if args.hfk and diagram.n > grid.MAX_HFK_SIZE:
         raise ValueError(
             f"--hfk: grid size {diagram.n} exceeds the cap {grid.MAX_HFK_SIZE} "
             f"for knot Floer ranks"
         )
+    # With --hfk one grading scan serves both tau and the knot Floer ranks.
+    blocks = grid.graded_blocks(diagram) if args.hfk else None
     doc = {
         "source": source,
         "n": diagram.n,
-        "tau": format_rational(grid.tau(diagram)),
+        "tau": format_rational(grid.tau(diagram, blocks)),
         "citation": "tau-of-maslov-zero-grid-class",
     }
     if args.hfk:
-        ranks = grid.hfk_ranks(diagram)
+        ranks = grid.hfk_ranks(diagram, blocks)
         doc["hfk_ranks"] = {
             format_rational(a): r for a, r in sorted(ranks.items(), reverse=True)
         }
@@ -388,7 +391,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     doc["command"] = args.verb
-    print(formats.dump_document(doc))
+    formats.write_document(doc, sys.stdout)
     return code
 
 

@@ -21,9 +21,10 @@ Formats:
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Callable, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, TextIO, TypeVar
 
 from .rationals import format_rational, parse_rational
 
@@ -350,3 +351,20 @@ def grid_to_text(grid) -> str:
 def dump_document(doc: dict) -> str:
     """Deterministic document rendering: sorted keys, fixed separators."""
     return json.dumps(doc, sort_keys=True, indent=2)
+
+
+# Encoder chunks joined into one write: a write per chunk costs a system
+# call each on an unbuffered stream.
+_WRITE_BATCH = 8192
+
+
+def write_document(doc: dict, stream: TextIO) -> None:
+    """Write dump_document(doc) and a newline to stream, batch by batch.
+
+    The whole document is never held as one string: the encoder's chunks
+    are joined _WRITE_BATCH at a time.
+    """
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
+    while batch := "".join(itertools.islice(chunks, _WRITE_BATCH)):
+        stream.write(batch)
+    stream.write("\n")

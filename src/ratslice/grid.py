@@ -16,7 +16,8 @@ rectangles leaving a state are found in O(n^2) by sweeping rightwards
 from each state point while tracking the nearest blocker above it; the
 distance from each row up to the first blocking marking of each column
 is a table computed once per grid and blocking set (GridDiagram.o_near,
-GridDiagram.ox_near).
+GridDiagram.ox_near).  A state that is kept is stored as bytes, one byte
+per column, and each rectangle's target is one bytes.translate of it.
 
 The total homology of this complex is the homology of the 3-sphere
 tensored with one two-dimensional factor per extra marking pair: rank
@@ -31,10 +32,17 @@ differential.  tau reads only the three Maslov slices around zero: it is
 the birth of the one essential Maslov-0 persistence bar, found by the
 same clearing sweep that gives a filtered complex its homology basis
 (complexes.essential_rows), run on the boundaries into Maslov 0 and the
-boundaries out of it.  The graded differential preserves the Alexander
-grading, so the knot Floer ranks take the rank of each (M, A) block
-against the (M - 1, A) block alone.  compile_grid builds the whole
-filtered complex; only the tests use it.
+boundaries out of it.  Since tau(K) = -tau(mirror K) (Ozsvath-Szabo,
+Knot Floer homology and the four-ball genus), tau is read on the grid
+or on its mirror, whichever has the smaller slices.  One scan serves
+both: the state map f(s)[c] = s[(-c) mod n] carries the grid's bottom
+Maslov slices -n, -(n - 1), -(n - 2) onto the mirror's +1, 0, -1 and
+reverses the arrows, the cohomology duality of de Silva, Morozov and
+Vejdemo-Johansson (Dualities in persistent (co)homology).  The graded
+differential preserves the Alexander grading, so the knot Floer ranks
+take the rank of each (M, A) block against the (M - 1, A) block alone;
+the blocks of one grading scan (graded_blocks) also give tau its slices.
+compile_grid builds the whole filtered complex; only the tests use it.
 """
 
 from __future__ import annotations
@@ -43,18 +51,22 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
 
 from .complexes import FilteredComplex, TauRowOrder, essential_rows
 from .gf2 import new_engine
 
 MAX_GRID_SIZE = 10
-# Knot Floer ranks grade every one of the n! states: at n = 9 T(2,7) takes
-# 12 s at 134 MB, and at n = 10 T(3,7) runs out of 3 GB after 102 s.
+# Knot Floer ranks keep every one of the n! states: at n = 9 T(2,-7) takes
+# 8 s at 104 MB and T(2,7) 8.5 s at 111 MB.  At n = 10 T(3,7) ran out of
+# 3 GB after 102 s, measured when tau and the ranks scanned separately.
 MAX_HFK_SIZE = 9
-# The largest Maslov-0 slice grid tau is measured to answer within 3 GB:
-# T(2,-7) at n = 9.  T(3,-7) at n = 10 has 478,886 states and runs out.
+# The largest Maslov-0 slice grid tau is measured to answer within 3 GB,
+# on the side it reduces: T(2,-7)'s own at n = 9, 20-28 s at 426 MB.
+# T(3,-7) at n = 10 has 478,886 states there and ran out, but its mirror's
+# slice holds one state.  A random n = 10 grid tried holds 65,008 on its
+# cheaper side and is refused.
 MAX_TAU_SLICE = 58_748
 
 
@@ -223,9 +235,16 @@ def _near_table(n: int, blocking: list[tuple[int, ...]]) -> tuple[tuple[int, ...
     return tuple(near)
 
 
-def _empty_rectangles(
-    state: tuple[int, ...], near: tuple[tuple[int, ...], ...]
-) -> list[tuple[int, ...]]:
+@cache
+def _swap_tables(n: int) -> tuple[tuple[bytes, ...], ...]:
+    """_swap_tables(n)[a][b] is the bytes.translate table swapping a and b."""
+    return tuple(
+        tuple(bytes.maketrans(bytes((a, b)), bytes((b, a))) for b in range(n))
+        for a in range(n)
+    )
+
+
+def _empty_rectangles(state: bytes, near: tuple[tuple[int, ...], ...]) -> list[bytes]:
     """Targets of the rectangles leaving `state` with an empty interior.
 
     A rectangle from column ci to cj and row a = state[ci] to b = state[cj]
@@ -239,26 +258,28 @@ def _empty_rectangles(
     distance up from a to the nearest blocker in the columns covered so
     far (markings of [ci, cj), state points of (ci, cj)).  The rectangle
     to cj is empty exactly when (b - a) mod n <= d, and the walk stops
-    when d reaches 0, so a state costs O(n^2).  The two complementary
-    rectangles between a pair of columns have the same target, listed
-    twice when both are empty (as on the 2x2 unknot grid): callers sum
-    the targets mod 2 as they build each column.
+    when d reaches 0, so a state costs O(n^2).  A state is a permutation,
+    so swapping the values of columns ci and cj swaps the values a and b
+    wherever they are: each target is one bytes.translate.  The two
+    complementary rectangles between a pair of columns have the same
+    target, listed twice when both are empty (as on the 2x2 unknot grid):
+    callers sum the targets mod 2 as they build each column.
     """
     n = len(state)
+    swaps = _swap_tables(n)
     wrapped = state + state
     targets = []
     for ci in range(n):
         a = state[ci]
         reach = near[a]
+        swap = swaps[a]
         d = reach[ci]
         c = ci + 1
         while d and c < ci + n:
-            h = (wrapped[c] - a) % n
+            b = wrapped[c]
+            h = (b - a) % n
             if h <= d:
-                cj = c - n if c >= n else c
-                target = list(state)
-                target[ci], target[cj] = target[cj], target[ci]
-                targets.append(tuple(target))
+                targets.append(state.translate(swap[b]))
                 d = h
             if reach[c] < d:
                 d = reach[c]
@@ -266,9 +287,7 @@ def _empty_rectangles(
     return targets
 
 
-def _rectangle_targets(
-    grid: GridDiagram, state: tuple[int, ...]
-) -> list[tuple[int, ...]]:
+def _rectangle_targets(grid: GridDiagram, state: bytes) -> list[bytes]:
     """Targets of the differential arrows leaving `state`.
 
     A rectangle counts when its interior holds no state point and no O
@@ -277,9 +296,7 @@ def _rectangle_targets(
     return _empty_rectangles(state, grid.o_near)
 
 
-def _graded_targets(
-    grid: GridDiagram, state: tuple[int, ...]
-) -> list[tuple[int, ...]]:
+def _graded_targets(grid: GridDiagram, state: bytes) -> list[bytes]:
     """Targets of the associated graded differential leaving `state`.
 
     These are the arrows that preserve the Alexander grading: rectangles
@@ -288,7 +305,17 @@ def _graded_targets(
     return _empty_rectangles(state, grid.ox_near)
 
 
-def _state_id(state: tuple[int, ...]) -> str:
+def _mirror_state(state: bytes) -> bytes:
+    """f(s)[c] = s[(-c) mod n]: the state of grid.mirror() that s becomes.
+
+    M'(f(s)) = -(n - 1) - M(s) and 2A'(f(s)) = -2(n - 1) - 2A(s), with
+    the primes on grid.mirror()'s gradings, and s -> t is an arrow of the
+    grid exactly when f(t) -> f(s) is one of the mirror.
+    """
+    return state[:1] + state[:0:-1]
+
+
+def _state_id(state: bytes) -> str:
     return "x" + "".join(str(v) for v in state)
 
 
@@ -300,7 +327,8 @@ def _check_size(n: int) -> None:
         )
 
 
-def _check_knot_grid(grid: GridDiagram) -> None:
+def check_knot_grid(grid: GridDiagram) -> None:
+    """Refuse a grid over the size cap or one that presents a link."""
     _check_size(grid.n)
     if not grid.is_knot():
         raise ValueError(
@@ -310,11 +338,11 @@ def _check_knot_grid(grid: GridDiagram) -> None:
 
 def compile_grid(grid: GridDiagram) -> FilteredComplex:
     """Compile the grid into its filtered complex over GF(2)."""
-    _check_knot_grid(grid)
+    check_knot_grid(grid)
     grader = _Grader(grid)
     rows = [
         (state, *grader.gradings(state), _rectangle_targets(grid, state))
-        for state in itertools.permutations(range(grid.n))
+        for state in map(bytes, itertools.permutations(range(grid.n)))
     ]
     generators = [
         (_state_id(state), Fraction(maslov), Fraction(alexander2, 2), "0")
@@ -328,45 +356,127 @@ def compile_grid(grid: GridDiagram) -> FilteredComplex:
     return FilteredComplex(generators, differential)
 
 
-def tau(grid: GridDiagram) -> Fraction:
+def graded_blocks(grid: GridDiagram) -> dict[tuple[int, int], list[bytes]]:
+    """Every state, grouped by its (M, 2A): one grading scan.
+
+    tau and graded_ranks both take these blocks in place of a scan of
+    their own, so a run that wants both grades each state once.
+    """
+    check_knot_grid(grid)
+    gradings = _Grader(grid).gradings
+    blocks: dict[tuple[int, int], list[bytes]] = {}
+    for state in itertools.permutations(range(grid.n)):
+        blocks.setdefault(gradings(state), []).append(bytes(state))
+    return blocks
+
+
+def _windows(n: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """The grid's Maslov gradings whose states make each side's slices.
+
+    The grid's own slices -1, 0, +1, then the mirror's: f maps the grid's
+    slices -(n - 2), -(n - 1), -n onto the mirror's -1, 0, +1.  The two
+    windows overlap for n <= 3.
+    """
+    return (-1, 0, 1), (-(n - 2), -(n - 1), -n)
+
+
+def _window_slices(
+    grid: GridDiagram, blocks: dict[tuple[int, int], list[bytes]] | None
+) -> tuple[dict[int, list[bytes]], dict[int, list[int]] | None]:
+    """The states in either side's window, by Maslov grading.
+
+    Without blocks, one Maslov scan keeps only these states.  From blocks
+    they are read off, with the 2A of the states that may make a Maslov-0
+    slice.
+    """
+    slices: dict[int, list[bytes]] = {m: [] for window in _windows(grid.n) for m in window}
+    if blocks is None:
+        maslov = _Grader(grid).maslov
+        for state in itertools.permutations(range(grid.n)):
+            kept = slices.get(maslov(state))
+            if kept is not None:
+                kept.append(bytes(state))
+        return slices, None
+    alexanders: dict[int, list[int]] = {window[1]: [] for window in _windows(grid.n)}
+    for (m, a2), states in blocks.items():
+        if m in slices:
+            slices[m] += states
+            if m in alexanders:
+                alexanders[m] += [a2] * len(states)
+    return slices, alexanders
+
+
+def _cheaper_side(
+    grid: GridDiagram, blocks: dict[tuple[int, int], list[bytes]] | None
+) -> tuple[int, GridDiagram, list[bytes], list[bytes], list[bytes], list[int] | None]:
+    """(sign, side grid, its Maslov -1, 0, +1 slices, 2A of the 0 slice).
+
+    The side is the grid (sign 1) or its mirror (sign -1), whichever has
+    fewer states in its Maslov-0 and +1 slices; the grid wins a tie.  The
+    2A values are None when the scan did not grade the states.
+    """
+    n = grid.n
+    original, mirrored = _windows(n)
+    slices, alexanders = _window_slices(grid, blocks)
+    mirror = sum(len(slices[m]) for m in mirrored[1:]) < sum(
+        len(slices[m]) for m in original[1:]
+    )
+    window = mirrored if mirror else original
+    below, middle, above = (slices[m] for m in window)
+    if alexanders is not None:
+        alexanders = alexanders[window[1]]
+    if not mirror:
+        return 1, grid, below, middle, above, alexanders
+    below, middle, above = ([_mirror_state(s) for s in states] for states in (below, middle, above))
+    if alexanders is not None:
+        alexanders = [-2 * (n - 1) - a2 for a2 in alexanders]
+    return -1, grid.mirror(), below, middle, above, alexanders
+
+
+def tau(
+    grid: GridDiagram, blocks: dict[tuple[int, int], list[bytes]] | None = None
+) -> Fraction:
     """tau of the knot presented by the grid.
 
-    Filter the Maslov-0 states by Alexander grading, rows in TauRowOrder
-    by the doubled integer grading 2A.  The boundaries of the Maslov-1
-    states mark the Maslov-0 states whose cycles die, and essential_rows
-    feeds the boundaries of the others into Maslov -1 with clearing.  The
-    one row born that never dies generates the Maslov-0 homology; its
-    Alexander grading is the least level that carries the class: tau.
+    tau(K) = -tau(mirror K), and one Maslov scan (or graded_blocks(grid),
+    when given) yields the Maslov -1, 0 and +1 slices of the grid and of
+    its mirror.  tau is read on the side with fewer Maslov-0 and +1
+    states and negated on the mirror.
+
+    There, filter the Maslov-0 states by Alexander grading, rows in
+    TauRowOrder by the doubled integer grading 2A.  The boundaries of the
+    Maslov-1 states mark the Maslov-0 states whose cycles die, and
+    essential_rows feeds the boundaries of the others into Maslov -1 with
+    clearing.  The one row born that never dies generates the Maslov-0
+    homology; its Alexander grading is the least level that carries the
+    class: tau.
     """
-    _check_knot_grid(grid)
-    grader = _Grader(grid)
-    slices: dict[int, list[tuple[int, ...]]] = {-1: [], 0: [], 1: []}
-    for state in itertools.permutations(range(grid.n)):
-        m = grader.maslov(state)
-        if m in slices:
-            slices[m].append(state)
-    middle = slices[0]
+    check_knot_grid(grid)
+    sign, side, below, middle, above, alexanders = _cheaper_side(grid, blocks)
     if len(middle) > MAX_TAU_SLICE:
         raise ValueError(
             f"the Maslov-0 slice holds {len(middle)} states, above the limit "
             f"of {MAX_TAU_SLICE} that grid tau is measured to answer"
         )
-    rows = TauRowOrder([grader.gradings(s)[1] for s in middle])
+    if alexanders is None:
+        gradings = _Grader(side).gradings
+        alexanders = [gradings(s)[1] for s in middle]
+    rows = TauRowOrder(alexanders)
     row_of = {state: rows.position[i] for i, state in enumerate(middle)}
 
     boundaries = new_engine(len(middle))
-    for state in slices[1]:
+    for state in above:
         bits = 0
-        for target in _rectangle_targets(grid, state):
+        for target in _rectangle_targets(side, state):
             bits ^= 1 << row_of[target]
         boundaries.add_column(bits)
 
-    below = {state: i for i, state in enumerate(slices[-1])}
+    below_index = {state: i for i, state in enumerate(below)}
 
     def boundary_of_row(row: int) -> int:
         bits = 0
-        for target in _rectangle_targets(grid, middle[rows.order[row]]):
-            bits ^= 1 << below[target]
+        for target in _rectangle_targets(side, middle[rows.order[row]]):
+            bits ^= 1 << below_index[target]
         return bits
 
     essential = essential_rows(boundaries, new_engine(len(below)), boundary_of_row)
@@ -374,10 +484,12 @@ def tau(grid: GridDiagram) -> Fraction:
         raise AssertionError(
             f"expected one essential Maslov-0 class, found {len(essential)}"
         )
-    return Fraction(rows.alexanders[essential[0]], 2)
+    return sign * Fraction(rows.alexanders[essential[0]], 2)
 
 
-def graded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int]:
+def graded_ranks(
+    grid: GridDiagram, blocks: dict[tuple[int, int], list[bytes]] | None = None
+) -> dict[tuple[Fraction, Fraction], int]:
     """Homology ranks of the associated graded object, keyed (M, A).
 
     The graded differential keeps only the filtration-preserving arrows,
@@ -387,14 +499,12 @@ def graded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int]:
     are bitsets over the block below it, and the columns of that block are
     kept to check that the differential squares to zero.  The rank at
     (M, A) is |block| - rank out - rank in.  Raises if an arrow leaves the
-    block below or the square of the differential is nonzero.
+    block below or the square of the differential is nonzero.  The blocks
+    are graded_blocks(grid), scanned here unless given.
     """
-    _check_knot_grid(grid)
-    grader = _Grader(grid)
-    # Keyed (M, 2A), integers until the ranks are returned.
-    blocks: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for state in itertools.permutations(range(grid.n)):
-        blocks.setdefault(grader.gradings(state), []).append(state)
+    check_knot_grid(grid)
+    if blocks is None:
+        blocks = graded_blocks(grid)
 
     rank_out: dict[tuple[int, int], int] = {}
     # In this order the block below, when there is one, is the block just
@@ -412,14 +522,14 @@ def graded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int]:
                 row = row_of.get(target)
                 if row is None:
                     raise AssertionError(
-                        f"graded arrow {state} -> {target} leaves the block "
+                        f"graded arrow {tuple(state)} -> {tuple(target)} leaves the block "
                         f"below (M, A) = ({m}, {Fraction(a2, 2)})"
                     )
                 bits ^= 1 << row
                 square ^= columns_below[row]
             if square:
                 raise AssertionError(
-                    f"graded differential squares to nonzero on {state} at "
+                    f"graded differential squares to nonzero on {tuple(state)} at "
                     f"(M, A) = ({m}, {Fraction(a2, 2)})"
                 )
             engine.add_column(bits)
@@ -435,14 +545,16 @@ def graded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int]:
     return ranks
 
 
-def hfk_bigraded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int]:
+def hfk_bigraded_ranks(
+    grid: GridDiagram, blocks: dict[tuple[int, int], list[bytes]] | None = None
+) -> dict[tuple[Fraction, Fraction], int]:
     """Knot Floer homology ranks, binomial tower deconvolved, keyed (M, A).
 
     The graded grid homology is the knot homology tensored with n-1 copies
     of a rank-2 bigraded factor supported at (0, 0) and (-1, -1); peeling
     the tower from the top Alexander grading down recovers the knot ranks.
     """
-    raw = graded_ranks(grid)
+    raw = graded_ranks(grid, blocks)
     n = grid.n
     remaining = dict(raw)
     result: dict[tuple[Fraction, Fraction], int] = {}
@@ -466,9 +578,11 @@ def hfk_bigraded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int
     return result
 
 
-def hfk_ranks(grid: GridDiagram) -> dict[Fraction, int]:
+def hfk_ranks(
+    grid: GridDiagram, blocks: dict[tuple[int, int], list[bytes]] | None = None
+) -> dict[Fraction, int]:
     """Knot Floer ranks per Alexander grading (symmetric under A -> -A)."""
     out: dict[Fraction, int] = {}
-    for (m, a), r in hfk_bigraded_ranks(grid).items():
+    for (m, a), r in hfk_bigraded_ranks(grid, blocks).items():
         out[a] = out.get(a, 0) + r
     return out

@@ -129,6 +129,12 @@ def test_grid_file_refusal_names_the_file(tmp_path, capsys):
         ("0 1 x\n2 0 1\n", "grid rows must contain only integers"),
         ("0 1 2\n", "grid file must have exactly two nonempty rows, found 1"),
         ("0 1 2\n0 2 1\n", "X and O may not share a cell"),
+        ("0 1 2 3\n1 0 3 2\n", "grid represents a 2-component link, not a knot"),
+        (
+            " ".join(map(str, range(11))) + "\n" + " ".join(map(str, range(1, 11))) + " 0\n",
+            "grid size 11 exceeds the cap 10: the complex has n! generators and "
+            "11! is out of reach for exact elimination here",
+        ),
     ]:
         path.write_text(text)
         assert run_cli(capsys, "grid-tau", "--grid", str(path)) == (
@@ -921,14 +927,48 @@ def test_braid_index_limit_refuses_before_the_permutation(monkeypatch, capsys):
     assert run_json(capsys, "braid-info", "--braid", "3: 1 2")["permutation"] == [1, 2, 0]
 
 
-def test_grid_tau_oversize_slice_exits_one(monkeypatch, capsys):
+def test_grid_tau_oversize_slice_exits_one(monkeypatch, tmp_path, capsys):
+    # This grid's Maslov-0 slice holds 35 states on either side, so the
+    # cheaper side is over the limit too.  The refusal is tau's own and
+    # does not name the file.
     import ratslice.grid as grid_module
 
+    path = tmp_path / "balanced.grid"
+    path.write_text("5 1 4 0 2 3\n0 2 5 3 4 1\n")
     monkeypatch.setattr(grid_module, "MAX_TAU_SLICE", 10)
-    code, out, err = run_cli(capsys, "grid-tau", "--torus", "2", "-5")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: the Maslov-0 slice holds ")
-    assert "above the limit of 10 " in err
+    assert run_cli(capsys, "grid-tau", "--grid", str(path)) == (
+        1,
+        "",
+        "error: the Maslov-0 slice holds 35 states, above the limit of 10 "
+        "that grid tau is measured to answer\n",
+    )
+
+
+def test_grid_tau_hfk_grades_each_state_once(monkeypatch, capsys):
+    # One grading scan serves tau and the knot Floer ranks.
+    import ratslice.grid as grid_module
+
+    calls = []
+    for name in ("maslov", "gradings"):
+        method = getattr(grid_module._Grader, name)
+
+        def counted(self, state, _method=method, _name=name):
+            calls.append(_name)
+            return _method(self, state)
+
+        monkeypatch.setattr(grid_module._Grader, name, counted)
+    doc = run_json(capsys, "grid-tau", "--torus", "2", "-5", "--hfk")
+    assert doc["tau"] == "-2/1"
+    assert len(calls) == 5040
+
+
+@pytest.mark.parametrize("q,tau", [("-7", "-3/1"), ("7", "3/1")])
+def test_grid_tau_size_nine_answers_on_the_cheaper_side(q, tau):
+    # T(2,-7) reduced its own Maslov-0 slice of 58,748 states: 23-36 s at
+    # about 430 MB.  Its mirror's slice holds one state.
+    proc = run_capped("grid-tau", "--torus", "2", q, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["tau"] == tau
 
 
 def _modules_after(*argv):

@@ -1,5 +1,7 @@
 """Document codecs: bit-exact round trips and named-field errors."""
 
+import io
+import json
 import random
 import time
 from fractions import Fraction
@@ -10,6 +12,7 @@ from ratslice.complexes import tau_spectrum, total_homology_rank
 from ratslice.formats import (
     complex_from_json,
     complex_to_json,
+    dump_document,
     framed_from_json,
     framed_to_json,
     grid_from_text,
@@ -18,6 +21,7 @@ from ratslice.formats import (
     poincare_to_json,
     spectrum_from_json,
     spectrum_to_json,
+    write_document,
 )
 from ratslice.paperdata import builtin
 from ratslice.rationals import format_rational, parse_rational
@@ -164,3 +168,29 @@ def test_spectrum_parse_error_names_first_bad_class():
     doc["per_class"] = {"b0": 1, "b1": True}
     with pytest.raises(ValueError, match=r"per_class\['b1'\]"):
         spectrum_from_json(doc)
+
+
+class _CountingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_write_document_streams_dump_document_in_batches():
+    # Larger than one batch of encoder chunks, with nesting, rationals
+    # and non-ASCII text.
+    doc = {
+        "command": "tau",
+        "spectrum": {f"g{i}": {"tau": f"{i}/3", "ids": [i, -i, None, True]} for i in range(3000)},
+        "note": "\u00e9\u2202",
+    }
+    chunks = sum(1 for _ in json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc))
+    assert chunks > 8192
+    stream = _CountingStream()
+    write_document(doc, stream)
+    assert stream.getvalue() == dump_document(doc) + "\n"
+    assert stream.writes <= chunks / 8192 + 2

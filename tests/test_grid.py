@@ -18,6 +18,7 @@ from ratslice.complexes import (
 from ratslice.grid import (
     GridDiagram,
     compile_grid,
+    graded_blocks,
     graded_ranks,
     hfk_bigraded_ranks,
     hfk_ranks,
@@ -151,6 +152,95 @@ def test_tau_via_floer_class_route():
         assert tau(c, alpha) == grid_tau(grid)
 
 
+def test_tau_negates_under_mirror():
+    # tau(G) reads the cheaper of G and G.mirror(); on G.mirror() the same
+    # side is reached without the state map f, so f and the sign are
+    # checked against the direct scan.  Torus grids also pin the value.
+    for p in range(1, 8):
+        for q in range(1, 9 - p):
+            if gcd(p, q) == 1:
+                expected = F((p - 1) * (q - 1), 2)
+                for sign in (1, -1):
+                    grid = torus_knot_grid(p, sign * q)
+                    assert grid_tau(grid) == sign * expected, grid
+                    assert grid_tau(grid.mirror()) == -sign * expected, grid
+    rng = random.Random(1903)
+    for n in (3, 4, 5, 6, 7):
+        for _ in range(3):
+            grid = random_knot_grid(rng, n)
+            assert grid_tau(grid) == -grid_tau(grid.mirror()), grid
+
+
+def test_tau_from_graded_blocks_matches_the_maslov_scan():
+    # With blocks, the Alexander gradings of the reduced side come from
+    # the block keys (2A' = -2(n - 1) - 2A on the mirror), not a grader.
+    rng = random.Random(1904)
+    grids = [g for g in _oracle_grids() if g.n <= 6]
+    grids += [random_knot_grid(rng, n) for n in (3, 4, 5, 6, 7)]
+    for grid in grids + [BALANCED]:
+        assert grid_tau(grid, graded_blocks(grid)) == grid_tau(grid), grid
+
+
+@pytest.mark.parametrize("p,q", [(2, -5), (3, 4)])
+def test_mirror_state_map_on_gradings_and_arrows(p, q):
+    # f(s)[c] = s[(-c) mod n] is a bijection onto the mirror's states with
+    # M + M' o f = -(n - 1) and 2A + 2A' o f = -2(n - 1), and s -> t is an
+    # arrow exactly when f(t) -> f(s) is one of the mirror.
+    grid = torus_knot_grid(p, q)
+    mirror = grid.mirror()
+    n = grid.n
+    f = grid_module._mirror_state
+    grader = grid_module._Grader(grid)
+    mirror_grader = grid_module._Grader(mirror)
+    arrows = set()
+    mirror_arrows = set()
+    images = set()
+    for s in _states(n):
+        images.add(f(s))
+        assert f(f(s)) == s
+        m, a2 = grader.gradings(s)
+        m_mirror, a2_mirror = mirror_grader.gradings(f(s))
+        assert (m + m_mirror, a2 + a2_mirror) == (-(n - 1), -2 * (n - 1)), s
+        arrows.update((s, t) for t in _odd_targets(grid_module._rectangle_targets(grid, s)))
+        mirror_arrows.update(
+            (s, t) for t in _odd_targets(grid_module._rectangle_targets(mirror, s))
+        )
+    assert len(images) == factorial(n)
+    assert arrows
+    assert {(f(t), f(s)) for s, t in arrows} == mirror_arrows
+
+
+def _knot_grids(n: int) -> list[GridDiagram]:
+    return [
+        grid
+        for x in itertools.permutations(range(n))
+        for o in itertools.permutations(range(n))
+        if all(a != b for a, b in zip(x, o))
+        and (grid := GridDiagram(x, o)).is_knot()
+    ]
+
+
+def test_overlapping_maslov_windows_at_sizes_two_and_three():
+    # For n <= 3 the grading windows of the two sides overlap: at n = 2
+    # the mirror's slices -1, 0, +1 are the grid's 0, -1, -2, and at
+    # n = 3 the grid's Maslov -1 slice is also the mirror's +1 slice.  A
+    # state there must reach both sides.
+    assert grid_module._windows(2) == ((-1, 0, 1), (0, -1, -2))
+    assert grid_module._windows(3) == ((-1, 0, 1), (-1, -2, -3))
+    overlaps = 0
+    for grid in _knot_grids(2) + _knot_grids(3):
+        n = grid.n
+        original, mirrored = grid_module._windows(n)
+        sizes = Counter(map(grid_module._Grader(grid).maslov, itertools.permutations(range(n))))
+        overlaps += sum(sizes[m] for m in set(original) & set(mirrored))
+        c = compile_grid(grid)
+        expected = tau(c, maslov_zero_class(c))
+        assert grid_tau(grid) == expected, grid
+        assert grid_tau(grid.mirror()) == -expected, grid
+        assert grid_tau(grid, graded_blocks(grid)) == expected, grid
+    assert overlaps
+
+
 def test_tau_of_compiled_t2_minus5_complex():
     # The filtered-complex tau operation on the full 5040-generator
     # complex, not just the three Maslov slices.
@@ -176,18 +266,33 @@ def _oracle_grids() -> list[GridDiagram]:
     return grids + [random_knot_grid(rng, n) for n in (3, 4, 5, 6, 7, 7) for _ in range(2)]
 
 
-def _maslov_zero_size(grid: GridDiagram) -> int:
+# A size-6 knot grid whose Maslov -1/0/+1 slices hold 117/35/4 states on
+# both sides, so the cheaper side still has a Maslov-0 slice of 35.
+BALANCED = GridDiagram((5, 1, 4, 0, 2, 3), (0, 2, 5, 3, 4, 1))
+
+
+def _slice_sizes(grid: GridDiagram) -> tuple[int, int, int]:
     grader = grid_module._Grader(grid)
-    return sum(
-        1 for s in itertools.permutations(range(grid.n)) if grader.maslov(s) == 0
-    )
+    counts = Counter(map(grader.maslov, itertools.permutations(range(grid.n))))
+    return counts[-1], counts[0], counts[1]
+
+
+def _maslov_zero_size(grid: GridDiagram) -> int:
+    """The Maslov-0 slice of the side tau reduces, each side scanned by its own grader."""
+    sizes = _slice_sizes(grid)
+    mirrored = _slice_sizes(grid.mirror())
+    return (mirrored if sum(mirrored[1:]) < sum(sizes[1:]) else sizes)[1]
 
 
 def test_tau_refuses_maslov_zero_slice_above_limit(monkeypatch):
-    grid = torus_knot_grid(2, -5)
+    # T(2,-5)'s cheaper side is its mirror, whose Maslov-0 slice is one
+    # state; the balanced grid's is 35 on either side.
+    assert _maslov_zero_size(torus_knot_grid(2, -5)) == 1
+    grid = BALANCED
     size = _maslov_zero_size(grid)
+    assert size == 35
     monkeypatch.setattr(grid_module, "MAX_TAU_SLICE", size)
-    assert grid_tau(grid) == -2
+    assert grid_tau(grid) == 0
     monkeypatch.setattr(grid_module, "MAX_TAU_SLICE", size - 1)
     with pytest.raises(
         ValueError,
@@ -201,7 +306,7 @@ def test_targets_listed_twice_cancel(monkeypatch):
     # Columns sum their targets mod 2.  With every target listed twice
     # there are no arrows at all: every Maslov-0 state is a class of its
     # own for tau, and every state is one for the graded ranks.
-    grid = torus_knot_grid(2, -5)
+    grid = BALANCED
     size = _maslov_zero_size(grid)
     rectangle_targets = grid_module._rectangle_targets
     monkeypatch.setattr(
@@ -216,28 +321,32 @@ def test_targets_listed_twice_cancel(monkeypatch):
     assert sum(graded_ranks(grid).values()) == factorial(grid.n)
 
 
-def _odd_targets(targets: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _odd_targets(targets: list[bytes]) -> list[bytes]:
     """The targets listed an odd number of times: the arrows mod 2."""
     counts = Counter(targets)
     return sorted(t for t, k in counts.items() if k % 2)
 
 
+def _states(n: int):
+    return map(bytes, itertools.permutations(range(n)))
+
+
 def test_rectangle_sweep_matches_brute_force():
     # Both rectangles of the 2x2 unknot state (0, 1) are empty and end at
     # (1, 0): the sweep lists the target twice, and the arrows cancel.
-    state = (0, 1)
-    assert grid_module._rectangle_targets(UNKNOT, state) == [(1, 0), (1, 0)]
+    state = bytes((0, 1))
+    assert grid_module._rectangle_targets(UNKNOT, state) == [bytes((1, 0))] * 2
     assert brute_force_rectangles(state, [1 << o for o in UNKNOT.o_markings]) == []
     for grid in _oracle_grids():
         o_blocking = [1 << o for o in grid.o_markings]
         ox_blocking = [1 << o | 1 << x for o, x in zip(grid.o_markings, grid.x_markings)]
-        for state in itertools.permutations(range(grid.n)):
-            assert _odd_targets(grid_module._rectangle_targets(grid, state)) == (
-                brute_force_rectangles(state, o_blocking)
-            ), (grid, state)
-            assert _odd_targets(grid_module._graded_targets(grid, state)) == (
-                brute_force_rectangles(state, ox_blocking)
-            ), (grid, state)
+        for state in _states(grid.n):
+            assert _odd_targets(grid_module._rectangle_targets(grid, state)) == [
+                bytes(t) for t in brute_force_rectangles(state, o_blocking)
+            ], (grid, state)
+            assert _odd_targets(grid_module._graded_targets(grid, state)) == [
+                bytes(t) for t in brute_force_rectangles(state, ox_blocking)
+            ], (grid, state)
 
 
 def test_integer_gradings_match_textbook_formula():
@@ -335,7 +444,7 @@ def test_graded_ranks_refuse_a_nonzero_square(monkeypatch):
     # d(d(x)) = d(y), which is nonzero.
     x, y = next(
         (state, target)
-        for state in itertools.permutations(range(grid.n))
+        for state in _states(grid.n)
         for target in graded_targets(grid, state)
         if graded_targets(grid, target)
     )
