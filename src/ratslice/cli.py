@@ -130,16 +130,14 @@ def _cmd_grid_tau(args):
             f"--hfk: grid size {diagram.n} exceeds the cap {grid.MAX_HFK_SIZE} "
             f"for knot Floer ranks"
         )
-    # With --hfk one grading scan serves both tau and the knot Floer ranks.
-    blocks = grid.graded_blocks(diagram) if args.hfk else None
     doc = {
         "source": source,
         "n": diagram.n,
-        "tau": format_rational(grid.tau(diagram, blocks)),
+        "tau": format_rational(grid.tau(diagram)),
         "citation": "tau-of-maslov-zero-grid-class",
     }
     if args.hfk:
-        ranks = grid.hfk_ranks(diagram, blocks)
+        ranks = grid.hfk_ranks(diagram)
         doc["hfk_ranks"] = {
             format_rational(a): r for a, r in sorted(ranks.items(), reverse=True)
         }

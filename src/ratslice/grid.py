@@ -34,15 +34,17 @@ same clearing sweep that gives a filtered complex its homology basis
 (complexes.essential_rows), run on the boundaries into Maslov 0 and the
 boundaries out of it.  Since tau(K) = -tau(mirror K) (Ozsvath-Szabo,
 Knot Floer homology and the four-ball genus), tau is read on the grid
-or on its mirror, whichever has the smaller slices.  One scan serves
-both: the state map f(s)[c] = s[(-c) mod n] carries the grid's bottom
-Maslov slices -n, -(n - 1), -(n - 2) onto the mirror's +1, 0, -1 and
-reverses the arrows, the cohomology duality of de Silva, Morozov and
-Vejdemo-Johansson (Dualities in persistent (co)homology).  The graded
+or on its mirror, whichever has the smaller slices.  The Maslov term of
+a state's column i depends only on the set of rows in columns 0..i-1
+and the row in column i, so one table over the 2^n row sets counts
+every Maslov slice of a side before any state is visited
+(_Grader.suffix_counts).  A depth-first walk over partial states that
+enters a prefix only when it can still finish in Maslov -1, 0 or +1
+then keeps the chosen side's three slices (_Grader.window).  The graded
 differential preserves the Alexander grading, so the knot Floer ranks
-take the rank of each (M, A) block against the (M - 1, A) block alone;
-the blocks of one grading scan (graded_blocks) also give tau its slices.
-compile_grid builds the whole filtered complex; only the tests use it.
+take the rank of each (M, A) block against the (M - 1, A) block alone,
+from one grading scan of all n! states (graded_ranks).  compile_grid
+builds the whole filtered complex; only the tests use it.
 """
 
 from __future__ import annotations
@@ -64,9 +66,12 @@ MAX_GRID_SIZE = 10
 MAX_HFK_SIZE = 9
 # The largest Maslov-0 slice grid tau is measured to answer within 3 GB,
 # on the side it reduces: T(2,-7)'s own at n = 9, 20-28 s at 426 MB.
-# T(3,-7) at n = 10 has 478,886 states there and ran out, but its mirror's
-# slice holds one state.  A random n = 10 grid tried holds 65,008 on its
-# cheaper side and is refused.
+# Both sides' slices are counted before any state is visited, so a grid
+# over it is refused at once: a random n = 10 grid tried holds 65,008 on
+# its cheaper side.  T(3,-7) at n = 10 has 478,886 states there, but its
+# mirror's slice holds one state.  The heaviest of 400 random n = 10 grids
+# that pass, X 5 4 1 6 7 2 8 9 0 3 and O 6 5 2 3 8 9 1 4 7 0, has slices
+# of 163,362 / 57,197 / 14,070 and takes about 8 s at about 880 MB.
 MAX_TAU_SLICE = 58_748
 
 
@@ -203,6 +208,8 @@ class _Grader:
         self.alexander_shift = o.self_pairs - x.self_pairs - n + 1
 
     def maslov(self, state: tuple[int, ...]) -> int:
+        """M of one state: the per-state reference that the tests hold
+        suffix_counts and window to.  Grid tau grades no state this way."""
         below = self.below
         seen = 0
         maslov = self.maslov_shift
@@ -223,6 +230,70 @@ class _Grader:
             alexander += x_row[v] - o
             seen |= 1 << v
         return maslov, alexander
+
+    def suffix_counts(self) -> list[dict[int, int]]:
+        """counts[S]: the ways to finish a state whose first |S| columns
+        hold the rows in the bitmask S, by the Maslov terms still to come.
+
+        Row v in column i = |S| adds popcount(S & below[v]) - o_sums[i][v]
+        to M, a term fixed by (S, v).  So counts[S] maps each sum of the
+        terms of the columns after S to the number of ways to place the
+        rows outside S, filled from the full set down, and counts[0]
+        shifted by maslov_shift is the Maslov histogram of all n! states,
+        found without visiting one.
+        """
+        n = len(self.below)
+        full = (1 << n) - 1
+        counts: list[dict[int, int]] = [{}] * full + [{0: 1}]
+        for rows in range(full - 1, -1, -1):
+            o_row = self.o_sums[rows.bit_count()]
+            table: dict[int, int] = {}
+            for v in range(n):
+                if not rows >> v & 1:
+                    term = (rows & self.below[v]).bit_count() - o_row[v]
+                    for rest, ways in counts[rows | 1 << v].items():
+                        table[rest + term] = table.get(rest + term, 0) + ways
+            counts[rows] = table
+        return counts
+
+    def window(
+        self, counts: list[dict[int, int]]
+    ) -> tuple[list[bytes], list[bytes], list[int], list[bytes]]:
+        """The Maslov -1, 0 and +1 states, with the 2A of the Maslov-0 ones.
+
+        A depth-first walk over partial states carries M and 2A, and enters
+        a prefix only when some sum in its counts (self.suffix_counts())
+        lands M in {-1, 0, 1}.  Every prefix it visits then extends to a
+        kept state, so the walk costs at most n steps per kept state.
+        States come in lexicographic order.
+        """
+        n = len(self.below)
+        full = (1 << n) - 1
+        slices: dict[int, list[bytes]] = {-1: [], 0: [], 1: []}
+        alexanders: list[int] = []
+        state = bytearray(n)
+
+        def descend(rows: int, maslov: int, alexander: int) -> None:
+            i = rows.bit_count()
+            o_row, x_row = self.o_sums[i], self.x_sums[i]
+            for v in range(n):
+                if rows >> v & 1:
+                    continue
+                seen = rows | 1 << v
+                m = maslov + (rows & self.below[v]).bit_count() - o_row[v]
+                rest = counts[seen]
+                if -1 - m in rest or -m in rest or 1 - m in rest:
+                    state[i] = v
+                    a2 = alexander + x_row[v] - o_row[v]
+                    if seen != full:
+                        descend(seen, m, a2)
+                    else:
+                        slices[m].append(bytes(state))
+                        if m == 0:
+                            alexanders.append(a2)
+
+        descend(0, self.maslov_shift, self.alexander_shift)
+        return slices[-1], slices[0], alexanders, slices[1]
 
 
 def _near_table(n: int, blocking: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
@@ -305,16 +376,6 @@ def _graded_targets(grid: GridDiagram, state: bytes) -> list[bytes]:
     return _empty_rectangles(state, grid.ox_near)
 
 
-def _mirror_state(state: bytes) -> bytes:
-    """f(s)[c] = s[(-c) mod n]: the state of grid.mirror() that s becomes.
-
-    M'(f(s)) = -(n - 1) - M(s) and 2A'(f(s)) = -2(n - 1) - 2A(s), with
-    the primes on grid.mirror()'s gradings, and s -> t is an arrow of the
-    grid exactly when f(t) -> f(s) is one of the mirror.
-    """
-    return state[:1] + state[:0:-1]
-
-
 def _state_id(state: bytes) -> str:
     return "x" + "".join(str(v) for v in state)
 
@@ -356,111 +417,37 @@ def compile_grid(grid: GridDiagram) -> FilteredComplex:
     return FilteredComplex(generators, differential)
 
 
-def graded_blocks(grid: GridDiagram) -> dict[tuple[int, int], list[bytes]]:
-    """Every state, grouped by its (M, 2A): one grading scan.
-
-    tau and graded_ranks both take these blocks in place of a scan of
-    their own, so a run that wants both grades each state once.
-    """
-    check_knot_grid(grid)
-    gradings = _Grader(grid).gradings
-    blocks: dict[tuple[int, int], list[bytes]] = {}
-    for state in itertools.permutations(range(grid.n)):
-        blocks.setdefault(gradings(state), []).append(bytes(state))
-    return blocks
-
-
-def _windows(n: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """The grid's Maslov gradings whose states make each side's slices.
-
-    The grid's own slices -1, 0, +1, then the mirror's: f maps the grid's
-    slices -(n - 2), -(n - 1), -n onto the mirror's -1, 0, +1.  The two
-    windows overlap for n <= 3.
-    """
-    return (-1, 0, 1), (-(n - 2), -(n - 1), -n)
-
-
-def _window_slices(
-    grid: GridDiagram, blocks: dict[tuple[int, int], list[bytes]] | None
-) -> tuple[dict[int, list[bytes]], dict[int, list[int]] | None]:
-    """The states in either side's window, by Maslov grading.
-
-    Without blocks, one Maslov scan keeps only these states.  From blocks
-    they are read off, with the 2A of the states that may make a Maslov-0
-    slice.
-    """
-    slices: dict[int, list[bytes]] = {m: [] for window in _windows(grid.n) for m in window}
-    if blocks is None:
-        maslov = _Grader(grid).maslov
-        for state in itertools.permutations(range(grid.n)):
-            kept = slices.get(maslov(state))
-            if kept is not None:
-                kept.append(bytes(state))
-        return slices, None
-    alexanders: dict[int, list[int]] = {window[1]: [] for window in _windows(grid.n)}
-    for (m, a2), states in blocks.items():
-        if m in slices:
-            slices[m] += states
-            if m in alexanders:
-                alexanders[m] += [a2] * len(states)
-    return slices, alexanders
-
-
-def _cheaper_side(
-    grid: GridDiagram, blocks: dict[tuple[int, int], list[bytes]] | None
-) -> tuple[int, GridDiagram, list[bytes], list[bytes], list[bytes], list[int] | None]:
-    """(sign, side grid, its Maslov -1, 0, +1 slices, 2A of the 0 slice).
-
-    The side is the grid (sign 1) or its mirror (sign -1), whichever has
-    fewer states in its Maslov-0 and +1 slices; the grid wins a tie.  The
-    2A values are None when the scan did not grade the states.
-    """
-    n = grid.n
-    original, mirrored = _windows(n)
-    slices, alexanders = _window_slices(grid, blocks)
-    mirror = sum(len(slices[m]) for m in mirrored[1:]) < sum(
-        len(slices[m]) for m in original[1:]
-    )
-    window = mirrored if mirror else original
-    below, middle, above = (slices[m] for m in window)
-    if alexanders is not None:
-        alexanders = alexanders[window[1]]
-    if not mirror:
-        return 1, grid, below, middle, above, alexanders
-    below, middle, above = ([_mirror_state(s) for s in states] for states in (below, middle, above))
-    if alexanders is not None:
-        alexanders = [-2 * (n - 1) - a2 for a2 in alexanders]
-    return -1, grid.mirror(), below, middle, above, alexanders
-
-
-def tau(
-    grid: GridDiagram, blocks: dict[tuple[int, int], list[bytes]] | None = None
-) -> Fraction:
+def tau(grid: GridDiagram) -> Fraction:
     """tau of the knot presented by the grid.
 
-    tau(K) = -tau(mirror K), and one Maslov scan (or graded_blocks(grid),
-    when given) yields the Maslov -1, 0 and +1 slices of the grid and of
-    its mirror.  tau is read on the side with fewer Maslov-0 and +1
-    states and negated on the mirror.
+    tau(K) = -tau(mirror K), so tau is read on the grid or on its mirror,
+    whichever has fewer Maslov-0 and +1 states (the grid on a tie).  Each
+    side's slice sizes come from its own suffix_counts, before any state
+    is visited, and a Maslov-0 slice above MAX_TAU_SLICE is refused there.
+    The walk (_Grader.window) then keeps that side's Maslov -1, 0 and +1
+    states.
 
-    There, filter the Maslov-0 states by Alexander grading, rows in
-    TauRowOrder by the doubled integer grading 2A.  The boundaries of the
-    Maslov-1 states mark the Maslov-0 states whose cycles die, and
-    essential_rows feeds the boundaries of the others into Maslov -1 with
-    clearing.  The one row born that never dies generates the Maslov-0
-    homology; its Alexander grading is the least level that carries the
-    class: tau.
+    Filter the Maslov-0 states by Alexander grading, rows in TauRowOrder
+    by the doubled integer grading 2A.  The boundaries of the Maslov-1
+    states mark the Maslov-0 states whose cycles die, and essential_rows
+    feeds the boundaries of the others into Maslov -1 with clearing.  The
+    one row born that never dies generates the Maslov-0 homology; its
+    Alexander grading is the least level that carries the class: tau.
     """
     check_knot_grid(grid)
-    sign, side, below, middle, above, alexanders = _cheaper_side(grid, blocks)
-    if len(middle) > MAX_TAU_SLICE:
+    sides = []
+    for sign, side in ((1, grid), (-1, grid.mirror())):
+        grader = _Grader(side)
+        counts = grader.suffix_counts()
+        zero, one = (counts[0].get(m - grader.maslov_shift, 0) for m in (0, 1))
+        sides.append((zero + one, zero, sign, side, grader, counts))
+    _, size, sign, side, grader, counts = min(sides, key=lambda s: s[0])
+    if size > MAX_TAU_SLICE:
         raise ValueError(
-            f"the Maslov-0 slice holds {len(middle)} states, above the limit "
+            f"the Maslov-0 slice holds {size} states, above the limit "
             f"of {MAX_TAU_SLICE} that grid tau is measured to answer"
         )
-    if alexanders is None:
-        gradings = _Grader(side).gradings
-        alexanders = [gradings(s)[1] for s in middle]
+    below, middle, alexanders, above = grader.window(counts)
     rows = TauRowOrder(alexanders)
     row_of = {state: rows.position[i] for i, state in enumerate(middle)}
 
@@ -487,9 +474,7 @@ def tau(
     return sign * Fraction(rows.alexanders[essential[0]], 2)
 
 
-def graded_ranks(
-    grid: GridDiagram, blocks: dict[tuple[int, int], list[bytes]] | None = None
-) -> dict[tuple[Fraction, Fraction], int]:
+def graded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int]:
     """Homology ranks of the associated graded object, keyed (M, A).
 
     The graded differential keeps only the filtration-preserving arrows,
@@ -499,12 +484,14 @@ def graded_ranks(
     are bitsets over the block below it, and the columns of that block are
     kept to check that the differential squares to zero.  The rank at
     (M, A) is |block| - rank out - rank in.  Raises if an arrow leaves the
-    block below or the square of the differential is nonzero.  The blocks
-    are graded_blocks(grid), scanned here unless given.
+    block below or the square of the differential is nonzero.  One scan
+    grades every state into its block.
     """
     check_knot_grid(grid)
-    if blocks is None:
-        blocks = graded_blocks(grid)
+    gradings = _Grader(grid).gradings
+    blocks: dict[tuple[int, int], list[bytes]] = {}
+    for state in itertools.permutations(range(grid.n)):
+        blocks.setdefault(gradings(state), []).append(bytes(state))
 
     rank_out: dict[tuple[int, int], int] = {}
     # In this order the block below, when there is one, is the block just
@@ -545,16 +532,14 @@ def graded_ranks(
     return ranks
 
 
-def hfk_bigraded_ranks(
-    grid: GridDiagram, blocks: dict[tuple[int, int], list[bytes]] | None = None
-) -> dict[tuple[Fraction, Fraction], int]:
+def hfk_bigraded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int]:
     """Knot Floer homology ranks, binomial tower deconvolved, keyed (M, A).
 
     The graded grid homology is the knot homology tensored with n-1 copies
     of a rank-2 bigraded factor supported at (0, 0) and (-1, -1); peeling
     the tower from the top Alexander grading down recovers the knot ranks.
     """
-    raw = graded_ranks(grid, blocks)
+    raw = graded_ranks(grid)
     n = grid.n
     remaining = dict(raw)
     result: dict[tuple[Fraction, Fraction], int] = {}
@@ -578,11 +563,9 @@ def hfk_bigraded_ranks(
     return result
 
 
-def hfk_ranks(
-    grid: GridDiagram, blocks: dict[tuple[int, int], list[bytes]] | None = None
-) -> dict[Fraction, int]:
+def hfk_ranks(grid: GridDiagram) -> dict[Fraction, int]:
     """Knot Floer ranks per Alexander grading (symmetric under A -> -A)."""
     out: dict[Fraction, int] = {}
-    for (m, a), r in hfk_bigraded_ranks(grid, blocks).items():
+    for (m, a), r in hfk_bigraded_ranks(grid).items():
         out[a] = out.get(a, 0) + r
     return out

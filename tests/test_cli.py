@@ -945,7 +945,8 @@ def test_grid_tau_oversize_slice_exits_one(monkeypatch, tmp_path, capsys):
 
 
 def test_grid_tau_hfk_grades_each_state_once(monkeypatch, capsys):
-    # One grading scan serves tau and the knot Floer ranks.
+    # The knot Floer ranks grade each state once; tau grades none one by
+    # one, since its slices come from counts and a walk.
     import ratslice.grid as grid_module
 
     calls = []
@@ -969,6 +970,28 @@ def test_grid_tau_size_nine_answers_on_the_cheaper_side(q, tau):
     proc = run_capped("grid-tau", "--torus", "2", q, timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["tau"] == tau
+
+
+@pytest.mark.parametrize("q,tau", [("-7", "-6/1"), ("7", "6/1")])
+def test_grid_tau_size_ten_torus_answers_at_once(q, tau):
+    # T(3,-7)'s own Maslov-0 slice holds 478,886 states and its mirror's
+    # one; the side is chosen from the counts, before any state is visited.
+    proc = run_capped("grid-tau", "--torus", "3", q, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["tau"] == tau
+
+
+def test_grid_tau_random_size_ten_grid_refused_at_once(tmp_path):
+    # README's random size-10 grid: about 65,000 Maslov-0 states on
+    # either side.  A full state scan took about 10 s before the refusal.
+    path = tmp_path / "random10.grid"
+    path.write_text("6 1 9 0 3 2 4 8 5 7\n3 5 7 9 2 1 8 6 0 4\n")
+    proc = run_capped("grid-tau", "--grid", str(path), timeout=5)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "error: the Maslov-0 slice holds 65008 states, above the limit of 58748 "
+        "that grid tau is measured to answer\n"
+    )
 
 
 def _modules_after(*argv):

@@ -18,7 +18,6 @@ from ratslice.complexes import (
 from ratslice.grid import (
     GridDiagram,
     compile_grid,
-    graded_blocks,
     graded_ranks,
     hfk_bigraded_ranks,
     hfk_ranks,
@@ -171,25 +170,19 @@ def test_tau_negates_under_mirror():
             assert grid_tau(grid) == -grid_tau(grid.mirror()), grid
 
 
-def test_tau_from_graded_blocks_matches_the_maslov_scan():
-    # With blocks, the Alexander gradings of the reduced side come from
-    # the block keys (2A' = -2(n - 1) - 2A on the mirror), not a grader.
-    rng = random.Random(1904)
-    grids = [g for g in _oracle_grids() if g.n <= 6]
-    grids += [random_knot_grid(rng, n) for n in (3, 4, 5, 6, 7)]
-    for grid in grids + [BALANCED]:
-        assert grid_tau(grid, graded_blocks(grid)) == grid_tau(grid), grid
-
-
 @pytest.mark.parametrize("p,q", [(2, -5), (3, 4)])
 def test_mirror_state_map_on_gradings_and_arrows(p, q):
     # f(s)[c] = s[(-c) mod n] is a bijection onto the mirror's states with
     # M + M' o f = -(n - 1) and 2A + 2A' o f = -2(n - 1), and s -> t is an
-    # arrow exactly when f(t) -> f(s) is one of the mirror.
+    # arrow exactly when f(t) -> f(s) is one of the mirror: mirror(),
+    # _Grader and _rectangle_targets checked against each other.
     grid = torus_knot_grid(p, q)
     mirror = grid.mirror()
     n = grid.n
-    f = grid_module._mirror_state
+
+    def f(state: bytes) -> bytes:
+        return state[:1] + state[:0:-1]
+
     grader = grid_module._Grader(grid)
     mirror_grader = grid_module._Grader(mirror)
     arrows = set()
@@ -221,24 +214,15 @@ def _knot_grids(n: int) -> list[GridDiagram]:
 
 
 def test_overlapping_maslov_windows_at_sizes_two_and_three():
-    # For n <= 3 the grading windows of the two sides overlap: at n = 2
-    # the mirror's slices -1, 0, +1 are the grid's 0, -1, -2, and at
-    # n = 3 the grid's Maslov -1 slice is also the mirror's +1 slice.  A
-    # state there must reach both sides.
-    assert grid_module._windows(2) == ((-1, 0, 1), (0, -1, -2))
-    assert grid_module._windows(3) == ((-1, 0, 1), (-1, -2, -3))
-    overlaps = 0
+    # The state map f of the test above takes M to M' = -(n - 1) - M, so
+    # for n <= 3 it carries some of the grid's Maslov -1, 0, +1 states to
+    # the mirror's: the two sides tau chooses between share states.  Every
+    # knot grid of sizes 2 and 3, against the whole compiled complex.
     for grid in _knot_grids(2) + _knot_grids(3):
-        n = grid.n
-        original, mirrored = grid_module._windows(n)
-        sizes = Counter(map(grid_module._Grader(grid).maslov, itertools.permutations(range(n))))
-        overlaps += sum(sizes[m] for m in set(original) & set(mirrored))
         c = compile_grid(grid)
         expected = tau(c, maslov_zero_class(c))
         assert grid_tau(grid) == expected, grid
         assert grid_tau(grid.mirror()) == -expected, grid
-        assert grid_tau(grid, graded_blocks(grid)) == expected, grid
-    assert overlaps
 
 
 def test_tau_of_compiled_t2_minus5_complex():
@@ -284,6 +268,41 @@ def _maslov_zero_size(grid: GridDiagram) -> int:
     return (mirrored if sum(mirrored[1:]) < sum(sizes[1:]) else sizes)[1]
 
 
+def _count_grids() -> list[GridDiagram]:
+    # Every knot grid of sizes 2-3, every torus grid up to size 8 (the
+    # callers take both sides, and T(p,-q) is the mirror of T(p,q)), and
+    # random knot grids of sizes 4-8.
+    grids = _knot_grids(2) + _knot_grids(3)
+    grids += [
+        torus_knot_grid(p, q) for p in range(1, 8) for q in range(1, 9 - p) if gcd(p, q) == 1
+    ]
+    rng = random.Random(2020)
+    return grids + [random_knot_grid(rng, n) for n in (4, 5, 6, 7, 8)]
+
+
+def test_suffix_counts_and_window_match_the_per_state_grader():
+    # On both sides, counts[0] is the Counter of _Grader.maslov over all
+    # states, and the walk keeps exactly the states of Maslov -1, 0 and +1
+    # with the 2A of the Maslov-0 ones, in lexicographic order.
+    for grid in _count_grids():
+        for side in (grid, grid.mirror()):
+            grader = grid_module._Grader(side)
+            histogram = Counter()
+            kept = {-1: [], 0: [], 1: []}
+            alexanders = []
+            for state in _states(side.n):
+                m = grader.maslov(state)
+                histogram[m] += 1
+                if m in kept:
+                    kept[m].append(state)
+                    if m == 0:
+                        alexanders.append(grader.gradings(state)[1])
+            counts = grader.suffix_counts()
+            shifted = {grader.maslov_shift + k: ways for k, ways in counts[0].items()}
+            assert shifted == histogram, side
+            assert grader.window(counts) == (kept[-1], kept[0], alexanders, kept[1]), side
+
+
 def test_tau_refuses_maslov_zero_slice_above_limit(monkeypatch):
     # T(2,-5)'s cheaper side is its mirror, whose Maslov-0 slice is one
     # state; the balanced grid's is 35 on either side.
@@ -293,6 +312,8 @@ def test_tau_refuses_maslov_zero_slice_above_limit(monkeypatch):
     assert size == 35
     monkeypatch.setattr(grid_module, "MAX_TAU_SLICE", size)
     assert grid_tau(grid) == 0
+
+    _forbid_visits(monkeypatch)
     monkeypatch.setattr(grid_module, "MAX_TAU_SLICE", size - 1)
     with pytest.raises(
         ValueError,
@@ -300,6 +321,32 @@ def test_tau_refuses_maslov_zero_slice_above_limit(monkeypatch):
         rf"{size - 1} ",
     ):
         grid_tau(grid)
+
+
+def _forbid_visits(monkeypatch) -> None:
+    """Make the walk, the per-state grader and the rectangle sweep raise."""
+
+    def visit(*args):
+        raise AssertionError("a state was visited before the refusal")
+
+    for name in ("maslov", "gradings", "window"):
+        monkeypatch.setattr(grid_module._Grader, name, visit)
+    monkeypatch.setattr(grid_module, "_rectangle_targets", visit)
+
+
+# The random size-10 grid in README: 65,008 Maslov-0 states on its cheaper side.
+README_RANDOM_TEN = GridDiagram((6, 1, 9, 0, 3, 2, 4, 8, 5, 7), (3, 5, 7, 9, 2, 1, 8, 6, 0, 4))
+
+
+def test_size_ten_refusal_comes_from_the_counts(monkeypatch):
+    # The slice sizes come from suffix_counts, so the refusal visits no
+    # state, here at the real limit.
+    _forbid_visits(monkeypatch)
+    with pytest.raises(
+        ValueError,
+        match=r"^the Maslov-0 slice holds 65008 states, above the limit of 58748 ",
+    ):
+        grid_tau(README_RANDOM_TEN)
 
 
 def test_targets_listed_twice_cancel(monkeypatch):
