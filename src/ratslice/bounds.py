@@ -307,15 +307,6 @@ def slice_bennequin_check(
     )
 
 
-def linking_form_breadth_lower(form_values: Sequence[Fraction]) -> Fraction:
-    """Largest linking-form representative in [0,1): a tau-breadth floor."""
-    values = [Fraction(v) for v in form_values]
-    for v in values:
-        if not 0 <= v < 1:
-            raise ValueError(f"linking form value {v} outside [0, 1)")
-    return max(values, default=Fraction(0))
-
-
 def d_invariant_bound(
     d: dict[str, Fraction], k_action: dict[str, str]
 ) -> Fraction:

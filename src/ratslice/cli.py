@@ -1,10 +1,10 @@
 """Command-line surface: one JSON document per invocation on stdout.
 
-Exit codes: 0 success, 1 input error (first offending field named on
-stderr), 2 violated check (an unsatisfied inequality check or a failed
-embedded verification).  Output documents are deterministic: byte
-identical across runs for identical inputs, and every document carries
-a citation field naming the inequality used.
+Exit codes: 0 success, 1 input or usage error (first offending field
+named on stderr), 2 violated check (an unsatisfied inequality check or
+a failed embedded verification).  Output documents are deterministic:
+byte identical across runs for identical inputs, and every document
+carries a citation field naming the inequality used.
 
 Each handler imports the ratslice modules it runs at the top of its
 body, so a process compiles and runs only what its verb needs:
@@ -41,6 +41,7 @@ def _load_json(path: str) -> dict:
     return doc
 
 
+# For --target and --order: named() would prefix their evaluators' other refusals.
 def _check_positive(flag: str, value: int | None, what: str) -> None:
     if value is not None and value < 1:
         raise ValueError(f"{flag}: {what} must be >= 1")
@@ -72,6 +73,7 @@ def _spectrum_from_args(args) -> complexes.TauSpectrum:
         raise ValueError("--tau-max and --tau-min must be given together")
     hi = formats.named("--tau-max", parse_rational, args.tau_max)
     lo = formats.named("--tau-min", parse_rational, args.tau_min)
+    # Checked here, not by TauSpectrum: the message names both flags.
     if lo > hi:
         raise ValueError(f"--tau-min {args.tau_min} is above --tau-max {args.tau_max}")
     per_class = {"max": hi} if hi == lo else {"max": hi, "min": lo}
@@ -125,11 +127,8 @@ def _cmd_grid_tau(args):
         diagram = formats.named(args.grid, formats.grid_from_text, _read(args.grid))
         formats.named(args.grid, grid.check_knot_grid, diagram)
         source = args.grid
-    if args.hfk and diagram.n > grid.MAX_HFK_SIZE:
-        raise ValueError(
-            f"--hfk: grid size {diagram.n} exceeds the cap {grid.MAX_HFK_SIZE} "
-            f"for knot Floer ranks"
-        )
+    if args.hfk:
+        formats.named("--hfk", grid.check_hfk_size, diagram.n)
     doc = {
         "source": source,
         "n": diagram.n,
@@ -149,8 +148,7 @@ def _cmd_cable_bound(args):
 
     tau = formats.named("--tau", parse_rational, args.tau)
     lk = formats.named("--lk", parse_rational, args.lk)
-    _check_positive("--p", args.p, "p")
-    interval = bounds.cable_tau_interval(args.p, tau, lk)
+    interval = formats.named("--p", bounds.cable_tau_interval, args.p, tau, lk)
     return EXIT_OK, {
         "p": args.p,
         "tau": format_rational(tau),
@@ -192,8 +190,7 @@ def _cmd_seifert_framed_bound(args):
     from . import bounds, formats
 
     spectrum = _spectrum_from_args(args)
-    _check_positive("--p", args.p, "p")
-    report = bounds.seifert_framed_bound(spectrum, args.p)
+    report = formats.named("--p", bounds.seifert_framed_bound, spectrum, args.p)
     return EXIT_OK, {
         "report": formats.report_to_json(report),
         "citation": report.citation,
@@ -261,8 +258,7 @@ def _cmd_slice_bennequin(args):
 
     tb = formats.named("--tb", parse_rational, args.tb)
     rot = formats.named("--rot", parse_rational, args.rot)
-    _check_positive("--p", args.p, "p")
-    report = bounds.slice_bennequin_check(tb, rot, args.chi, args.p)
+    report = formats.named("--p", bounds.slice_bennequin_check, tb, rot, args.chi, args.p)
     code = EXIT_OK if report.satisfied else EXIT_VIOLATED
     return code, {
         "report": formats.report_to_json(report),
@@ -283,8 +279,15 @@ def _cmd_verify_paper(args):
     return (EXIT_OK if all_ok else EXIT_VIOLATED), doc
 
 
+class _Parser(argparse.ArgumentParser):
+    # A usage error exits EXIT_INPUT: argparse's 2 is EXIT_VIOLATED here.
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ratslice",
         description="tau invariants and rational slice genus bounds "
         "from combinatorial data",

@@ -80,6 +80,8 @@ class TauSpectrum:
     enumeration_complete: bool
 
     def __post_init__(self):
+        if not self.per_class:
+            raise ValueError("per_class: expected a nonempty object")
         if self.tau_min > self.tau_max:
             raise ValueError("tau_min: must not exceed tau_max")
         # The classes share a handful of value objects: check each once,
@@ -132,14 +134,19 @@ class FilteredComplex:
         generators: Iterable[Generator | tuple[str, Fraction, Fraction, str]],
         differential: Mapping[str, Iterable[str]],
     ):
+        # Over GF(2) a repeated target cancels: refused first, naming its first repeat.
+        self.differential: dict[str, frozenset[str]] = {}
+        for src, dsts in differential.items():
+            dsts = tuple(dsts)
+            if len(targets := frozenset(dsts)) < len(dsts):
+                seen: set[str] = set()
+                dst = next(d for d in dsts if d in seen or seen.add(d))
+                raise InvalidComplexError(f"differential[{src!r}]: repeated target {dst!r}")
+            if targets:
+                self.differential[src] = targets
         self.generators: tuple[Generator, ...] = tuple(
             g if isinstance(g, Generator) else Generator(*g) for g in generators
         )
-        self.differential: dict[str, frozenset[str]] = {
-            src: frozenset(dsts)
-            for src, dsts in differential.items()
-            if frozenset(dsts)
-        }
         self.index = {g.id: i for i, g in enumerate(self.generators)}
         report = validate(self)
         if not report.ok:

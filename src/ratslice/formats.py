@@ -5,10 +5,12 @@ floating point, so every document round-trips bit-exactly.
 
 A refusal names the first offending field.  Each record states its own
 rules once, relative to itself ("order: expected a positive integer,
-got 0"); the parsers here check only JSON types and add the document
-path, and `named` does every prefixing, for document paths and CLI
-flags alike.  A record checks its rules once all of its fields are
-read, so a malformed value is named before a broken rule.
+got 0"), a repeated differential target and an empty `per_class` among
+them; the parsers here check only JSON types and add the document path,
+and `named` does every prefixing, for document paths and CLI flags
+alike.  A record checks its rules once all of its fields are read, so a
+malformed value is named before a broken rule.  write_document renders
+every document: sorted keys, an indent of 2, a final newline.
 
 Formats:
 * FilteredComplex: {"generators": [{"id", "maslov", "alexander", "spinc"}],
@@ -153,12 +155,9 @@ def complex_from_json(doc: dict) -> FilteredComplex:
         field = f"differential[{src!r}]"
         if not isinstance(dsts, list):
             raise _fail(field, "expected a list of ids")
-        targets: set[str] = set()
         for dst in dsts:
-            if _string(dst, field) in targets:
-                raise _fail(field, f"repeated target {dst!r}")
-            targets.add(dst)
-        differential[str(src)] = frozenset(targets)
+            _string(dst, field)
+        differential[str(src)] = dsts
     return FilteredComplex(generators, differential)
 
 
@@ -169,7 +168,7 @@ def spectrum_to_json(spectrum: TauSpectrum) -> dict:
     values = {id(v): v for v in spectrum.per_class.values()}
     texts = {key: format_rational(v) for key, v in values.items()}
     return {
-        # Sorted here, so that dump_document's own key sort is a linear pass.
+        # Sorted here, so that write_document's own key sort is a linear pass.
         "per_class": {
             cid: texts[id(spectrum.per_class[cid])]
             for cid in sorted(spectrum.per_class)
@@ -185,7 +184,7 @@ def spectrum_from_json(doc: dict) -> TauSpectrum:
     from .complexes import TauSpectrum
 
     per_class_raw = _need(doc, "per_class", "tau_spectrum")
-    if not isinstance(per_class_raw, dict) or not per_class_raw:
+    if not isinstance(per_class_raw, dict):
         raise _fail("tau_spectrum.per_class", "expected a nonempty object")
     per_class = {
         str(cid): _rational(v, f"tau_spectrum.per_class[{cid!r}]")
@@ -348,18 +347,13 @@ def grid_to_text(grid) -> str:
     )
 
 
-def dump_document(doc: dict) -> str:
-    """Deterministic document rendering: sorted keys, fixed separators."""
-    return json.dumps(doc, sort_keys=True, indent=2)
-
-
 # Encoder chunks joined into one write: a write per chunk costs a system
 # call each on an unbuffered stream.
 _WRITE_BATCH = 8192
 
 
 def write_document(doc: dict, stream: TextIO) -> None:
-    """Write dump_document(doc) and a newline to stream, batch by batch.
+    """Write json.dumps(doc, sort_keys=True, indent=2) + "\n" to stream.
 
     The whole document is never held as one string: the encoder's chunks
     are joined _WRITE_BATCH at a time.

@@ -43,8 +43,9 @@ enters a prefix only when it can still finish in Maslov -1, 0 or +1
 then keeps the chosen side's three slices (_Grader.window).  The graded
 differential preserves the Alexander grading, so the knot Floer ranks
 take the rank of each (M, A) block against the (M - 1, A) block alone,
-from one grading scan of all n! states (graded_ranks).  compile_grid
-builds the whole filtered complex; only the tests use it.
+from one grading scan of all n! states (graded_ranks), which
+check_hfk_size caps at n <= 9 for every caller.  compile_grid builds
+the whole filtered complex; only the tests use it.
 """
 
 from __future__ import annotations
@@ -210,13 +211,7 @@ class _Grader:
     def maslov(self, state: tuple[int, ...]) -> int:
         """M of one state: the per-state reference that the tests hold
         suffix_counts and window to.  Grid tau grades no state this way."""
-        below = self.below
-        seen = 0
-        maslov = self.maslov_shift
-        for o_row, v in zip(self.o_sums, state):
-            maslov += (seen & below[v]).bit_count() - o_row[v]
-            seen |= 1 << v
-        return maslov
+        return self.gradings(state)[0]
 
     def gradings(self, state: tuple[int, ...]) -> tuple[int, int]:
         """(M, 2A) of the state."""
@@ -388,6 +383,12 @@ def _check_size(n: int) -> None:
         )
 
 
+def check_hfk_size(n: int) -> None:
+    """Refuse knot Floer ranks of a grid over MAX_HFK_SIZE, before any scan."""
+    if n > MAX_HFK_SIZE:
+        raise ValueError(f"grid size {n} exceeds the cap {MAX_HFK_SIZE} for knot Floer ranks")
+
+
 def check_knot_grid(grid: GridDiagram) -> None:
     """Refuse a grid over the size cap or one that presents a link."""
     _check_size(grid.n)
@@ -485,8 +486,9 @@ def graded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int]:
     kept to check that the differential squares to zero.  The rank at
     (M, A) is |block| - rank out - rank in.  Raises if an arrow leaves the
     block below or the square of the differential is nonzero.  One scan
-    grades every state into its block.
+    grades every state into its block, once check_hfk_size has passed.
     """
+    check_hfk_size(grid.n)
     check_knot_grid(grid)
     gradings = _Grader(grid).gradings
     blocks: dict[tuple[int, int], list[bytes]] = {}

@@ -16,7 +16,6 @@ from ratslice.bounds import (
     floer_simple_genus,
     genus_lower_bound_breadth,
     link_cobordism_bound,
-    linking_form_breadth_lower,
     optimal_c,
     satellite_breadth_lower,
     seifert_framed_bound,
@@ -264,16 +263,6 @@ def test_slice_bennequin_examples():
     assert wide.satisfied and wide.bound_value == 3
     bad = slice_bennequin_check(F(5), F(0), 0, 1)
     assert not bad.satisfied and bad.bound_value == -5
-
-
-def test_linking_form_breadth_lower():
-    assert linking_form_breadth_lower([]) == 0
-    assert linking_form_breadth_lower([F(0)]) == 0
-    assert linking_form_breadth_lower([F(0), F(1, 2)]) == F(1, 2)
-    assert linking_form_breadth_lower([F(1, 3), F(2, 3)]) == F(2, 3)
-    assert linking_form_breadth_lower([F(1, 2)]) <= RP1_SPECTRUM.breadth
-    with pytest.raises(ValueError):
-        linking_form_breadth_lower([F(1)])
 
 
 def test_d_invariant_bound_values():

@@ -1,5 +1,6 @@
 """Command-line surface: verbs, documents, exit codes, determinism."""
 
+import argparse
 import importlib
 import json
 import os
@@ -12,10 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from ratslice.cli import main
+from ratslice.cli import _RATIONAL_FLAGS, build_parser, main
 from ratslice.formats import (
     complex_to_json,
-    dump_document,
     framed_to_json,
     grid_to_text,
     poincare_to_json,
@@ -80,7 +80,7 @@ def test_tau_verb_spectrum_and_cycle(tmp_path, capsys):
     from ratslice.paperdata import _rp1_model_complex
 
     path = tmp_path / "rp1.json"
-    path.write_text(dump_document(complex_to_json(_rp1_model_complex())))
+    path.write_text(json.dumps(complex_to_json(_rp1_model_complex())))
     doc = run_json(capsys, "tau", "--complex", str(path))
     assert doc["spectrum"]["tau_max"] == "1/4"
     assert doc["spectrum"]["tau_min"] == "-1/4"
@@ -101,7 +101,7 @@ def test_tau_cycle_refuses_repeated_or_empty_ids(tmp_path, capsys, cycle):
     from ratslice.paperdata import _rp1_model_complex
 
     path = tmp_path / "rp1.json"
-    path.write_text(dump_document(complex_to_json(_rp1_model_complex())))
+    path.write_text(json.dumps(complex_to_json(_rp1_model_complex())))
     code, out, err = run_cli(capsys, "tau", "--complex", str(path), "--cycle", cycle)
     assert (code, out) == (1, "")
     assert err == f"error: --cycle: expected distinct generator ids, got {cycle!r}\n"
@@ -460,6 +460,24 @@ def _framed_spectrum(**fields):
             },
             "terms[1].maslov",
         ),
+        (
+            "genus-bound",
+            "--knot",
+            _framed_spectrum(per_class={}, tau_max="x"),
+            "tau_spectrum.tau_max",
+        ),
+        (
+            "tau",
+            "--complex",
+            {
+                "generators": [
+                    {"id": "a", "maslov": "0", "alexander": "0", "spinc": "0"},
+                    {"id": "x", "maslov": "1", "alexander": "0", "spinc": "0"},
+                ],
+                "differential": {"x": ["a", "a"], "y": [5]},
+            },
+            "differential['y']",
+        ),
     ],
 )
 def test_wrong_json_type_names_field(tmp_path, capsys, verb, flag, doc, field):
@@ -486,6 +504,43 @@ def test_knot_document_derived_values_must_agree(tmp_path, capsys):
         assert run_cli(capsys, "genus-bound", "--knot", str(path)) == (
             1, "", f"error: {message}\n"
         )
+
+
+@pytest.mark.parametrize(
+    "verb,flag,doc,message",
+    [
+        (
+            "tau",
+            "--complex",
+            {
+                "generators": [
+                    {"id": "a", "maslov": "0", "alexander": "0", "spinc": "0"},
+                    {"id": "x", "maslov": "1", "alexander": "0", "spinc": "0"},
+                ],
+                "differential": {"x": ["a", "a"]},
+            },
+            "differential['x']: repeated target 'a'",
+        ),
+        (
+            "genus-bound",
+            "--knot",
+            _framed_spectrum(per_class={}),
+            "tau_spectrum.per_class: expected a nonempty object",
+        ),
+        (
+            "genus-bound",
+            "--knot",
+            _framed_spectrum(per_class=[]),
+            "tau_spectrum.per_class: expected a nonempty object",
+        ),
+    ],
+)
+def test_record_rule_refusal_text(tmp_path, capsys, verb, flag, doc, message):
+    # FilteredComplex and TauSpectrum own these rules; the parser only
+    # refuses a value of the wrong JSON type.
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, verb, flag, str(path)) == (1, "", f"error: {message}\n")
 
 
 def test_huge_exponent_grading_refused_at_once(tmp_path, capsys):
@@ -871,7 +926,58 @@ def test_verify_paper_all_green(capsys):
 def test_unknown_verb_rejected():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
-    assert err.value.code == 2
+    assert err.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["cable-bound", "--p", "2"], "the following arguments are required: --tau, --lk"),
+        (
+            ["cable-bound", "--p", "x", "--tau", "0", "--lk", "0"],
+            "argument --p: invalid int value: 'x'",
+        ),
+        (["grid-tau", "--torus", "2"], "argument --torus: expected 2 arguments"),
+    ],
+)
+def test_usage_error_exits_one_with_argparse_text(capsys, argv, message):
+    # Exit code 2 is a violated check; argparse's own usage errors exit 1.
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: ratslice {argv[0]} ")
+    assert captured.err.endswith(f"\nratslice {argv[0]}: error: {message}\n")
+
+
+# One verb per flag that _normalize_argv joins, with a negative value in
+# the space-separated form that argparse alone would read as an option.
+NEGATIVE_RATIONAL_RUNS = {
+    "--lk": ["cable-bound", "--p", "2", "--tau", "0", "--lk", "-1/3"],
+    "--tau": ["cable-bound", "--p", "2", "--tau", "-1/3", "--lk", "0"],
+    "--tau-max": ["genus-bound", "--tau-max", "-1/3", "--tau-min", "-1"],
+    "--tau-min": ["genus-bound", "--tau-max", "0", "--tau-min", "-1/3"],
+    "--tb": ["slice-bennequin", "--tb", "-1/3", "--rot", "0", "--chi", "-2", "--p", "1"],
+    "--rot": ["slice-bennequin", "--tb", "0", "--rot", "-1/3", "--chi", "-2", "--p", "1"],
+}
+
+
+def test_rational_flags_are_the_options_read_as_a_b(capsys):
+    verbs = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    documented = {
+        option
+        for sub in verbs.choices.values()
+        for action in sub._actions
+        if action.help and "a/b" in action.help
+        for option in action.option_strings
+    }
+    assert documented == _RATIONAL_FLAGS == set(NEGATIVE_RATIONAL_RUNS)
+    for flag, argv in NEGATIVE_RATIONAL_RUNS.items():
+        assert '"-1/3"' in json.dumps(run_json(capsys, *argv)), flag
 
 
 def test_malformed_file_exit_one(tmp_path, capsys):

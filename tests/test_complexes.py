@@ -14,6 +14,7 @@ from ratslice import complexes
 from ratslice.complexes import (
     DeductionError,
     FilteredComplex,
+    InvalidComplexError,
     TauSpectrum,
     connected_sum_shift,
     homology_basis,
@@ -112,6 +113,17 @@ def test_constructor_rejects_invalid():
         FilteredComplex(
             [("x", F(0), F(0), "0"), ("y", F(-1), F(1), "0")], {"x": {"y"}}
         )
+
+
+def test_constructor_refuses_a_repeated_target_before_validating():
+    # Over GF(2) a repeated target cancels, so the list cannot be read as
+    # a set.  The first target seen twice is named, before the generators
+    # are read: the bad one at the end is never reached.
+    gens = [("a", F(0), F(0), "0"), ("c", F(0), F(0), "0"), ("x", F(1), F(0), "0")]
+    with pytest.raises(
+        InvalidComplexError, match=r"^differential\['x'\]: repeated target 'c'$"
+    ):
+        FilteredComplex(gens + ["not a generator"], {"x": ["a", "c", "c", "a"]})
 
 
 def test_random_complexes_are_valid():
@@ -362,6 +374,11 @@ def test_spectrum_refuses_value_outside_extremes():
             {"b0": F(0), "b1": F(0), "b2": F(2)}, tau_max=F(1), tau_min=F(0),
             enumeration_complete=True,
         )
+
+
+def test_spectrum_refuses_no_classes_before_its_other_rules():
+    with pytest.raises(ValueError, match="^per_class: expected a nonempty object$"):
+        TauSpectrum({}, tau_max=F(0), tau_min=F(1), enumeration_complete=True)
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from ratslice.complexes import tau_spectrum, total_homology_rank
 from ratslice.formats import (
     complex_from_json,
     complex_to_json,
-    dump_document,
     framed_from_json,
     framed_to_json,
     grid_from_text,
@@ -180,7 +179,7 @@ class _CountingStream(io.StringIO):
         return super().write(text)
 
 
-def test_write_document_streams_dump_document_in_batches():
+def test_write_document_streams_json_dumps_in_batches():
     # Larger than one batch of encoder chunks, with nesting, rationals
     # and non-ASCII text.
     doc = {
@@ -192,5 +191,5 @@ def test_write_document_streams_dump_document_in_batches():
     assert chunks > 8192
     stream = _CountingStream()
     write_document(doc, stream)
-    assert stream.getvalue() == dump_document(doc) + "\n"
+    assert stream.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert stream.writes <= chunks / 8192 + 2

@@ -323,6 +323,17 @@ def test_tau_refuses_maslov_zero_slice_above_limit(monkeypatch):
         grid_tau(grid)
 
 
+def test_hfk_ranks_refuse_a_grid_over_the_cap_before_grading(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("a state was graded before the refusal")
+
+    monkeypatch.setattr(grid_module._Grader, "gradings", no_scan)
+    with pytest.raises(
+        ValueError, match=r"^grid size 10 exceeds the cap 9 for knot Floer ranks$"
+    ):
+        hfk_ranks(torus_knot_grid(3, 7))
+
+
 def _forbid_visits(monkeypatch) -> None:
     """Make the walk, the per-state grader and the rectangle sweep raise."""
 
