@@ -128,7 +128,7 @@ def _cmd_grid_tau(args):
         formats.named(args.grid, grid.check_knot_grid, diagram)
         source = args.grid
     if args.hfk:
-        formats.named("--hfk", grid.check_hfk_size, diagram.n)
+        formats.named("--hfk", grid.check_hfk_size, diagram)
     doc = {
         "source": source,
         "n": diagram.n,

@@ -9,9 +9,10 @@ one drops the Alexander filtration by 1).  Maslov and Alexander gradings
 come from the planar dominance counts, with the Alexander grading shifted
 by -(n-1)/2 so that the unknot's surviving class sits at level 0.
 
-Both per-state loops are integer loops.  The grading scan reads the
-Maslov grading and the doubled Alexander grading 2A from precombined
-dominance tables and a bitmask of the rows seen (_Grader).  The empty
+Both per-state loops are integer loops.  The Maslov grading and the
+doubled Alexander grading 2A are sums of per-column terms read from
+precombined dominance tables and a bitmask of the rows seen (_Grader),
+which the walks below add up column by column.  The empty
 rectangles leaving a state are found in O(n^2) by sweeping rightwards
 from each state point while tracking the nearest blocker above it; the
 distance from each row up to the first blocking marking of each column
@@ -24,8 +25,9 @@ tensored with one two-dimensional factor per extra marking pair: rank
 2^(n-1), with rank binomial(n-1, k) in Maslov grading -k.  The knot
 invariants live in the Maslov-0 piece, which has rank one; tau of the
 grid is tau of that class.  Knot Floer ranks are recovered from the
-graded (rectangle count zero X, zero O) homology by deconvolving the
-binomial tower, after which they are symmetric in the Alexander grading.
+graded (rectangle count zero X, zero O) homology with A >= 0 by
+deconvolving the binomial tower; the symmetry HFK_m(K, -a) =
+HFK_{m-2a}(K, a) gives those with A < 0.
 
 Size cap: n <= 10.  Neither tau nor the knot Floer ranks store the full
 differential.  tau reads only the three Maslov slices around zero: it is
@@ -43,9 +45,13 @@ enters a prefix only when it can still finish in Maslov -1, 0 or +1
 then keeps the chosen side's three slices (_Grader.window).  The graded
 differential preserves the Alexander grading, so the knot Floer ranks
 take the rank of each (M, A) block against the (M - 1, A) block alone,
-from one grading scan of all n! states (graded_ranks), which
-check_hfk_size caps at n <= 9 for every caller.  compile_grid builds
-the whole filtered complex; only the tests use it.
+and only the blocks with A >= 0 are needed.  The 2A term of a state's
+column i depends only on i and the row placed, so the same table keyed
+by 2A counts the states with 2A >= 0, which check_hfk_size refuses above
+MAX_HFK_STATES for every caller, and gives each prefix's largest
+completion; a walk that enters a prefix only when it can still finish at
+2A >= 0 then keeps those blocks (_Grader.upper_half, graded_ranks).
+compile_grid builds the whole filtered complex; only the tests use it.
 """
 
 from __future__ import annotations
@@ -61,10 +67,14 @@ from .complexes import FilteredComplex, TauRowOrder, essential_rows
 from .gf2 import new_engine
 
 MAX_GRID_SIZE = 10
-# Knot Floer ranks keep every one of the n! states: at n = 9 T(2,-7) takes
-# 8 s at 104 MB and T(2,7) 8.5 s at 111 MB.  At n = 10 T(3,7) ran out of
-# 3 GB after 102 s, measured when tau and the ranks scanned separately.
-MAX_HFK_SIZE = 9
+# The most states with 2A >= 0 that knot Floer ranks are measured to answer
+# within about 30 s, counted before any state is visited.  Measured on 2
+# cores in process: n = 10 T(3,7) keeps 105,721 and takes 3.8 s at 92 MB;
+# the heaviest of 30 random n = 10 knot grids (seed 1), X 0 9 8 7 2 6 5 4
+# 3 1 and O 7 3 4 6 9 8 2 5 1 0, keeps 298,367 and takes 23 s at 566 MB,
+# 19 s of it GF(2) elimination; grids keeping 415,683 and 439,269 took
+# 27-29 s at 842-903 MB.
+MAX_HFK_STATES = 300_000
 # The largest Maslov-0 slice grid tau is measured to answer within 3 GB,
 # on the side it reduces: T(2,-7)'s own at n = 9, 20-28 s at 426 MB.
 # Both sides' slices are counted before any state is visited, so a grid
@@ -226,26 +236,32 @@ class _Grader:
             seen |= 1 << v
         return maslov, alexander
 
-    def suffix_counts(self) -> list[dict[int, int]]:
+    def suffix_counts(self, alexander: bool = False) -> list[dict[int, int]]:
         """counts[S]: the ways to finish a state whose first |S| columns
-        hold the rows in the bitmask S, by the Maslov terms still to come.
+        hold the rows in the bitmask S, by the Maslov terms still to come,
+        or with alexander by the 2A terms.
 
         Row v in column i = |S| adds popcount(S & below[v]) - o_sums[i][v]
-        to M, a term fixed by (S, v).  So counts[S] maps each sum of the
-        terms of the columns after S to the number of ways to place the
-        rows outside S, filled from the full set down, and counts[0]
-        shifted by maslov_shift is the Maslov histogram of all n! states,
+        to M and x_sums[i][v] - o_sums[i][v] to 2A, terms fixed by (S, v).
+        So counts[S] maps each sum of the terms of the columns after S to
+        the number of ways to place the rows outside S, filled from the
+        full set down, and counts[0] shifted by maslov_shift (or by
+        alexander_shift) is the Maslov (or 2A) histogram of all n! states,
         found without visiting one.
         """
         n = len(self.below)
         full = (1 << n) - 1
         counts: list[dict[int, int]] = [{}] * full + [{0: 1}]
         for rows in range(full - 1, -1, -1):
-            o_row = self.o_sums[rows.bit_count()]
+            i = rows.bit_count()
+            o_row, x_row = self.o_sums[i], self.x_sums[i]
             table: dict[int, int] = {}
             for v in range(n):
                 if not rows >> v & 1:
-                    term = (rows & self.below[v]).bit_count() - o_row[v]
+                    if alexander:
+                        term = x_row[v] - o_row[v]
+                    else:
+                        term = (rows & self.below[v]).bit_count() - o_row[v]
                     for rest, ways in counts[rows | 1 << v].items():
                         table[rest + term] = table.get(rest + term, 0) + ways
             counts[rows] = table
@@ -289,6 +305,41 @@ class _Grader:
 
         descend(0, self.maslov_shift, self.alexander_shift)
         return slices[-1], slices[0], alexanders, slices[1]
+
+    def upper_half(self, counts: list[dict[int, int]]) -> dict[tuple[int, int], list[bytes]]:
+        """The states with 2A >= 0, in blocks keyed (M, 2A).
+
+        A depth-first walk over partial states carries M and 2A, and enters
+        a prefix only when the largest sum in its counts
+        (self.suffix_counts(alexander=True)) still brings 2A to 0 or above.
+        Every prefix it visits then extends to a kept state, so the walk
+        costs at most n steps per kept state.  Each block lists its states
+        in lexicographic order.
+        """
+        n = len(self.below)
+        full = (1 << n) - 1
+        best = [max(rest) for rest in counts]
+        blocks: dict[tuple[int, int], list[bytes]] = {}
+        state = bytearray(n)
+
+        def descend(rows: int, maslov: int, alexander: int) -> None:
+            i = rows.bit_count()
+            o_row, x_row = self.o_sums[i], self.x_sums[i]
+            for v in range(n):
+                if rows >> v & 1:
+                    continue
+                seen = rows | 1 << v
+                a2 = alexander + x_row[v] - o_row[v]
+                if a2 + best[seen] >= 0:
+                    state[i] = v
+                    m = maslov + (rows & self.below[v]).bit_count() - o_row[v]
+                    if seen != full:
+                        descend(seen, m, a2)
+                    else:
+                        blocks.setdefault((m, a2), []).append(bytes(state))
+
+        descend(0, self.maslov_shift, self.alexander_shift)
+        return blocks
 
 
 def _near_table(n: int, blocking: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
@@ -383,10 +434,23 @@ def _check_size(n: int) -> None:
         )
 
 
-def check_hfk_size(n: int) -> None:
-    """Refuse knot Floer ranks of a grid over MAX_HFK_SIZE, before any scan."""
-    if n > MAX_HFK_SIZE:
-        raise ValueError(f"grid size {n} exceeds the cap {MAX_HFK_SIZE} for knot Floer ranks")
+def check_hfk_size(grid: GridDiagram) -> tuple[_Grader, list[dict[int, int]]]:
+    """Refuse knot Floer ranks of a grid whose 2A >= 0 states number over
+    MAX_HFK_STATES, counted before any state is visited.
+
+    Returns the grid's grader and its 2A table (suffix_counts with
+    alexander), which graded_ranks walks once the count has passed.
+    """
+    check_knot_grid(grid)
+    grader = _Grader(grid)
+    counts = grader.suffix_counts(alexander=True)
+    kept = sum(ways for rest, ways in counts[0].items() if rest >= -grader.alexander_shift)
+    if kept > MAX_HFK_STATES:
+        raise ValueError(
+            f"the A >= 0 half holds {kept} states, above the limit of "
+            f"{MAX_HFK_STATES} that knot Floer ranks are measured to answer"
+        )
+    return grader, counts
 
 
 def check_knot_grid(grid: GridDiagram) -> None:
@@ -476,24 +540,21 @@ def tau(grid: GridDiagram) -> Fraction:
 
 
 def graded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int]:
-    """Homology ranks of the associated graded object, keyed (M, A).
+    """Homology ranks of the associated graded object with A >= 0, keyed (M, A).
 
     The graded differential keeps only the filtration-preserving arrows,
     i.e. rectangles containing neither X nor O markings, so it maps the
-    block of states graded (M, A) into the block graded (M - 1, A).  Each
-    Alexander level is walked in ascending Maslov order: a block's columns
-    are bitsets over the block below it, and the columns of that block are
-    kept to check that the differential squares to zero.  The rank at
-    (M, A) is |block| - rank out - rank in.  Raises if an arrow leaves the
-    block below or the square of the differential is nonzero.  One scan
-    grades every state into its block, once check_hfk_size has passed.
+    block of states graded (M, A) into the block graded (M - 1, A).  Once
+    check_hfk_size has passed, the walk (_Grader.upper_half) keeps the
+    blocks with A >= 0, and with them every block they map into.
+    Each Alexander level is ranked in ascending Maslov order: a block's
+    columns are bitsets over the block below it, and the columns of that
+    block are kept to check that the differential squares to zero.  The
+    rank at (M, A) is |block| - rank out - rank in.  Raises if an arrow
+    leaves the block below or the square of the differential is nonzero.
     """
-    check_hfk_size(grid.n)
-    check_knot_grid(grid)
-    gradings = _Grader(grid).gradings
-    blocks: dict[tuple[int, int], list[bytes]] = {}
-    for state in itertools.permutations(range(grid.n)):
-        blocks.setdefault(gradings(state), []).append(bytes(state))
+    grader, counts = check_hfk_size(grid)
+    blocks = grader.upper_half(counts)
 
     rank_out: dict[tuple[int, int], int] = {}
     # In this order the block below, when there is one, is the block just
@@ -539,11 +600,15 @@ def hfk_bigraded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int
 
     The graded grid homology is the knot homology tensored with n-1 copies
     of a rank-2 bigraded factor supported at (0, 0) and (-1, -1); peeling
-    the tower from the top Alexander grading down recovers the knot ranks.
+    the tower from the top Alexander grading down to A = 0 recovers the
+    knot ranks with A >= 0 from graded_ranks, and the symmetry
+    HFK_m(K, -a) = HFK_{m-2a}(K, a) (Ozsvath-Szabo, Holomorphic disks and
+    knot invariants) gives the rest.  Raises unless the graded Euler
+    characteristic, the sum of (-1)^M rank, is the Alexander polynomial
+    at t = 1, which is 1.
     """
-    raw = graded_ranks(grid)
     n = grid.n
-    remaining = dict(raw)
+    remaining = graded_ranks(grid)
     result: dict[tuple[Fraction, Fraction], int] = {}
     for (m, a) in sorted(remaining, key=lambda k: (-k[1], -k[0])):
         count = remaining.get((m, a), 0)
@@ -552,7 +617,7 @@ def hfk_bigraded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int
         if count == 0:
             continue
         result[(m, a)] = count
-        for k in range(0, n):
+        for k in range(0, min(n - 1, int(a)) + 1):
             shifted = (m - k, a - k)
             weight = comb(n - 1, k) * count
             left = remaining.get(shifted, 0) - weight
@@ -562,6 +627,12 @@ def hfk_bigraded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int
                 remaining.pop(shifted, None)
     if remaining:
         raise AssertionError(f"tower deconvolution left residue: {remaining}")
+    for (m, a), r in list(result.items()):
+        if a:
+            result[(m - 2 * a, -a)] = r
+    euler = sum(r if m % 2 == 0 else -r for (m, _), r in result.items())
+    if euler != 1:
+        raise AssertionError(f"graded Euler characteristic is {euler}, not Delta(1) = 1")
     return result
 
 

@@ -7,7 +7,10 @@ sweep asks the dense oracle one membership question per level, the
 persistence oracle is the textbook reduction (Zomorodian-Carlsson) with
 no clearing, the survivor enumerator is a plain recursion without
 memoization, and the grid oracles test every pair of columns for empty
-rectangles and count dominating pairs of points for the gradings.
+rectangles and count dominating pairs of points for the gradings.  The
+graded-rank oracle grades all n! states of a grid, where the package
+walks only the A >= 0 half, and deconvolves the whole binomial tower;
+the torus oracle reads knot Floer ranks off the Alexander polynomial.
 basis_cycles, maslov_zero_class and structural_checks are shared test
 code that holds the package's homology basis to the persistence oracle.
 """
@@ -27,7 +30,14 @@ from ratslice.complexes import (
     total_homology_rank,
     validate,
 )
-from ratslice.grid import GridDiagram, compile_grid, graded_ranks, hfk_ranks
+import ratslice.grid as grid_module
+from ratslice.grid import (
+    GridDiagram,
+    compile_grid,
+    graded_ranks,
+    hfk_bigraded_ranks,
+    hfk_ranks,
+)
 
 
 # -- dense GF(2) oracle ----------------------------------------------------
@@ -322,6 +332,107 @@ def compiled_graded_ranks(complex_: FilteredComplex) -> dict[tuple[Fraction, Fra
     return ranks
 
 
+def upper_half(ranks: dict[tuple[Fraction, Fraction], int]) -> dict[tuple[Fraction, Fraction], int]:
+    """The entries of ranks keyed (M, A) with A >= 0."""
+    return {key: r for key, r in ranks.items() if key[1] >= 0}
+
+
+def full_graded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int]:
+    """Graded homology ranks from a scan of all n! states, keyed (M, A).
+
+    Every state is graded into its (M, 2A) block by _Grader.gradings; a
+    block's graded-differential columns are bitsets over the block below,
+    and the rank at (M, A) is |block| - rank out - rank in, each rank by
+    _xor_rank rather than the package's engine.
+    """
+    gradings = grid_module._Grader(grid).gradings
+    blocks: dict[tuple[int, int], list[bytes]] = {}
+    for state in map(bytes, itertools.permutations(range(grid.n))):
+        blocks.setdefault(gradings(state), []).append(state)
+    rank_out = {}
+    for (m, a2), members in blocks.items():
+        row_of = {state: i for i, state in enumerate(blocks.get((m - 1, a2), ()))}
+        columns = []
+        for state in members:
+            bits = 0
+            for target in grid_module._graded_targets(grid, state):
+                bits ^= 1 << row_of[target]
+            columns.append(bits)
+        rank_out[(m, a2)] = _xor_rank(columns)
+    ranks = {}
+    for (m, a2), members in blocks.items():
+        r = len(members) - rank_out[(m, a2)] - rank_out.get((m + 1, a2), 0)
+        if r:
+            ranks[(Fraction(m), Fraction(a2, 2))] = r
+    return ranks
+
+
+def deconvolved_hfk(
+    graded: dict[tuple[Fraction, Fraction], int], n: int
+) -> dict[tuple[Fraction, Fraction], int]:
+    """Knot Floer ranks from the graded ranks of every Alexander grading.
+
+    Peels the tower of n-1 rank-2 factors at (0, 0) and (-1, -1) from the
+    top Alexander grading all the way down, with no symmetry assumed, and
+    requires that nothing is left over.
+    """
+    remaining = dict(graded)
+    result = {}
+    for m, a in sorted(remaining, key=lambda k: (-k[1], -k[0])):
+        count = remaining.get((m, a), 0)
+        assert count >= 0, (m, a)
+        if count == 0:
+            continue
+        result[(m, a)] = count
+        for k in range(n):
+            shifted = (m - k, a - k)
+            left = remaining.get(shifted, 0) - comb(n - 1, k) * count
+            if left:
+                remaining[shifted] = left
+            else:
+                remaining.pop(shifted, None)
+    assert not remaining, remaining
+    return result
+
+
+def _times(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _divided(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials (index = degree), b monic, exact."""
+    a = list(a)
+    out = [0] * (len(a) - len(b) + 1)
+    for d in range(len(out) - 1, -1, -1):
+        out[d] = a[d + len(b) - 1]
+        for j, y in enumerate(b):
+            a[d + j] -= out[d] * y
+    assert not any(a), "inexact division"
+    return out
+
+
+def torus_knot_floer_ranks(p: int, q: int) -> dict[Fraction, int]:
+    """Knot Floer ranks of T(p, q), p, q >= 1, per Alexander grading.
+
+    Torus knots are L-space knots, so their ranks are the absolute values
+    of the coefficients of the Alexander polynomial
+    (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)), of degree (p-1)(q-1),
+    centred at A = 0.  Mirroring keeps the ranks per Alexander grading.
+    """
+    def minus_one(k: int) -> list[int]:
+        return [-1] + [0] * (k - 1) + [1]
+
+    delta = _divided(
+        _times(minus_one(p * q), minus_one(1)), _times(minus_one(p), minus_one(q))
+    )
+    genus = Fraction(len(delta) - 1, 2)
+    return {i - genus: abs(c) for i, c in enumerate(delta) if c}
+
+
 # -- compiled grid complexes ---------------------------------------------------
 
 def maslov_zero_class(complex_: FilteredComplex) -> int:
@@ -349,12 +460,29 @@ def structural_checks(grid: GridDiagram) -> None:
     assert ranks == {("0", Fraction(-k)): comb(n - 1, k) for k in range(n)}
     assert ranks[("0", Fraction(0))] == 1
     assert total_homology_rank(complex_) == 2 ** (n - 1)
-    # The block-local graded ranks agree with the compiled complex's.
-    assert graded_ranks(grid) == compiled_graded_ranks(complex_)
+    # The full scan's graded ranks agree with the compiled complex's, the
+    # walked A >= 0 half with both, and the knot Floer ranks with the full
+    # scan's deconvolution.
+    full = compiled_graded_ranks(complex_)
+    assert full_graded_ranks(grid) == full
+    assert graded_ranks(grid) == upper_half(full)
+    assert hfk_bigraded_ranks(grid) == deconvolved_hfk(full, n)
     # Knot Floer ranks are symmetric under A -> -A after deconvolution.
     hfk = hfk_ranks(grid)
     assert hfk == {-a: r for a, r in hfk.items()}
     assert sum(hfk.values()) % 2 == 1
+
+
+def forbid_visits(monkeypatch) -> None:
+    """Make both walks, the per-state grader and both rectangle sweeps raise."""
+
+    def visit(*args):
+        raise AssertionError("a state was visited before the refusal")
+
+    for name in ("maslov", "gradings", "window", "upper_half"):
+        monkeypatch.setattr(grid_module._Grader, name, visit)
+    for name in ("_rectangle_targets", "_graded_targets"):
+        monkeypatch.setattr(grid_module, name, visit)
 
 
 # -- grid rectangle and grading oracles ----------------------------------------

@@ -24,7 +24,12 @@ from ratslice.grid import torus_knot_grid
 from ratslice.paperdata import builtin
 from ratslice.rationals import format_rational
 
-from helpers import disguised_complex, spectrum_by_definition
+from helpers import (
+    disguised_complex,
+    forbid_visits,
+    spectrum_by_definition,
+    torus_knot_floer_ranks,
+)
 
 
 def run_cli(capsys, *argv):
@@ -754,16 +759,21 @@ def test_deep_slice_stress_inputs_answer_at_once(tmp_path, shape, rank, target, 
 
 
 def test_grid_tau_hfk_above_cap_refused_before_tau(monkeypatch, capsys):
+    # The trefoil grid's A >= 0 half holds 6 of its 120 states.
     import ratslice.grid as grid_module
 
     def no_scan(*args):
         raise AssertionError("scanned a grid above the --hfk cap")
 
-    monkeypatch.setattr(grid_module, "MAX_HFK_SIZE", 4)
+    monkeypatch.setattr(grid_module, "MAX_HFK_STATES", 5)
     monkeypatch.setattr(grid_module, "tau", no_scan)
     monkeypatch.setattr(grid_module, "hfk_ranks", no_scan)
+    forbid_visits(monkeypatch)
     assert run_cli(capsys, "grid-tau", "--torus", "2", "3", "--hfk") == (
-        1, "", "error: --hfk: grid size 5 exceeds the cap 4 for knot Floer ranks\n"
+        1,
+        "",
+        "error: --hfk: the A >= 0 half holds 6 states, above the limit of 5 "
+        "that knot Floer ranks are measured to answer\n",
     )
 
 
@@ -1050,9 +1060,11 @@ def test_grid_tau_oversize_slice_exits_one(monkeypatch, tmp_path, capsys):
     )
 
 
-def test_grid_tau_hfk_grades_each_state_once(monkeypatch, capsys):
-    # The knot Floer ranks grade each state once; tau grades none one by
-    # one, since its slices come from counts and a walk.
+def test_grid_tau_hfk_sweeps_each_kept_state_once(monkeypatch, capsys):
+    # The knot Floer ranks sweep the graded rectangles of each of the 142
+    # states of T(2,-5)'s grid with 2A >= 0 once, of its 5040 states, and
+    # neither they nor tau grade a state one by one: the walks carry the
+    # gradings column by column.
     import ratslice.grid as grid_module
 
     calls = []
@@ -1064,9 +1076,18 @@ def test_grid_tau_hfk_grades_each_state_once(monkeypatch, capsys):
             return _method(self, state)
 
         monkeypatch.setattr(grid_module._Grader, name, counted)
+    graded_targets = grid_module._graded_targets
+    swept = []
+
+    def counted_targets(grid, state):
+        swept.append(state)
+        return graded_targets(grid, state)
+
+    monkeypatch.setattr(grid_module, "_graded_targets", counted_targets)
     doc = run_json(capsys, "grid-tau", "--torus", "2", "-5", "--hfk")
     assert doc["tau"] == "-2/1"
-    assert len(calls) == 5040
+    assert calls == []
+    assert len(swept) == len(set(swept)) == 142
 
 
 @pytest.mark.parametrize("q,tau", [("-7", "-3/1"), ("7", "3/1")])
@@ -1085,6 +1106,31 @@ def test_grid_tau_size_ten_torus_answers_at_once(q, tau):
     proc = run_capped("grid-tau", "--torus", "3", q, timeout=5)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["tau"] == tau
+
+
+def test_grid_tau_size_ten_hfk_answers_under_the_cap():
+    # T(3,7)'s A >= 0 half holds 105,721 of its 10! states: about 4 s at
+    # about 90 MB.  A scan of all 10! states ran out of 3 GB.
+    proc = run_capped("grid-tau", "--torus", "3", "7", "--hfk", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["tau"] == "6/1"
+    assert doc["hfk_ranks"] == {
+        format_rational(a): r for a, r in torus_knot_floer_ranks(3, 7).items()
+    }
+
+
+def test_grid_tau_hfk_heavy_size_ten_grid_refused_at_once(tmp_path):
+    # README's --hfk example: its A >= 0 half holds 612,155 states, counted
+    # before any state is visited and before tau.
+    path = tmp_path / "heavy10.grid"
+    path.write_text("4 9 6 3 2 8 0 7 5 1\n9 0 1 2 5 4 3 6 7 8\n")
+    proc = run_capped("grid-tau", "--grid", str(path), "--hfk", timeout=5)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "error: --hfk: the A >= 0 half holds 612155 states, above the limit of "
+        "300000 that knot Floer ranks are measured to answer\n"
+    )
 
 
 def test_grid_tau_random_size_ten_grid_refused_at_once(tmp_path):

@@ -30,11 +30,16 @@ from helpers import (
     commutable_columns,
     commute_columns,
     compiled_graded_ranks,
+    deconvolved_hfk,
+    forbid_visits,
+    full_graded_ranks,
     maslov_zero_class,
     random_knot_grid,
     stabilize,
     structural_checks,
     textbook_gradings,
+    torus_knot_floer_ranks,
+    upper_half,
 )
 
 F = Fraction
@@ -283,24 +288,36 @@ def _count_grids() -> list[GridDiagram]:
 def test_suffix_counts_and_window_match_the_per_state_grader():
     # On both sides, counts[0] is the Counter of _Grader.maslov over all
     # states, and the walk keeps exactly the states of Maslov -1, 0 and +1
-    # with the 2A of the Maslov-0 ones, in lexicographic order.
+    # with the 2A of the Maslov-0 ones, in lexicographic order.  Keyed by
+    # 2A, counts[0] is the Counter of 2A, and upper_half keeps exactly the
+    # states with 2A >= 0, in their (M, 2A) blocks in lexicographic order.
     for grid in _count_grids():
         for side in (grid, grid.mirror()):
             grader = grid_module._Grader(side)
             histogram = Counter()
+            alexander_histogram = Counter()
             kept = {-1: [], 0: [], 1: []}
             alexanders = []
+            blocks = {}
             for state in _states(side.n):
                 m = grader.maslov(state)
+                a2 = grader.gradings(state)[1]
                 histogram[m] += 1
+                alexander_histogram[a2] += 1
                 if m in kept:
                     kept[m].append(state)
                     if m == 0:
-                        alexanders.append(grader.gradings(state)[1])
+                        alexanders.append(a2)
+                if a2 >= 0:
+                    blocks.setdefault((m, a2), []).append(state)
             counts = grader.suffix_counts()
             shifted = {grader.maslov_shift + k: ways for k, ways in counts[0].items()}
             assert shifted == histogram, side
             assert grader.window(counts) == (kept[-1], kept[0], alexanders, kept[1]), side
+            counts = grader.suffix_counts(alexander=True)
+            shifted = {grader.alexander_shift + k: ways for k, ways in counts[0].items()}
+            assert shifted == alexander_histogram, side
+            assert grader.upper_half(counts) == blocks, side
 
 
 def test_tau_refuses_maslov_zero_slice_above_limit(monkeypatch):
@@ -313,7 +330,7 @@ def test_tau_refuses_maslov_zero_slice_above_limit(monkeypatch):
     monkeypatch.setattr(grid_module, "MAX_TAU_SLICE", size)
     assert grid_tau(grid) == 0
 
-    _forbid_visits(monkeypatch)
+    forbid_visits(monkeypatch)
     monkeypatch.setattr(grid_module, "MAX_TAU_SLICE", size - 1)
     with pytest.raises(
         ValueError,
@@ -323,26 +340,30 @@ def test_tau_refuses_maslov_zero_slice_above_limit(monkeypatch):
         grid_tau(grid)
 
 
+def _upper_half_size(grid: GridDiagram) -> int:
+    """The states with 2A >= 0, each graded by the per-state grader."""
+    gradings = grid_module._Grader(grid).gradings
+    return sum(gradings(state)[1] >= 0 for state in _states(grid.n))
+
+
 def test_hfk_ranks_refuse_a_grid_over_the_cap_before_grading(monkeypatch):
-    def no_scan(*args):
-        raise AssertionError("a state was graded before the refusal")
+    # The count comes from the 2A table, so the refusal visits no state:
+    # at the limit the balanced grid answers, one below it refuses, and
+    # size-10 T(3,7), whose A >= 0 half holds 105,721 states, refuses at
+    # a limit one below that.
+    size = _upper_half_size(BALANCED)
+    monkeypatch.setattr(grid_module, "MAX_HFK_STATES", size)
+    assert sum(hfk_ranks(BALANCED).values()) % 2 == 1
 
-    monkeypatch.setattr(grid_module._Grader, "gradings", no_scan)
-    with pytest.raises(
-        ValueError, match=r"^grid size 10 exceeds the cap 9 for knot Floer ranks$"
-    ):
-        hfk_ranks(torus_knot_grid(3, 7))
-
-
-def _forbid_visits(monkeypatch) -> None:
-    """Make the walk, the per-state grader and the rectangle sweep raise."""
-
-    def visit(*args):
-        raise AssertionError("a state was visited before the refusal")
-
-    for name in ("maslov", "gradings", "window"):
-        monkeypatch.setattr(grid_module._Grader, name, visit)
-    monkeypatch.setattr(grid_module, "_rectangle_targets", visit)
+    forbid_visits(monkeypatch)
+    for grid, kept in ((BALANCED, size), (torus_knot_grid(3, 7), 105_721)):
+        monkeypatch.setattr(grid_module, "MAX_HFK_STATES", kept - 1)
+        with pytest.raises(
+            ValueError,
+            match=rf"^the A >= 0 half holds {kept} states, above the limit of "
+            rf"{kept - 1} that knot Floer ranks are measured to answer$",
+        ):
+            hfk_ranks(grid)
 
 
 # The random size-10 grid in README: 65,008 Maslov-0 states on its cheaper side.
@@ -352,7 +373,7 @@ README_RANDOM_TEN = GridDiagram((6, 1, 9, 0, 3, 2, 4, 8, 5, 7), (3, 5, 7, 9, 2, 
 def test_size_ten_refusal_comes_from_the_counts(monkeypatch):
     # The slice sizes come from suffix_counts, so the refusal visits no
     # state, here at the real limit.
-    _forbid_visits(monkeypatch)
+    forbid_visits(monkeypatch)
     with pytest.raises(
         ValueError,
         match=r"^the Maslov-0 slice holds 65008 states, above the limit of 58748 ",
@@ -363,7 +384,8 @@ def test_size_ten_refusal_comes_from_the_counts(monkeypatch):
 def test_targets_listed_twice_cancel(monkeypatch):
     # Columns sum their targets mod 2.  With every target listed twice
     # there are no arrows at all: every Maslov-0 state is a class of its
-    # own for tau, and every state is one for the graded ranks.
+    # own for tau, and every state with 2A >= 0 is one for the graded
+    # ranks.
     grid = BALANCED
     size = _maslov_zero_size(grid)
     rectangle_targets = grid_module._rectangle_targets
@@ -376,7 +398,7 @@ def test_targets_listed_twice_cancel(monkeypatch):
     monkeypatch.setattr(
         grid_module, "_graded_targets", lambda g, s: 2 * graded_targets(g, s)
     )
-    assert sum(graded_ranks(grid).values()) == factorial(grid.n)
+    assert sum(graded_ranks(grid).values()) == _upper_half_size(grid)
 
 
 def _odd_targets(targets: list[bytes]) -> list[bytes]:
@@ -480,7 +502,47 @@ def test_maslov_zero_class_unique_for_knots():
 def test_graded_ranks_match_compiled_complex():
     # The torus and random grids are cross-checked in structural_checks.
     for grid in [torus_knot_grid(2, 3)] + _moved_trefoils():
-        assert graded_ranks(grid) == compiled_graded_ranks(compile_grid(grid))
+        assert graded_ranks(grid) == upper_half(compiled_graded_ranks(compile_grid(grid)))
+
+
+def test_graded_ranks_match_the_full_scan():
+    # Every torus grid up to size 8 in both chiralities and random knot
+    # grids of sizes 3-8, against the oracle that grades all n! states.
+    grids = [
+        torus_knot_grid(p, sign * q)
+        for p in range(1, 8)
+        for q in range(1, 9 - p)
+        for sign in (1, -1)
+        if gcd(p, q) == 1
+    ]
+    rng = random.Random(3838)
+    grids += [random_knot_grid(rng, n) for n in (3, 4, 5, 6, 7, 8) for _ in range(2)]
+    for grid in grids:
+        full = full_graded_ranks(grid)
+        assert graded_ranks(grid) == upper_half(full), grid
+        assert hfk_bigraded_ranks(grid) == deconvolved_hfk(full, grid.n), grid
+
+
+def test_torus_knot_floer_ranks_match_the_alexander_polynomial():
+    # Every torus knot grid up to size 9, in both chiralities.
+    for p in range(1, 9):
+        for q in range(1, 10 - p):
+            if gcd(p, q) == 1:
+                expected = torus_knot_floer_ranks(p, q)
+                for sign in (1, -1):
+                    assert hfk_ranks(torus_knot_grid(p, sign * q)) == expected, (p, sign * q)
+
+
+def test_hfk_ranks_check_the_alexander_polynomial_at_one(monkeypatch):
+    # One more rank at (M, A) = (0, 0), where no tower reaches, leaves a
+    # valid peel whose Euler characteristic is 2, not Delta(1) = 1.
+    ranks = graded_ranks(torus_knot_grid(2, 3))
+    assert (F(0), F(0)) not in ranks
+    monkeypatch.setattr(
+        grid_module, "graded_ranks", lambda grid: {**ranks, (F(0), F(0)): 1}
+    )
+    with pytest.raises(AssertionError, match=r"Euler characteristic is 2, not Delta\(1\) = 1"):
+        hfk_bigraded_ranks(torus_knot_grid(2, 3))
 
 
 def test_graded_ranks_refuse_an_arrow_outside_the_block_below(monkeypatch):
@@ -496,13 +558,15 @@ def test_graded_ranks_refuse_an_arrow_outside_the_block_below(monkeypatch):
 
 
 def test_graded_ranks_refuse_a_nonzero_square(monkeypatch):
-    grid = torus_knot_grid(2, 3)
+    grid = torus_knot_grid(2, 5)
     graded_targets = grid_module._graded_targets
     # Dropping an arrow x -> y whose target is no cycle leaves
-    # d(d(x)) = d(y), which is nonzero.
+    # d(d(x)) = d(y), which is nonzero.  x is a state the walk keeps.
+    gradings = grid_module._Grader(grid).gradings
     x, y = next(
         (state, target)
         for state in _states(grid.n)
+        if gradings(state)[1] >= 0
         for target in graded_targets(grid, state)
         if graded_targets(grid, target)
     )
