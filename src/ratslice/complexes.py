@@ -29,6 +29,7 @@ a textbook persistence reduction without clearing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from collections import Counter
@@ -86,8 +87,9 @@ class TauSpectrum:
             raise ValueError("tau_min: must not exceed tau_max")
         # The classes share a handful of value objects: check each once,
         # and scan in order only to name the first class out of range.
-        values = {id(v): v for v in self.per_class.values()}
-        if all(self.tau_min <= v <= self.tau_max for v in values.values()):
+        values = self.per_class.values()
+        shared = dict(zip(map(id, values), values)).values()
+        if all(self.tau_min <= v <= self.tau_max for v in shared):
             return
         for cid, value in self.per_class.items():
             if not self.tau_min <= value <= self.tau_max:
@@ -318,7 +320,8 @@ def tau(complex_: FilteredComplex, cycle: int) -> Fraction:
 
 
 def tau_spectrum(complex_: FilteredComplex) -> TauSpectrum:
-    """tau of every nonzero class; per_class lists them all up to rank 20.
+    """tau of every nonzero class; per_class lists them all up to rank 20,
+    in the sorted order of their ids.
 
     The homology basis is filtered, so tau of a sum of basis classes is
     the grading of the smallest birth row in it, and the extremes are the
@@ -331,19 +334,31 @@ def tau_spectrum(complex_: FilteredComplex) -> TauSpectrum:
     births = [rows.position[i] for i in basis]
     rank = len(basis)
     names = [f"b{i}" for i in range(rank)]
-    per_class = {name: rows.alexanders[row] for name, row in zip(names, births)}
+    # Document order: "+" sorts below every digit, so the ids in string
+    # order are a preorder walk over the names in string order (b1, b10,
+    # b2), each id followed by its extensions by higher-index names.
+    listed = sorted(range(rank), key=names.__getitem__)
     complete = rank <= FULL_ENUMERATION_CAP
     if complete:
-        # Entry mask - 1 of the two tables is the sum of the classes in
-        # mask: first holds its smallest birth row, ids the names of its
-        # classes in ascending order.  Class k appends the masks 2^k + r,
-        # each extending the entry of r.
-        first: list[int] = []
-        ids: list[str] = []
-        for name, row in zip(names, births):
-            first += [row] + [f if f < row else row for f in first]
-            ids += [name] + [f"{cid}+{name}" for cid in ids]
-        per_class.update(zip(ids, map(rows.alexanders.__getitem__, first)))
+        # ids[i] lists, in document order, the sums whose lowest-index
+        # class is i, and first[i] their smallest birth rows; each is
+        # built from the lists of the higher-index classes.
+        ids: list[list[str]] = [[]] * rank
+        first: list[list[int]] = [[]] * rank
+        for i in reversed(range(rank)):
+            row, prefix = births[i], names[i] + "+"
+            ids[i], first[i] = [names[i]], [row]
+            for j in listed:
+                if j > i:
+                    ids[i] += map(prefix.__add__, ids[j])
+                    first[i] += [f if f < row else row for f in first[j]]
+        per_class = dict(zip(
+            itertools.chain.from_iterable(ids[i] for i in listed),
+            map(rows.alexanders.__getitem__,
+                itertools.chain.from_iterable(first[i] for i in listed)),
+        ))
+    else:
+        per_class = {names[i]: rows.alexanders[births[i]] for i in listed}
     return TauSpectrum(
         per_class=per_class,
         tau_max=rows.alexanders[min(births)],

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Callable, TextIO, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterator, TextIO, TypeVar
 
 from .rationals import format_rational, parse_rational
 
@@ -165,14 +165,13 @@ def complex_from_json(doc: dict) -> FilteredComplex:
 
 def spectrum_to_json(spectrum: TauSpectrum) -> dict:
     # The classes share a handful of value objects: render each once.
-    values = {id(v): v for v in spectrum.per_class.values()}
-    texts = {key: format_rational(v) for key, v in values.items()}
+    values = spectrum.per_class.values()
+    shared = dict(zip(map(id, values), values))
+    texts = {key: format_rational(v) for key, v in shared.items()}
     return {
-        # Sorted here, so that write_document's own key sort is a linear pass.
-        "per_class": {
-            cid: texts[id(spectrum.per_class[cid])]
-            for cid in sorted(spectrum.per_class)
-        },
+        "per_class": dict(
+            zip(spectrum.per_class, map(texts.__getitem__, map(id, values)))
+        ),
         "tau_max": format_rational(spectrum.tau_max),
         "tau_min": format_rational(spectrum.tau_min),
         "breadth": format_rational(spectrum.breadth),
@@ -347,18 +346,83 @@ def grid_to_text(grid) -> str:
     )
 
 
-# Encoder chunks joined into one write: a write per chunk costs a system
-# call each on an unbuffered stream.
+# Items joined into one write: a write per item costs a system call each
+# on an unbuffered stream, and a write of more holds more text at once.
 _WRITE_BATCH = 8192
+
+_encode_text = json.encoder.encode_basestring_ascii
+
+
+def _key_text(key: Any) -> str:
+    """A dict key as json.dumps names it."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+    )
+
+
+def _lines(value: Any, head: str, newline: str) -> Iterator[list[str]]:
+    """head + json.dumps(value, sort_keys=True, indent=2) as lists of
+    lines, one line per item.
+
+    newline is the line break and indent of value's own line.  A dict of
+    strings to strings renders in list comprehensions of _WRITE_BATCH
+    lines; json.dumps renders every other scalar and refuses a value that
+    JSON cannot hold.
+    """
+    if isinstance(value, (list, tuple)):
+        opening, closing, keys, items = "[", "]", None, value
+    elif isinstance(value, dict):
+        # Keys that come sorted sort in one linear pass, and their values
+        # then come in order without a lookup per key.
+        opening, closing, keys = "{", "}", sorted(value)
+        items = value.values() if keys == list(value) else map(value.__getitem__, keys)
+    else:
+        yield [head + json.dumps(value)]
+        return
+    if not value:
+        yield [head + opening + closing]
+        return
+    inner = newline + "  "
+    separator = "," + inner
+    if keys is None:
+        lines = _nested(zip(itertools.repeat(separator), items), inner)
+    elif all(map(isinstance, itertools.chain(keys, value.values()), itertools.repeat(str))):
+        lines = _text_lines(zip(keys, items), separator)
+    else:
+        labels = (f"{separator}{_encode_text(_key_text(k))}: " for k in keys)
+        lines = _nested(zip(labels, items), inner)
+    first = next(lines)
+    first[0] = head + opening + first[0][1:]  # no comma before the first item
+    yield first
+    del first  # hold no list of lines past its write
+    yield from lines
+    yield [newline + closing]
+
+
+def _nested(items: Iterator[tuple[str, Any]], newline: str) -> Iterator[list[str]]:
+    for head, item in items:
+        yield from _lines(item, head, newline)
+
+
+def _text_lines(pairs: Iterator[tuple[str, str]], separator: str) -> Iterator[list[str]]:
+    # iter(f, []) keeps no list: each lives until the writer has drawn it.
+    return iter(lambda: [
+        f"{separator}{_encode_text(key)}: {_encode_text(text)}"
+        for key, text in itertools.islice(pairs, _WRITE_BATCH)
+    ], [])
 
 
 def write_document(doc: dict, stream: TextIO) -> None:
     """Write json.dumps(doc, sort_keys=True, indent=2) + "\n" to stream.
 
-    The whole document is never held as one string: the encoder's chunks
-    are joined _WRITE_BATCH at a time.
+    The whole document is never held as one string: its lines, one per
+    item, are joined and written _WRITE_BATCH at a time.
     """
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
-    while batch := "".join(itertools.islice(chunks, _WRITE_BATCH)):
+    lines = itertools.chain.from_iterable(_lines(doc, "", "\n"))
+    while batch := "".join(itertools.islice(lines, _WRITE_BATCH)):
         stream.write(batch)
     stream.write("\n")

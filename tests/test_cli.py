@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from ratslice.cli import _RATIONAL_FLAGS, build_parser, main
+from ratslice.complexes import tau_spectrum
 from ratslice.formats import (
     complex_to_json,
     framed_to_json,
@@ -248,15 +249,32 @@ def test_tau_complex_per_class_document_unchanged(tmp_path, capsys):
 
 def test_tau_complex_per_class_is_tau_of_each_sum(tmp_path, capsys):
     # Rank 13: each id names its basis classes in ascending order, and its
-    # value is tau of the sum of their cycles.
+    # value is tau of the sum of their cycles.  From rank 11 on, string
+    # order interleaves the names: b1 < b1+b10 < b10 < b2.
     complex_ = disguised_complex(random.Random(13), 13 + 2 * 8, 8, ["0", "1"])
     path = tmp_path / "rank13.json"
     path.write_text(json.dumps(complex_to_json(complex_)))
-    per_class = run_json(capsys, "tau", "--complex", str(path))["spectrum"]["per_class"]
+    code, out, err = run_cli(capsys, "tau", "--complex", str(path))
+    assert code == 0, err
+    per_class = json.loads(out)["spectrum"]["per_class"]
     expected = spectrum_by_definition(complex_)
     assert len(expected) == 2**13 - 1
     assert per_class == {cid: format_rational(v) for cid, v in expected.items()}
     assert len(set(per_class.values())) > 1
+    assert list(tau_spectrum(complex_).per_class) == sorted(expected)
+    taus = expected.values()
+    expected_doc = {
+        "citation": "tau-from-filtered-complex",
+        "command": "tau",
+        "spectrum": {
+            "per_class": {cid: format_rational(v) for cid, v in expected.items()},
+            "tau_max": format_rational(max(taus)),
+            "tau_min": format_rational(min(taus)),
+            "breadth": format_rational(max(taus) - min(taus)),
+            "enumeration_complete": True,
+        },
+    }
+    assert out == json.dumps(expected_doc, sort_keys=True, indent=2) + "\n"
 
 
 # Rank 21, above the enumeration cap: a, b at A=1 and c at A=-5 with

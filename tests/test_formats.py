@@ -7,9 +7,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from ratslice.complexes import tau_spectrum, total_homology_rank
 from ratslice.formats import (
+    _WRITE_BATCH,
     complex_from_json,
     complex_to_json,
     framed_from_json,
@@ -173,9 +175,11 @@ class _CountingStream(io.StringIO):
     def __init__(self):
         super().__init__()
         self.writes = 0
+        self.longest = 0
 
     def write(self, text):
         self.writes += 1
+        self.longest = max(self.longest, len(text))
         return super().write(text)
 
 
@@ -193,3 +197,57 @@ def test_write_document_streams_json_dumps_in_batches():
     write_document(doc, stream)
     assert stream.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert stream.writes <= chunks / 8192 + 2
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.floats()
+    | st.text()
+)
+_JSON_KEYS = st.text() | st.sampled_from(['"', "\\", "\x00", "\x1f", "\u00e9", "\U0001f600"])
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: (
+        st.lists(children)
+        | st.dictionaries(_JSON_KEYS, children)
+        | st.dictionaries(_JSON_KEYS, st.text())
+    ),
+    max_leaves=40,
+)
+
+
+@given(_JSON_TREES)
+@example({"a": [True, 1, 1.0, None, 10**40, -0.0], "b": {}, "c": [], "d": [{"x": "y"}, {}]})
+@example({"q\"\\\n\u00e9": "\x00\x7f\u2028\U0001f600", "p": "\t"})
+@example({True: 1, 2: [], 0.5: "x"})
+@example("top-level text")
+def test_write_document_is_json_dumps(doc):
+    stream = io.StringIO()
+    write_document(doc, stream)
+    assert stream.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"a": F(1, 2)}, {"a": "b", "c": F(1, 2)}, {"a": [1, F(1, 2)]}, {F(1, 2): "a"}, F(1, 2)],
+)
+def test_write_document_refuses_what_json_dumps_refuses(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc)
+    with pytest.raises(TypeError):
+        write_document(doc, io.StringIO())
+
+
+def test_write_document_holds_one_batch_of_items_per_write():
+    # A writer that joins more than one batch of lines into a write holds
+    # more of the document at once, and fails here.
+    doc = {f"k{i:06d}": "v" for i in range(3 * _WRITE_BATCH + 5)}
+    stream = _CountingStream()
+    write_document(doc, stream)
+    assert stream.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    line = len(',\n  "k000000": "v"')
+    assert stream.writes >= 4
+    assert stream.longest <= _WRITE_BATCH * line
