@@ -265,20 +265,6 @@ def validate(complex_: FilteredComplex) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def homology_ranks(
-    complex_: FilteredComplex,
-) -> dict[tuple[str, Fraction], int]:
-    """Rank of the homology per (Spin^c label, Maslov grading): the
-    homology_basis births counted per block."""
-    gens = complex_.generators
-    births = homology_basis(complex_)
-    return dict(Counter((gens[i].spinc, gens[i].maslov) for i in births))
-
-
-def total_homology_rank(complex_: FilteredComplex) -> int:
-    return sum(homology_ranks(complex_).values())
-
-
 def homology_basis(complex_: FilteredComplex) -> list[int]:
     """Birth generators of a filtered basis of the total homology.
 

@@ -40,17 +40,16 @@ or on its mirror, whichever has the smaller slices.  The Maslov term of
 a state's column i depends only on the set of rows in columns 0..i-1
 and the row in column i, so one table over the 2^n row sets counts
 every Maslov slice of a side before any state is visited
-(_Grader.suffix_counts).  A depth-first walk over partial states that
-enters a prefix only when it can still finish in Maslov -1, 0 or +1
-then keeps the chosen side's three slices (_Grader.window).  The graded
-differential preserves the Alexander grading, so the knot Floer ranks
-take the rank of each (M, A) block against the (M - 1, A) block alone,
-and only the blocks with A >= 0 are needed.  The 2A term of a state's
-column i depends only on i and the row placed, so the same table keyed
-by 2A counts the states with 2A >= 0, which check_hfk_size refuses above
-MAX_HFK_STATES for every caller, and gives each prefix's largest
-completion; a walk that enters a prefix only when it can still finish at
-2A >= 0 then keeps those blocks (_Grader.upper_half, graded_ranks).
+(_Grader.suffix_counts).  The graded differential preserves the
+Alexander grading, so the knot Floer ranks take the rank of each (M, A)
+block against the (M - 1, A) block alone, and only the blocks with
+A >= 0 are needed.  The 2A term of a state's column i depends only on i
+and the row placed, so the same table keyed by 2A counts the states
+with 2A >= 0, which check_hfk_size refuses above MAX_HFK_STATES for
+every caller.  Both then keep their states by one depth-first walk over
+partial states (_Grader.walk), which enters a prefix only when the
+table says it can still finish with its Maslov grading in [-1, 1] (tau)
+or its 2A at 0 or above (graded_ranks).
 compile_grid builds the whole filtered complex; only the tests use it.
 """
 
@@ -63,7 +62,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import comb
 
-from .complexes import FilteredComplex, TauRowOrder, essential_rows
+from .complexes import FilteredComplex, essential_rows
 from .gf2 import new_engine
 
 MAX_GRID_SIZE = 10
@@ -82,7 +81,8 @@ MAX_HFK_STATES = 300_000
 # its cheaper side.  T(3,-7) at n = 10 has 478,886 states there, but its
 # mirror's slice holds one state.  The heaviest of 400 random n = 10 grids
 # that pass, X 5 4 1 6 7 2 8 9 0 3 and O 6 5 2 3 8 9 1 4 7 0, has slices
-# of 163,362 / 57,197 / 14,070 and takes about 8 s at about 880 MB.
+# of 163,362 / 57,197 / 14,070 and takes 4.5-6.7 s at 841 MB in process
+# on 2 cores.
 MAX_TAU_SLICE = 58_748
 
 
@@ -170,30 +170,27 @@ def torus_knot_grid(p: int, q: int) -> GridDiagram:
     return grid
 
 
-class _DominanceTables:
+def _dominance(markings: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Dominance sums of one marking permutation m, for the grading scan.
 
     sums[i][v] counts the columns j >= i with m(j) >= v plus the columns
     j < i with m(j) < v, so the strict-dominance pair counts
     I(state, m) + I(m, state) are the sum of sums[i][state[i]] over i.
+    Returns (sums, I(m, m)).
     """
-
-    def __init__(self, markings: tuple[int, ...]):
-        n = len(markings)
-        self.sums = tuple(
-            tuple(
-                sum(1 for j in range(i, n) if markings[j] >= v)
-                + sum(1 for j in range(i) if markings[j] < v)
-                for v in range(n)
-            )
-            for i in range(n)
+    n = len(markings)
+    sums = tuple(
+        tuple(
+            sum(1 for j in range(i, n) if markings[j] >= v)
+            + sum(1 for j in range(i) if markings[j] < v)
+            for v in range(n)
         )
-        self.self_pairs = sum(
-            1
-            for j in range(n)
-            for k in range(j + 1, n)
-            if markings[j] < markings[k]
-        )
+        for i in range(n)
+    )
+    self_pairs = sum(
+        1 for j in range(n) for k in range(j + 1, n) if markings[j] < markings[k]
+    )
+    return sums, self_pairs
 
 
 class _Grader:
@@ -210,17 +207,15 @@ class _Grader:
 
     def __init__(self, grid: GridDiagram):
         n = grid.n
-        o = _DominanceTables(grid.o_markings)
-        x = _DominanceTables(grid.x_markings)
-        self.o_sums = o.sums
-        self.x_sums = x.sums
+        self.o_sums, o_pairs = _dominance(grid.o_markings)
+        self.x_sums, x_pairs = _dominance(grid.x_markings)
         self.below = tuple((1 << v) - 1 for v in range(n))
-        self.maslov_shift = o.self_pairs + 1
-        self.alexander_shift = o.self_pairs - x.self_pairs - n + 1
+        self.maslov_shift = o_pairs + 1
+        self.alexander_shift = o_pairs - x_pairs - n + 1
 
     def maslov(self, state: tuple[int, ...]) -> int:
         """M of one state: the per-state reference that the tests hold
-        suffix_counts and window to.  Grid tau grades no state this way."""
+        suffix_counts and walk to.  Grid tau grades no state this way."""
         return self.gradings(state)[0]
 
     def gradings(self, state: tuple[int, ...]) -> tuple[int, int]:
@@ -267,24 +262,26 @@ class _Grader:
             counts[rows] = table
         return counts
 
-    def window(
-        self, counts: list[dict[int, int]]
-    ) -> tuple[list[bytes], list[bytes], list[int], list[bytes]]:
-        """The Maslov -1, 0 and +1 states, with the 2A of the Maslov-0 ones.
+    def walk(
+        self, counts: list[dict[int, int]], lo: int, hi: int, alexander: bool = False
+    ) -> dict[tuple[int, int], list[bytes]]:
+        """The states whose M (with alexander, whose 2A) lies in [lo, hi],
+        in blocks keyed (M, 2A), each block in lexicographic order.
 
         A depth-first walk over partial states carries M and 2A, and enters
-        a prefix only when some sum in its counts (self.suffix_counts())
-        lands M in {-1, 0, 1}.  Every prefix it visits then extends to a
-        kept state, so the walk costs at most n steps per kept state.
-        States come in lexicographic order.
+        a prefix only when some sum in its counts (self.suffix_counts with
+        the same alexander) lands the tracked grading in [lo, hi]: reach[S]
+        holds the tracked gradings for which one does, so the test is one
+        set lookup.  Every prefix it visits then extends to a kept state,
+        so the walk costs at most n steps per kept state.
         """
         n = len(self.below)
         full = (1 << n) - 1
-        slices: dict[int, list[bytes]] = {-1: [], 0: [], 1: []}
-        alexanders: list[int] = []
+        reach = [{t for s in rest for t in range(lo - s, hi - s + 1)} for rest in counts]
+        blocks: dict[tuple[int, int], list[bytes]] = {}
         state = bytearray(n)
 
-        def descend(rows: int, maslov: int, alexander: int) -> None:
+        def descend(rows: int, maslov: int, alexander2: int) -> None:
             i = rows.bit_count()
             o_row, x_row = self.o_sums[i], self.x_sums[i]
             for v in range(n):
@@ -292,47 +289,9 @@ class _Grader:
                     continue
                 seen = rows | 1 << v
                 m = maslov + (rows & self.below[v]).bit_count() - o_row[v]
-                rest = counts[seen]
-                if -1 - m in rest or -m in rest or 1 - m in rest:
+                a2 = alexander2 + x_row[v] - o_row[v]
+                if (a2 if alexander else m) in reach[seen]:
                     state[i] = v
-                    a2 = alexander + x_row[v] - o_row[v]
-                    if seen != full:
-                        descend(seen, m, a2)
-                    else:
-                        slices[m].append(bytes(state))
-                        if m == 0:
-                            alexanders.append(a2)
-
-        descend(0, self.maslov_shift, self.alexander_shift)
-        return slices[-1], slices[0], alexanders, slices[1]
-
-    def upper_half(self, counts: list[dict[int, int]]) -> dict[tuple[int, int], list[bytes]]:
-        """The states with 2A >= 0, in blocks keyed (M, 2A).
-
-        A depth-first walk over partial states carries M and 2A, and enters
-        a prefix only when the largest sum in its counts
-        (self.suffix_counts(alexander=True)) still brings 2A to 0 or above.
-        Every prefix it visits then extends to a kept state, so the walk
-        costs at most n steps per kept state.  Each block lists its states
-        in lexicographic order.
-        """
-        n = len(self.below)
-        full = (1 << n) - 1
-        best = [max(rest) for rest in counts]
-        blocks: dict[tuple[int, int], list[bytes]] = {}
-        state = bytearray(n)
-
-        def descend(rows: int, maslov: int, alexander: int) -> None:
-            i = rows.bit_count()
-            o_row, x_row = self.o_sums[i], self.x_sums[i]
-            for v in range(n):
-                if rows >> v & 1:
-                    continue
-                seen = rows | 1 << v
-                a2 = alexander + x_row[v] - o_row[v]
-                if a2 + best[seen] >= 0:
-                    state[i] = v
-                    m = maslov + (rows & self.below[v]).bit_count() - o_row[v]
                     if seen != full:
                         descend(seen, m, a2)
                     else:
@@ -489,15 +448,17 @@ def tau(grid: GridDiagram) -> Fraction:
     whichever has fewer Maslov-0 and +1 states (the grid on a tie).  Each
     side's slice sizes come from its own suffix_counts, before any state
     is visited, and a Maslov-0 slice above MAX_TAU_SLICE is refused there.
-    The walk (_Grader.window) then keeps that side's Maslov -1, 0 and +1
-    states.
+    The walk (_Grader.walk) then keeps that side's Maslov -1, 0 and +1
+    states in (M, 2A) blocks.
 
-    Filter the Maslov-0 states by Alexander grading, rows in TauRowOrder
-    by the doubled integer grading 2A.  The boundaries of the Maslov-1
-    states mark the Maslov-0 states whose cycles die, and essential_rows
-    feeds the boundaries of the others into Maslov -1 with clearing.  The
-    one row born that never dies generates the Maslov-0 homology; its
-    Alexander grading is the least level that carries the class: tau.
+    Filter the Maslov-0 states by Alexander grading: their blocks in
+    descending 2A, each in lexicographic order, are the rows, highest
+    grading first as essential_rows expects.  The boundaries of the
+    Maslov +1 states mark the Maslov-0 states whose cycles die, and
+    essential_rows feeds the boundaries of the others into Maslov -1 with
+    clearing.  The one row born that never dies generates the Maslov-0
+    homology; its Alexander grading is the least level that carries the
+    class: tau.
     """
     check_knot_grid(grid)
     sides = []
@@ -512,9 +473,13 @@ def tau(grid: GridDiagram) -> Fraction:
             f"the Maslov-0 slice holds {size} states, above the limit "
             f"of {MAX_TAU_SLICE} that grid tau is measured to answer"
         )
-    below, middle, alexanders, above = grader.window(counts)
-    rows = TauRowOrder(alexanders)
-    row_of = {state: rows.position[i] for i, state in enumerate(middle)}
+    blocks = grader.walk(counts, -1, 1)
+    keys = sorted(blocks, reverse=True)
+    below, middle, above = (
+        [state for key in keys if key[0] == m for state in blocks[key]] for m in (-1, 0, 1)
+    )
+    alexanders = [a2 for m, a2 in keys if m == 0 for _ in blocks[m, a2]]
+    row_of = {state: row for row, state in enumerate(middle)}
 
     boundaries = new_engine(len(middle))
     for state in above:
@@ -527,7 +492,7 @@ def tau(grid: GridDiagram) -> Fraction:
 
     def boundary_of_row(row: int) -> int:
         bits = 0
-        for target in _rectangle_targets(side, middle[rows.order[row]]):
+        for target in _rectangle_targets(side, middle[row]):
             bits ^= 1 << below_index[target]
         return bits
 
@@ -536,7 +501,7 @@ def tau(grid: GridDiagram) -> Fraction:
         raise AssertionError(
             f"expected one essential Maslov-0 class, found {len(essential)}"
         )
-    return sign * Fraction(rows.alexanders[essential[0]], 2)
+    return sign * Fraction(alexanders[essential[0]], 2)
 
 
 def graded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int]:
@@ -545,8 +510,8 @@ def graded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int]:
     The graded differential keeps only the filtration-preserving arrows,
     i.e. rectangles containing neither X nor O markings, so it maps the
     block of states graded (M, A) into the block graded (M - 1, A).  Once
-    check_hfk_size has passed, the walk (_Grader.upper_half) keeps the
-    blocks with A >= 0, and with them every block they map into.
+    check_hfk_size has passed, the walk (_Grader.walk with alexander)
+    keeps the blocks with A >= 0, and with them every block they map into.
     Each Alexander level is ranked in ascending Maslov order: a block's
     columns are bitsets over the block below it, and the columns of that
     block are kept to check that the differential squares to zero.  The
@@ -554,7 +519,8 @@ def graded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int]:
     leaves the block below or the square of the differential is nonzero.
     """
     grader, counts = check_hfk_size(grid)
-    blocks = grader.upper_half(counts)
+    top = grader.alexander_shift + max(counts[0])
+    blocks = grader.walk(counts, 0, top, alexander=True)
 
     rank_out: dict[tuple[int, int], int] = {}
     # In this order the block below, when there is one, is the block just

@@ -12,22 +12,22 @@ graded-rank oracle grades all n! states of a grid, where the package
 walks only the A >= 0 half, and deconvolves the whole binomial tower;
 the torus oracle reads knot Floer ranks off the Alexander polynomial.
 basis_cycles, maslov_zero_class and structural_checks are shared test
-code that holds the package's homology basis to the persistence oracle.
+code that holds the package's homology basis to the persistence oracle;
+homology_ranks and total_homology_rank count that basis.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 from ratslice.complexes import (
     FilteredComplex,
     homology_basis,
-    homology_ranks,
     tau,
-    total_homology_rank,
     validate,
 )
 import ratslice.grid as grid_module
@@ -277,6 +277,17 @@ def basis_cycles(complex_: FilteredComplex) -> list[int]:
     return [cycles[i] for i in basis]
 
 
+def homology_ranks(complex_: FilteredComplex) -> dict[tuple[str, Fraction], int]:
+    """Rank of the homology per (Spin^c label, Maslov grading): the
+    homology_basis births counted per block."""
+    gens = complex_.generators
+    return dict(Counter((gens[i].spinc, gens[i].maslov) for i in homology_basis(complex_)))
+
+
+def total_homology_rank(complex_: FilteredComplex) -> int:
+    return len(homology_basis(complex_))
+
+
 def boundary_subspace_contains(complex_: FilteredComplex, bits: int) -> bool:
     cols = complex_.boundary_columns
     current = 0
@@ -474,12 +485,12 @@ def structural_checks(grid: GridDiagram) -> None:
 
 
 def forbid_visits(monkeypatch) -> None:
-    """Make both walks, the per-state grader and both rectangle sweeps raise."""
+    """Make the walk, the per-state grader and both rectangle sweeps raise."""
 
-    def visit(*args):
+    def visit(*args, **kwargs):
         raise AssertionError("a state was visited before the refusal")
 
-    for name in ("maslov", "gradings", "window", "upper_half"):
+    for name in ("maslov", "gradings", "walk"):
         monkeypatch.setattr(grid_module._Grader, name, visit)
     for name in ("_rectangle_targets", "_graded_targets"):
         monkeypatch.setattr(grid_module, name, visit)

@@ -18,12 +18,10 @@ from ratslice.complexes import (
     TauSpectrum,
     connected_sum_shift,
     homology_basis,
-    homology_ranks,
     survivable_gradings,
     survivor_deduction,
     tau,
     tau_spectrum,
-    total_homology_rank,
     validate,
 )
 from ratslice.formats import spectrum_from_json
@@ -34,11 +32,13 @@ from helpers import (
     boundary_subspace_contains,
     dense_rank,
     exhaustive_tau,
+    homology_ranks,
     max_alexander,
     naive_survivors,
     random_complex,
     spectrum_by_definition,
     tau_by_level_sweep,
+    total_homology_rank,
 )
 
 F = Fraction

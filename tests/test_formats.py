@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from ratslice.complexes import tau_spectrum, total_homology_rank
+from ratslice.complexes import tau_spectrum
 from ratslice.formats import (
     _WRITE_BATCH,
     complex_from_json,
@@ -27,7 +27,7 @@ from ratslice.formats import (
 from ratslice.paperdata import builtin
 from ratslice.rationals import format_rational, parse_rational
 
-from helpers import random_complex
+from helpers import random_complex, total_homology_rank
 
 F = Fraction
 

@@ -1,4 +1,5 @@
-"""The GF(2) elimination engine against a dense row-reduction oracle."""
+"""The GF(2) elimination engine against a dense row-reduction oracle,
+and its guards on its inputs."""
 
 import random
 import tracemalloc
@@ -78,6 +79,14 @@ def test_in_image_zero_matrix_rejects_nonzero():
 def test_in_image_dimension_mismatch():
     with pytest.raises(ValueError):
         eliminate(3, identity(3)).reduce(1 << 3)
+
+
+def test_engine_rejects_out_of_range_bits():
+    engine = new_engine(4)
+    with pytest.raises(ValueError):
+        engine.add_column(1 << 4)
+    with pytest.raises(ValueError):
+        engine.reduce(1 << 5)
 
 
 def test_in_image_random_agrees_with_dense_oracle():

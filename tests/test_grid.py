@@ -9,12 +9,7 @@ from math import factorial, gcd
 import pytest
 
 import ratslice.grid as grid_module
-from ratslice.complexes import (
-    FilteredComplex,
-    homology_ranks,
-    tau,
-    total_homology_rank,
-)
+from ratslice.complexes import FilteredComplex, tau
 from ratslice.grid import (
     GridDiagram,
     compile_grid,
@@ -33,12 +28,14 @@ from helpers import (
     deconvolved_hfk,
     forbid_visits,
     full_graded_ranks,
+    homology_ranks,
     maslov_zero_class,
     random_knot_grid,
     stabilize,
     structural_checks,
     textbook_gradings,
     torus_knot_floer_ranks,
+    total_homology_rank,
     upper_half,
 )
 
@@ -143,7 +140,7 @@ def test_size_cap():
         graded_ranks(GridDiagram(x, o))
 
 
-def test_tau_via_floer_class_route():
+def test_grid_tau_matches_the_compiled_complex_tau_of_the_maslov_zero_class():
     # Grid tau (persistence on three Maslov slices) against the filtered
     # complex tau of the Maslov-0 class on the whole compiled complex.
     grids = [UNKNOT, torus_knot_grid(2, 3), torus_knot_grid(2, -3), torus_knot_grid(3, -2)]
@@ -285,39 +282,32 @@ def _count_grids() -> list[GridDiagram]:
     return grids + [random_knot_grid(rng, n) for n in (4, 5, 6, 7, 8)]
 
 
-def test_suffix_counts_and_window_match_the_per_state_grader():
+def test_suffix_counts_and_walk_match_the_per_state_grader():
     # On both sides, counts[0] is the Counter of _Grader.maslov over all
-    # states, and the walk keeps exactly the states of Maslov -1, 0 and +1
-    # with the 2A of the Maslov-0 ones, in lexicographic order.  Keyed by
-    # 2A, counts[0] is the Counter of 2A, and upper_half keeps exactly the
-    # states with 2A >= 0, in their (M, 2A) blocks in lexicographic order.
+    # states, keyed by 2A the Counter of 2A, and the walk keeps exactly the
+    # states whose tracked grading lies in the interval, in their (M, 2A)
+    # blocks in lexicographic order.  Grid tau walks M in [-1, 1] and the
+    # graded ranks 2A from 0 up; [-2, 0] on M and [-1, 1] on 2A are used by
+    # neither, so both ends of the interval are pinned on both gradings.
     for grid in _count_grids():
         for side in (grid, grid.mirror()):
             grader = grid_module._Grader(side)
-            histogram = Counter()
-            alexander_histogram = Counter()
-            kept = {-1: [], 0: [], 1: []}
-            alexanders = []
-            blocks = {}
-            for state in _states(side.n):
-                m = grader.maslov(state)
-                a2 = grader.gradings(state)[1]
-                histogram[m] += 1
-                alexander_histogram[a2] += 1
-                if m in kept:
-                    kept[m].append(state)
-                    if m == 0:
-                        alexanders.append(a2)
-                if a2 >= 0:
-                    blocks.setdefault((m, a2), []).append(state)
-            counts = grader.suffix_counts()
-            shifted = {grader.maslov_shift + k: ways for k, ways in counts[0].items()}
-            assert shifted == histogram, side
-            assert grader.window(counts) == (kept[-1], kept[0], alexanders, kept[1]), side
-            counts = grader.suffix_counts(alexander=True)
-            shifted = {grader.alexander_shift + k: ways for k, ways in counts[0].items()}
-            assert shifted == alexander_histogram, side
-            assert grader.upper_half(counts) == blocks, side
+            graded = [(state, *grader.gradings(state)) for state in _states(side.n)]
+            assert all(grader.maslov(state) == m for state, m, _ in graded), side
+            top = max(a2 for _, _, a2 in graded)
+            for alexander, shift, intervals in (
+                (False, grader.maslov_shift, ((-1, 1), (-2, 0))),
+                (True, grader.alexander_shift, ((0, top), (-1, 1))),
+            ):
+                counts = grader.suffix_counts(alexander=alexander)
+                tracked = Counter(a2 if alexander else m for _, m, a2 in graded)
+                assert {shift + k: ways for k, ways in counts[0].items()} == tracked, side
+                for lo, hi in intervals:
+                    blocks = {}
+                    for state, m, a2 in graded:
+                        if lo <= (a2 if alexander else m) <= hi:
+                            blocks.setdefault((m, a2), []).append(state)
+                    assert grader.walk(counts, lo, hi, alexander) == blocks, (side, lo, hi)
 
 
 def test_tau_refuses_maslov_zero_slice_above_limit(monkeypatch):
