@@ -19,12 +19,10 @@ evaluators agree exactly, which the acceptance suite sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
-if TYPE_CHECKING:
-    from .complexes import TauSpectrum
+from .record import record
 
 
 def _check_p(p: int) -> None:
@@ -32,7 +30,7 @@ def _check_p(p: int) -> None:
         raise ValueError("p must be >= 1")
 
 
-@dataclass(frozen=True)
+@record
 class Interval:
     """A closed interval with exact rational endpoints."""
 
@@ -46,7 +44,7 @@ class Interval:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
 
-@dataclass(frozen=True)
+@record
 class BoundReport:
     """A named inequality evaluated on explicit inputs."""
 
@@ -70,7 +68,40 @@ class BoundReport:
         return max(self.bound_value, Fraction(0))
 
 
-@dataclass(frozen=True)
+@record
+class TauSpectrum:
+    """tau values per homology class, with the extremes and their spread.
+
+    tau_max, tau_min and breadth range over all nonzero classes.  When
+    enumeration_complete is false, per_class lists a homology basis only.
+    """
+
+    per_class: dict[str, Fraction]
+    tau_max: Fraction
+    tau_min: Fraction
+    enumeration_complete: bool
+
+    def __post_init__(self):
+        if not self.per_class:
+            raise ValueError("per_class: expected a nonempty object")
+        if self.tau_min > self.tau_max:
+            raise ValueError("tau_min: must not exceed tau_max")
+        # The classes share a handful of value objects: check each once,
+        # and scan in order only to name the first class out of range.
+        values = self.per_class.values()
+        shared = dict(zip(map(id, values), values)).values()
+        if all(self.tau_min <= v <= self.tau_max for v in shared):
+            return
+        for cid, value in self.per_class.items():
+            if not self.tau_min <= value <= self.tau_max:
+                raise ValueError(f"per_class[{cid!r}]: tau outside [tau_min, tau_max]")
+
+    @property
+    def breadth(self) -> Fraction:
+        return self.tau_max - self.tau_min
+
+
+@record
 class GradingTableRow:
     """One table cell: the bigrading of an exterior generator in a column."""
 

@@ -11,14 +11,14 @@ Text form: "n: i1 i2 i3 ..." with signed integer letters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import record
 
 # The strand permutation is a list of index entries: braid-info answers at
 # index 10^6 in 1.1 s at 134 MB, and at 3 * 10^7 it runs out of 1 GiB.
 MAX_PERMUTATION_INDEX = 1_000_000
 
 
-@dataclass(frozen=True)
+@record
 class BraidWord:
     """A word in the braid group B_index."""
 

@@ -7,10 +7,15 @@ byte identical across runs for identical inputs, and every document
 carries a citation field naming the inequality used.
 
 Each handler imports the ratslice modules it runs at the top of its
-body, so a process compiles and runs only what its verb needs:
-`cable-bound` never loads the grid or GF(2) code.  Modules are called
-as attributes (`formats.write_document`), so patches on a module's
-attributes reach the CLI.
+body, so a process compiles and runs only what its verb needs.  The
+bound verbs, `--tau-max/--tau-min` included, load neither the grid nor
+the GF(2) or complex code; `grid-tau` loads the grid and GF(2) code but
+not the complex module; `deep-slice` loads neither the bound evaluators
+nor the link, braid or grid code.  The records are plain classes
+(`ratslice.record`), so no verb pays for the standard dataclass module
+and its imports.  Modules are called as attributes
+(`formats.write_document`), so patches on a module's attributes reach
+the CLI.
 """
 
 from __future__ import annotations
@@ -47,8 +52,8 @@ def _check_positive(flag: str, value: int | None, what: str) -> None:
         raise ValueError(f"{flag}: {what} must be >= 1")
 
 
-def _spectrum_from_args(args) -> complexes.TauSpectrum:
-    from . import complexes, formats
+def _spectrum_from_args(args) -> bounds.TauSpectrum:
+    from . import bounds, formats
 
     sources = [
         args.knot is not None,
@@ -77,7 +82,7 @@ def _spectrum_from_args(args) -> complexes.TauSpectrum:
     if lo > hi:
         raise ValueError(f"--tau-min {args.tau_min} is above --tau-max {args.tau_max}")
     per_class = {"max": hi} if hi == lo else {"max": hi, "min": lo}
-    return complexes.TauSpectrum(
+    return bounds.TauSpectrum(
         per_class=per_class, tau_max=hi, tau_min=lo, enumeration_complete=False
     )
 

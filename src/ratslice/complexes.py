@@ -8,7 +8,7 @@ The Alexander grading of a chain is the maximum over its support, so every
 Alexander level j cuts out a subcomplex (all generators with A <= j).
 
 Every tau here comes from one persistence sweep with clearing
-(essential_rows; Zomorodian-Carlsson, Bauer-Kerber-Reininghaus).  Rows
+(gf2.essential_rows; Zomorodian-Carlsson, Bauer-Kerber-Reininghaus).  Rows
 are generators in TauRowOrder, highest Alexander grading first.  The
 pivot rows of the boundaries (FilteredComplex._tau_engine) are the
 cycles that die; the boundaries out of the other rows are fed in
@@ -33,14 +33,28 @@ import itertools
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
-from .gf2 import _bit_positions, new_engine
+from .gf2 import _bit_positions, essential_rows, new_engine
+from .record import record
+
+if TYPE_CHECKING:
+    from .bounds import TauSpectrum
 
 FULL_ENUMERATION_CAP = 20
+
+
+def __getattr__(name: str):
+    # TauSpectrum lives in bounds, beside the evaluators that read it, and
+    # is imported where a spectrum is built, so deep-slice runs this
+    # module without loading bounds; complexes.TauSpectrum still resolves.
+    if name == "TauSpectrum":
+        from .bounds import TauSpectrum
+
+        return TauSpectrum
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class InvalidComplexError(ValueError):
@@ -58,46 +72,13 @@ class Generator(NamedTuple):
     spinc: str
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     violations: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-@dataclass(frozen=True)
-class TauSpectrum:
-    """tau values per homology class, with the extremes and their spread.
-
-    tau_max, tau_min and breadth range over all nonzero classes.  When
-    enumeration_complete is false, per_class lists a homology basis only.
-    """
-
-    per_class: dict[str, Fraction]
-    tau_max: Fraction
-    tau_min: Fraction
-    enumeration_complete: bool
-
-    def __post_init__(self):
-        if not self.per_class:
-            raise ValueError("per_class: expected a nonempty object")
-        if self.tau_min > self.tau_max:
-            raise ValueError("tau_min: must not exceed tau_max")
-        # The classes share a handful of value objects: check each once,
-        # and scan in order only to name the first class out of range.
-        values = self.per_class.values()
-        shared = dict(zip(map(id, values), values)).values()
-        if all(self.tau_min <= v <= self.tau_max for v in shared):
-            return
-        for cid, value in self.per_class.items():
-            if not self.tau_min <= value <= self.tau_max:
-                raise ValueError(f"per_class[{cid!r}]: tau outside [tau_min, tau_max]")
-
-    @property
-    def breadth(self) -> Fraction:
-        return self.tau_max - self.tau_min
 
 
 class TauRowOrder:
@@ -191,28 +172,6 @@ class FilteredComplex:
         for col in self.boundary_columns:
             engine.add_column(self._tau_rows.permute(col))
         return engine
-
-
-def essential_rows(boundaries, cycles, boundary_of_row) -> list[int]:
-    """Birth rows of the essential classes: persistence with clearing.
-
-    Rows are in TauRowOrder; the pivot rows of boundaries are the cycles
-    that die and are skipped.  boundary_of_row(row) of every other row is
-    fed to cycles highest row first, in ascending filtration order; a row
-    whose column adds no pivot is a birth: a cycle is born there, with the
-    birth as its leading row, that no boundary leads.  Births come highest
-    row first.
-    """
-    dying = boundaries.pivot_rows
-    births = []
-    for row in reversed(range(boundaries.nrows)):
-        if row in dying:
-            continue
-        pivots = cycles.rank
-        cycles.add_column(boundary_of_row(row))
-        if cycles.rank == pivots:
-            births.append(row)
-    return births
 
 
 def validate(complex_: FilteredComplex) -> ValidationReport:
@@ -313,6 +272,8 @@ def tau_spectrum(complex_: FilteredComplex) -> TauSpectrum:
     the grading of the smallest birth row in it, and the extremes are the
     gradings of the smallest and largest birth rows, at any rank.
     """
+    from .bounds import TauSpectrum
+
     basis = homology_basis(complex_)
     if not basis:
         raise ValueError("total homology is zero")
@@ -355,6 +316,8 @@ def tau_spectrum(complex_: FilteredComplex) -> TauSpectrum:
 
 def connected_sum_shift(spectrum: TauSpectrum, t: Fraction) -> TauSpectrum:
     """Connected sum with a local knot shifts every tau value uniformly."""
+    from .bounds import TauSpectrum
+
     t = Fraction(t)
     return TauSpectrum(
         per_class={cid: v + t for cid, v in spectrum.per_class.items()},

@@ -33,8 +33,8 @@ from .rationals import format_rational, parse_rational
 # Record types are imported by the parsers that build them, so a verb that
 # only renders documents loads none of their modules.
 if TYPE_CHECKING:
-    from .bounds import BoundReport, Interval
-    from .complexes import FilteredComplex, TauSpectrum
+    from .bounds import BoundReport, Interval, TauSpectrum
+    from .complexes import FilteredComplex
     from .paperdata import DeepSliceVerdict, PoincarePolynomial
     from .ratlink import FramedKnotData
 
@@ -180,7 +180,7 @@ def spectrum_to_json(spectrum: TauSpectrum) -> dict:
 
 
 def spectrum_from_json(doc: dict) -> TauSpectrum:
-    from .complexes import TauSpectrum
+    from .bounds import TauSpectrum
 
     per_class_raw = _need(doc, "per_class", "tau_spectrum")
     if not isinstance(per_class_raw, dict):

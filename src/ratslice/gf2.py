@@ -15,6 +15,10 @@ all pivot rows.  With rows ordered by priority (bit 0 strongest), that
 representative is lexicographically minimal in its coset.  The pivot rows
 are the leading rows of the span's nonzero vectors, whatever order the
 columns were added in: exactly rank many, one per dimension.
+
+essential_rows drives two engines through the persistence sweep with
+clearing that gives every homology basis and tau: a filtered complex's
+(complexes.homology_basis) and a grid's (grid.tau).
 """
 
 from __future__ import annotations
@@ -82,3 +86,25 @@ def new_engine(nrows: int) -> Elimination:
     """Fresh incremental elimination engine."""
     return Elimination(nrows)
 
+
+def essential_rows(boundaries, cycles, boundary_of_row) -> list[int]:
+    """Birth rows of the essential classes: persistence with clearing.
+
+    Rows are in filtration order, highest grading first
+    (complexes.TauRowOrder).  The pivot rows of the engine boundaries are
+    the cycles that die and are skipped.  boundary_of_row(row) of every
+    other row is fed to the engine cycles highest row first, in ascending filtration order; a row
+    whose column adds no pivot is a birth: a cycle is born there, with the
+    birth as its leading row, that no boundary leads.  Births come highest
+    row first.
+    """
+    dying = boundaries.pivot_rows
+    births = []
+    for row in reversed(range(boundaries.nrows)):
+        if row in dying:
+            continue
+        pivots = cycles.rank
+        cycles.add_column(boundary_of_row(row))
+        if cycles.rank == pivots:
+            births.append(row)
+    return births

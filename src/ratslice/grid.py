@@ -33,7 +33,7 @@ Size cap: n <= 10.  Neither tau nor the knot Floer ranks store the full
 differential.  tau reads only the three Maslov slices around zero: it is
 the birth of the one essential Maslov-0 persistence bar, found by the
 same clearing sweep that gives a filtered complex its homology basis
-(complexes.essential_rows), run on the boundaries into Maslov 0 and the
+(gf2.essential_rows), run on the boundaries into Maslov 0 and the
 boundaries out of it.  Since tau(K) = -tau(mirror K) (Ozsvath-Szabo,
 Knot Floer homology and the four-ball genus), tau is read on the grid
 or on its mirror, whichever has the smaller slices.  The Maslov term of
@@ -57,14 +57,19 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb
+from typing import TYPE_CHECKING
 
-from .complexes import FilteredComplex, essential_rows
-from .gf2 import new_engine
+from .gf2 import essential_rows, new_engine
+from .record import record
 
+if TYPE_CHECKING:
+    from .complexes import FilteredComplex
+
+# The largest grid accepted; MAX_HFK_STATES and MAX_TAU_SLICE below bound
+# the work, and were measured on grids up to this size.
 MAX_GRID_SIZE = 10
 # The most states with 2A >= 0 that knot Floer ranks are measured to answer
 # within about 30 s, counted before any state is visited.  Measured on 2
@@ -86,7 +91,7 @@ MAX_HFK_STATES = 300_000
 MAX_TAU_SLICE = 58_748
 
 
-@dataclass(frozen=True)
+@record
 class GridDiagram:
     """Two disjoint permutations: column -> row of the X and O markings."""
 
@@ -387,10 +392,7 @@ def _state_id(state: bytes) -> str:
 
 def _check_size(n: int) -> None:
     if n > MAX_GRID_SIZE:
-        raise ValueError(
-            f"grid size {n} exceeds the cap {MAX_GRID_SIZE}: the complex has n! "
-            f"generators and {n}! is out of reach for exact elimination here"
-        )
+        raise ValueError(f"grid size {n} exceeds the cap {MAX_GRID_SIZE}")
 
 
 def check_hfk_size(grid: GridDiagram) -> tuple[_Grader, list[dict[int, int]]]:
@@ -423,6 +425,8 @@ def check_knot_grid(grid: GridDiagram) -> None:
 
 def compile_grid(grid: GridDiagram) -> FilteredComplex:
     """Compile the grid into its filtered complex over GF(2)."""
+    from .complexes import FilteredComplex
+
     check_knot_grid(grid)
     grader = _Grader(grid)
     rows = [

@@ -24,24 +24,27 @@ through the same pipeline with user-supplied polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .bounds import satellite_breadth_lower
 from .complexes import (
     FilteredComplex,
-    TauSpectrum,
     connected_sum_shift,
     survivable_gradings,
     tau_spectrum,
 )
 from .rationals import format_rational
-from .ratlink import FramedKnotData
+from .record import record
+
+# The framed builtins and the bound pipelines import bounds and ratlink
+# where they run, so deep-slice loads neither.
+if TYPE_CHECKING:
+    from .ratlink import FramedKnotData
 
 BUILTIN_NAMES = ("RP1_in_RP3", "T(2,-5)", "J_example_6.2", "lift_8_20")
 
 
-@dataclass(frozen=True)
+@record
 class PoincarePolynomial:
     """Knot Floer ranks as (maslov, alexander, rank) terms, one Spin^c."""
 
@@ -62,7 +65,7 @@ class PoincarePolynomial:
             bigradings.add((m, a))
 
 
-@dataclass(frozen=True)
+@record
 class DeepSliceVerdict:
     """Outcome of the spectral-sequence survivor obstruction.
 
@@ -93,6 +96,19 @@ def _rp1_model_complex() -> FilteredComplex:
 
 def builtin(name: str) -> FramedKnotData | PoincarePolynomial:
     """Fetch one of the embedded datasets by name."""
+    if name == "lift_8_20":
+        base = Fraction(7, 9)
+        return PoincarePolynomial(
+            terms=(
+                (base - 1, Fraction(-1), 1),
+                (base, Fraction(0), 1),
+                (base + 1, Fraction(1), 1),
+            ),
+            spinc="+1/-1",
+        )
+    from .bounds import TauSpectrum
+    from .ratlink import FramedKnotData
+
     if name == "RP1_in_RP3":
         spectrum = tau_spectrum(_rp1_model_complex())
         return FramedKnotData(
@@ -124,16 +140,6 @@ def builtin(name: str) -> FramedKnotData | PoincarePolynomial:
             d_invariants={"0": Fraction(1, 4), "1": Fraction(-1, 4)},
             linking_form=(Fraction(0), Fraction(1, 2)),
             floer_simple=False,
-        )
-    if name == "lift_8_20":
-        base = Fraction(7, 9)
-        return PoincarePolynomial(
-            terms=(
-                (base - 1, Fraction(-1), 1),
-                (base, Fraction(0), 1),
-                (base + 1, Fraction(1), 1),
-            ),
-            spinc="+1/-1",
         )
     raise ValueError(
         f"unknown builtin {name!r}; available: {', '.join(BUILTIN_NAMES)}"
@@ -186,6 +192,8 @@ def dual_knot_breadth(g: int) -> Fraction:
 
 def satellite_pl_genus_growth(g: int, p: int) -> Fraction:
     """Compose the dual-knot breadth with the satellite breadth growth."""
+    from .bounds import satellite_breadth_lower
+
     return satellite_breadth_lower(p, dual_knot_breadth(g))
 
 

@@ -15,17 +15,17 @@ negative full twist in the pattern leaves it unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 from .braid import BraidWord, full_twist, writhe
+from .record import record
 
 if TYPE_CHECKING:
-    from .complexes import TauSpectrum
+    from .bounds import TauSpectrum
 
 
-@dataclass(frozen=True)
+@record
 class FramedKnotData:
     """Input record for the bound evaluators.
 
@@ -58,7 +58,7 @@ class FramedKnotData:
         return lk_from_slope(self.order, self.slope)
 
 
-@dataclass(frozen=True)
+@record
 class SatelliteSpec:
     """A braided pattern together with the framing it is braided in."""
 

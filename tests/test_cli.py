@@ -138,8 +138,7 @@ def test_grid_file_refusal_names_the_file(tmp_path, capsys):
         ("0 1 2 3\n1 0 3 2\n", "grid represents a 2-component link, not a knot"),
         (
             " ".join(map(str, range(11))) + "\n" + " ".join(map(str, range(1, 11))) + " 0\n",
-            "grid size 11 exceeds the cap 10: the complex has n! generators and "
-            "11! is out of reach for exact elimination here",
+            "grid size 11 exceeds the cap 10",
         ),
     ]:
         path.write_text(text)
@@ -1164,7 +1163,7 @@ def test_grid_tau_random_size_ten_grid_refused_at_once(tmp_path):
     )
 
 
-def _modules_after(*argv):
+def _modules_after(*argv, cwd=None):
     """Every module a fresh interpreter holds after main(argv); import only if empty."""
     probe = (
         "import json, sys\n"
@@ -1175,7 +1174,7 @@ def _modules_after(*argv):
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe, *argv],
-        capture_output=True, text=True, env=fresh_env(),
+        capture_output=True, text=True, env=fresh_env(), cwd=cwd,
     )
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stderr.splitlines()[-1]))
@@ -1208,9 +1207,21 @@ def test_cli_import_loads_only_rationals():
     ["braid-info", "--braid", "4: 1 2 3 1 2 3"],
     ["c-value", "--braid", "4: 1 2 3 1 2 3", "--lk", "-2/4", "--order", "2"],
     ["slice-bennequin", "--tb", "-1", "--rot", "0", "--chi", "-2", "--p", "1"],
+    # The spectrum record lives in bounds: these build it without complexes.
+    ["genus-bound", "--tau-max", "3/2", "--tau-min", "-1/2"],
+    ["seifert-framed-bound", "--tau-max", "3/2", "--tau-min", "-1/2", "--p", "2"],
 ], ids=lambda argv: argv[0])
 def test_bound_verbs_load_no_grid_or_complex_modules(argv):
     assert _modules_after(*argv) & _HEAVY == set()
+
+
+@pytest.mark.parametrize("hfk", [[], ["--hfk"]], ids=["tau", "hfk"])
+def test_grid_tau_loads_no_complex_module(hfk):
+    # Grid tau drives gf2.essential_rows itself; only compile_grid, which
+    # no verb runs, builds a FilteredComplex.
+    loaded = _modules_after("grid-tau", "--torus", "2", "3", *hfk)
+    assert {"ratslice.grid", "ratslice.gf2"} <= loaded
+    assert "ratslice.complexes" not in loaded
 
 
 def test_tau_complex_loads_neither_grid_nor_paperdata(tmp_path):
@@ -1227,6 +1238,17 @@ def _verb_inputs(directory):
     (directory / "knot.grid").write_text(grid_to_text(torus_knot_grid(2, -3)))
     (directory / "knot.json").write_text(json.dumps(framed_to_json(builtin("J_example_6.2"))))
     (directory / "poly.json").write_text(json.dumps(poincare_to_json(builtin("lift_8_20"))))
+
+
+@pytest.mark.parametrize("argv", [
+    ["deep-slice", "--polynomial", "poly.json", "--target", "1"],
+    ["deep-slice", "--builtin", "lift_8_20", "--target", "1"],
+], ids=lambda argv: argv[1])
+def test_deep_slice_loads_no_bound_link_braid_or_grid_module(tmp_path, argv):
+    _verb_inputs(tmp_path)
+    loaded = _modules_after(*argv, cwd=tmp_path)
+    assert {"ratslice.paperdata", "ratslice.complexes"} <= loaded
+    assert loaded & {f"ratslice.{name}" for name in ("bounds", "ratlink", "braid", "grid")} == set()
 
 
 @pytest.mark.parametrize("argv", [
@@ -1255,10 +1277,18 @@ def test_fresh_interpreter_matches_in_process(tmp_path, monkeypatch, capsysbinar
     code = main(argv)
     out = capsysbinary.readouterr().out
     proc = subprocess.run(
-        [sys.executable, "-m", "ratslice.cli", *argv],
+        [sys.executable, "-X", "importtime", "-m", "ratslice.cli", *argv],
         capture_output=True, env=fresh_env(), cwd=tmp_path,
     )
     assert (proc.returncode, proc.stdout) == (code, out), proc.stderr.decode()
+    # No verb loads dataclasses, which imports inspect, ast, dis and
+    # tokenize: about 11 ms of a process with no bytecode cache.
+    imported = {
+        line.rpartition("|")[2].strip()
+        for line in proc.stderr.decode().splitlines() if line.startswith("import time:")
+    }
+    assert "ratslice.formats" in imported
+    assert imported & {"dataclasses", "inspect"} == set()
 
 
 def test_console_script_resolves_to_main(monkeypatch):
