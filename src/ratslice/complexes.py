@@ -46,17 +46,6 @@ if TYPE_CHECKING:
 FULL_ENUMERATION_CAP = 20
 
 
-def __getattr__(name: str):
-    # TauSpectrum lives in bounds, beside the evaluators that read it, and
-    # is imported where a spectrum is built, so deep-slice runs this
-    # module without loading bounds; complexes.TauSpectrum still resolves.
-    if name == "TauSpectrum":
-        from .bounds import TauSpectrum
-
-        return TauSpectrum
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class InvalidComplexError(ValueError):
     """The generator/differential data violate a complex invariant."""
 

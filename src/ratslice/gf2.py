@@ -16,9 +16,9 @@ representative is lexicographically minimal in its coset.  The pivot rows
 are the leading rows of the span's nonzero vectors, whatever order the
 columns were added in: exactly rank many, one per dimension.
 
-essential_rows drives two engines through the persistence sweep with
-clearing that gives every homology basis and tau: a filtered complex's
-(complexes.homology_basis) and a grid's (grid.tau).
+essential_rows is the one persistence sweep with clearing behind every
+homology basis, tau and knot Floer rank: complexes.homology_basis,
+grid.tau, and grid.graded_ranks down each Alexander level.
 """
 
 from __future__ import annotations
@@ -90,13 +90,18 @@ def new_engine(nrows: int) -> Elimination:
 def essential_rows(boundaries, cycles, boundary_of_row) -> list[int]:
     """Birth rows of the essential classes: persistence with clearing.
 
-    Rows are in filtration order, highest grading first
-    (complexes.TauRowOrder).  The pivot rows of the engine boundaries are
-    the cycles that die and are skipped.  boundary_of_row(row) of every
-    other row is fed to the engine cycles highest row first, in ascending filtration order; a row
-    whose column adds no pivot is a birth: a cycle is born there, with the
-    birth as its leading row, that no boundary leads.  Births come highest
-    row first.
+    The engine boundaries spans the boundaries into the rows, and its
+    pivot rows are skipped.  boundary_of_row(row), the boundary out of a
+    row, of every other row is fed to the engine cycles, highest row
+    first.  A row whose column adds no pivot is a birth.  Births come
+    highest row first.
+
+    A skipped row leads a boundary whose other rows are higher and whose
+    boundary is zero, so from the highest down each skipped column is a
+    sum of fed ones.  The births thus number the rows less the ranks in
+    and out: the homology rank, in any row order.  With the rows in
+    filtration order, highest grading first, each birth leads a cycle
+    that no boundary leads: a filtration birth.
     """
     dying = boundaries.pivot_rows
     births = []

@@ -41,9 +41,10 @@ a state's column i depends only on the set of rows in columns 0..i-1
 and the row in column i, so one table over the 2^n row sets counts
 every Maslov slice of a side before any state is visited
 (_Grader.suffix_counts).  The graded differential preserves the
-Alexander grading, so the knot Floer ranks take the rank of each (M, A)
-block against the (M - 1, A) block alone, and only the blocks with
-A >= 0 are needed.  The 2A term of a state's column i depends only on i
+Alexander grading, so the knot Floer ranks sweep each Alexander level
+alone, by essential_rows in descending Maslov order, the engine of the
+(M + 1, A) block clearing the (M, A) block.  Only the blocks with A >= 0
+are needed.  The 2A term of a state's column i depends only on i
 and the row placed, so the same table keyed by 2A counts the states
 with 2A >= 0, which check_hfk_size refuses above MAX_HFK_STATES for
 every caller.  Both then keep their states by one depth-first walk over
@@ -71,13 +72,15 @@ if TYPE_CHECKING:
 # The largest grid accepted; MAX_HFK_STATES and MAX_TAU_SLICE below bound
 # the work, and were measured on grids up to this size.
 MAX_GRID_SIZE = 10
-# The most states with 2A >= 0 that knot Floer ranks are measured to answer
-# within about 30 s, counted before any state is visited.  Measured on 2
-# cores in process: n = 10 T(3,7) keeps 105,721 and takes 3.8 s at 92 MB;
-# the heaviest of 30 random n = 10 knot grids (seed 1), X 0 9 8 7 2 6 5 4
-# 3 1 and O 7 3 4 6 9 8 2 5 1 0, keeps 298,367 and takes 23 s at 566 MB,
-# 19 s of it GF(2) elimination; grids keeping 415,683 and 439,269 took
-# 27-29 s at 842-903 MB.
+# The most states with 2A >= 0 that knot Floer ranks are measured to
+# answer, counted before any state is visited; set when the heaviest grid
+# below took 23 s, before clearing.  grid-tau --hfk, medians of 3 runs
+# under a 3 GiB address-space limit on 2 cores: n = 10 T(3,7) keeps
+# 105,721 and takes 1.4 s at 72 MB; the heaviest of 30 random n = 10
+# knot grids (seed 1), X 0 9 8 7 2 6 5 4 3 1 and O 7 3 4 6 9 8 2 5 1 0,
+# keeps 298,367 and takes 8.0 s at 785 MB, the peak of its tau; with the
+# limit lifted, grids keeping 415,683 and 439,269 take 6.7-8.0 s at
+# 590-643 MB.
 MAX_HFK_STATES = 300_000
 # The largest Maslov-0 slice grid tau is measured to answer within 3 GB,
 # on the side it reduces: T(2,-7)'s own at n = 9, 20-28 s at 426 MB.
@@ -516,28 +519,29 @@ def graded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int]:
     block of states graded (M, A) into the block graded (M - 1, A).  Once
     check_hfk_size has passed, the walk (_Grader.walk with alexander)
     keeps the blocks with A >= 0, and with them every block they map into.
-    Each Alexander level is ranked in ascending Maslov order: a block's
-    columns are bitsets over the block below it, and the columns of that
-    block are kept to check that the differential squares to zero.  The
-    rank at (M, A) is |block| - rank out - rank in.  Raises if an arrow
-    leaves the block below or the square of the differential is nonzero.
+    Each Alexander level is swept by essential_rows in descending Maslov
+    order: a block's columns are bitsets over the block below, the engine
+    of the block above is its boundaries, and its rank is the number of
+    births.  Cleared states still build their columns, so the square of
+    the differential is checked on every state of the block above.
+    Raises if an arrow leaves the block below or the square is nonzero.
     """
     grader, counts = check_hfk_size(grid)
     top = grader.alexander_shift + max(counts[0])
     blocks = grader.walk(counts, 0, top, alexander=True)
 
-    rank_out: dict[tuple[int, int], int] = {}
-    # In this order the block below, when there is one, is the block just
-    # reduced, so columns_below holds its columns.
-    columns_below: list[int] = []
-    for key in sorted(blocks, key=lambda k: (k[1], k[0])):
-        m, a2 = key
-        row_of = {state: i for i, state in enumerate(blocks.get((m - 1, a2), ()))}
-        engine = new_engine(len(row_of))
+    ranks: dict[tuple[Fraction, Fraction], int] = {}
+    for m, a2 in sorted(blocks, key=lambda k: (k[1], k[0]), reverse=True):
+        if (m + 1, a2) not in blocks:
+            # Nothing maps into a top block, so nothing there is cleared.
+            above, above_rows = new_engine(len(blocks[m, a2])), []
+        below = blocks.get((m - 1, a2), ())
+        row_of = {state: i for i, state in enumerate(below)}
         columns = []
-        for state in blocks[key]:
+        block_rows = []
+        for state in blocks[m, a2]:
+            rows = []
             bits = 0
-            square = 0
             for target in _graded_targets(grid, state):
                 row = row_of.get(target)
                 if row is None:
@@ -545,23 +549,24 @@ def graded_ranks(grid: GridDiagram) -> dict[tuple[Fraction, Fraction], int]:
                         f"graded arrow {tuple(state)} -> {tuple(target)} leaves the block "
                         f"below (M, A) = ({m}, {Fraction(a2, 2)})"
                     )
+                rows.append(row)
                 bits ^= 1 << row
-                square ^= columns_below[row]
+            columns.append(bits)
+            block_rows.append(rows)
+        for state, rows in zip(blocks.get((m + 1, a2), ()), above_rows):
+            square = 0
+            for row in rows:
+                square ^= columns[row]
             if square:
                 raise AssertionError(
                     f"graded differential squares to nonzero on {tuple(state)} at "
-                    f"(M, A) = ({m}, {Fraction(a2, 2)})"
+                    f"(M, A) = ({m + 1}, {Fraction(a2, 2)})"
                 )
-            engine.add_column(bits)
-            columns.append(bits)
-        rank_out[key] = engine.rank
-        columns_below = columns
-
-    ranks: dict[tuple[Fraction, Fraction], int] = {}
-    for (m, a2), members in blocks.items():
-        r = len(members) - rank_out[(m, a2)] - rank_out.get((m + 1, a2), 0)
-        if r:
-            ranks[(Fraction(m), Fraction(a2, 2))] = r
+        engine = new_engine(len(below))
+        rank = len(essential_rows(above, engine, columns.__getitem__))
+        if rank:
+            ranks[(Fraction(m), Fraction(a2, 2))] = rank
+        above, above_rows = engine, block_rows
     return ranks
 
 

@@ -11,9 +11,9 @@ from fractions import Fraction
 from math import gcd
 
 from ratslice import bounds, paperdata
+from ratslice.bounds import TauSpectrum
 from ratslice.braid import BraidWord, components, torus_braid, writhe
 from ratslice.complexes import (
-    TauSpectrum,
     connected_sum_shift,
     tau,
 )

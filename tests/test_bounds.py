@@ -8,6 +8,7 @@ import pytest
 
 from ratslice.bounds import (
     Interval,
+    TauSpectrum,
     bp_tau_interval,
     cable_tau_interval,
     crossing_change_propagate,
@@ -25,7 +26,6 @@ from ratslice.bounds import (
     turaev_estimates,
 )
 from ratslice.braid import components, torus_braid, writhe
-from ratslice.complexes import TauSpectrum
 
 F = Fraction
 

@@ -1126,8 +1126,8 @@ def test_grid_tau_size_ten_torus_answers_at_once(q, tau):
 
 
 def test_grid_tau_size_ten_hfk_answers_under_the_cap():
-    # T(3,7)'s A >= 0 half holds 105,721 of its 10! states: about 4 s at
-    # about 90 MB.  A scan of all 10! states ran out of 3 GB.
+    # T(3,7)'s A >= 0 half holds 105,721 of its 10! states: about 1.4 s at
+    # about 72 MB.  A scan of all 10! states ran out of 3 GB.
     proc = run_capped("grid-tau", "--torus", "3", "7", "--hfk", timeout=60)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)

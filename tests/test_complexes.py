@@ -11,11 +11,11 @@ from pathlib import Path
 import pytest
 
 from ratslice import complexes
+from ratslice.bounds import TauSpectrum
 from ratslice.complexes import (
     DeductionError,
     FilteredComplex,
     InvalidComplexError,
-    TauSpectrum,
     connected_sum_shift,
     homology_basis,
     survivable_gradings,

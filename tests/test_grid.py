@@ -10,6 +10,7 @@ import pytest
 
 import ratslice.grid as grid_module
 from ratslice.complexes import FilteredComplex, tau
+from ratslice.gf2 import new_engine
 from ratslice.grid import (
     GridDiagram,
     compile_grid,
@@ -568,3 +569,65 @@ def test_graded_ranks_refuse_a_nonzero_square(monkeypatch):
     monkeypatch.setattr(grid_module, "_graded_targets", without_arrow)
     with pytest.raises(AssertionError, match="squares to nonzero"):
         graded_ranks(grid)
+
+
+def _kept_blocks(grid: GridDiagram) -> tuple[int, dict[tuple[int, int], list[bytes]]]:
+    """The count check_hfk_size reads, and the blocks graded_ranks sweeps."""
+    grader, counts = grid_module.check_hfk_size(grid)
+    kept = sum(ways for rest, ways in counts[0].items() if rest >= -grader.alexander_shift)
+    top = grader.alexander_shift + max(counts[0])
+    return kept, grader.walk(counts, 0, top, alexander=True)
+
+
+def test_graded_ranks_check_the_square_on_cleared_states(monkeypatch):
+    # A cleared state x leads a boundary from the block above, so
+    # essential_rows never reduces its column.  Dropping an arrow x -> y
+    # whose target is no cycle leaves d(d(x)) = d(y), and d(d(w)) = y for
+    # a state w above whose boundary holds x: both nonzero, and both
+    # seen only through x's own arrows, which a sweep that built no
+    # column for a cleared state would never read.
+    grid = torus_knot_grid(2, 5)
+    graded_targets = grid_module._graded_targets
+    blocks = _kept_blocks(grid)[1]
+    cleared = []
+    for (m, a2), block in blocks.items():
+        row_of = {state: i for i, state in enumerate(block)}
+        engine = new_engine(len(block))
+        for state in blocks.get((m + 1, a2), ()):
+            targets = _odd_targets(graded_targets(grid, state))
+            engine.add_column(sum(1 << row_of[t] for t in targets))
+        cleared += [block[row] for row in engine.pivot_rows]
+    assert len(cleared) == 56
+    x, y = next(
+        (state, target)
+        for state in cleared
+        for target in _odd_targets(graded_targets(grid, state))
+        if _odd_targets(graded_targets(grid, target))
+    )
+
+    def without_arrow(g, state):
+        targets = graded_targets(g, state)
+        return [t for t in targets if t != y] if state == x else targets
+
+    monkeypatch.setattr(grid_module, "_graded_targets", without_arrow)
+    with pytest.raises(AssertionError, match="squares to nonzero"):
+        graded_ranks(grid)
+
+
+@pytest.mark.parametrize("p,q,cleared", [(2, 5, 56), (3, 4, 91), (3, -5, 735), (2, -7, 1317)])
+def test_graded_ranks_clear_every_state_a_boundary_leads(monkeypatch, p, q, cleared):
+    # Each block's boundaries are the engine of the block above, and
+    # essential_rows skips its pivot rows.  Their ranks add up to the rank
+    # of the graded differential, which is half of what homology leaves
+    # out of the kept states.
+    ranks = []
+    sweep = grid_module.essential_rows
+
+    def spy(boundaries, cycles, boundary_of_row):
+        ranks.append(boundaries.rank)
+        return sweep(boundaries, cycles, boundary_of_row)
+
+    monkeypatch.setattr(grid_module, "essential_rows", spy)
+    grid = torus_knot_grid(p, q)
+    homology = sum(graded_ranks(grid).values())
+    assert sum(ranks) == (_kept_blocks(grid)[0] - homology) // 2 == cleared
