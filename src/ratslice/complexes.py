@@ -74,9 +74,9 @@ class TauRowOrder:
     """Rows ordered highest Alexander grading first, ties in input order.
 
     The engine pivots on a column's lowest row, which in this order is its
-    top grading, so the canonical residue of a cycle modulo boundaries has
-    the smallest top grading among its representatives, and the pivot rows
-    of a span are the top gradings its nonzero vectors can have.
+    top grading, so the leading row of a cycle modulo boundaries is the
+    smallest top grading among its representatives, and the pivot rows of
+    a span are the top gradings its nonzero vectors can have.
     """
 
     def __init__(self, alexanders: Sequence[Fraction | int]):
@@ -92,10 +92,6 @@ class TauRowOrder:
         for i in _bit_positions(bits):
             out |= 1 << self.position[i]
         return out
-
-    def top(self, rows: int) -> Fraction:
-        """Alexander grading of the leading row of a nonzero row bitset."""
-        return self.alexanders[(rows & -rows).bit_length() - 1]
 
 
 class FilteredComplex:
@@ -123,9 +119,6 @@ class FilteredComplex:
         report = validate(self)
         if not report.ok:
             raise InvalidComplexError("; ".join(report.violations))
-
-    def __len__(self) -> int:
-        return len(self.generators)
 
     def generator(self, gid: str) -> Generator:
         return self.generators[self.index[gid]]
@@ -244,13 +237,18 @@ def _check_cycle(complex_: FilteredComplex, bits: int) -> None:
 
 def tau(complex_: FilteredComplex, cycle: int) -> Fraction:
     """Minimal Alexander level at which the class of cycle (an int
-    bitset over generator indices) appears in homology."""
+    bitset over generator indices) appears in homology.
+
+    In TauRowOrder a vector's lowest row is its top grading, so the
+    leading row of the cycle modulo the boundaries is the least top
+    grading over the class's representatives.
+    """
     _check_cycle(complex_, cycle)
     rows = complex_._tau_rows
-    residue = complex_._tau_engine.reduce(rows.permute(cycle))
-    if not residue:
+    row = complex_._tau_engine.leading_row(rows.permute(cycle))
+    if row is None:
         raise ValueError("class is zero in homology")
-    return rows.top(residue)
+    return rows.alexanders[row]
 
 
 def tau_spectrum(complex_: FilteredComplex) -> TauSpectrum:

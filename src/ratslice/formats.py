@@ -291,22 +291,15 @@ def verdict_to_json(verdict: DeepSliceVerdict) -> dict:
 
 # -- reports and intervals ----------------------------------------------
 
-def _encode_value(value: Any) -> Any:
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, dict):
-        return {k: _encode_value(v) for k, v in sorted(value.items())}
-    if isinstance(value, (list, tuple)):
-        return [_encode_value(v) for v in value]
-    return value
-
-
 def report_to_json(report: BoundReport) -> dict:
     return {
         "name": report.name,
         "bound_value": format_rational(report.bound_value),
         "direction": report.direction,
-        "inputs": _encode_value(report.inputs),
+        "inputs": {
+            k: format_rational(v) if isinstance(v, Fraction) else v
+            for k, v in sorted(report.inputs.items())
+        },
         "citation": report.citation,
         "satisfied": report.satisfied,
         "clamped_value": format_rational(report.clamped_value),

@@ -4,17 +4,18 @@ Every rank, homology basis and tau in the package comes from an
 Elimination built with new_engine.  Columns, and every other GF(2)
 vector in the package, cycles included, are Python integers: bit i set
 means a 1 in row i.  Pivoting is deterministic, lowest row index first,
-so echelon columns and canonical residues are reproducible across runs.
+so echelon columns and leading rows are reproducible across runs.
 
-A column added to the engine is reduced against existing pivot columns
-until its lowest set bit is a fresh row (then it becomes a pivot) or it
-vanishes.  Every stored pivot column has its pivot row as the lowest
-set bit, so reducing a target by repeatedly clearing its lowest pivot bit
-terminates and yields the unique coset representative supported away from
-all pivot rows.  With rows ordered by priority (bit 0 strongest), that
-representative is lexicographically minimal in its coset.  The pivot rows
-are the leading rows of the span's nonzero vectors, whatever order the
-columns were added in: exactly rank many, one per dimension.
+The engine keeps one pivot column per pivot row, its lowest set bit.
+A column is reduced by adding the pivot column of its lowest row until
+that row leads no pivot or the column vanishes; add_column keeps what
+is left as a new pivot column.  The pivot rows are the leading rows of
+the span's nonzero vectors, whatever order the columns were added in:
+exactly rank many, one per dimension.  leading_row(target) is the
+lowest row of the reduced target, None when the target lies in the
+span.  No vector of the coset target + span has a higher lowest row,
+so with rows ordered highest grading first, leading_row is the least
+top grading among the coset's representatives.
 
 essential_rows is the one persistence sweep with clearing behind every
 homology basis, tau and knot Floer rank: complexes.homology_basis,
@@ -35,51 +36,44 @@ def _bit_positions(bits: int):
 
 
 class Elimination:
-    """Incremental column echelon over GF(2)."""
+    """Incremental column echelon over GF(2): one dict from pivot row to
+    its pivot column."""
 
     def __init__(self, nrows: int):
         self.nrows = nrows
-        self._pivot_of_row: dict[int, int] = {}
-        self._cols: list[int] = []
+        self._pivots: dict[int, int] = {}
 
     @property
     def rank(self) -> int:
-        return len(self._cols)
+        return len(self._pivots)
 
     @property
     def pivot_rows(self):
         """The rows that lead some vector of the span (a set-like view)."""
-        return self._pivot_of_row.keys()
+        return self._pivots.keys()
+
+    def _reduce(self, col: int) -> int:
+        """col less pivot columns, until its lowest row leads no pivot (or 0)."""
+        if col >> self.nrows:
+            raise ValueError("vector has bits outside the row range")
+        pivots = self._pivots
+        while col:
+            pivot = pivots.get((col & -col).bit_length() - 1)
+            if pivot is None:
+                break
+            col ^= pivot
+        return col
 
     def add_column(self, col: int) -> None:
         """Feed one column; it becomes a pivot column or vanishes."""
-        if col >> self.nrows:
-            raise ValueError("column has bits outside the row range")
-        while col:
-            row = (col & -col).bit_length() - 1
-            idx = self._pivot_of_row.get(row)
-            if idx is None:
-                self._pivot_of_row[row] = len(self._cols)
-                self._cols.append(col)
-                return
-            col ^= self._cols[idx]
+        col = self._reduce(col)
+        if col:
+            self._pivots[(col & -col).bit_length() - 1] = col
 
-    def reduce(self, target: int) -> int:
-        """Canonical representative of target modulo the column span."""
-        if target >> self.nrows:
-            raise ValueError("target has bits outside the row range")
-        out = 0
-        cur = target
-        while cur:
-            row = (cur & -cur).bit_length() - 1
-            idx = self._pivot_of_row.get(row)
-            if idx is None:
-                bit = 1 << row
-                out |= bit
-                cur ^= bit
-            else:
-                cur ^= self._cols[idx]
-        return out
+    def leading_row(self, target: int) -> int | None:
+        """Lowest row of target reduced modulo the span; None if in the span."""
+        target = self._reduce(target)
+        return (target & -target).bit_length() - 1 if target else None
 
 
 def new_engine(nrows: int) -> Elimination:

@@ -460,12 +460,14 @@ def tau(grid: GridDiagram) -> Fraction:
 
     Filter the Maslov-0 states by Alexander grading: their blocks in
     descending 2A, each in lexicographic order, are the rows, highest
-    grading first as essential_rows expects.  The boundaries of the
-    Maslov +1 states mark the Maslov-0 states whose cycles die, and
-    essential_rows feeds the boundaries of the others into Maslov -1 with
-    clearing.  The one row born that never dies generates the Maslov-0
-    homology; its Alexander grading is the least level that carries the
-    class: tau.
+    grading first as essential_rows expects.  The Maslov +1 slice is the
+    top of the chain, so nothing there is cleared: essential_rows feeds
+    every +1 boundary into an engine over Maslov 0, whose pivot rows are
+    the Maslov-0 states whose cycles die.  A second essential_rows feeds
+    the boundaries of the others into Maslov -1 with clearing.  The one row
+    born that never dies generates the Maslov-0 homology; its Alexander
+    grading is the least level that carries the class: tau.  Raises if
+    an arrow leaves the Maslov slice below its source.
     """
     check_knot_grid(grid)
     sides = []
@@ -486,24 +488,30 @@ def tau(grid: GridDiagram) -> Fraction:
         [state for key in keys if key[0] == m for state in blocks[key]] for m in (-1, 0, 1)
     )
     alexanders = [a2 for m, a2 in keys if m == 0 for _ in blocks[m, a2]]
-    row_of = {state: row for row, state in enumerate(middle)}
+
+    def columns(sources, targets, m):
+        """Column builder: the boundary of sources[i] as a bitset over targets."""
+        row_of = {state: row for row, state in enumerate(targets)}
+
+        def column(i):
+            bits = 0
+            try:
+                for target in _rectangle_targets(side, sources[i]):
+                    bits ^= 1 << row_of[target]
+            except KeyError:
+                raise AssertionError(
+                    f"arrow {tuple(sources[i])} -> {tuple(target)} leaves the "
+                    f"Maslov {m} slice"
+                ) from None
+            return bits
+
+        return column
 
     boundaries = new_engine(len(middle))
-    for state in above:
-        bits = 0
-        for target in _rectangle_targets(side, state):
-            bits ^= 1 << row_of[target]
-        boundaries.add_column(bits)
-
-    below_index = {state: i for i, state in enumerate(below)}
-
-    def boundary_of_row(row: int) -> int:
-        bits = 0
-        for target in _rectangle_targets(side, middle[row]):
-            bits ^= 1 << below_index[target]
-        return bits
-
-    essential = essential_rows(boundaries, new_engine(len(below)), boundary_of_row)
+    essential_rows(new_engine(len(above)), boundaries, columns(above, middle, 0))
+    essential = essential_rows(
+        boundaries, new_engine(len(below)), columns(middle, below, -1)
+    )
     if len(essential) != 1:
         raise AssertionError(
             f"expected one essential Maslov-0 class, found {len(essential)}"

@@ -134,6 +134,7 @@ def test_grid_file_refusal_names_the_file(tmp_path, capsys):
     for text, message in [
         ("0 1 x\n2 0 1\n", "grid rows must contain only integers"),
         ("0 1 2\n", "grid file must have exactly two nonempty rows, found 1"),
+        ("0 1 2\n1 2\n", "X and O rows must be nonempty and equal length"),
         ("0 1 2\n0 2 1\n", "X and O may not share a cell"),
         ("0 1 2 3\n1 0 3 2\n", "grid represents a 2-component link, not a knot"),
         (
@@ -344,6 +345,9 @@ def _framed_spectrum(**fields):
     return _framed_document(tau_spectrum=dict(spectrum, **fields))
 
 
+_GEN_A = {"id": "a", "maslov": "0", "alexander": "0", "spinc": "0"}
+
+
 @pytest.mark.parametrize(
     "verb,flag,doc,field",
     [
@@ -500,6 +504,13 @@ def _framed_spectrum(**fields):
             },
             "differential['y']",
         ),
+        ("tau", "--complex", {"generators": [_GEN_A], "differential": []}, "differential"),
+        (
+            "tau",
+            "--complex",
+            {"generators": [_GEN_A], "differential": {"a": "b"}},
+            "differential['a']",
+        ),
     ],
 )
 def test_wrong_json_type_names_field(tmp_path, capsys, verb, flag, doc, field):
@@ -554,6 +565,24 @@ def test_knot_document_derived_values_must_agree(tmp_path, capsys):
             "--knot",
             _framed_spectrum(per_class=[]),
             "tau_spectrum.per_class: expected a nonempty object",
+        ),
+        (
+            "tau",
+            "--complex",
+            {"generators": [_GEN_A, _GEN_A], "differential": {}},
+            "duplicate generator id 'a'",
+        ),
+        (
+            "tau",
+            "--complex",
+            {"generators": [_GEN_A], "differential": {"z": ["a"]}},
+            "differential source 'z' is not a generator",
+        ),
+        (
+            "tau",
+            "--complex",
+            {"generators": [_GEN_A], "differential": {"a": ["z"]}},
+            "differential target 'z' is not a generator",
         ),
     ],
 )
@@ -892,6 +921,16 @@ def test_grid_tau_hfk_above_cap_refused_before_tau(monkeypatch, capsys):
             ["deep-slice", "--builtin", "T(2,-5)"],
             "--builtin: 'T(2,-5)' is not a Poincare polynomial",
         ),
+        (["genus-bound", "--tau-max", "1"], "--tau-max and --tau-min must be given together"),
+        (["grid-tau"], "specify exactly one of --grid FILE or --torus p q"),
+        (
+            ["grid-tau", "--grid", "knot.grid", "--torus", "2", "3"],
+            "specify exactly one of --grid FILE or --torus p q",
+        ),
+        (
+            ["deep-slice", "--target", "1"],
+            "specify exactly one of --polynomial FILE or --builtin NAME",
+        ),
     ],
 )
 def test_bad_flag_value_names_it(capsys, argv, message):
@@ -1013,6 +1052,14 @@ def test_malformed_file_exit_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "tau", "--complex", str(path))
     assert code == 1
     assert "line 1" in err
+
+
+def test_top_level_json_array_names_the_file(tmp_path, capsys):
+    path = tmp_path / "arr.json"
+    path.write_text("[1, 2]")
+    assert run_cli(capsys, "tau", "--complex", str(path)) == (
+        1, "", f"error: {path}: top-level JSON value must be an object\n"
+    )
 
 
 def test_grid_tau_huge_torus_refused_before_allocating():

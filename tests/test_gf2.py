@@ -66,19 +66,32 @@ def test_engine_memory_stays_linear():
     assert peak < 200 * n
 
 
+def span(columns: list[int]) -> set[int]:
+    vectors = {0}
+    for col in columns:
+        vectors |= {v ^ col for v in vectors}
+    return vectors
+
+
+def lowest_row(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
+
+
 def test_in_image_identity_contains_every_vector():
     engine = eliminate(4, identity(4))
     for target in range(16):
-        assert engine.reduce(target) == 0
+        assert engine.leading_row(target) is None
 
 
 def test_in_image_zero_matrix_rejects_nonzero():
-    assert eliminate(3, [0, 0]).reduce(0b001) == 0b001
+    engine = eliminate(3, [0, 0])
+    assert engine.leading_row(0b001) == 0
+    assert engine.leading_row(0b110) == 1
 
 
 def test_in_image_dimension_mismatch():
     with pytest.raises(ValueError):
-        eliminate(3, identity(3)).reduce(1 << 3)
+        eliminate(3, identity(3)).leading_row(1 << 3)
 
 
 def test_engine_rejects_out_of_range_bits():
@@ -86,21 +99,22 @@ def test_engine_rejects_out_of_range_bits():
     with pytest.raises(ValueError):
         engine.add_column(1 << 4)
     with pytest.raises(ValueError):
-        engine.reduce(1 << 5)
+        engine.leading_row(1 << 5)
 
 
 def test_in_image_random_agrees_with_dense_oracle():
+    # The leading row is the largest lowest row over the coset target + span,
+    # found by listing the coset; None exactly when the target is in the span.
     rng = random.Random(512)
     for _ in range(80):
         rows = rng.randint(1, 8)
         cols = random_columns(rng, rows, rng.randint(1, 8))
         target = sum(1 << r for r in range(rows) if rng.random() < 0.4)
-        engine = eliminate(rows, cols)
-        residue = engine.reduce(target)
-        assert (residue == 0) == dense_in_image(rows, cols, target)
-        assert not any(residue >> r & 1 for r in engine.pivot_rows)
-        # The residue differs from the target by a vector of the span.
-        assert dense_in_image(rows, cols, residue ^ target)
+        coset = {target ^ v for v in span(cols)}
+        row = eliminate(rows, cols).leading_row(target)
+        assert (row is None) == dense_in_image(rows, cols, target) == (0 in coset)
+        if row is not None:
+            assert row == max(lowest_row(v) for v in coset)
 
 
 def test_rank_nullity_for_all_small_shapes():

@@ -536,6 +536,39 @@ def test_hfk_ranks_check_the_alexander_polynomial_at_one(monkeypatch):
         hfk_bigraded_ranks(torus_knot_grid(2, 3))
 
 
+@pytest.mark.parametrize(
+    "changed, message",
+    [
+        # Two fewer at (-1, 0) than the tower from (0, 1) takes there.
+        ({(F(0), F(1)): 1, (F(-1), F(0)): 3}, r"^tower deconvolution went negative$"),
+        # No rank at (-1, 0), where the tower from (0, 1) reaches.
+        ({(F(0), F(1)): 1}, r"^tower deconvolution left residue: \{\(Fraction\(-1, 1\)"),
+    ],
+)
+def test_hfk_ranks_check_the_tower_deconvolution(monkeypatch, changed, message):
+    # T(2,3)'s ranks with one entry changed.
+    assert graded_ranks(torus_knot_grid(2, 3)) == {(F(0), F(1)): 1, (F(-1), F(0)): 5}
+    monkeypatch.setattr(grid_module, "graded_ranks", lambda grid: dict(changed))
+    with pytest.raises(AssertionError, match=message):
+        hfk_bigraded_ranks(torus_knot_grid(2, 3))
+
+
+def test_grid_tau_refuses_an_arrow_that_leaves_its_slices(monkeypatch):
+    grid = torus_knot_grid(2, 3)
+    # This state has Maslov grading -2 on the grid and 2 on its mirror, so
+    # it lies outside the Maslov -1, 0 and +1 slices tau walks on either side.
+    outside = bytes(range(grid.n))
+    assert [grid_module._Grader(side).gradings(outside)[0]
+            for side in (grid, grid.mirror())] == [-2, 2]
+    rectangle_targets = grid_module._rectangle_targets
+    monkeypatch.setattr(
+        grid_module, "_rectangle_targets", lambda g, s: rectangle_targets(g, s) + [outside]
+    )
+    message = r"^arrow \([\d, ]+\) -> \(0, 1, 2, 3, 4\) leaves the Maslov -?[01] slice$"
+    with pytest.raises(AssertionError, match=message):
+        grid_tau(grid)
+
+
 def test_graded_ranks_refuse_an_arrow_outside_the_block_below(monkeypatch):
     graded_targets = grid_module._graded_targets
 
