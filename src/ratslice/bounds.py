@@ -19,6 +19,7 @@ evaluators agree exactly, which the acceptance suite sweeps.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -74,9 +75,12 @@ class TauSpectrum:
 
     tau_max, tau_min and breadth range over all nonzero classes.  When
     enumeration_complete is false, per_class lists a homology basis only.
+    per_class is any Mapping: a dict, or, from complexes.tau_spectrum, a
+    sums.BasisSums that lists every sum of the basis without holding
+    the listing.
     """
 
-    per_class: dict[str, Fraction]
+    per_class: Mapping[str, Fraction]
     tau_max: Fraction
     tau_min: Fraction
     enumeration_complete: bool
@@ -88,8 +92,7 @@ class TauSpectrum:
             raise ValueError("tau_min: must not exceed tau_max")
         # The classes share a handful of value objects: check each once,
         # and scan in order only to name the first class out of range.
-        values = self.per_class.values()
-        shared = dict(zip(map(id, values), values)).values()
+        shared = {id(v): v for v in self.per_class.values()}.values()
         if all(self.tau_min <= v <= self.tau_max for v in shared):
             return
         for cid, value in self.per_class.items():

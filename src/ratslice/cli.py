@@ -1,8 +1,9 @@
 """Command-line surface: one JSON document per invocation on stdout.
 
 Exit codes: 0 success, 1 input or usage error (first offending field
-named on stderr), 2 violated check (an unsatisfied inequality check or
-a failed embedded verification).  Output documents are deterministic:
+named on stderr) or a stdout that its reader closed before the document
+was written, 2 violated check (an unsatisfied inequality check or a
+failed embedded verification).  Output documents are deterministic:
 byte identical across runs for identical inputs, and every document
 carries a citation field naming the inequality used.
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .rationals import format_rational, parse_rational
@@ -397,7 +399,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     doc["command"] = args.verb
-    formats.write_document(doc, sys.stdout)
+    try:
+        formats.write_document(doc, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone: point fd 1 at devnull, so that the
+        # interpreter's final flush of what is buffered stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
     return code
 
 

@@ -21,7 +21,10 @@ which alpha is hit by the map H(level-j subcomplex) -> H(total complex);
 equivalently the minimum over cycle representatives z of alpha of the top
 Alexander grading in z.  The births are the leading rows of the cycles
 that no boundary leads, so the cycles born there are a filtered basis:
-tau of a sum of them is the largest of their birth gradings.  The test
+tau of a sum of them is the largest of their birth gradings.
+tau_spectrum lists every such sum up to rank FULL_ENUMERATION_CAP as a
+sums.BasisSums, a Mapping that yields them in document order a table at
+a time and never holds all 2^rank - 1 of them.  The test
 suite checks this against the exhaustive minimum over representatives
 and the ascending level sweep on small complexes, and the births against
 a textbook persistence reduction without clearing.
@@ -29,7 +32,6 @@ a textbook persistence reduction without clearing.
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left
 from collections import Counter
@@ -252,47 +254,28 @@ def tau(complex_: FilteredComplex, cycle: int) -> Fraction:
 
 
 def tau_spectrum(complex_: FilteredComplex) -> TauSpectrum:
-    """tau of every nonzero class; per_class lists them all up to rank 20,
-    in the sorted order of their ids.
+    """tau of every nonzero class; per_class lists them all up to rank 20
+    as a sums.BasisSums, in the sorted order of their ids, and the basis
+    only above it.
 
     The homology basis is filtered, so tau of a sum of basis classes is
     the grading of the smallest birth row in it, and the extremes are the
     gradings of the smallest and largest birth rows, at any rank.
     """
     from .bounds import TauSpectrum
+    from .sums import BasisSums
 
     basis = homology_basis(complex_)
     if not basis:
         raise ValueError("total homology is zero")
     rows = complex_._tau_rows
     births = [rows.position[i] for i in basis]
-    rank = len(basis)
-    names = [f"b{i}" for i in range(rank)]
-    # Document order: "+" sorts below every digit, so the ids in string
-    # order are a preorder walk over the names in string order (b1, b10,
-    # b2), each id followed by its extensions by higher-index names.
-    listed = sorted(range(rank), key=names.__getitem__)
-    complete = rank <= FULL_ENUMERATION_CAP
+    taus = [rows.alexanders[row] for row in births]
+    complete = len(basis) <= FULL_ENUMERATION_CAP
     if complete:
-        # ids[i] lists, in document order, the sums whose lowest-index
-        # class is i, and first[i] their smallest birth rows; each is
-        # built from the lists of the higher-index classes.
-        ids: list[list[str]] = [[]] * rank
-        first: list[list[int]] = [[]] * rank
-        for i in reversed(range(rank)):
-            row, prefix = births[i], names[i] + "+"
-            ids[i], first[i] = [names[i]], [row]
-            for j in listed:
-                if j > i:
-                    ids[i] += map(prefix.__add__, ids[j])
-                    first[i] += [f if f < row else row for f in first[j]]
-        per_class = dict(zip(
-            itertools.chain.from_iterable(ids[i] for i in listed),
-            map(rows.alexanders.__getitem__,
-                itertools.chain.from_iterable(first[i] for i in listed)),
-        ))
+        per_class: Mapping[str, Fraction] = BasisSums(births, taus)
     else:
-        per_class = {names[i]: rows.alexanders[births[i]] for i in listed}
+        per_class = dict(sorted((f"b{i}", t) for i, t in enumerate(taus)))
     return TauSpectrum(
         per_class=per_class,
         tau_max=rows.alexanders[min(births)],

@@ -10,7 +10,11 @@ them; the parsers here check only JSON types and add the document path,
 and `named` does every prefixing, for document paths and CLI flags
 alike.  A record checks its rules once all of its fields are read, so a
 malformed value is named before a broken rule.  write_document renders
-every document: sorted keys, an indent of 2, a final newline.
+every document: sorted keys, an indent of 2, a final newline.  A Mapping
+that is not a dict (the per_class listing of a tau spectrum, which
+spectrum_to_json renders from a sums.BasisSums without listing it)
+is written in its own order, and must map str keys, strictly ascending,
+to str values.
 
 Formats:
 * FilteredComplex: {"generators": [{"id", "maslov", "alexander", "spinc"}],
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Mapping
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Iterator, TextIO, TypeVar
 
@@ -164,14 +169,16 @@ def complex_from_json(doc: dict) -> FilteredComplex:
 # -- tau spectra and framed knots ---------------------------------------
 
 def spectrum_to_json(spectrum: TauSpectrum) -> dict:
-    # The classes share a handful of value objects: render each once.
-    values = spectrum.per_class.values()
-    shared = dict(zip(map(id, values), values))
-    texts = {key: format_rational(v) for key, v in shared.items()}
+    from .sums import BasisSums
+
+    per_class = spectrum.per_class
+    if isinstance(per_class, BasisSums):
+        # A listing of the same sums: each basis value is rendered once.
+        listing: Mapping[str, str] = per_class.map_values(format_rational)
+    else:
+        listing = {cid: format_rational(v) for cid, v in per_class.items()}
     return {
-        "per_class": dict(
-            zip(spectrum.per_class, map(texts.__getitem__, map(id, values)))
-        ),
+        "per_class": listing,
         "tau_max": format_rational(spectrum.tau_max),
         "tau_min": format_rational(spectrum.tau_min),
         "breadth": format_rational(spectrum.breadth),
@@ -183,7 +190,7 @@ def spectrum_from_json(doc: dict) -> TauSpectrum:
     from .bounds import TauSpectrum
 
     per_class_raw = _need(doc, "per_class", "tau_spectrum")
-    if not isinstance(per_class_raw, dict):
+    if not isinstance(per_class_raw, Mapping):
         raise _fail("tau_spectrum.per_class", "expected a nonempty object")
     per_class = {
         str(cid): _rational(v, f"tau_spectrum.per_class[{cid!r}]")
@@ -361,18 +368,16 @@ def _lines(value: Any, head: str, newline: str) -> Iterator[list[str]]:
     """head + json.dumps(value, sort_keys=True, indent=2) as lists of
     lines, one line per item.
 
-    newline is the line break and indent of value's own line.  A dict of
-    strings to strings renders in list comprehensions of _WRITE_BATCH
-    lines; json.dumps renders every other scalar and refuses a value that
-    JSON cannot hold.
+    newline is the line break and indent of value's own line.  A Mapping
+    that is not a dict renders as an object in its own order (see
+    write_document).  A dict of strings to strings renders as that
+    Mapping of its sorted items; json.dumps renders every other scalar
+    and refuses a value that JSON cannot hold.
     """
     if isinstance(value, (list, tuple)):
-        opening, closing, keys, items = "[", "]", None, value
-    elif isinstance(value, dict):
-        # Keys that come sorted sort in one linear pass, and their values
-        # then come in order without a lookup per key.
-        opening, closing, keys = "{", "}", sorted(value)
-        items = value.values() if keys == list(value) else map(value.__getitem__, keys)
+        opening, closing = "[", "]"
+    elif isinstance(value, Mapping):
+        opening, closing = "{", "}"
     else:
         yield [head + json.dumps(value)]
         return
@@ -381,13 +386,20 @@ def _lines(value: Any, head: str, newline: str) -> Iterator[list[str]]:
         return
     inner = newline + "  "
     separator = "," + inner
-    if keys is None:
-        lines = _nested(zip(itertools.repeat(separator), items), inner)
-    elif all(map(isinstance, itertools.chain(keys, value.values()), itertools.repeat(str))):
-        lines = _text_lines(zip(keys, items), separator)
+    if isinstance(value, dict):
+        # Keys that come sorted sort in one linear pass, and their values
+        # then come in order without a lookup per key.
+        keys = sorted(value)
+        items = value.values() if keys == list(value) else map(value.__getitem__, keys)
+        if all(map(isinstance, itertools.chain(keys, value.values()), itertools.repeat(str))):
+            lines = _listing_lines(zip(keys, items), separator)
+        else:
+            labels = (f"{separator}{_encode_text(_key_text(k))}: " for k in keys)
+            lines = _nested(zip(labels, items), inner)
+    elif isinstance(value, Mapping):
+        lines = _listing_lines(iter(value.items()), separator)
     else:
-        labels = (f"{separator}{_encode_text(_key_text(k))}: " for k in keys)
-        lines = _nested(zip(labels, items), inner)
+        lines = _nested(zip(itertools.repeat(separator), value), inner)
     first = next(lines)
     first[0] = head + opening + first[0][1:]  # no comma before the first item
     yield first
@@ -401,16 +413,31 @@ def _nested(items: Iterator[tuple[str, Any]], newline: str) -> Iterator[list[str
         yield from _lines(item, head, newline)
 
 
-def _text_lines(pairs: Iterator[tuple[str, str]], separator: str) -> Iterator[list[str]]:
-    # iter(f, []) keeps no list: each lives until the writer has drawn it.
-    return iter(lambda: [
-        f"{separator}{_encode_text(key)}: {_encode_text(text)}"
-        for key, text in itertools.islice(pairs, _WRITE_BATCH)
-    ], [])
+def _listing_lines(pairs: Iterator[tuple[str, str]], separator: str) -> Iterator[list[str]]:
+    """The lines of (key, text) pairs, _WRITE_BATCH at a time, each batch
+    checked for str keys and values and strictly ascending keys."""
+    last: tuple[str, ...] = ()
+    while batch := list(itertools.islice(pairs, _WRITE_BATCH)):
+        keys, texts = zip(*batch)
+        if not all(map(isinstance, itertools.chain(keys, texts), itertools.repeat(str))):
+            raise TypeError("a Mapping that is not a dict must map str keys to str values")
+        keys = last + keys
+        if not all(map(str.__lt__, keys, keys[1:])):
+            raise ValueError(
+                "a Mapping that is not a dict must list its keys in strictly ascending order"
+            )
+        last = keys[-1:]
+        yield [f"{separator}{_encode_text(key)}: {_encode_text(text)}" for key, text in batch]
 
 
 def write_document(doc: dict, stream: TextIO) -> None:
     """Write json.dumps(doc, sort_keys=True, indent=2) + "\n" to stream.
+
+    Any Mapping that is not a dict is written as an object in its own
+    order, as json.dumps would write the dict of its items: its keys and
+    values must be strings and its keys strictly ascending, and each
+    batch is checked before it is written (TypeError, ValueError).  So a
+    listing that yields its items as they are needed is never held whole.
 
     The whole document is never held as one string: its lines, one per
     item, are joined and written _WRITE_BATCH at a time.

@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -332,6 +333,57 @@ def test_tau_complex_rank21_document(tmp_path, capsys):
     code, out, err = run_cli(capsys, "tau", "--complex", str(path))
     assert code == 0, err
     assert out == RANK21_SPECTRUM_DOCUMENT
+
+
+def free_complex(path, rank):
+    """A complex file of rank free generators at Alexander gradings
+    -1, 0, 1 in turn: its homology has rank `rank`."""
+    path.write_text(json.dumps({
+        "generators": [
+            {"id": f"g{i:02d}", "maslov": "0", "alexander": str(i % 3 - 1), "spinc": "0"}
+            for i in range(rank)
+        ],
+        "differential": {},
+    }))
+    return path
+
+
+class _NullSink:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_tau_complex_holds_no_listing_of_every_class(tmp_path, monkeypatch):
+    # 65,535 classes at rank 16.  Building them as tables, a dict of
+    # Fractions and a dict of texts peaked at 9.7 MiB; with the listing
+    # streamed, the peak is about 3.6 MiB, one batch of lines among it.
+    path = free_complex(tmp_path / "free16.json", 16)
+    monkeypatch.setattr(sys, "stdout", _NullSink())
+    tracemalloc.start()
+    try:
+        assert main(["tau", "--complex", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    # The rank-15 document (about 1 MB) outgrows the pipe, so the writer
+    # is still writing when the reader leaves after one line.
+    path = free_complex(tmp_path / "free15.json", 15)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ratslice.cli", "tau", "--complex", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env(),
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == b""  # no Traceback, and no "Exception ignored" at exit
+    assert proc.returncode == 1
 
 
 def _framed_document(**fields):
@@ -1296,6 +1348,8 @@ def test_deep_slice_loads_no_bound_link_braid_or_grid_module(tmp_path, argv):
     loaded = _modules_after(*argv, cwd=tmp_path)
     assert {"ratslice.paperdata", "ratslice.complexes"} <= loaded
     assert loaded & {f"ratslice.{name}" for name in ("bounds", "ratlink", "braid", "grid")} == set()
+    # Nor the class listing that only tau spectra use.
+    assert "ratslice.sums" not in loaded
 
 
 @pytest.mark.parametrize("argv", [

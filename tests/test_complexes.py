@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ratslice import complexes
+from ratslice import complexes, sums
 from ratslice.bounds import TauSpectrum
 from ratslice.complexes import (
     DeductionError,
@@ -355,6 +355,32 @@ def test_spectrum_ids_map_to_tau_of_their_sum():
         if not 2 <= total_homology_rank(c) <= 10:
             continue
         assert tau_spectrum(c).per_class == spectrum_by_definition(c)
+        checked += 1
+
+
+@pytest.mark.parametrize("tail", [sums.SUM_TAIL, 1, 2])
+def test_spectrum_listing_is_a_mapping_of_every_sum(monkeypatch, tail):
+    # per_class is a BasisSums.  The default tail tables every sum up to
+    # rank 10; with the tail at 1 or 2 the walk hands over to the tables.
+    monkeypatch.setattr(sums, "SUM_TAIL", tail)
+    rng = random.Random(4243)
+    checked = 0
+    while checked < 30:
+        c = random_complex(rng, max_generators=12)
+        rank = total_homology_rank(c)
+        if not 2 <= rank <= 10:
+            continue
+        per_class = tau_spectrum(c).per_class
+        expected = spectrum_by_definition(c)
+        assert dict(per_class) == expected
+        assert list(per_class.items()) == sorted(expected.items())
+        assert list(per_class) == sorted(per_class)
+        assert len(per_class) == 2**rank - 1
+        for cid, value in expected.items():
+            assert per_class[cid] == value
+        for cid in ("b1+b0", "b0+b0", "b0+", "x"):
+            with pytest.raises(KeyError):
+                per_class[cid]
         checked += 1
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import random
 import time
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -241,13 +242,68 @@ def test_write_document_refuses_what_json_dumps_refuses(doc):
         write_document(doc, io.StringIO())
 
 
+class _Listing(Mapping):
+    """A Mapping that is not a dict: its pairs in the order given."""
+
+    def __init__(self, pairs):
+        self._pairs = list(pairs)
+        self._dict = dict(self._pairs)
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+    def __iter__(self):
+        return (key for key, _ in self._pairs)
+
+    def __len__(self):
+        return len(self._pairs)
+
+
+@given(st.dictionaries(st.text(), st.text()), _JSON_TREES)
+@example({}, None)
+@example({"b1": "0/1", "b1+b10": "1/2", "b10": "-1/1", "b2": "0/1"}, [])
+def test_write_document_writes_a_sorted_mapping_as_its_dict(items, other):
+    # A non-dict Mapping is written in its own order, which here is sorted.
+    listing = _Listing(sorted(items.items()))
+    doc = {"spectrum": {"per_class": listing}, "listings": [listing, other]}
+    as_dicts = {"spectrum": {"per_class": items}, "listings": [items, other]}
+    stream = io.StringIO()
+    write_document(doc, stream)
+    assert stream.getvalue() == json.dumps(as_dicts, sort_keys=True, indent=2) + "\n"
+
+
+_BATCH_KEYS = [(f"k{i:06d}", "v") for i in range(_WRITE_BATCH)]
+
+
+@pytest.mark.parametrize(
+    "pairs,error",
+    [
+        ([("b", "1"), ("a", "2")], ValueError),
+        ([("a", "1"), ("a", "1")], ValueError),
+        (_BATCH_KEYS + [("a", "v")], ValueError),  # out of order across two batches
+        (_BATCH_KEYS + [(_BATCH_KEYS[-1][0], "v")], ValueError),
+        ([(1, "a")], TypeError),
+        ([("a", 1)], TypeError),
+        ([("a", "1"), ("b", None)], TypeError),
+        ([("a", "1"), ("b", {"c": "d"})], TypeError),
+    ],
+    ids=["descending", "repeated", "descending-across-batches",
+         "repeated-across-batches", "int-key", "int-value", "null-value", "object-value"],
+)
+def test_write_document_refuses_a_mapping_out_of_order_or_not_of_text(pairs, error):
+    with pytest.raises(error):
+        write_document({"listing": _Listing(pairs)}, io.StringIO())
+
+
 def test_write_document_holds_one_batch_of_items_per_write():
     # A writer that joins more than one batch of lines into a write holds
-    # more of the document at once, and fails here.
-    doc = {f"k{i:06d}": "v" for i in range(3 * _WRITE_BATCH + 5)}
-    stream = _CountingStream()
-    write_document(doc, stream)
-    assert stream.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # more of the document at once, and fails here: for a dict, and for
+    # a Mapping written in its own order.
+    items = {f"k{i:06d}": "v" for i in range(3 * _WRITE_BATCH + 5)}
     line = len(',\n  "k000000": "v"')
-    assert stream.writes >= 4
-    assert stream.longest <= _WRITE_BATCH * line
+    for doc in (items, _Listing(items.items())):
+        stream = _CountingStream()
+        write_document(doc, stream)
+        assert stream.getvalue() == json.dumps(items, sort_keys=True, indent=2) + "\n"
+        assert stream.writes >= 4
+        assert stream.longest <= _WRITE_BATCH * line
