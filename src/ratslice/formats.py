@@ -9,12 +9,15 @@ got 0"), a repeated differential target and an empty `per_class` among
 them; the parsers here check only JSON types and add the document path,
 and `named` does every prefixing, for document paths and CLI flags
 alike.  A record checks its rules once all of its fields are read, so a
-malformed value is named before a broken rule.  write_document renders
-every document: sorted keys, an indent of 2, a final newline.  A Mapping
-that is not a dict (the per_class listing of a tau spectrum, which
-spectrum_to_json renders from a sums.BasisSums without listing it)
-is written in its own order, and must map str keys, strictly ascending,
-to str values.
+malformed value is named before a broken rule.  write_document writes
+every document as json.dumps(doc, sort_keys=True, indent=2) and a final
+newline, from json's own encoder, a batch of chunks at a time.  A
+Mapping that is not a dict (the per_class listing of a tau spectrum,
+which spectrum_to_json renders from a sums.BasisSums without listing
+it) is spliced in where the encoder meets it, in its own order, and
+must map str keys, strictly ascending, to str values.  No command
+writes complexes, framed knots, polynomials or grid text, so their
+writers are test code (tests/helpers.py).
 
 Formats:
 * FilteredComplex: {"generators": [{"id", "maslov", "alexander", "spinc"}],
@@ -120,24 +123,6 @@ def _agree(doc: dict, field: str, context: str, derived: Fraction, rule: str) ->
 
 # -- filtered complexes -------------------------------------------------
 
-def complex_to_json(complex_: FilteredComplex) -> dict:
-    return {
-        "generators": [
-            {
-                "id": g.id,
-                "maslov": format_rational(g.maslov),
-                "alexander": format_rational(g.alexander),
-                "spinc": g.spinc,
-            }
-            for g in complex_.generators
-        ],
-        "differential": {
-            src: sorted(dsts)
-            for src, dsts in sorted(complex_.differential.items())
-        },
-    }
-
-
 def complex_from_json(doc: dict) -> FilteredComplex:
     from .complexes import FilteredComplex
 
@@ -208,27 +193,6 @@ def spectrum_from_json(doc: dict) -> TauSpectrum:
     return spectrum
 
 
-def framed_to_json(data: FramedKnotData) -> dict:
-    doc = {
-        "order": data.order,
-        "slope": data.slope,
-        "lk": format_rational(data.lk),
-        "tau_spectrum": spectrum_to_json(data.tau_spectrum),
-    }
-    doc["d_invariants"] = (
-        {label: format_rational(v) for label, v in sorted(data.d_invariants.items())}
-        if data.d_invariants is not None
-        else None
-    )
-    doc["linking_form"] = (
-        [format_rational(v) for v in data.linking_form]
-        if data.linking_form is not None
-        else None
-    )
-    doc["floer_simple"] = data.floer_simple
-    return doc
-
-
 def framed_from_json(doc: dict) -> FramedKnotData:
     from .ratlink import FramedKnotData
 
@@ -257,20 +221,6 @@ def framed_from_json(doc: dict) -> FramedKnotData:
 
 
 # -- polynomials and verdicts -------------------------------------------
-
-def poincare_to_json(poly: PoincarePolynomial) -> dict:
-    return {
-        "terms": [
-            {
-                "maslov": format_rational(m),
-                "alexander": format_rational(a),
-                "rank": r,
-            }
-            for m, a, r in poly.terms
-        ],
-        "spinc": poly.spinc,
-    }
-
 
 def poincare_from_json(doc: dict) -> PoincarePolynomial:
     from .paperdata import PoincarePolynomial
@@ -337,85 +287,17 @@ def grid_from_text(text: str):
     return GridDiagram(x, o)
 
 
-def grid_to_text(grid) -> str:
-    return (
-        " ".join(str(v) for v in grid.x_markings)
-        + "\n"
-        + " ".join(str(v) for v in grid.o_markings)
-        + "\n"
-    )
-
-
-# Items joined into one write: a write per item costs a system call each
-# on an unbuffered stream, and a write of more holds more text at once.
+# Encoder chunks, or listing items, joined into one write: a write per
+# chunk costs a system call each on an unbuffered stream, and a write of
+# more holds more text at once.
 _WRITE_BATCH = 8192
 
 _encode_text = json.encoder.encode_basestring_ascii
 
 
-def _key_text(key: Any) -> str:
-    """A dict key as json.dumps names it."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return json.dumps(key)
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-    )
-
-
-def _lines(value: Any, head: str, newline: str) -> Iterator[list[str]]:
-    """head + json.dumps(value, sort_keys=True, indent=2) as lists of
-    lines, one line per item.
-
-    newline is the line break and indent of value's own line.  A Mapping
-    that is not a dict renders as an object in its own order (see
-    write_document).  A dict of strings to strings renders as that
-    Mapping of its sorted items; json.dumps renders every other scalar
-    and refuses a value that JSON cannot hold.
-    """
-    if isinstance(value, (list, tuple)):
-        opening, closing = "[", "]"
-    elif isinstance(value, Mapping):
-        opening, closing = "{", "}"
-    else:
-        yield [head + json.dumps(value)]
-        return
-    if not value:
-        yield [head + opening + closing]
-        return
-    inner = newline + "  "
-    separator = "," + inner
-    if isinstance(value, dict):
-        # Keys that come sorted sort in one linear pass, and their values
-        # then come in order without a lookup per key.
-        keys = sorted(value)
-        items = value.values() if keys == list(value) else map(value.__getitem__, keys)
-        if all(map(isinstance, itertools.chain(keys, value.values()), itertools.repeat(str))):
-            lines = _listing_lines(zip(keys, items), separator)
-        else:
-            labels = (f"{separator}{_encode_text(_key_text(k))}: " for k in keys)
-            lines = _nested(zip(labels, items), inner)
-    elif isinstance(value, Mapping):
-        lines = _listing_lines(iter(value.items()), separator)
-    else:
-        lines = _nested(zip(itertools.repeat(separator), value), inner)
-    first = next(lines)
-    first[0] = head + opening + first[0][1:]  # no comma before the first item
-    yield first
-    del first  # hold no list of lines past its write
-    yield from lines
-    yield [newline + closing]
-
-
-def _nested(items: Iterator[tuple[str, Any]], newline: str) -> Iterator[list[str]]:
-    for head, item in items:
-        yield from _lines(item, head, newline)
-
-
-def _listing_lines(pairs: Iterator[tuple[str, str]], separator: str) -> Iterator[list[str]]:
-    """The lines of (key, text) pairs, _WRITE_BATCH at a time, each batch
-    checked for str keys and values and strictly ascending keys."""
+def _listing_lines(pairs: Iterator[tuple[str, str]], separator: str) -> Iterator[str]:
+    """The lines of (key, text) pairs joined _WRITE_BATCH at a time, each
+    batch checked for str keys and values and strictly ascending keys."""
     last: tuple[str, ...] = ()
     while batch := list(itertools.islice(pairs, _WRITE_BATCH)):
         keys, texts = zip(*batch)
@@ -427,22 +309,58 @@ def _listing_lines(pairs: Iterator[tuple[str, str]], separator: str) -> Iterator
                 "a Mapping that is not a dict must list its keys in strictly ascending order"
             )
         last = keys[-1:]
-        yield [f"{separator}{_encode_text(key)}: {_encode_text(text)}" for key, text in batch]
+        yield "".join([f"{separator}{_encode_text(key)}: {_encode_text(text)}" for key, text in batch])
+
+
+def _write_listing(listing: Mapping, newline: str, stream: TextIO) -> None:
+    """Write listing as json.dumps writes the dict of its items on a line
+    that newline (its line break and indent) begins."""
+    batches = _listing_lines(iter(listing.items()), "," + newline + "  ")
+    first = next(batches, None)
+    if first is None:
+        stream.write("{}")
+        return
+    stream.write("{" + first[1:])  # no comma before the first item
+    for batch in batches:
+        stream.write(batch)
+    stream.write(newline + "}")
 
 
 def write_document(doc: dict, stream: TextIO) -> None:
     """Write json.dumps(doc, sort_keys=True, indent=2) + "\n" to stream.
 
-    Any Mapping that is not a dict is written as an object in its own
-    order, as json.dumps would write the dict of its items: its keys and
-    values must be strings and its keys strictly ascending, and each
-    batch is checked before it is written (TypeError, ValueError).  So a
-    listing that yields its items as they are needed is never held whole.
-
-    The whole document is never held as one string: its lines, one per
-    item, are joined and written _WRITE_BATCH at a time.
+    The text is json's own encoder's, its chunks joined and written
+    _WRITE_BATCH at a time, so the whole document is never held as one
+    string.  Any Mapping that is not a dict is written as an object in its
+    own order, as json.dumps would write the dict of its items: its keys
+    and values must be strings and its keys strictly ascending, and each
+    batch of its items is checked (TypeError, ValueError) and written on
+    its own.  So a listing that yields its items as they are needed is
+    never held whole.  The encoder hands such a Mapping to default, which
+    queues it and returns a stand-in "": the encoder's next chunk, which
+    the listing replaces.
     """
-    lines = itertools.chain.from_iterable(_lines(doc, "", "\n"))
-    while batch := "".join(itertools.islice(lines, _WRITE_BATCH)):
-        stream.write(batch)
+    listings: list[Mapping] = []
+
+    def default(value: Any) -> str:
+        if not isinstance(value, Mapping):
+            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+        listings.append(value)
+        return ""
+
+    chunks = json.JSONEncoder(sort_keys=True, indent=2, default=default).iterencode(doc)
+    # False at the stand-in, which takewhile then drops, ending the batch.
+    before_listing = lambda chunk: not listings
+    newline = "\n"
+    while True:
+        batch = list(itertools.islice(itertools.takewhile(before_listing, chunks), _WRITE_BATCH))
+        if batch:
+            stream.write("".join(batch))
+            # A listing's line begins at the last line break written: the
+            # stand-in's own separator (text holds none; json escapes it).
+            newline = next((c[c.rindex("\n"):] for c in reversed(batch) if "\n" in c), newline)
+        if listings:
+            _write_listing(listings.pop(), newline, stream)
+        elif len(batch) < _WRITE_BATCH:
+            break
     stream.write("\n")

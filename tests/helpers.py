@@ -13,7 +13,9 @@ walks only the A >= 0 half, and deconvolves the whole binomial tower;
 the torus oracle reads knot Floer ranks off the Alexander polynomial.
 basis_cycles, maslov_zero_class and structural_checks are shared test
 code that holds the package's homology basis to the persistence oracle;
-homology_ranks and total_homology_rank count that basis.
+homology_ranks and total_homology_rank count that basis.  The document
+writers at the end build the input files that no verb writes: complex,
+framed-knot and polynomial documents and grid text.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from ratslice.complexes import (
     tau,
     validate,
 )
+from ratslice.formats import spectrum_to_json
 import ratslice.grid as grid_module
 from ratslice.grid import (
     GridDiagram,
@@ -38,6 +41,7 @@ from ratslice.grid import (
     hfk_bigraded_ranks,
     hfk_ranks,
 )
+from ratslice.rationals import format_rational
 
 
 # -- dense GF(2) oracle ----------------------------------------------------
@@ -682,3 +686,67 @@ def naive_survivors(
 
     recurse(tuple(r for _, _, r in entries))
     return results
+
+
+# -- document writers -------------------------------------------------------
+
+def complex_to_json(complex_: FilteredComplex) -> dict:
+    return {
+        "generators": [
+            {
+                "id": g.id,
+                "maslov": format_rational(g.maslov),
+                "alexander": format_rational(g.alexander),
+                "spinc": g.spinc,
+            }
+            for g in complex_.generators
+        ],
+        "differential": {
+            src: sorted(dsts)
+            for src, dsts in sorted(complex_.differential.items())
+        },
+    }
+
+
+def framed_to_json(data) -> dict:
+    doc = {
+        "order": data.order,
+        "slope": data.slope,
+        "lk": format_rational(data.lk),
+        "tau_spectrum": spectrum_to_json(data.tau_spectrum),
+    }
+    doc["d_invariants"] = (
+        {label: format_rational(v) for label, v in sorted(data.d_invariants.items())}
+        if data.d_invariants is not None
+        else None
+    )
+    doc["linking_form"] = (
+        [format_rational(v) for v in data.linking_form]
+        if data.linking_form is not None
+        else None
+    )
+    doc["floer_simple"] = data.floer_simple
+    return doc
+
+
+def poincare_to_json(poly) -> dict:
+    return {
+        "terms": [
+            {
+                "maslov": format_rational(m),
+                "alexander": format_rational(a),
+                "rank": r,
+            }
+            for m, a, r in poly.terms
+        ],
+        "spinc": poly.spinc,
+    }
+
+
+def grid_to_text(grid: GridDiagram) -> str:
+    return (
+        " ".join(str(v) for v in grid.x_markings)
+        + "\n"
+        + " ".join(str(v) for v in grid.o_markings)
+        + "\n"
+    )

@@ -16,19 +16,17 @@ import pytest
 
 from ratslice.cli import _RATIONAL_FLAGS, build_parser, main
 from ratslice.complexes import tau_spectrum
-from ratslice.formats import (
-    complex_to_json,
-    framed_to_json,
-    grid_to_text,
-    poincare_to_json,
-)
 from ratslice.grid import torus_knot_grid
 from ratslice.paperdata import builtin
 from ratslice.rationals import format_rational
 
 from helpers import (
+    complex_to_json,
     disguised_complex,
     forbid_visits,
+    framed_to_json,
+    grid_to_text,
+    poincare_to_json,
     spectrum_by_definition,
     torus_knot_floer_ranks,
 )

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from ratslice.formats import complex_to_json
 from ratslice.paperdata import _rp1_model_complex
+
+from helpers import complex_to_json
 
 ROOT = Path(__file__).resolve().parents[1]
 
