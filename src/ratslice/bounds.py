@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .record import record
 
@@ -90,10 +90,13 @@ class TauSpectrum:
             raise ValueError("per_class: expected a nonempty object")
         if self.tau_min > self.tau_max:
             raise ValueError("tau_min: must not exceed tau_max")
-        # The classes share a handful of value objects: check each once,
-        # and scan in order only to name the first class out of range.
-        shared = {id(v): v for v in self.per_class.values()}.values()
-        if all(self.tau_min <= v <= self.tau_max for v in shared):
+        # Every sum in a sums.BasisSums takes one of its basis values, and
+        # each basis class is listed itself, so checking the basis values
+        # checks every class.  The ordered scan only names the first class
+        # out of range.
+        basis_values = getattr(self.per_class, "basis_values", None)
+        values = basis_values() if basis_values else self.per_class.values()
+        if all(self.tau_min <= v <= self.tau_max for v in values):
             return
         for cid, value in self.per_class.items():
             if not self.tau_min <= value <= self.tau_max:
@@ -179,20 +182,6 @@ def bp_tau_interval(
     return Interval(Fraction(center - radius, 2), Fraction(center + radius, 2))
 
 
-def crossing_change_propagate(
-    interval: Interval, plus_changes: int, minus_changes: int
-) -> Interval:
-    """Widen a tau interval along crossing changes.
-
-    Turning a negative crossing positive never drops tau and raises it by
-    at most 1; so positive changes raise the upper end, negative changes
-    lower the lower end.
-    """
-    if plus_changes < 0 or minus_changes < 0:
-        raise ValueError("crossing-change counts must be >= 0")
-    return Interval(interval.lo - minus_changes, interval.hi + plus_changes)
-
-
 def genus_lower_bound_breadth(spectrum: TauSpectrum) -> BoundReport:
     """(breadth - 1)/2 as a lower bound for the rational slice genus.
 
@@ -207,50 +196,6 @@ def genus_lower_bound_breadth(spectrum: TauSpectrum) -> BoundReport:
                 "breadth": spectrum.breadth},
         citation="tau-breadth-vs-rational-slice-genus",
     )
-
-
-def surface_bound_with_c(spectrum: TauSpectrum, c: int, p: int) -> BoundReport:
-    """Lower bound for -chi of a degree-p rational slice surface at fixed c.
-
-    For surfaces with boundary constant c the doubled tau extremes obey
-    max(2*tau_max + c/p, -2*tau_min - c/p) <= (-chi + p)/p; solving for
-    -chi gives the reported bound.
-    """
-    _check_p(p)
-    lhs = max(
-        2 * spectrum.tau_max + Fraction(c, p),
-        -2 * spectrum.tau_min - Fraction(c, p),
-    )
-    return BoundReport(
-        name="neg-euler-bound-at-fixed-c",
-        bound_value=p * lhs - p,
-        direction="lower",
-        inputs={"c": c, "p": p, "tau_max": spectrum.tau_max,
-                "tau_min": spectrum.tau_min, "lhs": lhs},
-        citation="surface-bound-at-fixed-boundary-constant",
-    )
-
-
-def optimal_c(
-    spectrum: TauSpectrum, p: int
-) -> tuple[Fraction, int, BoundReport]:
-    """Best boundary constant for the fixed-c surface bound.
-
-    The left side max(2*tau_max + c/p, -2*tau_min - c/p) is piecewise
-    linear and convex in c with slopes -1/p and +1/p, so its minimum over
-    the integers is attained at floor or ceil of the crossing point
-    c* = -p*(tau_max + tau_min); at c* itself the bound equals the
-    breadth-based one.
-    """
-    _check_p(p)
-    c_star = -p * (spectrum.tau_max + spectrum.tau_min)
-    floor_c = c_star.numerator // c_star.denominator
-    candidates = sorted({floor_c, -((-c_star.numerator) // c_star.denominator)})
-    best = min(
-        candidates,
-        key=lambda c: (surface_bound_with_c(spectrum, c, p).bound_value, c),
-    )
-    return c_star, best, surface_bound_with_c(spectrum, best, p)
 
 
 def surface_genus_upper(neg_chi: Fraction, p: int) -> Fraction:
@@ -280,45 +225,6 @@ def satellite_breadth_lower(p: int, breadth: Fraction) -> Fraction:
     the satellite's tau breadth is at least p*(breadth - 1) + 1."""
     _check_p(p)
     return p * (Fraction(breadth) - 1) + 1
-
-
-def link_cobordism_bound(
-    c1_pairing: Fraction,
-    self_square: Fraction,
-    tau_out: Fraction,
-    tau_in: Fraction,
-    comps_in: int,
-    comps_out: int,
-) -> BoundReport:
-    """Lower bound for -chi of a link cobordism from its tau change.
-
-    The pairing term, the self-intersection and twice the tau difference
-    are at most -chi + |in components| + |out components| - 2.
-    """
-    if comps_in < 1 or comps_out < 1:
-        raise ValueError("component counts must be >= 1")
-    return BoundReport(
-        name="neg-euler-bound-link-cobordism",
-        bound_value=(
-            Fraction(c1_pairing)
-            + Fraction(self_square)
-            + 2 * Fraction(tau_out)
-            - 2 * Fraction(tau_in)
-            - comps_in
-            - comps_out
-            + 2
-        ),
-        direction="lower",
-        inputs={
-            "c1_pairing": c1_pairing,
-            "self_square": self_square,
-            "tau_out": tau_out,
-            "tau_in": tau_in,
-            "comps_in": comps_in,
-            "comps_out": comps_out,
-        },
-        citation="link-cobordism-adjunction-bound",
-    )
 
 
 def slice_bennequin_check(
@@ -367,23 +273,3 @@ def floer_simple_genus(spectrum: TauSpectrum) -> BoundReport:
         is_equality=True,
         anomaly="disk-bounding: formula is negative" if value < 0 else None,
     )
-
-
-def turaev_estimates(
-    family: Sequence[tuple[str, TauSpectrum, Optional[Fraction]]],
-) -> tuple[Fraction, Fraction, Optional[Fraction]]:
-    """Estimates for the complexity of a torsion homology class.
-
-    All family members must represent the class.  Returns lower estimates
-    for the 3- and 4-dimensional complexity functions (both min breadth
-    minus 1, since the 4-dimensional one is the smaller) and, when any
-    member carries a genus upper bound, twice the best one as an upper
-    estimate for the 3-dimensional function.
-    """
-    if not family:
-        raise ValueError("family must be nonempty")
-    min_breadth = min(spectrum.breadth for _, spectrum, _ in family)
-    lower = min_breadth - 1
-    uppers = [2 * Fraction(g) for _, _, g in family if g is not None]
-    upper = min(uppers) if uppers else None
-    return lower, lower, upper

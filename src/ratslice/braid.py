@@ -11,6 +11,7 @@ Text form: "n: i1 i2 i3 ..." with signed integer letters.
 
 from __future__ import annotations
 
+from .rationals import parse_integer
 from .record import record
 
 # The strand permutation is a list of index entries: braid-info answers at
@@ -96,29 +97,6 @@ def full_twist(n: int) -> BraidWord:
     return torus_braid(n, n)
 
 
-def knottify_crossings(b: BraidWord, sign: int) -> BraidWord:
-    """Add |closure components| - 1 crossings of one sign to get a knot.
-
-    Cycles of the closure are merged greedily: repeatedly append the
-    lowest-index generator whose two strands currently sit in distinct
-    cycles.  The writhe changes by sign * (components - 1) and the result
-    closes to a knot.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    current = b
-    while components(current) > 1:
-        perm = current.permutation()
-        cycle_of = _cycle_labels(perm)
-        for gen in range(1, current.index):
-            if cycle_of[gen - 1] != cycle_of[gen]:
-                current = current * BraidWord(current.index, (sign * gen,))
-                break
-        else:
-            raise AssertionError("no joining generator found below one cycle")
-    return current
-
-
 def _cycle_labels(perm: tuple[int, ...]) -> list[int]:
     labels = [-1] * len(perm)
     next_label = 0
@@ -137,13 +115,13 @@ def parse_braid(text: str) -> BraidWord:
     """Parse the "n: i1 i2 ..." text form."""
     head, _, tail = text.partition(":")
     try:
-        index = int(head.strip())
+        index = parse_integer(head)
     except ValueError:
         raise ValueError(f"malformed braid header {head!r}: expected an integer") from None
     letters = []
     for position, tok in enumerate(tail.split(), 1):
         try:
-            letters.append(int(tok))
+            letters.append(parse_integer(tok))
         except ValueError:
             raise ValueError(
                 f"malformed braid letter {position} {tok!r}: expected an integer"

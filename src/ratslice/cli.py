@@ -26,7 +26,7 @@ import json
 import os
 import sys
 
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_integer, parse_rational
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -46,6 +46,15 @@ def _load_json(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top-level JSON value must be an object")
     return doc
+
+
+def _integer_flag(text: str) -> int:
+    """argparse type of the integer flags: parse_integer's grammar,
+    refused in the words argparse uses for int ("invalid int value")."""
+    try:
+        return parse_integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 # For --target and --order: named() would prefix their evaluators' other refusals.
@@ -308,12 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid-tau", help="tau of a knot from a grid diagram")
     p.add_argument("--grid", help="grid file: X row then O row")
-    p.add_argument("--torus", nargs=2, type=int, metavar=("P", "Q"))
+    p.add_argument("--torus", nargs=2, type=_integer_flag, metavar=("P", "Q"))
     p.add_argument("--hfk", action="store_true", help="include knot Floer ranks")
     p.set_defaults(handler=_cmd_grid_tau)
 
     p = sub.add_parser("cable-bound", help="two-sided cable tau estimate")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_integer_flag, required=True)
     p.add_argument("--tau", required=True, help="companion tau as a/b")
     p.add_argument("--lk", required=True, help="framing linking as a/b")
     p.set_defaults(handler=_cmd_cable_bound)
@@ -332,13 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
         "seifert-framed-bound", help="bound for Seifert-framed slice surfaces"
     )
     _add_spectrum_arguments(p)
-    p.add_argument("--p", type=int, required=True, help="covering degree")
+    p.add_argument("--p", type=_integer_flag, required=True, help="covering degree")
     p.set_defaults(handler=_cmd_seifert_framed_bound)
 
     p = sub.add_parser("deep-slice", help="survivor deduction deep-slice verdict")
     p.add_argument("--polynomial", help="PoincarePolynomial JSON file")
     p.add_argument("--builtin", help="embedded polynomial name")
-    p.add_argument("--target", type=int, default=1, help="ambient homology rank")
+    p.add_argument("--target", type=_integer_flag, default=1, help="ambient homology rank")
     p.set_defaults(handler=_cmd_deep_slice)
 
     p = sub.add_parser("braid-info", help="writhe, components, crossing counts")
@@ -348,14 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("c-value", help="satellite boundary constant")
     p.add_argument("--braid", required=True, help='pattern braid "n: i1 i2 ..."')
     p.add_argument("--lk", required=True, help="framing linking as a/b")
-    p.add_argument("--order", type=int, help="order of the companion class")
+    p.add_argument("--order", type=_integer_flag, help="order of the companion class")
     p.set_defaults(handler=_cmd_c_value)
 
     p = sub.add_parser("slice-bennequin", help="rational slice-Bennequin check")
     p.add_argument("--tb", required=True, help="rational Thurston-Bennequin as a/b")
     p.add_argument("--rot", required=True, help="rational rotation as a/b")
-    p.add_argument("--chi", type=int, required=True, help="Euler characteristic")
-    p.add_argument("--p", type=int, required=True, help="covering degree")
+    p.add_argument("--chi", type=_integer_flag, required=True, help="Euler characteristic")
+    p.add_argument("--p", type=_integer_flag, required=True, help="covering degree")
     p.set_defaults(handler=_cmd_slice_bennequin)
 
     p = sub.add_parser("verify-paper", help="recompute every embedded worked number")

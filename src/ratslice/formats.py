@@ -26,6 +26,9 @@ Formats:
 * Grid file: two whitespace-separated integer rows of equal length n
   (X row then O row).
 * Braid text: "n: i1 i2 i3 ..." with signed integer letters.
+
+An integer field of a JSON document must be a JSON integer; an integer
+in text (grid rows, braid words) must match [+-]?[0-9]+.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Iterator, TextIO, TypeVar
 
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_integer, parse_rational
 
 # Record types are imported by the parsers that build them, so a verb that
 # only renders documents loads none of their modules.
@@ -84,11 +87,8 @@ def _need_list(doc: dict, field: str) -> list:
 
 
 def _integer(value: Any, field: str) -> int:
-    if not isinstance(value, (bool, float)):
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            pass
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
     raise _fail(field, f"expected an integer, got {value!r}")
 
 
@@ -280,8 +280,8 @@ def grid_from_text(text: str):
             f"grid file must have exactly two nonempty rows, found {len(rows)}"
         )
     try:
-        x = tuple(int(tok) for tok in rows[0].split())
-        o = tuple(int(tok) for tok in rows[1].split())
+        x = tuple(map(parse_integer, rows[0].split()))
+        o = tuple(map(parse_integer, rows[1].split()))
     except ValueError:
         raise ValueError("grid rows must contain only integers") from None
     return GridDiagram(x, o)

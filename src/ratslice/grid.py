@@ -124,6 +124,13 @@ class GridDiagram:
         """_empty_rectangles' near table for O and X (the graded differential)."""
         return _near_table(self.n, list(zip(self.o_markings, self.x_markings)))
 
+    @cached_property
+    def alexander_counts(self) -> tuple[_Grader, list[dict[int, int]]]:
+        """The grid's grader and its 2A table (suffix_counts with
+        alexander), built once: check_hfk_size and graded_ranks both read it."""
+        grader = _Grader(self)
+        return grader, grader.suffix_counts(alexander=True)
+
     def components(self) -> int:
         """Number of link components: cycles of the column return map."""
         x_inverse = [0] * self.n
@@ -306,6 +313,9 @@ class _Grader:
                         blocks.setdefault((m, a2), []).append(bytes(state))
 
         descend(0, self.maslov_shift, self.alexander_shift)
+        # descend refers to itself, a cycle that would hold reach until the
+        # next garbage collection: break it, so reach is freed here.
+        del descend
         return blocks
 
 
@@ -402,12 +412,11 @@ def check_hfk_size(grid: GridDiagram) -> tuple[_Grader, list[dict[int, int]]]:
     """Refuse knot Floer ranks of a grid whose 2A >= 0 states number over
     MAX_HFK_STATES, counted before any state is visited.
 
-    Returns the grid's grader and its 2A table (suffix_counts with
-    alexander), which graded_ranks walks once the count has passed.
+    Returns the grid's grader and its 2A table (grid.alexander_counts),
+    which graded_ranks walks once the count has passed.
     """
     check_knot_grid(grid)
-    grader = _Grader(grid)
-    counts = grader.suffix_counts(alexander=True)
+    grader, counts = grid.alexander_counts
     kept = sum(ways for rest, ways in counts[0].items() if rest >= -grader.alexander_shift)
     if kept > MAX_HFK_STATES:
         raise ValueError(
@@ -477,6 +486,7 @@ def tau(grid: GridDiagram) -> Fraction:
         zero, one = (counts[0].get(m - grader.maslov_shift, 0) for m in (0, 1))
         sides.append((zero + one, zero, sign, side, grader, counts))
     _, size, sign, side, grader, counts = min(sides, key=lambda s: s[0])
+    del sides  # frees the other side's table before the walk
     if size > MAX_TAU_SLICE:
         raise ValueError(
             f"the Maslov-0 slice holds {size} states, above the limit "

@@ -81,12 +81,6 @@ def lk_shift(lk: Fraction, n: int) -> Fraction:
     return Fraction(lk) + n
 
 
-def self_link_mod_z(lk: Fraction) -> Fraction:
-    """The framing-independent self-linking: lk reduced into [0, 1)."""
-    lk = Fraction(lk)
-    return lk - (lk.numerator // lk.denominator)
-
-
 def c_value(spec: SatelliteSpec, order: Optional[int] = None) -> int:
     """The boundary constant (p-1) * p * lk + writhe; always an integer.
 

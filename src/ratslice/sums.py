@@ -73,6 +73,10 @@ class BasisSums(Mapping):
         out.__dict__.update(self.__dict__, _values=[fn(v) for v in self._values])
         return out
 
+    def basis_values(self) -> list[Any]:
+        """The value of each basis class, by birth: every sum takes one."""
+        return self._values
+
     def _walk(self, prefix: str, place: int, last: int):
         """(prefix, ids, places) per table or walked sum, in document
         order: the sums extending prefix by indices above last are

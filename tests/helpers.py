@@ -13,14 +13,17 @@ walks only the A >= 0 half, and deconvolves the whole binomial tower;
 the torus oracle reads knot Floer ranks off the Alexander polynomial.
 basis_cycles, maslov_zero_class and structural_checks are shared test
 code that holds the package's homology basis to the persistence oracle;
-homology_ranks and total_homology_rank count that basis.  The document
-writers at the end build the input files that no verb writes: complex,
-framed-knot and polynomial documents and grid text.
+homology_ranks and total_homology_rank count that basis.  The surface
+bound at a fixed boundary constant, swept over integer constants, is an
+oracle for the breadth genus bound.  The document writers at the end
+build the input files that no verb writes: complex, framed-knot and
+polynomial documents and grid text.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -686,6 +689,42 @@ def naive_survivors(
 
     recurse(tuple(r for _, _, r in entries))
     return results
+
+
+# -- the surface bound at a fixed boundary constant ---------------------------
+#
+# No command evaluates it: its integer-c sweep is an oracle for
+# bounds.genus_lower_bound_breadth, which it meets at c* when c* is an
+# integer and exceeds otherwise.
+
+def surface_bound_with_c(spectrum, c: int, p: int) -> Fraction:
+    """Lower bound for -chi of a degree-p rational slice surface at fixed c.
+
+    For surfaces with boundary constant c the doubled tau extremes obey
+    max(2*tau_max + c/p, -2*tau_min - c/p) <= (-chi + p)/p; solving for
+    -chi gives the bound.
+    """
+    lhs = max(
+        2 * spectrum.tau_max + Fraction(c, p),
+        -2 * spectrum.tau_min - Fraction(c, p),
+    )
+    return p * lhs - p
+
+
+def optimal_c(spectrum, p: int) -> tuple[Fraction, int, Fraction]:
+    """(c*, the best integer c, its bound) for surface_bound_with_c.
+
+    The left side max(2*tau_max + c/p, -2*tau_min - c/p) is piecewise
+    linear and convex in c with slopes -1/p and +1/p, so its minimum over
+    the integers is attained at floor or ceil of the crossing point
+    c* = -p*(tau_max + tau_min).
+    """
+    c_star = -p * (spectrum.tau_max + spectrum.tau_min)
+    best = min(
+        {math.floor(c_star), math.ceil(c_star)},
+        key=lambda c: (surface_bound_with_c(spectrum, c, p), c),
+    )
+    return c_star, best, surface_bound_with_c(spectrum, best, p)
 
 
 # -- document writers -------------------------------------------------------

@@ -27,9 +27,11 @@ from ratslice.ratlink import SatelliteSpec, c_value, twist_normalize
 from helpers import (
     basis_cycles,
     exhaustive_tau,
+    optimal_c,
     random_complex,
     random_knot_grid,
     structural_checks,
+    surface_bound_with_c,
     tau_by_level_sweep,
 )
 
@@ -223,20 +225,21 @@ def test_criterion_9_optimal_c_mechanism():
                 per_class=per, tau_max=hi, tau_min=lo,
                 enumeration_complete=False,
             )
+            genus_bound = bounds.genus_lower_bound_breadth(spectrum).bound_value
             for p in range(1, 7):
-                c_star, best, report = bounds.optimal_c(spectrum, p)
+                c_star, best, bound = optimal_c(spectrum, p)
                 assert c_star == -p * (hi + lo)
                 floor_c = c_star.numerator // c_star.denominator
                 sweep = min(
-                    bounds.surface_bound_with_c(spectrum, c, p).bound_value
+                    surface_bound_with_c(spectrum, c, p)
                     for c in range(floor_c - 5, floor_c + 7)
                 )
-                assert report.bound_value == sweep
-                breadth_bound = p * spectrum.breadth - p
+                assert bound == sweep
+                # The breadth bound (breadth - 1)/2 in the sweep's -chi terms.
                 if c_star.denominator == 1:
-                    assert sweep == breadth_bound
+                    assert sweep == 2 * p * genus_bound
                 else:
-                    assert sweep > breadth_bound
+                    assert sweep > 2 * p * genus_bound
 
 
 def test_criterion_10_breadth_growth():

@@ -1,4 +1,4 @@
-"""Braid words: writhe, closure components, twists, knottification."""
+"""Braid words: writhe, closure components, twists."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +8,6 @@ from ratslice.braid import (
     components,
     format_braid,
     full_twist,
-    knottify_crossings,
     parse_braid,
     splitting_counts,
     torus_braid,
@@ -89,31 +88,6 @@ def test_full_twist_composition_properties(b, n):
     twisted = b * full_twist(n)
     assert writhe(twisted) == writhe(b) + n * (n - 1)
     assert components(twisted) == components(b)
-
-
-def test_knottify_examples():
-    knot = BraidWord(2, (1,))
-    assert knottify_crossings(knot, 1) is not knot or components(knot) == 1
-    assert knottify_crossings(knot, 1).word == knot.word
-
-    two_comp = BraidWord(2, (1, 1))
-    joined = knottify_crossings(two_comp, 1)
-    assert joined.word == (1, 1, 1)
-    assert components(joined) == 1
-
-    empty3 = BraidWord(3)
-    joined3 = knottify_crossings(empty3, -1)
-    assert joined3.word == (-1, -2)
-    assert components(joined3) == 1
-
-
-@given(braid_words(), st.sampled_from([1, -1]))
-def test_knottify_contract(b, sign):
-    comps = components(b)
-    result = knottify_crossings(b, sign)
-    assert components(result) == 1
-    assert len(result.word) == len(b.word) + comps - 1
-    assert writhe(result) == writhe(b) + sign * (comps - 1)
 
 
 def test_letter_range_enforced():

@@ -873,6 +873,89 @@ def test_grid_tau_hfk_above_cap_refused_before_tau(monkeypatch, capsys):
     )
 
 
+def test_grid_tau_hfk_builds_the_two_a_table_once(monkeypatch, capsys):
+    # check_hfk_size's count and graded_ranks' walk read the one 2A table.
+    import ratslice.grid as grid_module
+
+    calls = []
+    suffix_counts = grid_module._Grader.suffix_counts
+
+    def counted(self, alexander=False):
+        calls.append(alexander)
+        return suffix_counts(self, alexander)
+
+    monkeypatch.setattr(grid_module._Grader, "suffix_counts", counted)
+    doc = run_json(capsys, "grid-tau", "--torus", "3", "5", "--hfk")
+    assert doc["tau"] == "4/1"
+    assert calls.count(True) == 1
+    assert calls.count(False) == 2  # tau's slice counts: the grid and its mirror
+
+
+# -- one integer grammar: [+-]?[0-9]+ in text, JSON integers in documents ----
+# int() also reads underscores ("1_0" as 10), digits of other scripts
+# ("\u0661" as 1) and, in a document, strings ("1" and " 1 ").
+
+
+@pytest.mark.parametrize("rank", ["1", " 1 "])
+def test_document_integer_must_be_a_json_integer(tmp_path, capsys, rank):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"terms": [{"maslov": "0", "alexander": "0", "rank": rank}]}))
+    assert run_cli(capsys, "deep-slice", "--polynomial", str(path)) == (
+        1, "", f"error: terms[0].rank: expected an integer, got {rank!r}\n"
+    )
+
+
+def test_grid_row_refuses_other_digits(tmp_path, capsys):
+    path = tmp_path / "knot.grid"
+    path.write_text("0 1 2 3 4\n2 3 4 0 \u0661\n")
+    assert run_cli(capsys, "grid-tau", "--grid", str(path)) == (
+        1, "", f"error: {path}: grid rows must contain only integers\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "braid,message",
+    [
+        ("3: 1 +2 -1_0", "malformed braid letter 3 '-1_0': expected an integer"),
+        ("1_0: 1", "malformed braid header '1_0': expected an integer"),
+    ],
+)
+def test_braid_text_refuses_underscores(capsys, braid, message):
+    assert run_cli(capsys, "braid-info", "--braid", braid) == (
+        1, "", f"error: --braid: {message}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,flag,value",
+    [
+        (["cable-bound", "--p", "1_0", "--tau", "1", "--lk", "0"], "--p", "1_0"),
+        (["cable-bound", "--p", "\u0662", "--tau", "1", "--lk", "0"], "--p", "\u0662"),
+        (["seifert-framed-bound", "--builtin", "J_example_6.2", "--p", "2_0"], "--p", "2_0"),
+        (["grid-tau", "--torus", "2", "1_1"], "--torus", "1_1"),
+        (["slice-bennequin", "--tb", "0", "--rot", "0", "--chi", "1_0", "--p", "1"],
+         "--chi", "1_0"),
+        (["c-value", "--braid", "2: 1", "--lk", "0", "--order", "\u0661"], "--order", "\u0661"),
+        (["deep-slice", "--builtin", "lift_8_20", "--target", "1_0"], "--target", "1_0"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_integer_flags_refuse_other_forms(capsys, argv, flag, value):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
+
+
+def test_integer_text_keeps_signs_and_surrounding_space(capsys):
+    plain = run_json(capsys, "cable-bound", "--p", "2", "--tau", "1", "--lk", "0")
+    for p in ("+2", " 2 "):
+        assert run_json(capsys, "cable-bound", "--p", p, "--tau", "1", "--lk", "0") == plain
+    assert run_json(capsys, "braid-info", "--braid", " 3 : +1 -2")["braid"] == "3: 1 -2"
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -400,6 +401,37 @@ def test_spectrum_refuses_value_outside_extremes():
             {"b0": F(0), "b1": F(0), "b2": F(2)}, tau_max=F(1), tau_min=F(0),
             enumeration_complete=True,
         )
+
+
+@pytest.mark.parametrize(
+    "births,values,first",
+    [
+        # The first class out of range is a basis class, or a sum.
+        ([0, 1, 2], [F(1), F(5), F(0)], "b1"),
+        ([2, 0, 1], [F(0), F(1), F(-3)], "b0+b2"),
+    ],
+)
+def test_spectrum_of_basis_sums_names_first_class_out_of_range(births, values, first):
+    listing = sums.BasisSums(births, values)
+    expected = next(cid for cid, v in listing.items() if not F(0) <= v <= F(1))
+    assert expected == first
+    message = f"per_class[{first!r}]: tau outside [tau_min, tau_max]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TauSpectrum(listing, tau_max=F(1), tau_min=F(0), enumeration_complete=True)
+
+
+def test_spectrum_of_basis_sums_checks_the_basis_only(monkeypatch):
+    # Every sum takes one of the basis values, and each basis class is
+    # listed: a spectrum in range never walks the 2^rank - 1 sums.
+    def no_walk(self):
+        raise AssertionError("walked the listing")
+
+    monkeypatch.setattr(sums._SumItems, "__iter__", no_walk)
+    monkeypatch.setattr(sums._SumValues, "__iter__", no_walk)
+    monkeypatch.setattr(sums.BasisSums, "__iter__", no_walk)
+    listing = sums.BasisSums(list(range(20)), [F(-i, 2) for i in range(20)])
+    spectrum = TauSpectrum(listing, tau_max=F(0), tau_min=F(-19, 2), enumeration_complete=True)
+    assert spectrum.breadth == F(19, 2)
 
 
 def test_spectrum_refuses_no_classes_before_its_other_rules():

@@ -22,7 +22,7 @@ from ratslice.formats import (
     write_document,
 )
 from ratslice.paperdata import builtin
-from ratslice.rationals import format_rational, parse_rational
+from ratslice.rationals import format_rational, parse_integer, parse_rational
 
 from helpers import (
     complex_to_json,
@@ -60,6 +60,19 @@ def test_rational_grammar_refuses_other_forms_at_once(text):
     with pytest.raises(ValueError, match="rational"):
         parse_rational(text)
     assert time.perf_counter() - start < 1.0
+
+
+def test_integer_grammar():
+    assert parse_integer(" +7 ") == 7
+    assert parse_integer("-0") == 0
+    assert parse_integer("-12") == -12
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0661", "1.0", "1e3", "0x1", "", "+", "1 2"])
+def test_integer_grammar_refuses_other_forms(text):
+    # int itself would read the first two.
+    with pytest.raises(ValueError, match="malformed integer"):
+        parse_integer(text)
 
 
 def test_complex_roundtrip_random():

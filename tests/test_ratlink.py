@@ -14,7 +14,6 @@ from ratslice.ratlink import (
     c_value,
     lk_from_slope,
     lk_shift,
-    self_link_mod_z,
     twist_normalize,
 )
 
@@ -43,16 +42,11 @@ def test_lk_shift_inverts(lk, n):
     assert lk_shift(lk_shift(lk, n), -n) == lk
 
 
-def test_self_link_mod_z_examples():
-    assert self_link_mod_z(F(5, 2)) == F(1, 2)
-    assert self_link_mod_z(F(-1, 2)) == F(1, 2)
-    assert self_link_mod_z(F(7)) == 0
-
-
 @given(rationals, st.integers(-10, 10))
 def test_self_link_invariant_under_shift(lk, n):
-    assert self_link_mod_z(lk_shift(lk, n)) == self_link_mod_z(lk)
-    assert 0 <= self_link_mod_z(lk) < 1
+    # Re-framing moves lk by an integer: lk mod 1 is framing-independent.
+    assert lk_shift(lk, n) % 1 == lk % 1
+    assert 0 <= lk % 1 < 1
 
 
 def seifert_framed_spec(m: int, r: int, s: int) -> SatelliteSpec:
