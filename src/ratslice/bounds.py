@@ -77,7 +77,8 @@ class TauSpectrum:
     enumeration_complete is false, per_class lists a homology basis only.
     per_class is any Mapping: a dict, or, from complexes.tau_spectrum, a
     sums.BasisSums that lists every sum of the basis without holding
-    the listing.
+    the listing and writes its own JSON text.  spectrum_to_json renders
+    any other Mapping as a dict.
     """
 
     per_class: Mapping[str, Fraction]

@@ -11,11 +11,10 @@ and `named` does every prefixing, for document paths and CLI flags
 alike.  A record checks its rules once all of its fields are read, so a
 malformed value is named before a broken rule.  write_document writes
 every document as json.dumps(doc, sort_keys=True, indent=2) and a final
-newline, from json's own encoder, a batch of chunks at a time.  A
-Mapping that is not a dict (the per_class listing of a tau spectrum,
-which spectrum_to_json renders from a sums.BasisSums without listing
-it) is spliced in where the encoder meets it, in its own order, and
-must map str keys, strictly ascending, to str values.  No command
+newline, from json's own encoder, a batch of chunks at a time.  The
+per_class listing of a tau spectrum, which spectrum_to_json renders as
+a sums.BasisSums of text without listing it, writes its own lines a
+table at a time, spliced in where the encoder meets it.  No command
 writes complexes, framed knots, polynomials or grid text, so their
 writers are test code (tests/helpers.py).
 
@@ -37,7 +36,7 @@ import itertools
 import json
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Callable, Iterator, TextIO, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, TextIO, TypeVar
 
 from .rationals import format_rational, parse_integer, parse_rational
 
@@ -48,6 +47,7 @@ if TYPE_CHECKING:
     from .complexes import FilteredComplex
     from .paperdata import DeepSliceVerdict, PoincarePolynomial
     from .ratlink import FramedKnotData
+    from .sums import BasisSums
 
 
 T = TypeVar("T")
@@ -287,42 +287,23 @@ def grid_from_text(text: str):
     return GridDiagram(x, o)
 
 
-# Encoder chunks, or listing items, joined into one write: a write per
-# chunk costs a system call each on an unbuffered stream, and a write of
-# more holds more text at once.
+# Encoder chunks joined into one write: a write per chunk costs a system
+# call each on an unbuffered stream, and a write of more holds more text
+# at once.
 _WRITE_BATCH = 8192
 
-_encode_text = json.encoder.encode_basestring_ascii
 
-
-def _listing_lines(pairs: Iterator[tuple[str, str]], separator: str) -> Iterator[str]:
-    """The lines of (key, text) pairs joined _WRITE_BATCH at a time, each
-    batch checked for str keys and values and strictly ascending keys."""
-    last: tuple[str, ...] = ()
-    while batch := list(itertools.islice(pairs, _WRITE_BATCH)):
-        keys, texts = zip(*batch)
-        if not all(map(isinstance, itertools.chain(keys, texts), itertools.repeat(str))):
-            raise TypeError("a Mapping that is not a dict must map str keys to str values")
-        keys = last + keys
-        if not all(map(str.__lt__, keys, keys[1:])):
-            raise ValueError(
-                "a Mapping that is not a dict must list its keys in strictly ascending order"
-            )
-        last = keys[-1:]
-        yield "".join([f"{separator}{_encode_text(key)}: {_encode_text(text)}" for key, text in batch])
-
-
-def _write_listing(listing: Mapping, newline: str, stream: TextIO) -> None:
+def _write_listing(listing: BasisSums, newline: str, stream: TextIO) -> None:
     """Write listing as json.dumps writes the dict of its items on a line
     that newline (its line break and indent) begins."""
-    batches = _listing_lines(iter(listing.items()), "," + newline + "  ")
-    first = next(batches, None)
+    lines = listing.json_lines("," + newline + "  ")
+    first = next(lines, None)
     if first is None:
         stream.write("{}")
         return
     stream.write("{" + first[1:])  # no comma before the first item
-    for batch in batches:
-        stream.write(batch)
+    for text in lines:
+        stream.write(text)
     stream.write(newline + "}")
 
 
@@ -331,24 +312,26 @@ def write_document(doc: dict, stream: TextIO) -> None:
 
     The text is json's own encoder's, its chunks joined and written
     _WRITE_BATCH at a time, so the whole document is never held as one
-    string.  Any Mapping that is not a dict is written as an object in its
-    own order, as json.dumps would write the dict of its items: its keys
-    and values must be strings and its keys strictly ascending, and each
-    batch of its items is checked (TypeError, ValueError) and written on
-    its own.  So a listing that yields its items as they are needed is
-    never held whole.  The encoder hands such a Mapping to default, which
-    queues it and returns a stand-in "": the encoder's next chunk, which
-    the listing replaces.
+    string.  A sums.BasisSums (a tau spectrum's per_class listing) is
+    written as json.dumps writes the dict of its items, one table of
+    lines per write from its json_lines, so the listing is never held
+    whole; its values must be strings (TypeError).  The encoder hands it
+    to default, which queues it and returns a stand-in "": the encoder's
+    next chunk, which the listing replaces.  default refuses any other
+    value as json.dumps does.
     """
-    listings: list[Mapping] = []
+    listings: list[BasisSums] = []
 
     def default(value: Any) -> str:
-        if not isinstance(value, Mapping):
-            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+        from .sums import BasisSums
+
+        if not isinstance(value, BasisSums):
+            return json.JSONEncoder.default(encoder, value)
         listings.append(value)
         return ""
 
-    chunks = json.JSONEncoder(sort_keys=True, indent=2, default=default).iterencode(doc)
+    encoder = json.JSONEncoder(sort_keys=True, indent=2, default=default)
+    chunks = encoder.iterencode(doc)
     # False at the stand-in, which takewhile then drops, ending the batch.
     before_listing = lambda chunk: not listings
     newline = "\n"

@@ -3,8 +3,8 @@
 complexes.tau_spectrum lists tau of every nonzero homology class up to
 rank 20: 2^rank - 1 sums of the filtered basis, each valued by its
 summand with the smallest birth row.  BasisSums is that listing as a
-read-only Mapping over the basis alone, so the document writer can take
-it a table at a time.  It lives apart from complexes so that the other
+read-only Mapping over the basis alone, which writes its own JSON text a
+table at a time.  It lives apart from complexes so that the other
 verbs that load complexes (deep-slice, verify-paper) do not compile it:
 without a bytecode cache (PYTHONDONTWRITEBYTECODE, a read-only checkout)
 every process compiles what it imports, and with this class inside
@@ -13,18 +13,19 @@ complexes `deep-slice --builtin lift_8_20` peaked 0.25 MB higher.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterator, Sequence
 
 # Basis indices whose sums BasisSums tables instead of walking.  The
-# tables hold 2^SUM_TAIL - 1 ids, and the walk takes about
-# SUM_TAIL * 2^(rank - SUM_TAIL) steps of Python, one per table it hands
-# over.  At rank 20, listing and writing the 1,048,575 sums to a null sink
-# took 1.3-1.9 s at every tail from 8 to 16 (3 runs each, 2 cores,
-# Python 3.11; the tails differ less than the runs) and 2.1-2.3 s at 6,
-# while the tracemalloc peak grew from 3.4-3.5 MiB at 8-10 to 4.9 at 14
-# and 9.6 at 16.
+# tables hold 2^SUM_TAIL - 1 ids; the walk visits each once per sum of
+# the first rank - SUM_TAIL indices, and json_lines keeps the lines of
+# each table at each place it meets, (rank + 1) * (2^SUM_TAIL - 1) at
+# most.  At rank 20, writing the 1,048,575 sums to a null sink took 0.12,
+# 0.056, 0.034, 0.033 and 0.050 s at tails 6, 8, 10, 12 and 14 (medians
+# of 5 processes, 2 cores, Python 3.11), at tracemalloc peaks of 1.4,
+# 1.4, 1.5, 4.3 and 13.3 MiB; the whole process took 0.09 s at 10 and
+# 12, peaking at 17.3 and 20.0 MB.
 SUM_TAIL = 10
 
 
@@ -41,7 +42,8 @@ class BasisSums(Mapping):
     names.  The walk descends through the first rank - SUM_TAIL indices
     and, below them, reads the doubling tables of the last SUM_TAIL: the
     ids and smallest birth rows of the sums whose lowest index is one of
-    them, each table built from those of the higher indices.
+    them, each table built from those of the higher indices.  json_lines
+    writes the listing from the same walk, a table's lines at a time.
     """
 
     def __init__(self, births: Sequence[int], values: Sequence[Any]):
@@ -77,28 +79,54 @@ class BasisSums(Mapping):
         """The value of each basis class, by birth: every sum takes one."""
         return self._values
 
-    def _walk(self, prefix: str, place: int, last: int):
-        """(prefix, ids, places) per table or walked sum, in document
-        order: the sums extending prefix by indices above last are
-        prefix + ids, and each takes its value from the basis class at
-        its place in places."""
+    def _visits(self, prefix: str, place: int, last: int) -> Iterator[tuple[str, int | None, int]]:
+        """(prefix, table, place) per table or walked sum, in document
+        order.  A walked sum (table None) is prefix itself, valued at
+        place; a table stands for the sums prefix + its ids by indices
+        above last, each valued at the smaller of place and its own."""
         for j in self._listed:
             if j <= last:
                 continue
             if j >= self._head:
-                yield prefix, self._ids[j], [f if f < place else place for f in self._first[j]]
+                yield prefix, j, place
             else:
                 cid, low = prefix + self._names[j], min(place, self._place[j])
-                yield "", [cid], [low]
-                yield from self._walk(cid + "+", low, j)
-
-    def _chunks(self):
-        return self._walk("", len(self._names), -1)
+                yield cid, None, low
+                yield from self._visits(cid + "+", low, j)
 
     def __iter__(self) -> Iterator[str]:
-        return itertools.chain.from_iterable(
-            map(prefix.__add__, ids) for prefix, ids, _ in self._chunks()
-        )
+        for prefix, table, _ in self._visits("", len(self._names), -1):
+            if table is None:
+                yield prefix
+            else:
+                yield from map(prefix.__add__, self._ids[table])
+
+    def json_lines(self, separator: str) -> Iterator[str]:
+        """The text json.dumps(dict(self), indent=...) writes between the
+        braces, one walked sum or table at a time, separator (a comma and
+        the line's break and indent) before every line, the first too.
+
+        json's own encode_basestring_ascii escapes each basis value and
+        table id once, which refuses a value that is not a str
+        (TypeError).  The lines of a table at a place are built once, and
+        each visit joins its escaped prefix onto them.
+        """
+        escape = encode_basestring_ascii
+        texts = [escape(value) for value in self._values]
+        # An id's text without its opening quote, which its prefix supplies.
+        keys = {j: [escape(cid)[1:] for cid in ids] for j, ids in self._ids.items()}
+        bodies: dict[tuple[int, int], list[str]] = {}
+        for prefix, table, place in self._visits("", len(self._names), -1):
+            if table is None:
+                yield f"{separator}{escape(prefix)}: {texts[place]}"
+                continue
+            body = bodies.get((table, place))
+            if body is None:
+                body = bodies[table, place] = [""] + [
+                    f"{key}: {texts[f if f < place else place]}"
+                    for key, f in zip(keys[table], self._first[table])
+                ]
+            yield (separator + escape(prefix)[:-1]).join(body)
 
     def __len__(self) -> int:
         return 2 ** len(self._names) - 1
@@ -109,26 +137,3 @@ class BasisSums(Mapping):
             if None not in members and all(a < b for a, b in zip(members, members[1:])):
                 return self._values[min(map(self._place.__getitem__, members))]
         raise KeyError(cid)
-
-    def items(self) -> ItemsView:
-        return _SumItems(self)
-
-    def values(self) -> ValuesView:
-        return _SumValues(self)
-
-
-class _SumItems(ItemsView):
-    def __iter__(self):
-        value = self._mapping._values.__getitem__
-        return itertools.chain.from_iterable(
-            zip(map(prefix.__add__, ids), map(value, places))
-            for prefix, ids, places in self._mapping._chunks()
-        )
-
-
-class _SumValues(ValuesView):
-    def __iter__(self):
-        value = self._mapping._values.__getitem__
-        return itertools.chain.from_iterable(
-            map(value, places) for _, _, places in self._mapping._chunks()
-        )

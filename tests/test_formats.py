@@ -4,12 +4,13 @@ import io
 import json
 import random
 import time
-from collections.abc import Mapping
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from ratslice import sums
 from ratslice.complexes import tau_spectrum
 from ratslice.formats import (
     _WRITE_BATCH,
@@ -193,10 +194,12 @@ class _CountingStream(io.StringIO):
         super().__init__()
         self.writes = 0
         self.longest = 0
+        self.most_lines = 0
 
     def write(self, text):
         self.writes += 1
         self.longest = max(self.longest, len(text))
+        self.most_lines = max(self.most_lines, text.count("\n"))
         return super().write(text)
 
 
@@ -258,29 +261,25 @@ def test_write_document_refuses_what_json_dumps_refuses(doc):
         write_document(doc, io.StringIO())
 
 
-class _Listing(Mapping):
-    """A Mapping that is not a dict: its pairs in the order given."""
-
-    def __init__(self, pairs):
-        self._pairs = list(pairs)
-        self._dict = dict(self._pairs)
-
-    def __getitem__(self, key):
-        return self._dict[key]
-
-    def __iter__(self):
-        return (key for key, _ in self._pairs)
-
-    def __len__(self):
-        return len(self._pairs)
+_BASES = st.integers(min_value=0, max_value=12).flatmap(
+    lambda rank: st.tuples(
+        st.permutations(range(rank)), st.lists(st.text(), min_size=rank, max_size=rank)
+    )
+)
 
 
-@given(st.dictionaries(st.text(), st.text()), _JSON_TREES)
-@example({}, None)
-@example({"b1": "0/1", "b1+b10": "1/2", "b10": "-1/1", "b2": "0/1"}, [])
-def test_write_document_writes_a_sorted_mapping_as_its_dict(items, other):
-    # A non-dict Mapping is written in its own order, which here is sorted.
-    listing = _Listing(sorted(items.items()))
+@pytest.mark.parametrize("tail", [sums.SUM_TAIL, 1, 2])
+@given(basis=_BASES, other=_JSON_TREES)
+@example(basis=([], []), other=None)
+@example(basis=([1, 0, 2], ["0/1", "-1/2", "\u00e9\"\n"]), other=[])
+def test_write_document_writes_basis_sums_as_their_dict(tail, basis, other):
+    # The default tail tables every sum up to rank 10; with the tail at 1
+    # or 2 the listing walks its first indices and visits tables below.
+    births, values = basis
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sums, "SUM_TAIL", tail)
+        listing = sums.BasisSums(births, values)
+    items = dict(listing)
     doc = {"spectrum": {"per_class": listing}, "listings": [listing, other]}
     as_dicts = {"spectrum": {"per_class": items}, "listings": [items, other]}
     stream = io.StringIO()
@@ -288,16 +287,60 @@ def test_write_document_writes_a_sorted_mapping_as_its_dict(items, other):
     assert stream.getvalue() == json.dumps(as_dicts, sort_keys=True, indent=2) + "\n"
 
 
+def test_write_document_escapes_each_text_of_a_listing_once(monkeypatch):
+    # Rank 16 with a tail of 10: 16 basis values, 1,023 table ids, 63
+    # walked sums and 640 table visits make 1,742 escapes.  Escaping each
+    # of the 65,535 lines' id and value makes 131,070.
+    escapes = 0
+    escape = sums.encode_basestring_ascii
+
+    def counted(text):
+        nonlocal escapes
+        escapes += 1
+        return escape(text)
+
+    monkeypatch.setattr(sums, "encode_basestring_ascii", counted)
+    monkeypatch.setattr(sums, "SUM_TAIL", 10)
+    births = list(range(16))
+    random.Random(16).shuffle(births)
+    listing = sums.BasisSums(births, [format_rational(F(-b, 2)) for b in births])
+    stream = _CountingStream()
+    write_document({"per_class": listing}, stream)
+    assert stream.getvalue().count('": "') == 2**16 - 1
+    assert escapes < 4096
+
+
+def _one_class(value):
+    return sums.BasisSums([0], [value])
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"listing": _one_class(1)},
+        {"listing": _one_class(None)},
+        {"listing": _one_class({"c": "d"})},
+        {"listing": MappingProxyType({"a": "1"})},
+    ],
+    ids=["int-value", "null-value", "object-value", "plain-mapping"],
+)
+def test_write_document_refuses_a_mapping_out_of_order_or_not_of_text(doc):
+    # A listing's values must be text, and any other Mapping that is not
+    # a dict is refused as json.dumps refuses it, whatever its order.
+    with pytest.raises(TypeError):
+        write_document(doc, io.StringIO())
+
+
 @pytest.mark.parametrize(
     "doc,as_dicts",
     [
-        ({"a": "", "b": _Listing([("k", "")]), "c": ""}, {"a": "", "b": {"k": ""}, "c": ""}),
-        ({"row": ["", _Listing([("k", "v")]), ""]}, {"row": ["", {"k": "v"}, ""]}),
-        (_Listing([("a", ""), ("b", "1/2")]), {"a": "", "b": "1/2"}),
-        ({"empty": _Listing([]), "next": ""}, {"empty": {}, "next": ""}),
+        ({"a": "", "b": _one_class(""), "c": ""}, {"a": "", "b": {"b0": ""}, "c": ""}),
+        ({"row": ["", _one_class("v"), ""]}, {"row": ["", {"b0": "v"}, ""]}),
+        (sums.BasisSums([0, 1], ["", "1/2"]), {"b0": "", "b0+b1": "", "b1": "1/2"}),
+        ({"empty": sums.BasisSums([], []), "next": ""}, {"empty": {}, "next": ""}),
         (
-            {"rows": [["", [_Listing([("k", "v"), ("l", "")])]], [_Listing([("m", "")])]]},
-            {"rows": [["", [{"k": "v", "l": ""}]], [{"m": ""}]]},
+            {"rows": [["", [sums.BasisSums([1, 0], ["v", ""])]], [_one_class("")]]},
+            {"rows": [["", [{"b0": "v", "b0+b1": "", "b1": ""}]], [{"b0": ""}]]},
         ),
     ],
     ids=["beside-empty-text-in-an-object", "beside-empty-text-in-a-list", "whole-document",
@@ -311,38 +354,20 @@ def test_write_document_splices_each_listing_where_the_encoder_met_it(doc, as_di
     assert stream.getvalue() == json.dumps(as_dicts, sort_keys=True, indent=2) + "\n"
 
 
-_BATCH_KEYS = [(f"k{i:06d}", "v") for i in range(_WRITE_BATCH)]
-
-
-@pytest.mark.parametrize(
-    "pairs,error",
-    [
-        ([("b", "1"), ("a", "2")], ValueError),
-        ([("a", "1"), ("a", "1")], ValueError),
-        (_BATCH_KEYS + [("a", "v")], ValueError),  # out of order across two batches
-        (_BATCH_KEYS + [(_BATCH_KEYS[-1][0], "v")], ValueError),
-        ([(1, "a")], TypeError),
-        ([("a", 1)], TypeError),
-        ([("a", "1"), ("b", None)], TypeError),
-        ([("a", "1"), ("b", {"c": "d"})], TypeError),
-    ],
-    ids=["descending", "repeated", "descending-across-batches",
-         "repeated-across-batches", "int-key", "int-value", "null-value", "object-value"],
-)
-def test_write_document_refuses_a_mapping_out_of_order_or_not_of_text(pairs, error):
-    with pytest.raises(error):
-        write_document({"listing": _Listing(pairs)}, io.StringIO())
-
-
 def test_write_document_holds_one_batch_of_items_per_write():
     # A writer that joins more than one batch of lines into a write holds
-    # more of the document at once, and fails here: for a dict, and for
-    # a Mapping written in its own order.
+    # more of the document at once, and fails here: for a dict, and for a
+    # listing, whose writes hold one table of lines at most.
     items = {f"k{i:06d}": "v" for i in range(3 * _WRITE_BATCH + 5)}
     line = len(',\n  "k000000": "v"')
-    for doc in (items, _Listing(items.items())):
-        stream = _CountingStream()
-        write_document(doc, stream)
-        assert stream.getvalue() == json.dumps(items, sort_keys=True, indent=2) + "\n"
-        assert stream.writes >= 4
-        assert stream.longest <= _WRITE_BATCH * line
+    stream = _CountingStream()
+    write_document(items, stream)
+    assert stream.getvalue() == json.dumps(items, sort_keys=True, indent=2) + "\n"
+    assert stream.writes >= 4
+    assert stream.longest <= _WRITE_BATCH * line
+    rank = sums.SUM_TAIL + 3
+    listing = sums.BasisSums(list(range(rank)), [f"-{i}/2" for i in range(rank)])
+    stream = _CountingStream()
+    write_document(listing, stream)
+    assert stream.getvalue() == json.dumps(dict(listing), sort_keys=True, indent=2) + "\n"
+    assert stream.most_lines <= 2 ** (sums.SUM_TAIL - 1)
