@@ -19,11 +19,13 @@ evaluators agree exactly, which the acceptance suite sweeps.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .record import record
+
+if TYPE_CHECKING:
+    from .sums import TauSpectrum
 
 
 def _check_p(p: int) -> None:
@@ -67,45 +69,6 @@ class BoundReport:
     @property
     def clamped_value(self) -> Fraction:
         return max(self.bound_value, Fraction(0))
-
-
-@record
-class TauSpectrum:
-    """tau values per homology class, with the extremes and their spread.
-
-    tau_max, tau_min and breadth range over all nonzero classes.  When
-    enumeration_complete is false, per_class lists a homology basis only.
-    per_class is any Mapping: a dict, or, from complexes.tau_spectrum, a
-    sums.BasisSums that lists every sum of the basis without holding
-    the listing and writes its own JSON text.  spectrum_to_json renders
-    any other Mapping as a dict.
-    """
-
-    per_class: Mapping[str, Fraction]
-    tau_max: Fraction
-    tau_min: Fraction
-    enumeration_complete: bool
-
-    def __post_init__(self):
-        if not self.per_class:
-            raise ValueError("per_class: expected a nonempty object")
-        if self.tau_min > self.tau_max:
-            raise ValueError("tau_min: must not exceed tau_max")
-        # Every sum in a sums.BasisSums takes one of its basis values, and
-        # each basis class is listed itself, so checking the basis values
-        # checks every class.  The ordered scan only names the first class
-        # out of range.
-        basis_values = getattr(self.per_class, "basis_values", None)
-        values = basis_values() if basis_values else self.per_class.values()
-        if all(self.tau_min <= v <= self.tau_max for v in values):
-            return
-        for cid, value in self.per_class.items():
-            if not self.tau_min <= value <= self.tau_max:
-                raise ValueError(f"per_class[{cid!r}]: tau outside [tau_min, tau_max]")
-
-    @property
-    def breadth(self) -> Fraction:
-        return self.tau_max - self.tau_min
 
 
 @record

@@ -63,8 +63,8 @@ def _check_positive(flag: str, value: int | None, what: str) -> None:
         raise ValueError(f"{flag}: {what} must be >= 1")
 
 
-def _spectrum_from_args(args) -> bounds.TauSpectrum:
-    from . import bounds, formats
+def _spectrum_from_args(args) -> sums.TauSpectrum:
+    from . import formats, sums
 
     sources = [
         args.knot is not None,
@@ -93,7 +93,7 @@ def _spectrum_from_args(args) -> bounds.TauSpectrum:
     if lo > hi:
         raise ValueError(f"--tau-min {args.tau_min} is above --tau-max {args.tau_max}")
     per_class = {"max": hi} if hi == lo else {"max": hi, "min": lo}
-    return bounds.TauSpectrum(
+    return sums.TauSpectrum(
         per_class=per_class, tau_max=hi, tau_min=lo, enumeration_complete=False
     )
 

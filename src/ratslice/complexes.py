@@ -43,7 +43,7 @@ from .gf2 import _bit_positions, essential_rows, new_engine
 from .record import record
 
 if TYPE_CHECKING:
-    from .bounds import TauSpectrum
+    from .sums import TauSpectrum
 
 FULL_ENUMERATION_CAP = 20
 
@@ -262,8 +262,7 @@ def tau_spectrum(complex_: FilteredComplex) -> TauSpectrum:
     the grading of the smallest birth row in it, and the extremes are the
     gradings of the smallest and largest birth rows, at any rank.
     """
-    from .bounds import TauSpectrum
-    from .sums import BasisSums
+    from .sums import BasisSums, TauSpectrum
 
     basis = homology_basis(complex_)
     if not basis:
@@ -286,7 +285,7 @@ def tau_spectrum(complex_: FilteredComplex) -> TauSpectrum:
 
 def connected_sum_shift(spectrum: TauSpectrum, t: Fraction) -> TauSpectrum:
     """Connected sum with a local knot shifts every tau value uniformly."""
-    from .bounds import TauSpectrum
+    from .sums import TauSpectrum
 
     t = Fraction(t)
     return TauSpectrum(

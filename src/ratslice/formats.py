@@ -13,10 +13,10 @@ malformed value is named before a broken rule.  write_document writes
 every document as json.dumps(doc, sort_keys=True, indent=2) and a final
 newline, from json's own encoder, a batch of chunks at a time.  The
 per_class listing of a tau spectrum, which spectrum_to_json renders as
-a sums.BasisSums of text without listing it, writes its own lines a
-table at a time, spliced in where the encoder meets it.  No command
-writes complexes, framed knots, polynomials or grid text, so their
-writers are test code (tests/helpers.py).
+a sums.BasisSums of text without listing it, writes its whole object
+itself, a table at a time, spliced in where the encoder meets it.  No
+command writes complexes, framed knots, polynomials or grid text, so
+their writers are test code (tests/helpers.py).
 
 Formats:
 * FilteredComplex: {"generators": [{"id", "maslov", "alexander", "spinc"}],
@@ -43,11 +43,11 @@ from .rationals import format_rational, parse_integer, parse_rational
 # Record types are imported by the parsers that build them, so a verb that
 # only renders documents loads none of their modules.
 if TYPE_CHECKING:
-    from .bounds import BoundReport, Interval, TauSpectrum
+    from .bounds import BoundReport, Interval
     from .complexes import FilteredComplex
     from .paperdata import DeepSliceVerdict, PoincarePolynomial
     from .ratlink import FramedKnotData
-    from .sums import BasisSums
+    from .sums import BasisSums, TauSpectrum
 
 
 T = TypeVar("T")
@@ -172,7 +172,7 @@ def spectrum_to_json(spectrum: TauSpectrum) -> dict:
 
 
 def spectrum_from_json(doc: dict) -> TauSpectrum:
-    from .bounds import TauSpectrum
+    from .sums import TauSpectrum
 
     per_class_raw = _need(doc, "per_class", "tau_spectrum")
     if not isinstance(per_class_raw, Mapping):
@@ -293,32 +293,18 @@ def grid_from_text(text: str):
 _WRITE_BATCH = 8192
 
 
-def _write_listing(listing: BasisSums, newline: str, stream: TextIO) -> None:
-    """Write listing as json.dumps writes the dict of its items on a line
-    that newline (its line break and indent) begins."""
-    lines = listing.json_lines("," + newline + "  ")
-    first = next(lines, None)
-    if first is None:
-        stream.write("{}")
-        return
-    stream.write("{" + first[1:])  # no comma before the first item
-    for text in lines:
-        stream.write(text)
-    stream.write(newline + "}")
-
-
 def write_document(doc: dict, stream: TextIO) -> None:
     """Write json.dumps(doc, sort_keys=True, indent=2) + "\n" to stream.
 
     The text is json's own encoder's, its chunks joined and written
     _WRITE_BATCH at a time, so the whole document is never held as one
-    string.  A sums.BasisSums (a tau spectrum's per_class listing) is
-    written as json.dumps writes the dict of its items, one table of
-    lines per write from its json_lines, so the listing is never held
-    whole; its values must be strings (TypeError).  The encoder hands it
-    to default, which queues it and returns a stand-in "": the encoder's
-    next chunk, which the listing replaces.  default refuses any other
-    value as json.dumps does.
+    string.  A sums.BasisSums (a tau spectrum's per_class listing)
+    writes its own object, json_lines: the text json.dumps writes for
+    the dict of its items, each string of it one write, so the listing is
+    never held whole; its values must be strings (TypeError).  The
+    encoder hands it to default, which queues it and returns a stand-in
+    "": the encoder's next chunk, which the listing replaces.  default
+    refuses any other value as json.dumps does.
     """
     listings: list[BasisSums] = []
 
@@ -343,7 +329,8 @@ def write_document(doc: dict, stream: TextIO) -> None:
             # stand-in's own separator (text holds none; json escapes it).
             newline = next((c[c.rindex("\n"):] for c in reversed(batch) if "\n" in c), newline)
         if listings:
-            _write_listing(listings.pop(), newline, stream)
+            for text in listings.pop().json_lines(newline):
+                stream.write(text)
         elif len(batch) < _WRITE_BATCH:
             break
     stream.write("\n")

@@ -22,7 +22,7 @@ from .braid import BraidWord, full_twist, writhe
 from .record import record
 
 if TYPE_CHECKING:
-    from .bounds import TauSpectrum
+    from .sums import TauSpectrum
 
 
 @record

@@ -1,21 +1,27 @@
-"""Every nonzero sum of a filtered basis, listed without holding the list.
+"""The tau spectrum record, and its listing of every nonzero class.
 
 complexes.tau_spectrum lists tau of every nonzero homology class up to
 rank 20: 2^rank - 1 sums of the filtered basis, each valued by its
 summand with the smallest birth row.  BasisSums is that listing as a
-read-only Mapping over the basis alone, which writes its own JSON text a
-table at a time.  It lives apart from complexes so that the other
-verbs that load complexes (deep-slice, verify-paper) do not compile it:
-without a bytecode cache (PYTHONDONTWRITEBYTECODE, a read-only checkout)
-every process compiles what it imports, and with this class inside
-complexes `deep-slice --builtin lift_8_20` peaked 0.25 MB higher.
+read-only Mapping over the basis alone, which writes its own JSON object
+a table at a time; its basis values stand for every class in the range
+check of TauSpectrum, the record every bound verb and `tau --complex`
+carry.  Both live apart from complexes, so that deep-slice does not
+compile them, and from bounds, so that `tau --complex` does not compile
+the evaluators: without a bytecode cache (PYTHONDONTWRITEBYTECODE, a
+read-only checkout) every process compiles what it imports, and with
+BasisSums inside complexes `deep-slice --builtin lift_8_20` peaked 0.25
+MB higher.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterator, Sequence
+
+from .record import record
 
 # Basis indices whose sums BasisSums tables instead of walking.  The
 # tables hold 2^SUM_TAIL - 1 ids; the walk visits each once per sum of
@@ -75,10 +81,6 @@ class BasisSums(Mapping):
         out.__dict__.update(self.__dict__, _values=[fn(v) for v in self._values])
         return out
 
-    def basis_values(self) -> list[Any]:
-        """The value of each basis class, by birth: every sum takes one."""
-        return self._values
-
     def _visits(self, prefix: str, place: int, last: int) -> Iterator[tuple[str, int | None, int]]:
         """(prefix, table, place) per table or walked sum, in document
         order.  A walked sum (table None) is prefix itself, valued at
@@ -101,32 +103,42 @@ class BasisSums(Mapping):
             else:
                 yield from map(prefix.__add__, self._ids[table])
 
-    def json_lines(self, separator: str) -> Iterator[str]:
-        """The text json.dumps(dict(self), indent=...) writes between the
-        braces, one walked sum or table at a time, separator (a comma and
-        the line's break and indent) before every line, the first too.
+    def json_lines(self, newline: str) -> Iterator[str]:
+        """The text json.dumps(dict(self), indent=2) writes for the listing
+        on a line that newline (its line break and indent) begins, from
+        the opening brace to the closing one ("{}" at rank 0), one walked
+        sum or one table of lines at a time.
 
         json's own encode_basestring_ascii escapes each basis value and
         table id once, which refuses a value that is not a str
         (TypeError).  The lines of a table at a place are built once, and
         each visit joins its escaped prefix onto them.
         """
+        if not self._names:
+            yield "{}"
+            return
         escape = encode_basestring_ascii
         texts = [escape(value) for value in self._values]
         # An id's text without its opening quote, which its prefix supplies.
         keys = {j: [escape(cid)[1:] for cid in ids] for j, ids in self._ids.items()}
         bodies: dict[tuple[int, int], list[str]] = {}
+        # Every line opens with the comma that ends the one before, and the
+        # first with the opening brace in its place.
+        separator, opening = "," + newline + "  ", "{"
         for prefix, table, place in self._visits("", len(self._names), -1):
             if table is None:
-                yield f"{separator}{escape(prefix)}: {texts[place]}"
-                continue
-            body = bodies.get((table, place))
-            if body is None:
-                body = bodies[table, place] = [""] + [
-                    f"{key}: {texts[f if f < place else place]}"
-                    for key, f in zip(keys[table], self._first[table])
-                ]
-            yield (separator + escape(prefix)[:-1]).join(body)
+                text = f"{separator}{escape(prefix)}: {texts[place]}"
+            else:
+                body = bodies.get((table, place))
+                if body is None:
+                    body = bodies[table, place] = [""] + [
+                        f"{key}: {texts[f if f < place else place]}"
+                        for key, f in zip(keys[table], self._first[table])
+                    ]
+                text = (separator + escape(prefix)[:-1]).join(body)
+            yield opening + text[1:] if opening else text
+            opening = ""
+        yield newline + "}"
 
     def __len__(self) -> int:
         return 2 ** len(self._names) - 1
@@ -137,3 +149,41 @@ class BasisSums(Mapping):
             if None not in members and all(a < b for a, b in zip(members, members[1:])):
                 return self._values[min(map(self._place.__getitem__, members))]
         raise KeyError(cid)
+
+
+@record
+class TauSpectrum:
+    """tau values per homology class, with the extremes and their spread.
+
+    tau_max, tau_min and breadth range over all nonzero classes.  When
+    enumeration_complete is false, per_class lists a homology basis only.
+    per_class is a dict, or, from complexes.tau_spectrum, a BasisSums,
+    which lists every sum of the basis without holding the listing and
+    whose basis values stand for every class.
+    """
+
+    per_class: Mapping[str, Fraction]
+    tau_max: Fraction
+    tau_min: Fraction
+    enumeration_complete: bool
+
+    def __post_init__(self):
+        if not self.per_class:
+            raise ValueError("per_class: expected a nonempty object")
+        if self.tau_min > self.tau_max:
+            raise ValueError("tau_min: must not exceed tau_max")
+        # Every sum in a BasisSums takes one of its basis values, and each
+        # basis class is listed itself, so checking the basis values checks
+        # every class.  The ordered scan only names the first class out of
+        # range.
+        per_class = self.per_class
+        values = per_class._values if isinstance(per_class, BasisSums) else per_class.values()
+        if all(self.tau_min <= v <= self.tau_max for v in values):
+            return
+        for cid, value in per_class.items():
+            if not self.tau_min <= value <= self.tau_max:
+                raise ValueError(f"per_class[{cid!r}]: tau outside [tau_min, tau_max]")
+
+    @property
+    def breadth(self) -> Fraction:
+        return self.tau_max - self.tau_min

@@ -11,7 +11,6 @@ from fractions import Fraction
 from math import gcd
 
 from ratslice import bounds, paperdata
-from ratslice.bounds import TauSpectrum
 from ratslice.braid import BraidWord, components, torus_braid, writhe
 from ratslice.complexes import (
     connected_sum_shift,
@@ -23,6 +22,7 @@ from ratslice.grid import (
     torus_knot_grid,
 )
 from ratslice.ratlink import SatelliteSpec, c_value, twist_normalize
+from ratslice.sums import TauSpectrum
 
 from helpers import (
     basis_cycles,

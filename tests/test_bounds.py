@@ -8,7 +8,6 @@ import pytest
 
 from ratslice.bounds import (
     Interval,
-    TauSpectrum,
     bp_tau_interval,
     cable_tau_interval,
     d_invariant_bound,
@@ -21,6 +20,7 @@ from ratslice.bounds import (
     surface_genus_upper,
 )
 from ratslice.braid import components, torus_braid, writhe
+from ratslice.sums import TauSpectrum
 
 from helpers import optimal_c, surface_bound_with_c
 

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from ratslice import complexes, sums
-from ratslice.bounds import TauSpectrum
 from ratslice.complexes import (
     DeductionError,
     FilteredComplex,
@@ -27,6 +26,7 @@ from ratslice.complexes import (
 )
 from ratslice.formats import spectrum_from_json
 from ratslice.rationals import format_rational
+from ratslice.sums import TauSpectrum
 
 from helpers import (
     basis_cycles,

@@ -287,6 +287,24 @@ def test_write_document_writes_basis_sums_as_their_dict(tail, basis, other):
     assert stream.getvalue() == json.dumps(as_dicts, sort_keys=True, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("tail", [sums.SUM_TAIL, 1, 2])
+@given(basis=_BASES, depth=st.integers(min_value=0, max_value=3))
+@example(basis=([], []), depth=0)
+@example(basis=([], []), depth=2)
+@example(basis=([2, 0, 1], ["0/1", "-1/2", "\u00e9\"\n"]), depth=1)
+def test_basis_sums_write_the_object_json_dumps_writes(tail, basis, depth):
+    # From the opening brace to the closing one ("{}" at rank 0), on a
+    # line that newline begins: at the top level or depth objects deep,
+    # where json indents every line of the object by the line's indent.
+    births, values = basis
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sums, "SUM_TAIL", tail)
+        listing = sums.BasisSums(births, values)
+    newline = "\n" + "  " * depth
+    text = json.dumps(dict(listing), indent=2).replace("\n", newline)
+    assert "".join(listing.json_lines(newline)) == text
+
+
 def test_write_document_escapes_each_text_of_a_listing_once(monkeypatch):
     # Rank 16 with a tail of 10: 16 basis values, 1,023 table ids, 63
     # walked sums and 640 table visits make 1,742 escapes.  Escaping each

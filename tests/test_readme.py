@@ -86,3 +86,10 @@ def test_documents_do_not_depend_on_the_hash_seed(tmp_path):
         ), argv
     assert outcomes["0"][-1].returncode == 1
     assert outcomes["0"][-1].stderr.startswith(b"error: differential target 'x' ")
+
+
+def test_library_table_lists_every_module():
+    section = README.read_text(encoding="utf-8").split("\n## Library layout\n", 1)[1]
+    rows = set(re.findall(r"^\| `ratslice\.(\w+)`", section.split("\n## ", 1)[0], re.M))
+    modules = {path.stem for path in (README.parent / "src" / "ratslice").glob("*.py")}
+    assert rows == modules - {"__init__"}
