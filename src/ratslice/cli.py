@@ -12,16 +12,25 @@ body, so a process compiles and runs only what its verb needs.  The
 bound verbs, `--tau-max/--tau-min` included, load neither the grid nor
 the GF(2) or complex code; `grid-tau` loads the grid and GF(2) code but
 not the complex module; `deep-slice` loads neither the bound evaluators
-nor the link, braid or grid code.  The records are plain classes
-(`ratslice.record`), so no verb pays for the standard dataclass module
-and its imports.  Modules are called as attributes
+nor the link, braid or grid code.  Only a verb that reads a file loads
+the document readers (`ratslice.readers`).  The records are plain
+classes (`ratslice.record`), so no verb pays for the standard dataclass
+module and its imports.  Modules are called as attributes
 (`formats.write_document`), so patches on a module's attributes reach
 the CLI.
+
+The verbs are one table, `_VERBS`, which importing the module does not
+turn into a parser: a run that names its verb builds that verb's
+subparser alone, and any other run builds them all.  A process enters
+through `run()` (`python -m ratslice.cli` and the `ratslice` script),
+which returns main()'s exit code with the heap frozen, so the
+interpreter's exit-time collections skip what start-up loaded.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -77,7 +86,9 @@ def _spectrum_from_args(args) -> sums.TauSpectrum:
             "or --tau-max/--tau-min"
         )
     if args.knot is not None:
-        return formats.framed_from_json(_load_json(args.knot)).tau_spectrum
+        from . import readers
+
+        return readers.framed_from_json(_load_json(args.knot)).tau_spectrum
     if args.builtin is not None:
         from . import paperdata, ratlink
 
@@ -98,19 +109,12 @@ def _spectrum_from_args(args) -> sums.TauSpectrum:
     )
 
 
-def _add_spectrum_arguments(parser) -> None:
-    parser.add_argument("--knot", help="FramedKnotData JSON file")
-    parser.add_argument("--builtin", help="embedded dataset name")
-    parser.add_argument("--tau-max", help="tau_max as a/b")
-    parser.add_argument("--tau-min", help="tau_min as a/b")
-
-
 # -- verb handlers: each returns (exit code, document) --------------------
 
 def _cmd_tau(args):
-    from . import complexes, formats
+    from . import complexes, formats, readers
 
-    complex_ = formats.complex_from_json(_load_json(args.complex))
+    complex_ = readers.complex_from_json(_load_json(args.complex))
     doc = {"citation": "tau-from-filtered-complex"}
     if args.cycle is not None:
         ids = args.cycle.replace(",", " ").split()
@@ -140,7 +144,9 @@ def _cmd_grid_tau(args):
         diagram = formats.named("--torus", grid.torus_knot_grid, p, q)
         source = f"torus({p},{q})"
     else:
-        diagram = formats.named(args.grid, formats.grid_from_text, _read(args.grid))
+        from . import readers
+
+        diagram = formats.named(args.grid, readers.grid_from_text, _read(args.grid))
         formats.named(args.grid, grid.check_knot_grid, diagram)
         source = args.grid
     if args.hfk:
@@ -223,7 +229,9 @@ def _cmd_deep_slice(args):
         if not isinstance(poly, paperdata.PoincarePolynomial):
             raise ValueError(f"--builtin: {args.builtin!r} is not a Poincare polynomial")
     else:
-        poly = formats.poincare_from_json(_load_json(args.polynomial))
+        from . import readers
+
+        poly = readers.poincare_from_json(_load_json(args.polynomial))
     _check_positive("--target", args.target, "ambient homology rank")
     verdict = paperdata.deep_slice_report(poly, args.target)
     return EXIT_OK, {
@@ -302,74 +310,85 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Arguments that verbs share: (flag, the options add_argument takes).
+_SPECTRUM_ARGUMENTS = (
+    ("--knot", {"help": "FramedKnotData JSON file"}),
+    ("--builtin", {"help": "embedded dataset name"}),
+    ("--tau-max", {"help": "tau_max as a/b"}),
+    ("--tau-min", {"help": "tau_min as a/b"}),
+)
+_BRAID = {"required": True, "help": 'pattern braid "n: i1 i2 ..."'}
+_TAU = {"required": True, "help": "companion tau as a/b"}
+_LK = {"required": True, "help": "framing linking as a/b"}
+
+# verb -> (handler, help, arguments).  Data, so that importing the module
+# builds no parser, and a run builds only its own verb's subparser.
+_VERBS = {
+    "tau": (_cmd_tau, "tau spectrum of a filtered complex", (
+        ("--complex", {"required": True, "help": "FilteredComplex JSON file"}),
+        ("--cycle", {"help": "generator ids forming a cycle (comma separated)"}),
+    )),
+    "grid-tau": (_cmd_grid_tau, "tau of a knot from a grid diagram", (
+        ("--grid", {"help": "grid file: X row then O row"}),
+        ("--torus", {"nargs": 2, "type": _integer_flag, "metavar": ("P", "Q")}),
+        ("--hfk", {"action": "store_true", "help": "include knot Floer ranks"}),
+    )),
+    "cable-bound": (_cmd_cable_bound, "two-sided cable tau estimate", (
+        ("--p", {"type": _integer_flag, "required": True}),
+        ("--tau", _TAU),
+        ("--lk", _LK),
+    )),
+    "satellite-bound": (_cmd_satellite_bound, "braided satellite tau estimate", (
+        ("--braid", _BRAID),
+        ("--tau", _TAU),
+        ("--lk", _LK),
+    )),
+    "genus-bound": (
+        _cmd_genus_bound, "rational slice genus lower bound", _SPECTRUM_ARGUMENTS
+    ),
+    "seifert-framed-bound": (
+        _cmd_seifert_framed_bound, "bound for Seifert-framed slice surfaces",
+        _SPECTRUM_ARGUMENTS + (
+            ("--p", {"type": _integer_flag, "required": True, "help": "covering degree"}),
+        ),
+    ),
+    "deep-slice": (_cmd_deep_slice, "survivor deduction deep-slice verdict", (
+        ("--polynomial", {"help": "PoincarePolynomial JSON file"}),
+        ("--builtin", {"help": "embedded polynomial name"}),
+        ("--target", {"type": _integer_flag, "default": 1, "help": "ambient homology rank"}),
+    )),
+    "braid-info": (_cmd_braid_info, "writhe, components, crossing counts", (
+        ("--braid", {"required": True, "help": 'braid word "n: i1 i2 ..."'}),
+    )),
+    "c-value": (_cmd_c_value, "satellite boundary constant", (
+        ("--braid", _BRAID),
+        ("--lk", _LK),
+        ("--order", {"type": _integer_flag, "help": "order of the companion class"}),
+    )),
+    "slice-bennequin": (_cmd_slice_bennequin, "rational slice-Bennequin check", (
+        ("--tb", {"required": True, "help": "rational Thurston-Bennequin as a/b"}),
+        ("--rot", {"required": True, "help": "rational rotation as a/b"}),
+        ("--chi", {"type": _integer_flag, "required": True, "help": "Euler characteristic"}),
+        ("--p", {"type": _integer_flag, "required": True, "help": "covering degree"}),
+    )),
+    "verify-paper": (_cmd_verify_paper, "recompute every embedded worked number", ()),
+}
+
+
+def build_parser(verbs=_VERBS) -> argparse.ArgumentParser:
+    """The parser with a subparser for each of verbs, all by default."""
     parser = _Parser(
         prog="ratslice",
         description="tau invariants and rational slice genus bounds "
         "from combinatorial data",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("tau", help="tau spectrum of a filtered complex")
-    p.add_argument("--complex", required=True, help="FilteredComplex JSON file")
-    p.add_argument("--cycle", help="generator ids forming a cycle (comma separated)")
-    p.set_defaults(handler=_cmd_tau)
-
-    p = sub.add_parser("grid-tau", help="tau of a knot from a grid diagram")
-    p.add_argument("--grid", help="grid file: X row then O row")
-    p.add_argument("--torus", nargs=2, type=_integer_flag, metavar=("P", "Q"))
-    p.add_argument("--hfk", action="store_true", help="include knot Floer ranks")
-    p.set_defaults(handler=_cmd_grid_tau)
-
-    p = sub.add_parser("cable-bound", help="two-sided cable tau estimate")
-    p.add_argument("--p", type=_integer_flag, required=True)
-    p.add_argument("--tau", required=True, help="companion tau as a/b")
-    p.add_argument("--lk", required=True, help="framing linking as a/b")
-    p.set_defaults(handler=_cmd_cable_bound)
-
-    p = sub.add_parser("satellite-bound", help="braided satellite tau estimate")
-    p.add_argument("--braid", required=True, help='pattern braid "n: i1 i2 ..."')
-    p.add_argument("--tau", required=True, help="companion tau as a/b")
-    p.add_argument("--lk", required=True, help="framing linking as a/b")
-    p.set_defaults(handler=_cmd_satellite_bound)
-
-    p = sub.add_parser("genus-bound", help="rational slice genus lower bound")
-    _add_spectrum_arguments(p)
-    p.set_defaults(handler=_cmd_genus_bound)
-
-    p = sub.add_parser(
-        "seifert-framed-bound", help="bound for Seifert-framed slice surfaces"
-    )
-    _add_spectrum_arguments(p)
-    p.add_argument("--p", type=_integer_flag, required=True, help="covering degree")
-    p.set_defaults(handler=_cmd_seifert_framed_bound)
-
-    p = sub.add_parser("deep-slice", help="survivor deduction deep-slice verdict")
-    p.add_argument("--polynomial", help="PoincarePolynomial JSON file")
-    p.add_argument("--builtin", help="embedded polynomial name")
-    p.add_argument("--target", type=_integer_flag, default=1, help="ambient homology rank")
-    p.set_defaults(handler=_cmd_deep_slice)
-
-    p = sub.add_parser("braid-info", help="writhe, components, crossing counts")
-    p.add_argument("--braid", required=True, help='braid word "n: i1 i2 ..."')
-    p.set_defaults(handler=_cmd_braid_info)
-
-    p = sub.add_parser("c-value", help="satellite boundary constant")
-    p.add_argument("--braid", required=True, help='pattern braid "n: i1 i2 ..."')
-    p.add_argument("--lk", required=True, help="framing linking as a/b")
-    p.add_argument("--order", type=_integer_flag, help="order of the companion class")
-    p.set_defaults(handler=_cmd_c_value)
-
-    p = sub.add_parser("slice-bennequin", help="rational slice-Bennequin check")
-    p.add_argument("--tb", required=True, help="rational Thurston-Bennequin as a/b")
-    p.add_argument("--rot", required=True, help="rational rotation as a/b")
-    p.add_argument("--chi", type=_integer_flag, required=True, help="Euler characteristic")
-    p.add_argument("--p", type=_integer_flag, required=True, help="covering degree")
-    p.set_defaults(handler=_cmd_slice_bennequin)
-
-    p = sub.add_parser("verify-paper", help="recompute every embedded worked number")
-    p.set_defaults(handler=_cmd_verify_paper)
-
+    for verb in verbs:
+        handler, help_, arguments = _VERBS[verb]
+        p = sub.add_parser(verb, help=help_)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -398,10 +417,16 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     from . import formats
 
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_normalize_argv(list(argv)))
+    argv = _normalize_argv(list(argv))
+    # A run that names its verb builds that verb's subparser alone.  Any
+    # argument it leaves is refused by the parser of every verb, whose
+    # usage line lists them all, as for no verb or an unknown one.
+    verbs = argv[:1] if argv and argv[0] in _VERBS else _VERBS
+    args, extra = build_parser(verbs).parse_known_args(argv)
+    if extra:
+        args = build_parser().parse_args(argv)
     try:
         code, doc = args.handler(args)
     except (ValueError, OSError) as exc:
@@ -419,5 +444,21 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> int:
+    """main() for a process that ends when it returns.
+
+    The document is flushed, then gc.freeze() moves every object into
+    the permanent generation, so the collections the interpreter makes
+    at exit do not walk the whole start-up heap (about 11k objects, most
+    of them loaded by `site`).  atexit handlers, stream flushes and
+    module teardown still run.  main() itself never freezes: tests call
+    it in process.
+    """
+    code = main()
+    sys.stdout.flush()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

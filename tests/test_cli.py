@@ -1,6 +1,7 @@
 """Command-line surface: verbs, documents, exit codes, determinism."""
 
 import argparse
+import gc
 import importlib
 import json
 import os
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from ratslice.cli import _RATIONAL_FLAGS, build_parser, main
+from ratslice import cli
+from ratslice.cli import _RATIONAL_FLAGS, _VERBS, build_parser, main
 from ratslice.complexes import tau_spectrum
 from ratslice.grid import torus_knot_grid
 from ratslice.paperdata import builtin
@@ -1383,7 +1385,7 @@ def test_cli_import_loads_only_rationals():
     }
 
 
-@pytest.mark.parametrize("argv", [
+_BOUND_RUNS = [
     ["cable-bound", "--p", "2", "--tau", "-2", "--lk", "2"],
     ["satellite-bound", "--braid", "3: 1 2 1 2", "--tau", "1", "--lk", "0"],
     ["braid-info", "--braid", "4: 1 2 3 1 2 3"],
@@ -1392,9 +1394,22 @@ def test_cli_import_loads_only_rationals():
     # The spectrum record lives in sums: these build it without complexes.
     ["genus-bound", "--tau-max", "3/2", "--tau-min", "-1/2"],
     ["seifert-framed-bound", "--tau-max", "3/2", "--tau-min", "-1/2", "--p", "2"],
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", _BOUND_RUNS, ids=lambda argv: argv[0])
 def test_bound_verbs_load_no_grid_or_complex_modules(argv):
     assert _modules_after(*argv) & _HEAVY == set()
+
+
+def test_cli_import_builds_no_parser():
+    # setup_s times a bare import: the verb table is data until main runs.
+    # Any parser built here would call the broken __init__ and fail.
+    probe = "import argparse\nargparse.ArgumentParser.__init__ = None\nimport ratslice.cli\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=fresh_env()
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("hfk", [[], ["--hfk"]], ids=["tau", "hfk"])
@@ -1437,6 +1452,28 @@ def test_deep_slice_loads_no_bound_link_braid_or_grid_module(tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    *_BOUND_RUNS,
+    ["deep-slice", "--builtin", "lift_8_20"],
+    ["genus-bound", "--builtin", "J_example_6.2"],
+    ["grid-tau", "--torus", "2", "3"],
+    ["verify-paper"],
+    ["grid-tau", "--grid", "knot.grid"],
+    ["tau", "--complex", "complex.json"],
+    ["deep-slice", "--polynomial", "poly.json"],
+    ["genus-bound", "--knot", "knot.json"],
+    ["seifert-framed-bound", "--knot", "knot.json", "--p", "2"],
+], ids=" ".join)
+def test_only_the_file_reading_verbs_load_the_readers(tmp_path, argv):
+    # ratslice.readers holds every document reader: a verb that reads no
+    # file compiles none of it.
+    _verb_inputs(tmp_path)
+    loaded = _modules_after(*argv, cwd=tmp_path)
+    reads_a_file = any(flag in argv for flag in ("--grid", "--complex", "--polynomial", "--knot"))
+    assert ("ratslice.readers" in loaded) == reads_a_file
+    assert "ratslice.formats" in loaded
+
+
+@pytest.mark.parametrize("argv", [
     ["tau", "--complex", "complex.json"],
     ["tau", "--complex", "complex.json", "--cycle", "b"],
     ["grid-tau", "--grid", "knot.grid", "--hfk"],
@@ -1476,14 +1513,103 @@ def test_fresh_interpreter_matches_in_process(tmp_path, monkeypatch, capsysbinar
     assert imported & {"dataclasses", "inspect"} == set()
 
 
-def test_console_script_resolves_to_main(monkeypatch):
+def test_console_script_resolves_to_run(monkeypatch, capsys):
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as handle:
         target = tomllib.load(handle)["project"]["scripts"]["ratslice"]
-    assert target == "ratslice.cli:main"
+    assert target == "ratslice.cli:run"
     module, _, attr = target.partition(":")
     entry = getattr(importlib.import_module(module), attr)
-    # The installed command calls main() with no arguments.
+    # run() freezes the heap once the document is out; recorded here, so
+    # this process is never frozen.
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(capsys.readouterr().out))
+    # The installed command calls run() with no arguments.
     monkeypatch.setattr(sys, "argv", ["ratslice", "braid-info", "--braid", "2: 1"])
     assert entry() == 0
+    assert len(frozen) == 1
+    assert json.loads(frozen[0])["command"] == "braid-info"
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["cable-bound", "--p", "2", "--tau", "-2", "--lk", "2"],
+    ["grid-tau", "--grid", "knot.grid"],
+    ["tau", "--complex", "complex.json"],
+    ["deep-slice", "--polynomial", "poly.json"],
+], ids=lambda argv: argv[0])
+def test_main_module_exits_with_the_heap_frozen(tmp_path, monkeypatch, capsysbinary, argv):
+    # `python -m ratslice.cli` runs the module as __main__, as here.  An
+    # atexit probe registered first runs last: by then run() has frozen
+    # the heap, so the exit-time collections skip it, and the document
+    # and exit code are main()'s.
+    _verb_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    out = capsysbinary.readouterr().out
+    probe = (
+        "import atexit, gc, os, runpy\n"
+        "atexit.register(lambda: os.write(2, b'frozen %d' % gc.get_freeze_count()))\n"
+        "runpy.run_module('ratslice.cli', run_name='__main__')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *argv], capture_output=True, env=fresh_env(), cwd=tmp_path
+    )
+    assert (proc.returncode, proc.stdout) == (code, out), proc.stderr.decode()
+    assert proc.stderr.startswith(b"frozen ")
+    assert int(proc.stderr[len(b"frozen "):]) > 0
+
+
+# Usage errors, help and refusals: main builds one verb's subparser when
+# argv names a verb, and must print what the parser of every verb prints.
+_PARSER_RUNS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["frobnicate"],
+    ["cable"],
+    ["--p", "2"],
+    ["-h", "cable-bound"],
+    *[[verb, "-h"] for verb in _VERBS],
+    ["cable-bound", "--p", "2"],
+    ["cable-bound", "--p", "x", "--tau", "0", "--lk", "0"],
+    ["cable-bound", "--p", "2", "--tau", "1", "--lk", "0", "extra"],
+    ["cable-bound", "--p", "2", "--tau", "1", "--lk", "0", "--bogus"],
+    ["cable-bound", "--p", "2", "--ta", "1", "--lk", "-1/2"],
+    ["grid-tau", "--torus", "2"],
+    ["grid-tau", "--torus", "2", "3", "4"],
+    ["genus-bound", "--tau-max", "1", "--tau-min"],
+    ["deep-slice", "--builtin", "lift_8_20", "--target", "x"],
+    ["verify-paper", "extra"],
+    ["braid-info", "--braid", "3: 5"],
+    ["slice-bennequin", "--tb", "5", "--rot", "0", "--chi", "0", "--p", "1"],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _PARSER_RUNS, ids=" ".join)
+def test_one_verb_parser_prints_what_every_verb_parser_prints(capsys, monkeypatch, argv):
+    built = []
+
+    def recorded(verbs=_VERBS):
+        built.append(list(verbs))
+        return build_parser(verbs)
+
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    outcome = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "build_parser", lambda verbs=_VERBS: build_parser())
+    assert outcome == _outcome(capsys, argv)
+    assert outcome[0] in (0, 1, 2) and (outcome[1] or outcome[2])
+    # The first parser is the named verb's alone; the parser of every
+    # verb is built only when no verb is named or arguments remain.
+    assert built[0] == (argv[:1] if argv[:1] and argv[0] in _VERBS else list(_VERBS))
+    assert len(built) == 1 or built[1] == list(_VERBS)

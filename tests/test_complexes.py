@@ -24,8 +24,8 @@ from ratslice.complexes import (
     tau_spectrum,
     validate,
 )
-from ratslice.formats import spectrum_from_json
 from ratslice.rationals import format_rational
+from ratslice.readers import spectrum_from_json
 from ratslice.sums import TauSpectrum
 
 from helpers import (

@@ -12,18 +12,16 @@ from hypothesis import example, given, strategies as st
 
 from ratslice import sums
 from ratslice.complexes import tau_spectrum
-from ratslice.formats import (
-    _WRITE_BATCH,
+from ratslice.formats import _WRITE_BATCH, spectrum_to_json, write_document
+from ratslice.paperdata import builtin
+from ratslice.rationals import format_rational, parse_integer, parse_rational
+from ratslice.readers import (
     complex_from_json,
     framed_from_json,
     grid_from_text,
     poincare_from_json,
     spectrum_from_json,
-    spectrum_to_json,
-    write_document,
 )
-from ratslice.paperdata import builtin
-from ratslice.rationals import format_rational, parse_integer, parse_rational
 
 from helpers import (
     complex_to_json,

@@ -127,7 +127,7 @@ def test_framed_knot_data_validation():
 
     rp1 = builtin("RP1_in_RP3")
     # lk is derived from the slope, so no record can carry a wrong one; a
-    # document's copy is checked by formats.framed_from_json.
+    # document's copy is checked by readers.framed_from_json.
     assert rp1.lk == F(-1, 2)
     assert FramedKnotData(3, -2, rp1.tau_spectrum).lk == F(2, 3)
     with pytest.raises(
