@@ -20,12 +20,9 @@ evaluators agree exactly, which the acceptance suite sweeps.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .record import record
-
-if TYPE_CHECKING:
-    from .sums import TauSpectrum
 
 
 def _check_p(p: int) -> None:
@@ -73,10 +70,8 @@ class BoundReport:
 
 @record
 class GradingTableRow:
-    """One table cell: the bigrading of an exterior generator in a column."""
+    """One table cell table[i][j]: the bigrading of x_i in column C(maxa - j)."""
 
-    generator: str
-    column: str
     a: Fraction
     a_prime: Fraction
 
@@ -106,7 +101,6 @@ def exterior_grading_table(
     for i in range(num_rows):
         table.append([])
     for j in range(num_columns):
-        column = f"C(maxa-{j})" if j else "C(maxa)"
         a = maxa - j
         a_prime = maxa_prime - j * p
         for i in range(num_rows):
@@ -116,7 +110,7 @@ def exterior_grading_table(
                     a_prime -= 1
                 else:
                     a_prime -= p - 1
-            table[i].append(GradingTableRow(f"x{i}", column, a, a_prime))
+            table[i].append(GradingTableRow(a, a_prime))
     return table
 
 
@@ -146,18 +140,19 @@ def bp_tau_interval(
     return Interval(Fraction(center - radius, 2), Fraction(center + radius, 2))
 
 
-def genus_lower_bound_breadth(spectrum: TauSpectrum) -> BoundReport:
-    """(breadth - 1)/2 as a lower bound for the rational slice genus.
+def genus_lower_bound_breadth(tau_max: Fraction, tau_min: Fraction) -> BoundReport:
+    """(breadth - 1)/2 as a lower bound for the rational slice genus, where
+    the breadth is tau_max - tau_min over all nonzero classes.
 
     The same value bounds the rational PL slice genus, since the breadth
     is insensitive to connected sums with local knots.
     """
+    breadth = tau_max - tau_min
     return BoundReport(
         name="rational-slice-genus-from-tau-breadth",
-        bound_value=Fraction(spectrum.breadth - 1, 2),
+        bound_value=Fraction(breadth - 1, 2),
         direction="lower",
-        inputs={"tau_max": spectrum.tau_max, "tau_min": spectrum.tau_min,
-                "breadth": spectrum.breadth},
+        inputs={"tau_max": tau_max, "tau_min": tau_min, "breadth": breadth},
         citation="tau-breadth-vs-rational-slice-genus",
     )
 
@@ -168,13 +163,13 @@ def surface_genus_upper(neg_chi: Fraction, p: int) -> Fraction:
     return Fraction(Fraction(neg_chi) + p, p)
 
 
-def seifert_framed_bound(spectrum: TauSpectrum, p: int) -> BoundReport:
+def seifert_framed_bound(tau_max: Fraction, tau_min: Fraction, p: int) -> BoundReport:
     """Lower bound for -chi of Seifert-framed (c = 0) slice surfaces.
 
     Each tau obeys 2|tau| <= -chi/p + 1, so -chi >= p*(2*max|tau| - 1).
     """
     _check_p(p)
-    max_abs = max(abs(spectrum.tau_max), abs(spectrum.tau_min))
+    max_abs = max(abs(tau_max), abs(tau_min))
     return BoundReport(
         name="neg-euler-bound-seifert-framed",
         bound_value=p * (2 * max_abs - 1),
@@ -220,19 +215,20 @@ def d_invariant_bound(
     return max(Fraction(d[k_action[s]]) - Fraction(d[s]) for s in d)
 
 
-def floer_simple_genus(spectrum: TauSpectrum) -> BoundReport:
+def floer_simple_genus(tau_max: Fraction, tau_min: Fraction) -> BoundReport:
     """Exact rational Seifert = slice genus of a Floer simple knot.
 
     Equals (breadth - 1)/2, an equality rather than a bound.  A negative
     value is reported raw with an anomaly flag: it can only occur for
     knots bounding disks, which the genus convention excludes.
     """
-    value = Fraction(spectrum.breadth - 1, 2)
+    breadth = tau_max - tau_min
+    value = Fraction(breadth - 1, 2)
     return BoundReport(
         name="floer-simple-rational-genus",
         bound_value=value,
         direction="lower",
-        inputs={"breadth": spectrum.breadth},
+        inputs={"breadth": breadth},
         citation="floer-simple-genus-formula",
         is_equality=True,
         anomaly="disk-bounding: formula is negative" if value < 0 else None,

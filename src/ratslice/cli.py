@@ -9,15 +9,16 @@ carries a citation field naming the inequality used.
 
 Each handler imports the ratslice modules it runs at the top of its
 body, so a process compiles and runs only what its verb needs.  The
-bound verbs, `--tau-max/--tau-min` included, load neither the grid nor
-the GF(2) or complex code; `grid-tau` loads the grid and GF(2) code but
-not the complex module; `deep-slice` loads neither the bound evaluators
-nor the link, braid or grid code.  Only a verb that reads a file loads
-the document readers (`ratslice.readers`).  The records are plain
-classes (`ratslice.record`), so no verb pays for the standard dataclass
-module and its imports.  Modules are called as attributes
-(`formats.write_document`), so patches on a module's attributes reach
-the CLI.
+bound verbs load neither the grid nor the GF(2) or complex code, and
+read only the two tau extremes: from `--tau-max/--tau-min` they build
+no spectrum record and load no `ratslice.sums`.  `grid-tau` loads the
+grid and GF(2) code but not the complex module; `deep-slice` loads
+neither the bound evaluators nor the link, braid or grid code.  Only a
+verb that reads a file loads the document readers (`ratslice.readers`).
+The records are plain classes (`ratslice.record`), so no verb pays for
+the standard dataclass module and its imports.  Modules are called as
+attributes (`formats.write_document`), so patches on a module's
+attributes reach the CLI.
 
 The verbs are one table, `_VERBS`, which importing the module does not
 turn into a parser: a run that names its verb builds that verb's
@@ -34,6 +35,7 @@ import gc
 import json
 import os
 import sys
+from fractions import Fraction
 
 from .rationals import format_rational, parse_integer, parse_rational
 
@@ -43,8 +45,11 @@ EXIT_VIOLATED = 2
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_json(path: str) -> dict:
@@ -72,8 +77,9 @@ def _check_positive(flag: str, value: int | None, what: str) -> None:
         raise ValueError(f"{flag}: {what} must be >= 1")
 
 
-def _spectrum_from_args(args) -> sums.TauSpectrum:
-    from . import formats, sums
+def _tau_extremes(args) -> tuple[Fraction, Fraction]:
+    """(tau_max, tau_min) of the one spectrum source that args name."""
+    from . import formats
 
     sources = [
         args.knot is not None,
@@ -88,25 +94,22 @@ def _spectrum_from_args(args) -> sums.TauSpectrum:
     if args.knot is not None:
         from . import readers
 
-        return readers.framed_from_json(_load_json(args.knot)).tau_spectrum
+        spectrum = readers.framed_from_json(_load_json(args.knot)).tau_spectrum
+        return spectrum.tau_max, spectrum.tau_min
     if args.builtin is not None:
         from . import paperdata, ratlink
 
         data = formats.named("--builtin", paperdata.builtin, args.builtin)
         if not isinstance(data, ratlink.FramedKnotData):
             raise ValueError(f"--builtin: {args.builtin!r} is not a framed knot")
-        return data.tau_spectrum
+        return data.tau_spectrum.tau_max, data.tau_spectrum.tau_min
     if args.tau_max is None or args.tau_min is None:
         raise ValueError("--tau-max and --tau-min must be given together")
     hi = formats.named("--tau-max", parse_rational, args.tau_max)
     lo = formats.named("--tau-min", parse_rational, args.tau_min)
-    # Checked here, not by TauSpectrum: the message names both flags.
     if lo > hi:
         raise ValueError(f"--tau-min {args.tau_min} is above --tau-max {args.tau_max}")
-    per_class = {"max": hi} if hi == lo else {"max": hi, "min": lo}
-    return sums.TauSpectrum(
-        per_class=per_class, tau_max=hi, tau_min=lo, enumeration_complete=False
-    )
+    return hi, lo
 
 
 # -- verb handlers: each returns (exit code, document) --------------------
@@ -200,8 +203,7 @@ def _cmd_satellite_bound(args):
 def _cmd_genus_bound(args):
     from . import bounds, formats
 
-    spectrum = _spectrum_from_args(args)
-    report = bounds.genus_lower_bound_breadth(spectrum)
+    report = bounds.genus_lower_bound_breadth(*_tau_extremes(args))
     return EXIT_OK, {
         "report": formats.report_to_json(report),
         "citation": report.citation,
@@ -211,8 +213,9 @@ def _cmd_genus_bound(args):
 def _cmd_seifert_framed_bound(args):
     from . import bounds, formats
 
-    spectrum = _spectrum_from_args(args)
-    report = formats.named("--p", bounds.seifert_framed_bound, spectrum, args.p)
+    report = formats.named(
+        "--p", bounds.seifert_framed_bound, *_tau_extremes(args), args.p
+    )
     return EXIT_OK, {
         "report": formats.report_to_json(report),
         "citation": report.citation,
@@ -399,14 +402,18 @@ def _normalize_argv(argv: list[str]) -> list[str]:
     """Join rational flags with negative values: --lk -1/2 -> --lk=-1/2.
 
     argparse reads "-1/2" as an option string, not a value; the documented
-    space-separated form has to keep working for negative rationals.
+    space-separated form has to keep working for negative rationals.  A
+    token that starts with "--" is the next option, left to argparse,
+    which then refuses the flag as missing its value.
     """
     out = []
     i = 0
     while i < len(argv):
         token = argv[i]
-        if token in _RATIONAL_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{token}={argv[i + 1]}")
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        negative = value.startswith("-") and not value.startswith("--")
+        if token in _RATIONAL_FLAGS and negative:
+            out.append(f"{token}={value}")
             i += 2
         else:
             out.append(token)

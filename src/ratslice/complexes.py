@@ -40,7 +40,6 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .gf2 import _bit_positions, essential_rows, new_engine
-from .record import record
 
 if TYPE_CHECKING:
     from .sums import TauSpectrum
@@ -61,15 +60,6 @@ class Generator(NamedTuple):
     maslov: Fraction
     alexander: Fraction
     spinc: str
-
-
-@record
-class ValidationReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 class TauRowOrder:
@@ -118,9 +108,9 @@ class FilteredComplex:
             g if isinstance(g, Generator) else Generator(*g) for g in generators
         )
         self.index = {g.id: i for i, g in enumerate(self.generators)}
-        report = validate(self)
-        if not report.ok:
-            raise InvalidComplexError("; ".join(report.violations))
+        violations = validate(self)
+        if violations:
+            raise InvalidComplexError("; ".join(violations))
 
     def generator(self, gid: str) -> Generator:
         return self.generators[self.index[gid]]
@@ -158,8 +148,8 @@ class FilteredComplex:
         return engine
 
 
-def validate(complex_: FilteredComplex) -> ValidationReport:
-    """Check all four datatype invariants; list every violation found."""
+def validate(complex_: FilteredComplex) -> tuple[str, ...]:
+    """Check all four datatype invariants; return every violation found."""
     violations: list[str] = []
     seen: set[str] = set()
     for g in complex_.generators:
@@ -205,7 +195,7 @@ def validate(complex_: FilteredComplex) -> ValidationReport:
                 violations.append(
                     f"d o d != 0 starting at {g.id} (hits {offender} oddly)"
                 )
-    return ValidationReport(tuple(violations))
+    return tuple(violations)
 
 
 def homology_basis(complex_: FilteredComplex) -> list[int]:

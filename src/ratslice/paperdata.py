@@ -218,7 +218,7 @@ def paper_checks() -> list[dict]:
         )
 
     rp1 = builtin("RP1_in_RP3")
-    j = builtin("J_example_6.2")
+    j = builtin("J_example_6.2").tau_spectrum
     t25 = builtin("T(2,-5)")
     lift = builtin("lift_8_20")
 
@@ -244,7 +244,7 @@ def paper_checks() -> list[dict]:
         "connected sum shift by -2",
         "tau additivity under local knotting",
         ["-7/4", "-9/4"],
-        [format_rational(j.tau_spectrum.tau_max), format_rational(j.tau_spectrum.tau_min)],
+        [format_rational(j.tau_max), format_rational(j.tau_min)],
     )
     verdict = deep_slice_report(lift, 1)
     check(
@@ -323,14 +323,16 @@ def paper_checks() -> list[dict]:
         "breadth genus bound on the composite",
         "raw breadth bound can be vacuous",
         "-1/4",
-        format_rational(bounds.genus_lower_bound_breadth(j.tau_spectrum).bound_value),
+        format_rational(
+            bounds.genus_lower_bound_breadth(j.tau_max, j.tau_min).bound_value
+        ),
     )
     check(
         "Seifert-framed bound sees 2|tau| = 9/2",
         "doubled tau maximum of the composite",
         "9/2",
         format_rational(
-            bounds.seifert_framed_bound(j.tau_spectrum, 2).inputs["max_abs_two_tau"]
+            bounds.seifert_framed_bound(j.tau_max, j.tau_min, 2).inputs["max_abs_two_tau"]
         ),
     )
     check(

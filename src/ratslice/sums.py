@@ -5,13 +5,15 @@ rank 20: 2^rank - 1 sums of the filtered basis, each valued by its
 summand with the smallest birth row.  BasisSums is that listing as a
 read-only Mapping over the basis alone, which writes its own JSON object
 a table at a time; its basis values stand for every class in the range
-check of TauSpectrum, the record every bound verb and `tau --complex`
-carry.  Both live apart from complexes, so that deep-slice does not
-compile them, and from bounds, so that `tau --complex` does not compile
-the evaluators: without a bytecode cache (PYTHONDONTWRITEBYTECODE, a
-read-only checkout) every process compiles what it imports, and with
-BasisSums inside complexes `deep-slice --builtin lift_8_20` peaked 0.25
-MB higher.
+check of TauSpectrum, the record of `tau --complex`, of spectrum
+documents and of framed knots.  The bound evaluators take only its two
+extremes, so the bound verbs given `--tau-max/--tau-min` build no
+record and do not load this module.  Both live apart from complexes, so
+that deep-slice does not compile them, and from bounds, so that `tau
+--complex` does not compile the evaluators: without a bytecode cache
+(PYTHONDONTWRITEBYTECODE, a read-only checkout) every process compiles
+what it imports, and with BasisSums inside complexes `deep-slice
+--builtin lift_8_20` peaked 0.25 MB higher.
 """
 
 from __future__ import annotations

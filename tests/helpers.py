@@ -468,8 +468,7 @@ def maslov_zero_class(complex_: FilteredComplex) -> int:
 def structural_checks(grid: GridDiagram) -> None:
     """The homology of a knot grid's complexes has its known shape."""
     complex_ = compile_grid(grid)  # construction verifies d^2 = 0 and both drops
-    report = validate(complex_)
-    assert report.ok, report.violations
+    assert validate(complex_) == ()
     n = grid.n
     # The filtered grid complex computes the 3-sphere homology tensored
     # with an (n-1)-fold rank-2 tower: rank binomial(n-1, k) at Maslov -k.
@@ -697,7 +696,7 @@ def naive_survivors(
 # bounds.genus_lower_bound_breadth, which it meets at c* when c* is an
 # integer and exceeds otherwise.
 
-def surface_bound_with_c(spectrum, c: int, p: int) -> Fraction:
+def surface_bound_with_c(tau_max, tau_min, c: int, p: int) -> Fraction:
     """Lower bound for -chi of a degree-p rational slice surface at fixed c.
 
     For surfaces with boundary constant c the doubled tau extremes obey
@@ -705,13 +704,13 @@ def surface_bound_with_c(spectrum, c: int, p: int) -> Fraction:
     -chi gives the bound.
     """
     lhs = max(
-        2 * spectrum.tau_max + Fraction(c, p),
-        -2 * spectrum.tau_min - Fraction(c, p),
+        2 * tau_max + Fraction(c, p),
+        -2 * tau_min - Fraction(c, p),
     )
     return p * lhs - p
 
 
-def optimal_c(spectrum, p: int) -> tuple[Fraction, int, Fraction]:
+def optimal_c(tau_max, tau_min, p: int) -> tuple[Fraction, int, Fraction]:
     """(c*, the best integer c, its bound) for surface_bound_with_c.
 
     The left side max(2*tau_max + c/p, -2*tau_min - c/p) is piecewise
@@ -719,12 +718,12 @@ def optimal_c(spectrum, p: int) -> tuple[Fraction, int, Fraction]:
     the integers is attained at floor or ceil of the crossing point
     c* = -p*(tau_max + tau_min).
     """
-    c_star = -p * (spectrum.tau_max + spectrum.tau_min)
+    c_star = -p * (tau_max + tau_min)
     best = min(
         {math.floor(c_star), math.ceil(c_star)},
-        key=lambda c: (surface_bound_with_c(spectrum, c, p), c),
+        key=lambda c: (surface_bound_with_c(tau_max, tau_min, c, p), c),
     )
-    return c_star, best, surface_bound_with_c(spectrum, best, p)
+    return c_star, best, surface_bound_with_c(tau_max, tau_min, best, p)
 
 
 # -- document writers -------------------------------------------------------

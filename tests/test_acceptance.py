@@ -22,7 +22,6 @@ from ratslice.grid import (
     torus_knot_grid,
 )
 from ratslice.ratlink import SatelliteSpec, c_value, twist_normalize
-from ratslice.sums import TauSpectrum
 
 from helpers import (
     basis_cycles,
@@ -106,9 +105,9 @@ def test_criterion_4_composite_example_reproduction():
         shifted = connected_sum_shift(rp1.tau_spectrum, F(-2))
         assert shifted.tau_max == F(-7, 4)
         assert shifted.tau_min == F(-9, 4)
-        genus = bounds.genus_lower_bound_breadth(shifted)
+        genus = bounds.genus_lower_bound_breadth(shifted.tau_max, shifted.tau_min)
         assert genus.bound_value == F(-1, 4)
-        seifert = bounds.seifert_framed_bound(shifted, 2)
+        seifert = bounds.seifert_framed_bound(shifted.tau_max, shifted.tau_min, 2)
         assert seifert.inputs["max_abs_two_tau"] == F(9, 2)
         assert bounds.surface_genus_upper(F(4), 2) == F(3)
 
@@ -220,18 +219,13 @@ def test_criterion_9_optimal_c_mechanism():
         for _ in range(100):
             hi = F(rng.randint(-10, 10), rng.choice([1, 2, 3, 4]))
             lo = hi - F(rng.randint(0, 10), rng.choice([1, 2, 3, 4]))
-            per = {"max": hi} if hi == lo else {"max": hi, "min": lo}
-            spectrum = TauSpectrum(
-                per_class=per, tau_max=hi, tau_min=lo,
-                enumeration_complete=False,
-            )
-            genus_bound = bounds.genus_lower_bound_breadth(spectrum).bound_value
+            genus_bound = bounds.genus_lower_bound_breadth(hi, lo).bound_value
             for p in range(1, 7):
-                c_star, best, bound = optimal_c(spectrum, p)
+                c_star, best, bound = optimal_c(hi, lo, p)
                 assert c_star == -p * (hi + lo)
                 floor_c = c_star.numerator // c_star.denominator
                 sweep = min(
-                    surface_bound_with_c(spectrum, c, p)
+                    surface_bound_with_c(hi, lo, c, p)
                     for c in range(floor_c - 5, floor_c + 7)
                 )
                 assert bound == sweep

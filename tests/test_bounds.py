@@ -20,23 +20,15 @@ from ratslice.bounds import (
     surface_genus_upper,
 )
 from ratslice.braid import components, torus_braid, writhe
-from ratslice.sums import TauSpectrum
 
 from helpers import optimal_c, surface_bound_with_c
 
 F = Fraction
 
 
-def spectrum(hi, lo) -> TauSpectrum:
-    hi, lo = F(hi), F(lo)
-    per = {"max": hi} if hi == lo else {"max": hi, "min": lo}
-    return TauSpectrum(
-        per_class=per, tau_max=hi, tau_min=lo, enumeration_complete=False,
-    )
-
-
-J_SPECTRUM = spectrum(F(-7, 4), F(-9, 4))
-RP1_SPECTRUM = spectrum(F(1, 4), F(-1, 4))
+# (tau_max, tau_min) of the composite J and of the core circle in RP^3.
+J_EXTREMES = (F(-7, 4), F(-9, 4))
+RP1_EXTREMES = (F(1, 4), F(-1, 4))
 
 
 # -- grading table ---------------------------------------------------------
@@ -163,30 +155,30 @@ def test_crossing_changes_connect_adjacent_cables():
 # -- genus bounds ----------------------------------------------------------------
 
 def test_genus_bound_breadth_values():
-    assert genus_lower_bound_breadth(spectrum(F(1, 2), F(-1, 2))).bound_value == 0
-    assert genus_lower_bound_breadth(spectrum(F(2), F(-1))).bound_value == 1
-    report = genus_lower_bound_breadth(J_SPECTRUM)
+    assert genus_lower_bound_breadth(F(1, 2), F(-1, 2)).bound_value == 0
+    assert genus_lower_bound_breadth(F(2), F(-1)).bound_value == 1
+    report = genus_lower_bound_breadth(*J_EXTREMES)
     assert report.bound_value == F(-1, 4)
     assert report.clamped_value == 0
 
 
 def test_surface_bound_with_c_examples():
-    assert surface_bound_with_c(RP1_SPECTRUM, 0, 2) == -1
+    assert surface_bound_with_c(*RP1_EXTREMES, 0, 2) == -1
     assert surface_genus_upper(F(4), 2) == 3
 
 
 def test_optimal_c_symmetric_spectrum():
-    c_star, best, bound = optimal_c(spectrum(F(3, 2), F(-3, 2)), 4)
+    c_star, best, bound = optimal_c(F(3, 2), F(-3, 2), 4)
     assert c_star == 0
     assert best == 0
     assert bound == 4 * 3 - 4
 
 
 def test_optimal_c_example_spectrum():
-    c_star, best, bound = optimal_c(J_SPECTRUM, 2)
+    c_star, best, bound = optimal_c(*J_EXTREMES, 2)
     assert c_star == 8
     assert best == 8
-    assert bound == 2 * J_SPECTRUM.breadth - 2
+    assert bound == 2 * (J_EXTREMES[0] - J_EXTREMES[1]) - 2
 
 
 def test_optimal_c_sweep_random():
@@ -194,16 +186,15 @@ def test_optimal_c_sweep_random():
     for _ in range(100):
         hi = F(rng.randint(-12, 12), rng.choice([1, 2, 4]))
         lo = hi - F(rng.randint(0, 12), rng.choice([1, 2, 4]))
-        s = spectrum(hi, lo)
         for p in range(1, 7):
-            c_star, best, bound = optimal_c(s, p)
+            c_star, best, bound = optimal_c(hi, lo, p)
             floor_c = c_star.numerator // c_star.denominator
             sweep = min(
-                surface_bound_with_c(s, c, p)
+                surface_bound_with_c(hi, lo, c, p)
                 for c in range(floor_c - 3, floor_c + 5)
             )
             assert bound == sweep
-            breadth_based = 2 * p * genus_lower_bound_breadth(s).bound_value
+            breadth_based = 2 * p * genus_lower_bound_breadth(hi, lo).bound_value
             if c_star.denominator == 1:
                 assert sweep == breadth_based
             else:
@@ -211,11 +202,11 @@ def test_optimal_c_sweep_random():
 
 
 def test_seifert_framed_bound_values():
-    assert seifert_framed_bound(spectrum(0, 0), 3).bound_value == -3
-    report = seifert_framed_bound(J_SPECTRUM, 2)
+    assert seifert_framed_bound(F(0), F(0), 3).bound_value == -3
+    report = seifert_framed_bound(*J_EXTREMES, 2)
     assert report.inputs["max_abs_two_tau"] == F(9, 2)
     assert report.bound_value == 2 * (F(9, 2) - 1)
-    assert seifert_framed_bound(RP1_SPECTRUM, 2).bound_value == -1
+    assert seifert_framed_bound(*RP1_EXTREMES, 2).bound_value == -1
 
 
 def test_satellite_breadth_lower_values():
@@ -255,9 +246,9 @@ def test_d_invariant_bound_values():
 
 
 def test_floer_simple_genus_values():
-    assert floer_simple_genus(spectrum(F(1, 2), F(-1, 2))).bound_value == 0
-    assert floer_simple_genus(spectrum(F(1), F(-1))).bound_value == F(1, 2)
-    anomalous = floer_simple_genus(RP1_SPECTRUM)
+    assert floer_simple_genus(F(1, 2), F(-1, 2)).bound_value == 0
+    assert floer_simple_genus(F(1), F(-1)).bound_value == F(1, 2)
+    anomalous = floer_simple_genus(*RP1_EXTREMES)
     assert anomalous.bound_value == F(-1, 4)
     assert anomalous.anomaly is not None
     assert anomalous.is_equality

@@ -1183,12 +1183,44 @@ def test_rational_flags_are_the_options_read_as_a_b(capsys):
         assert '"-1/3"' in json.dumps(run_json(capsys, *argv)), flag
 
 
+@pytest.mark.parametrize("flag", sorted(_RATIONAL_FLAGS))
+def test_rational_flag_before_another_option_is_missing_its_value(capsys, flag):
+    # A token that starts with "--" is the next option, not a negative
+    # value: main refuses the run exactly as argparse alone does.
+    verb, *rest = NEGATIVE_RATIONAL_RUNS[flag]
+    at = rest.index(flag)
+    argv = [verb, flag, *rest[:at], *rest[at + 2:]]
+    with pytest.raises(SystemExit) as parsed:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as run:
+        main(argv)
+    assert (run.value.code, capsys.readouterr()) == (parsed.value.code, expected)
+    assert parsed.value.code == 1
+    assert expected.err.endswith(f"error: argument {flag}: expected one argument\n")
+
+
 def test_malformed_file_exit_one(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{не json")
     code, _, err = run_cli(capsys, "tau", "--complex", str(path))
     assert code == 1
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tau", "--complex"],
+    ["grid-tau", "--grid"],
+    ["deep-slice", "--polynomial"],
+    ["genus-bound", "--knot"],
+], ids=lambda argv: argv[0])
+def test_non_utf8_file_names_the_file(tmp_path, capsys, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff{}")
+    assert run_cli(capsys, *argv, str(path)) == (1, "", (
+        f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"
+    ))
 
 
 def test_top_level_json_array_names_the_file(tmp_path, capsys):
@@ -1375,7 +1407,10 @@ def test_cli_import_loads_no_executor_or_logging():
 
 # -- start-up: a verb loads only the modules it runs ----------------------
 
-_HEAVY = {f"ratslice.{name}" for name in ("grid", "parallel", "paperdata", "complexes", "gf2")}
+_HEAVY = {
+    f"ratslice.{name}"
+    for name in ("grid", "parallel", "paperdata", "complexes", "gf2", "sums")
+}
 
 
 def test_cli_import_loads_only_rationals():
@@ -1391,7 +1426,7 @@ _BOUND_RUNS = [
     ["braid-info", "--braid", "4: 1 2 3 1 2 3"],
     ["c-value", "--braid", "4: 1 2 3 1 2 3", "--lk", "-2/4", "--order", "2"],
     ["slice-bennequin", "--tb", "-1", "--rot", "0", "--chi", "-2", "--p", "1"],
-    # The spectrum record lives in sums: these build it without complexes.
+    # These read the two tau extremes from their flags: no spectrum record.
     ["genus-bound", "--tau-max", "3/2", "--tau-min", "-1/2"],
     ["seifert-framed-bound", "--tau-max", "3/2", "--tau-min", "-1/2", "--p", "2"],
 ]
