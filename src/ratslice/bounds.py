@@ -46,11 +46,12 @@ class Interval:
 
 @record
 class BoundReport:
-    """A named inequality evaluated on explicit inputs."""
+    """A named inequality evaluated on explicit inputs; every one bounds from below."""
+
+    direction = "lower"
 
     name: str
     bound_value: Fraction
-    direction: str  # "lower" | "upper"
     inputs: dict
     citation: str
     satisfied: Optional[bool] = None
@@ -60,20 +61,10 @@ class BoundReport:
     def __post_init__(self):
         if not self.citation:
             raise ValueError("citation must be nonempty")
-        if self.direction not in ("lower", "upper"):
-            raise ValueError(f"direction must be lower|upper, got {self.direction!r}")
 
     @property
     def clamped_value(self) -> Fraction:
         return max(self.bound_value, Fraction(0))
-
-
-@record
-class GradingTableRow:
-    """One table cell table[i][j]: the bigrading of x_i in column C(maxa - j)."""
-
-    a: Fraction
-    a_prime: Fraction
 
 
 def exterior_grading_table(
@@ -82,8 +73,9 @@ def exterior_grading_table(
     lk_n: Fraction,
     maxa: Fraction,
     num_columns: int,
-) -> list[list[GradingTableRow]]:
-    """Bigradings of the exterior cable generators, rows x_0..x_{2n(p-1)}.
+) -> list[list[tuple[Fraction, Fraction]]]:
+    """Bigradings of the exterior cable generators, rows x_0..x_{2n(p-1)}:
+    table[i][j] is the pair (a, a_prime) of x_i in column C(maxa - j).
 
     Column C(maxa - j) starts from the outermost generator at
     (maxa - j, maxa' - j*p) with maxa' = p*maxa + p(p-1)*lk_n/2; going
@@ -97,9 +89,7 @@ def exterior_grading_table(
     maxa = Fraction(maxa)
     maxa_prime = p * maxa + Fraction(p * (p - 1), 2) * lk_n
     num_rows = 2 * n * (p - 1) + 1
-    table: list[list[GradingTableRow]] = []
-    for i in range(num_rows):
-        table.append([])
+    table: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(num_rows)]
     for j in range(num_columns):
         a = maxa - j
         a_prime = maxa_prime - j * p
@@ -110,7 +100,7 @@ def exterior_grading_table(
                     a_prime -= 1
                 else:
                     a_prime -= p - 1
-            table[i].append(GradingTableRow(a, a_prime))
+            table[i].append((a, a_prime))
     return table
 
 
@@ -151,7 +141,6 @@ def genus_lower_bound_breadth(tau_max: Fraction, tau_min: Fraction) -> BoundRepo
     return BoundReport(
         name="rational-slice-genus-from-tau-breadth",
         bound_value=Fraction(breadth - 1, 2),
-        direction="lower",
         inputs={"tau_max": tau_max, "tau_min": tau_min, "breadth": breadth},
         citation="tau-breadth-vs-rational-slice-genus",
     )
@@ -173,7 +162,6 @@ def seifert_framed_bound(tau_max: Fraction, tau_min: Fraction, p: int) -> BoundR
     return BoundReport(
         name="neg-euler-bound-seifert-framed",
         bound_value=p * (2 * max_abs - 1),
-        direction="lower",
         inputs={"p": p, "max_abs_tau": max_abs, "max_abs_two_tau": 2 * max_abs},
         citation="seifert-framed-surface-bound",
     )
@@ -199,7 +187,6 @@ def slice_bennequin_check(
     return BoundReport(
         name="rational-slice-bennequin",
         bound_value=slack,
-        direction="lower",
         inputs={"tb_q": tb_q, "rot_q": rot_q, "chi": chi, "p": p},
         citation="rational-slice-bennequin-inequality",
         satisfied=slack >= 0,
@@ -227,7 +214,6 @@ def floer_simple_genus(tau_max: Fraction, tau_min: Fraction) -> BoundReport:
     return BoundReport(
         name="floer-simple-rational-genus",
         bound_value=value,
-        direction="lower",
         inputs={"breadth": breadth},
         citation="floer-simple-genus-formula",
         is_equality=True,

@@ -268,12 +268,11 @@ def _cmd_c_value(args):
 
     word = formats.named("--braid", braid.parse_braid, args.braid)
     lk = formats.named("--lk", parse_rational, args.lk)
-    spec = ratlink.SatelliteSpec(pattern=word, framing_lk=lk)
     _check_positive("--order", args.order, "order")
-    value = ratlink.c_value(spec, order=args.order)
+    value = ratlink.c_value(word, lk, order=args.order)
     return EXIT_OK, {
         "braid": braid.format_braid(word),
-        "framing_lk": format_rational(spec.framing_lk),
+        "framing_lk": format_rational(lk),
         "order": args.order,
         "c": value,
         "citation": "satellite-boundary-constant",

@@ -9,8 +9,8 @@ Four inputs ship with the package:
                      model complex rather than stored.
 * T(2,-5)         -- the negative (2,5) torus knot in the 3-sphere,
                      tau = -2 (recomputable from its grid from scratch).
-* J_example_6.2   -- the connected sum of the two above, order 2, with
-                     every tau shifted by -2.
+* J_example_6.2   -- the connected sum of the two above: RP1_in_RP3's
+                     data, every tau shifted by -2, not Floer simple.
 * lift_8_20       -- the knot Floer polynomial of the lift of 8_20 to the
                      double branched cover, in the conjugate pair of
                      non-spin structures: q^(7/9) * (q^-1 t^-1 + 1 + q t).
@@ -74,8 +74,9 @@ class DeepSliceVerdict:
     would force every tau invariant to vanish.
     """
 
+    citation = "deep-slice-obstruction-from-survivor-tau"
+
     possible_tau: frozenset[Fraction]
-    citation: str
 
     @property
     def deep_slice(self) -> bool:
@@ -130,15 +131,15 @@ def builtin(name: str) -> FramedKnotData | PoincarePolynomial:
             order=1, slope=0, tau_spectrum=spectrum, floer_simple=False,
         )
     if name == "J_example_6.2":
+        # A local knot leaves the ambient space, the order and the framing.
         rp1 = builtin("RP1_in_RP3")
         assert isinstance(rp1, FramedKnotData)
-        shifted = connected_sum_shift(rp1.tau_spectrum, Fraction(-2))
         return FramedKnotData(
-            order=2,
-            slope=1,
-            tau_spectrum=shifted,
-            d_invariants={"0": Fraction(1, 4), "1": Fraction(-1, 4)},
-            linking_form=(Fraction(0), Fraction(1, 2)),
+            order=rp1.order,
+            slope=rp1.slope,
+            tau_spectrum=connected_sum_shift(rp1.tau_spectrum, Fraction(-2)),
+            d_invariants=rp1.d_invariants,
+            linking_form=rp1.linking_form,
             floer_simple=False,
         )
     raise ValueError(
@@ -159,10 +160,7 @@ def deep_slice_report(
     if lspace_total_rank < 1:
         raise ValueError("ambient homology rank must be >= 1")
     ranks = [(a, m, r) for m, a, r in polynomial.terms]
-    return DeepSliceVerdict(
-        possible_tau=survivable_gradings(ranks, lspace_total_rank),
-        citation="deep-slice-obstruction-from-survivor-tau",
-    )
+    return DeepSliceVerdict(survivable_gradings(ranks, lspace_total_rank))
 
 
 def dual_knot_breadth(g: int) -> Fraction:
@@ -286,23 +284,18 @@ def paper_checks() -> list[dict]:
         6,
         braid.writhe(braid.torus_braid(4, 2)),
     )
-    seifert = ratlink.SatelliteSpec(
-        pattern=braid.torus_braid(2, 1), framing_lk=Fraction(-1, 2)
-    )
     check(
         "Seifert-framed boundary constant",
         "rational-longitude surfaces have c = 0",
         0,
-        ratlink.c_value(seifert, order=2),
+        ratlink.c_value(braid.torus_braid(2, 1), Fraction(-1, 2), order=2),
     )
-    sample = ratlink.SatelliteSpec(
-        pattern=braid.BraidWord(4, (1, -2, 3, 3)), framing_lk=Fraction(-3, 4)
-    )
+    sample = (braid.BraidWord(4, (1, -2, 3, 3)), Fraction(-3, 4))
     check(
         "c invariance under twist normalization",
         "boundary constant independent of the description",
-        [ratlink.c_value(sample)] * 7,
-        [ratlink.c_value(ratlink.twist_normalize(sample, m)) for m in range(-3, 4)],
+        [ratlink.c_value(*sample)] * 7,
+        [ratlink.c_value(*ratlink.twist_normalize(*sample, m)) for m in range(-3, 4)],
     )
     table = bounds.exterior_grading_table(
         p=3, n=2, lk_n=Fraction(1, 3), maxa=Fraction(2), num_columns=1
@@ -311,13 +304,13 @@ def paper_checks() -> list[dict]:
         "grading table entry (x3, C(maxa))",
         "exterior generator bigradings, row x3",
         ["0/1", "3/1"],
-        [format_rational(table[3][0].a), format_rational(table[3][0].a_prime)],
+        [format_rational(v) for v in table[3][0]],
     )
     check(
         "grading table entry (x4, C(maxa))",
         "exterior generator bigradings, row x4",
         ["0/1", "1/1"],
-        [format_rational(table[4][0].a), format_rational(table[4][0].a_prime)],
+        [format_rational(v) for v in table[4][0]],
     )
     check(
         "breadth genus bound on the composite",
@@ -345,11 +338,6 @@ def paper_checks() -> list[dict]:
         "d-invariant difference bound on the projective space",
         "d-invariants are +-1/4",
         "1/2",
-        format_rational(
-            bounds.d_invariant_bound(
-                {"0": Fraction(1, 4), "1": Fraction(-1, 4)},
-                {"0": "1", "1": "0"},
-            )
-        ),
+        format_rational(bounds.d_invariant_bound(rp1.d_invariants, {"0": "1", "1": "0"})),
     )
     return checks

@@ -10,7 +10,9 @@ lambda + n*mu shifts it by n.  The integer
 
 attached to a braided satellite of index p is independent of the
 framing/pattern description: trading a positive framing twist for a
-negative full twist in the pattern leaves it unchanged.
+negative full twist in the pattern leaves it unchanged.  A satellite is
+passed as its two values, the pattern braid and the framing's linking
+number.
 """
 
 from __future__ import annotations
@@ -58,17 +60,6 @@ class FramedKnotData:
         return lk_from_slope(self.order, self.slope)
 
 
-@record
-class SatelliteSpec:
-    """A braided pattern together with the framing it is braided in."""
-
-    pattern: BraidWord
-    framing_lk: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "framing_lk", Fraction(self.framing_lk))
-
-
 def lk_from_slope(q: int, r: int) -> Fraction:
     """Linking of the knot with the framing, -r/q, from the surface slope."""
     if q < 1:
@@ -81,15 +72,16 @@ def lk_shift(lk: Fraction, n: int) -> Fraction:
     return Fraction(lk) + n
 
 
-def c_value(spec: SatelliteSpec, order: Optional[int] = None) -> int:
-    """The boundary constant (p-1) * p * lk + writhe; always an integer.
+def c_value(pattern: BraidWord, framing_lk: Fraction, order: Optional[int] = None) -> int:
+    """The boundary constant (p-1) * p * lk + writhe of a pattern braided
+    in the framing of linking framing_lk; always an integer.
 
     The pattern index must be a multiple of the knot's order so the
     satellite is null-homologous; computationally this is the requirement
     that p * lk is an integer, checked directly (and against the order
     when one is supplied).
     """
-    p = spec.pattern.index
+    p = pattern.index
     if order is not None:
         if order < 1:
             raise ValueError("order must be >= 1")
@@ -98,35 +90,36 @@ def c_value(spec: SatelliteSpec, order: Optional[int] = None) -> int:
                 f"pattern index {p} is not a multiple of the order {order}: the "
                 f"braid index must be a multiple of the order of the homology class"
             )
-    scaled = p * spec.framing_lk
+    scaled = p * framing_lk
     if p > 1 and scaled.denominator != 1:
         # For p = 1 the (p-1) factor kills the framing term, so any
         # framing is admissible there.
         raise ValueError(
-            f"index {p} times framing {spec.framing_lk} is not an integer: the "
+            f"index {p} times framing {framing_lk} is not an integer: the "
             f"braid index must be a multiple of the order of the homology class"
         )
-    value = (p - 1) * scaled + writhe(spec.pattern)
+    value = (p - 1) * scaled + writhe(pattern)
     assert value.denominator == 1
     return int(value)
 
 
-def twist_normalize(spec: SatelliteSpec, m: int) -> SatelliteSpec:
+def twist_normalize(
+    pattern: BraidWord, framing_lk: Fraction, m: int
+) -> tuple[BraidWord, Fraction]:
     """Trade m framing twists against m opposite full twists in the pattern.
 
     Raising the framing by m and composing the pattern with m negative
     full twists (or the reverse for m < 0) describes the same satellite
-    link; c_value is invariant under this move.
+    link, returned as (pattern, framing_lk); c_value is invariant under
+    this move.
     """
-    p = spec.pattern.index
-    twist = full_twist(p)
+    twist = full_twist(pattern.index)
     if m >= 0:
         extra = twist.inverse()
         count = m
     else:
         extra = twist
         count = -m
-    pattern = spec.pattern
     for _ in range(count):
         pattern = pattern * extra
-    return SatelliteSpec(pattern=pattern, framing_lk=spec.framing_lk + m)
+    return pattern, lk_shift(framing_lk, m)

@@ -4,8 +4,8 @@ complexes.tau_spectrum lists tau of every nonzero homology class up to
 rank 20: 2^rank - 1 sums of the filtered basis, each valued by its
 summand with the smallest birth row.  BasisSums is that listing as a
 read-only Mapping over the basis alone, which writes its own JSON object
-a table at a time; its basis values stand for every class in the range
-check of TauSpectrum, the record of `tau --complex`, of spectrum
+a table at a time; its basis values stand for every class in the checks
+of TauSpectrum, the record of `tau --complex`, of spectrum
 documents and of framed knots.  The bound evaluators take only its two
 extremes, so the bound verbs given `--tau-max/--tau-min` build no
 record and do not load this module.  Both live apart from complexes, so
@@ -23,6 +23,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterator, Sequence
 
+from .rationals import format_rational
 from .record import record
 
 # Basis indices whose sums BasisSums tables instead of walking.  The
@@ -158,7 +159,8 @@ class TauSpectrum:
     """tau values per homology class, with the extremes and their spread.
 
     tau_max, tau_min and breadth range over all nonzero classes.  When
-    enumeration_complete is false, per_class lists a homology basis only.
+    enumeration_complete is false, per_class lists a homology basis only;
+    when true, tau_max and tau_min are its largest and smallest values.
     per_class is a dict, or, from complexes.tau_spectrum, a BasisSums,
     which lists every sum of the basis without holding the listing and
     whose basis values stand for every class.
@@ -180,11 +182,17 @@ class TauSpectrum:
         # range.
         per_class = self.per_class
         values = per_class._values if isinstance(per_class, BasisSums) else per_class.values()
-        if all(self.tau_min <= v <= self.tau_max for v in values):
-            return
-        for cid, value in per_class.items():
-            if not self.tau_min <= value <= self.tau_max:
-                raise ValueError(f"per_class[{cid!r}]: tau outside [tau_min, tau_max]")
+        if not all(self.tau_min <= v <= self.tau_max for v in values):
+            for cid, value in per_class.items():
+                if not self.tau_min <= value <= self.tau_max:
+                    raise ValueError(f"per_class[{cid!r}]: tau outside [tau_min, tau_max]")
+        if self.enumeration_complete:
+            for field, attained in ("tau_max", max(values)), ("tau_min", min(values)):
+                if getattr(self, field) != attained:
+                    raise ValueError(
+                        f"{field}: expected {format_rational(attained)}: "
+                        f"a complete listing attains both extremes"
+                    )
 
     @property
     def breadth(self) -> Fraction:

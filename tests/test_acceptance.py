@@ -21,7 +21,7 @@ from ratslice.grid import (
     tau as grid_tau,
     torus_knot_grid,
 )
-from ratslice.ratlink import SatelliteSpec, c_value, twist_normalize
+from ratslice.ratlink import c_value, twist_normalize
 
 from helpers import (
     basis_cycles,
@@ -126,10 +126,7 @@ def test_criterion_6_c_ledger_properties():
                 for s in range(1, 7):
                     if gcd(r, s) != 1:
                         continue
-                    spec = SatelliteSpec(
-                        pattern=torus_braid(m * r, m * s), framing_lk=F(-s, r)
-                    )
-                    assert c_value(spec) == 0
+                    assert c_value(torus_braid(m * r, m * s), F(-s, r)) == 0
         rng = random.Random(66)
         for _ in range(500):
             p = rng.randint(1, 5)
@@ -138,12 +135,9 @@ def test_criterion_6_c_ledger_properties():
                 for _ in range(rng.randint(0, 10))
             ) if p > 1 else ()
             den = rng.choice([d for d in (1, 2, 3, 4, 5) if p % d == 0])
-            spec = SatelliteSpec(
-                pattern=BraidWord(p, letters),
-                framing_lk=F(rng.randint(-12, 12), den),
-            )
+            spec = (BraidWord(p, letters), F(rng.randint(-12, 12), den))
             m = rng.randint(-3, 3)
-            assert c_value(twist_normalize(spec, m)) == c_value(spec)
+            assert c_value(*twist_normalize(*spec, m)) == c_value(*spec)
 
 
 def test_criterion_7_torus_braid_consistency_identity():
@@ -194,23 +188,19 @@ def test_criterion_8_grading_table():
                 (4, 2): (maxa - 4, mp - 4 * p),
             }
             for (i, j), (a, ap) in displayed.items():
-                cell = table[i][j]
-                assert (cell.a, cell.a_prime) == (a, ap), (p, i, j)
+                assert table[i][j] == (a, ap), (p, i, j)
         # Difference relations, exhaustive over p <= 6, n <= 6.
         for p in range(1, 7):
             for n in range(1, 7):
                 table = bounds.exterior_grading_table(p, n, F(1, p), F(2), 3)
                 for j in range(3):
                     for i in range(1, len(table)):
-                        da = table[i - 1][j].a - table[i][j].a
-                        dap = table[i - 1][j].a_prime - table[i][j].a_prime
-                        assert (da, dap) == ((1, 1) if i % 2 else (0, p - 1))
+                        (a, ap), (a2, ap2) = table[i - 1][j], table[i][j]
+                        assert (a - a2, ap - ap2) == ((1, 1) if i % 2 else (0, p - 1))
                 for j in range(1, 3):
                     for i in range(len(table)):
-                        assert table[i][j - 1].a - table[i][j].a == 1
-                        assert (
-                            table[i][j - 1].a_prime - table[i][j].a_prime == p
-                        )
+                        (a, ap), (a2, ap2) = table[i][j - 1], table[i][j]
+                        assert (a - a2, ap - ap2) == (1, p)
 
 
 def test_criterion_9_optimal_c_mechanism():

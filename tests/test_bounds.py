@@ -40,8 +40,8 @@ def maxa_prime(p, maxa, lk):
 def test_grading_table_p1_single_row():
     table = exterior_grading_table(1, 3, F(2), F(5, 2), 4)
     assert len(table) == 1
-    for cell in table[0]:
-        assert cell.a == cell.a_prime
+    for a, a_prime in table[0]:
+        assert a == a_prime
 
 
 def test_grading_table_displayed_entries():
@@ -70,7 +70,7 @@ def test_grading_table_displayed_entries():
         (4, 2): (maxa - 4, mp - 4 * p),
     }
     for (i, j), (a, ap) in expected.items():
-        assert (table[i][j].a, table[i][j].a_prime) == (a, ap), (i, j)
+        assert table[i][j] == (a, ap), (i, j)
 
 
 def test_grading_table_difference_relations_exhaustive():
@@ -81,17 +81,15 @@ def test_grading_table_difference_relations_exhaustive():
             assert len(table) == 2 * n * (p - 1) + 1
             for j in range(4):
                 for i in range(1, len(table)):
-                    above, here = table[i - 1][j], table[i][j]
+                    (a, ap), (a2, ap2) = table[i - 1][j], table[i][j]
                     if i % 2:
-                        assert above.a - here.a == 1
-                        assert above.a_prime - here.a_prime == 1
+                        assert (a - a2, ap - ap2) == (1, 1)
                     else:
-                        assert above.a - here.a == 0
-                        assert above.a_prime - here.a_prime == p - 1
+                        assert (a - a2, ap - ap2) == (0, p - 1)
             for j in range(1, 4):
                 for i in range(len(table)):
-                    assert table[i][j - 1].a - table[i][j].a == 1
-                    assert table[i][j - 1].a_prime - table[i][j].a_prime == p
+                    (a, ap), (a2, ap2) = table[i][j - 1], table[i][j]
+                    assert (a - a2, ap - ap2) == (1, p)
 
 
 # -- intervals ----------------------------------------------------------------

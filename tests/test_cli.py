@@ -194,6 +194,340 @@ def test_grid_tau_hfk_documents_unchanged(capsys, p, q, document):
     assert out == document
 
 
+C_VALUE_DOCUMENT = """{
+  "braid": "4: 1 2 3 1 2 3",
+  "c": 0,
+  "citation": "satellite-boundary-constant",
+  "command": "c-value",
+  "framing_lk": "-1/2",
+  "order": 2
+}
+"""
+
+GENUS_BOUND_DOCUMENT = """{
+  "citation": "tau-breadth-vs-rational-slice-genus",
+  "command": "genus-bound",
+  "report": {
+    "anomaly": null,
+    "bound_value": "-1/4",
+    "citation": "tau-breadth-vs-rational-slice-genus",
+    "clamped_value": "0/1",
+    "direction": "lower",
+    "inputs": {
+      "breadth": "1/2",
+      "tau_max": "-7/4",
+      "tau_min": "-9/4"
+    },
+    "is_equality": false,
+    "name": "rational-slice-genus-from-tau-breadth",
+    "satisfied": null
+  }
+}
+"""
+
+SEIFERT_FRAMED_BOUND_DOCUMENT = """{
+  "citation": "seifert-framed-surface-bound",
+  "command": "seifert-framed-bound",
+  "report": {
+    "anomaly": null,
+    "bound_value": "7/1",
+    "citation": "seifert-framed-surface-bound",
+    "clamped_value": "7/1",
+    "direction": "lower",
+    "inputs": {
+      "max_abs_tau": "9/4",
+      "max_abs_two_tau": "9/2",
+      "p": 2
+    },
+    "is_equality": false,
+    "name": "neg-euler-bound-seifert-framed",
+    "satisfied": null
+  }
+}
+"""
+
+SLICE_BENNEQUIN_DOCUMENT = """{
+  "citation": "rational-slice-bennequin-inequality",
+  "command": "slice-bennequin",
+  "report": {
+    "anomaly": null,
+    "bound_value": "-5/1",
+    "citation": "rational-slice-bennequin-inequality",
+    "clamped_value": "0/1",
+    "direction": "lower",
+    "inputs": {
+      "chi": 0,
+      "p": 1,
+      "rot_q": "0/1",
+      "tb_q": "5/1"
+    },
+    "is_equality": false,
+    "name": "rational-slice-bennequin",
+    "satisfied": false
+  }
+}
+"""
+
+DEEP_SLICE_DOCUMENT = """{
+  "citation": "deep-slice-obstruction-from-survivor-tau",
+  "command": "deep-slice",
+  "spinc": "+1/-1",
+  "target_rank": 1,
+  "verdict": {
+    "citation": "deep-slice-obstruction-from-survivor-tau",
+    "deep_slice": true,
+    "possible_tau": [
+      "-1/1",
+      "1/1"
+    ]
+  }
+}
+"""
+
+VERIFY_PAPER_DOCUMENT = """{
+  "all_ok": true,
+  "checks": [
+    {
+      "actual": "-2/1",
+      "citation": "negative (2,5) torus knot tau",
+      "expected": "-2/1",
+      "name": "grid tau of T(2,-5)",
+      "ok": true
+    },
+    {
+      "actual": "-2/1",
+      "citation": "negative (2,5) torus knot tau",
+      "expected": "-2/1",
+      "name": "embedded tau of T(2,-5)",
+      "ok": true
+    },
+    {
+      "actual": [
+        "1/4",
+        "-1/4"
+      ],
+      "citation": "order-2 core circle tau from d-invariants",
+      "expected": [
+        "1/4",
+        "-1/4"
+      ],
+      "name": "core circle spectrum extremes",
+      "ok": true
+    },
+    {
+      "actual": [
+        "-7/4",
+        "-9/4"
+      ],
+      "citation": "tau additivity under local knotting",
+      "expected": [
+        "-7/4",
+        "-9/4"
+      ],
+      "name": "connected sum shift by -2",
+      "ok": true
+    },
+    {
+      "actual": {
+        "deep_slice": true,
+        "possible_tau": [
+          "-1/1",
+          "1/1"
+        ]
+      },
+      "citation": "deep-slice obstruction in the branched double cover",
+      "expected": {
+        "deep_slice": true,
+        "possible_tau": [
+          "-1/1",
+          "1/1"
+        ]
+      },
+      "name": "lift of 8_20 survivor tau values",
+      "ok": true
+    },
+    {
+      "actual": [
+        [
+          "-2/9",
+          "-1/1",
+          1
+        ],
+        [
+          "7/9",
+          "0/1",
+          1
+        ],
+        [
+          "16/9",
+          "1/1",
+          1
+        ]
+      ],
+      "citation": "three-term polynomial at gradings 7/9 + {-1,0,1}",
+      "expected": [
+        [
+          "-2/9",
+          "-1/1",
+          1
+        ],
+        [
+          "7/9",
+          "0/1",
+          1
+        ],
+        [
+          "16/9",
+          "1/1",
+          1
+        ]
+      ],
+      "name": "lift of 8_20 polynomial terms",
+      "ok": true
+    },
+    {
+      "actual": "2/1",
+      "citation": "surviving gradings differ by at least two",
+      "expected": "2/1",
+      "name": "dual knot breadth at genus 2",
+      "ok": true
+    },
+    {
+      "actual": "-1/2",
+      "citation": "boundary slope determines linking -r/q",
+      "expected": "-1/2",
+      "name": "linking from surface slope (2, 1)",
+      "ok": true
+    },
+    {
+      "actual": "5/2",
+      "citation": "linking shifts by the framing change",
+      "expected": "5/2",
+      "name": "re-framing shift (-1/2) + 3",
+      "ok": true
+    },
+    {
+      "actual": 6,
+      "citation": "standard torus braid writhe",
+      "expected": 6,
+      "name": "torus braid writhe (mr-1)ms at m=2, r=2, s=1",
+      "ok": true
+    },
+    {
+      "actual": 0,
+      "citation": "rational-longitude surfaces have c = 0",
+      "expected": 0,
+      "name": "Seifert-framed boundary constant",
+      "ok": true
+    },
+    {
+      "actual": [
+        -7,
+        -7,
+        -7,
+        -7,
+        -7,
+        -7,
+        -7
+      ],
+      "citation": "boundary constant independent of the description",
+      "expected": [
+        -7,
+        -7,
+        -7,
+        -7,
+        -7,
+        -7,
+        -7
+      ],
+      "name": "c invariance under twist normalization",
+      "ok": true
+    },
+    {
+      "actual": [
+        "0/1",
+        "3/1"
+      ],
+      "citation": "exterior generator bigradings, row x3",
+      "expected": [
+        "0/1",
+        "3/1"
+      ],
+      "name": "grading table entry (x3, C(maxa))",
+      "ok": true
+    },
+    {
+      "actual": [
+        "0/1",
+        "1/1"
+      ],
+      "citation": "exterior generator bigradings, row x4",
+      "expected": [
+        "0/1",
+        "1/1"
+      ],
+      "name": "grading table entry (x4, C(maxa))",
+      "ok": true
+    },
+    {
+      "actual": "-1/4",
+      "citation": "raw breadth bound can be vacuous",
+      "expected": "-1/4",
+      "name": "breadth genus bound on the composite",
+      "ok": true
+    },
+    {
+      "actual": "9/2",
+      "citation": "doubled tau maximum of the composite",
+      "expected": "9/2",
+      "name": "Seifert-framed bound sees 2|tau| = 9/2",
+      "ok": true
+    },
+    {
+      "actual": "3/1",
+      "citation": "degree-2 surface with -chi = 4",
+      "expected": "3/1",
+      "name": "explicit surface gives 2*genus + 1 <= 3",
+      "ok": true
+    },
+    {
+      "actual": "1/2",
+      "citation": "d-invariants are +-1/4",
+      "expected": "1/2",
+      "name": "d-invariant difference bound on the projective space",
+      "ok": true
+    }
+  ],
+  "citation": "embedded-worked-example-suite",
+  "command": "verify-paper"
+}
+"""
+
+# The report documents, the deep-slice verdict and the verify-paper
+# checks as printed while reports still carried a direction field and
+# verdicts a citation field; the documents stay byte-identical.
+GOLDEN_RUNS = [
+    (("c-value", "--braid", "4: 1 2 3 1 2 3", "--lk", "-2/4", "--order", "2"),
+     0, C_VALUE_DOCUMENT),
+    (("genus-bound", "--builtin", "J_example_6.2"), 0, GENUS_BOUND_DOCUMENT),
+    (("seifert-framed-bound", "--builtin", "J_example_6.2", "--p", "2"),
+     0, SEIFERT_FRAMED_BOUND_DOCUMENT),
+    (("slice-bennequin", "--tb", "5", "--rot", "0", "--chi", "0", "--p", "1"),
+     2, SLICE_BENNEQUIN_DOCUMENT),
+    (("deep-slice", "--builtin", "lift_8_20", "--target", "1"), 0, DEEP_SLICE_DOCUMENT),
+    (("verify-paper",), 0, VERIFY_PAPER_DOCUMENT),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,document", GOLDEN_RUNS, ids=[argv[0] for argv, _, _ in GOLDEN_RUNS]
+)
+def test_report_and_paper_documents_unchanged(capsys, argv, code, document):
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, err) == (code, "")
+    assert out == document
+
+
 # A rank-4 complex: classes in Spin^c labels 0 and 1, at Maslov 0 and 1,
 # and x -> a + b a Maslov+1 boundary into the (0, 0) class block, so the
 # class of a is carried by b.  The document was printed before the GF(2)
@@ -371,6 +705,17 @@ def test_tau_complex_holds_no_listing_of_every_class(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_tau_complex_answers_at_every_rank_of_a_complete_listing(tmp_path, monkeypatch):
+    # A complete listing must attain both extremes; tau_spectrum's are its
+    # basis values', so no rank is refused.
+    monkeypatch.setattr(sys, "stdout", _NullSink())
+    path = tmp_path / "complex.json"
+    for rank in range(1, 21):
+        complex_ = disguised_complex(random.Random(rank), rank + 2 * 3, 3, ["0", "1"])
+        path.write_text(json.dumps(complex_to_json(complex_)))
+        assert main(["tau", "--complex", str(path)]) == 0, rank
 
 
 def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
@@ -637,6 +982,19 @@ def test_knot_document_derived_values_must_agree(tmp_path, capsys):
             "--complex",
             {"generators": [_GEN_A], "differential": {"a": ["z"]}},
             "differential target 'z' is not a generator",
+        ),
+        (
+            "genus-bound",
+            "--knot",
+            _framed_spectrum(per_class={"b0": "0/1"}, tau_max="5/1", tau_min="-5/1",
+                             breadth="10/1"),
+            "tau_spectrum.tau_max: expected 0/1: a complete listing attains both extremes",
+        ),
+        (
+            "genus-bound",
+            "--knot",
+            _framed_spectrum(tau_min="-5/2", breadth="3/4"),
+            "tau_spectrum.tau_min: expected -9/4: a complete listing attains both extremes",
         ),
     ],
 )

@@ -442,7 +442,7 @@ def test_spectrum_refuses_breadth_not_spread(tau_max, tau_min, breadth):
     # The record derives its breadth, so only a document can disagree with
     # tau_max - tau_min; extremes out of order are refused by the record.
     doc = {
-        "per_class": {"b0": "0/1"},
+        "per_class": {"b0": "0/1", "b1": "1/1"},
         "tau_max": format_rational(tau_max),
         "tau_min": format_rational(tau_min),
         "breadth": format_rational(breadth),
@@ -458,6 +458,33 @@ def test_spectrum_refuses_breadth_not_spread(tau_max, tau_min, breadth):
         )
     with pytest.raises(ValueError, match=match):
         spectrum_from_json(doc)
+
+
+# Every class has tau 0, yet genus-bound read a bound of 9/2 from this
+# document and seifert-framed-bound --p 1 read 9/1.
+UNATTAINED_EXTREMES = {
+    "per_class": {"b0": "0/1"},
+    "tau_max": "5/1",
+    "tau_min": "-5/1",
+    "breadth": "10/1",
+    "enumeration_complete": True,
+}
+
+
+def test_complete_spectrum_attains_its_extremes():
+    message = r": expected 0/1: a complete listing attains both extremes$"
+    with pytest.raises(ValueError, match=r"^tau_spectrum\.tau_max" + message):
+        spectrum_from_json(UNATTAINED_EXTREMES)
+    with pytest.raises(ValueError, match=r"^tau_spectrum\.tau_min" + message):
+        spectrum_from_json(dict(UNATTAINED_EXTREMES, tau_max="0/1", breadth="5/1"))
+    # A basis need not attain them: its extremes range over every sum.
+    basis = spectrum_from_json(dict(UNATTAINED_EXTREMES, enumeration_complete=False))
+    assert (basis.tau_max, basis.tau_min) == (5, -5)
+    # A BasisSums is checked through its basis values.
+    listing = sums.BasisSums([0, 1], [F(1), F(0)])
+    assert TauSpectrum(listing, F(1), F(0), enumeration_complete=True).breadth == 1
+    with pytest.raises(ValueError, match="^tau_min" + message):
+        TauSpectrum(listing, F(1), F(-1), enumeration_complete=True)
 
 
 def test_spectrum_extremes_exact_above_enumeration_cap(monkeypatch):

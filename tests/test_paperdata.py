@@ -133,10 +133,10 @@ def test_builtin_derived_values():
 
 def test_verdict_consistency_enforced():
     # The flag is derived from possible_tau, so it cannot contradict it.
-    assert not DeepSliceVerdict(frozenset({F(0)}), "x").deep_slice
-    assert not DeepSliceVerdict(frozenset({F(-1), F(0)}), "x").deep_slice
-    assert DeepSliceVerdict(frozenset({F(-1), F(1)}), "x").deep_slice
-    assert DeepSliceVerdict(frozenset(), "x").deep_slice
+    assert not DeepSliceVerdict(frozenset({F(0)})).deep_slice
+    assert not DeepSliceVerdict(frozenset({F(-1), F(0)})).deep_slice
+    assert DeepSliceVerdict(frozenset({F(-1), F(1)})).deep_slice
+    assert DeepSliceVerdict(frozenset()).deep_slice
 
 
 def test_dual_knot_breadth_values():

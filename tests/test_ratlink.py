@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from ratslice.braid import BraidWord, torus_braid, writhe
 from ratslice.ratlink import (
     FramedKnotData,
-    SatelliteSpec,
     c_value,
     lk_from_slope,
     lk_shift,
@@ -49,17 +48,16 @@ def test_self_link_invariant_under_shift(lk, n):
     assert 0 <= lk % 1 < 1
 
 
-def seifert_framed_spec(m: int, r: int, s: int) -> SatelliteSpec:
-    return SatelliteSpec(
-        pattern=torus_braid(m * r, m * s), framing_lk=F(-s, r)
-    )
+def seifert_framed_spec(m: int, r: int, s: int) -> tuple[BraidWord, F]:
+    """(pattern, framing_lk) of the Seifert-framed (mr, ms) torus pattern."""
+    return torus_braid(m * r, m * s), F(-s, r)
 
 
 def test_c_value_seifert_framed_example():
-    spec = seifert_framed_spec(1, 2, 1)
-    assert spec.pattern.index == 2
-    assert writhe(spec.pattern) == 1
-    assert c_value(spec, order=2) == 0
+    pattern, lk = seifert_framed_spec(1, 2, 1)
+    assert pattern.index == 2
+    assert writhe(pattern) == 1
+    assert c_value(pattern, lk, order=2) == 0
 
 
 def test_c_value_seifert_framed_sweep():
@@ -68,24 +66,22 @@ def test_c_value_seifert_framed_sweep():
             for s in range(1, 7):
                 if gcd(r, s) != 1:
                     continue
-                assert c_value(seifert_framed_spec(m, r, s)) == 0
+                assert c_value(*seifert_framed_spec(m, r, s)) == 0
 
 
 def test_c_value_index_one_is_writhe():
-    spec = SatelliteSpec(pattern=BraidWord(1), framing_lk=F(3, 7))
-    assert c_value(spec) == 0
+    assert c_value(BraidWord(1), F(3, 7)) == 0
     # index 1 admits any framing since the (p-1) factor vanishes
 
 
 def test_c_value_rejects_incompatible_framing():
-    spec = SatelliteSpec(pattern=torus_braid(2, 1), framing_lk=F(1, 3))
     with pytest.raises(ValueError, match="multiple of the order"):
-        c_value(spec)
+        c_value(torus_braid(2, 1), F(1, 3))
     with pytest.raises(ValueError, match="multiple of the order"):
-        c_value(SatelliteSpec(torus_braid(2, 1), F(-1, 2)), order=4)
+        c_value(torus_braid(2, 1), F(-1, 2), order=4)
 
 
-def random_integral_spec(rng: random.Random) -> SatelliteSpec:
+def random_integral_spec(rng: random.Random) -> tuple[BraidWord, F]:
     p = rng.randint(1, 5)
     word = tuple(
         rng.choice([x for x in range(-(p - 1), p) if x])
@@ -94,32 +90,32 @@ def random_integral_spec(rng: random.Random) -> SatelliteSpec:
     # framing with denominator dividing p keeps p * lk integral
     den = rng.choice([d for d in (1, 2, 3, 4, 5) if p % d == 0])
     lk = F(rng.randint(-10, 10), den)
-    return SatelliteSpec(pattern=BraidWord(p, word), framing_lk=lk)
+    return BraidWord(p, word), lk
 
 
 def test_c_value_invariant_under_twist_normalize():
     rng = random.Random(140)
     for _ in range(200):
         spec = random_integral_spec(rng)
-        base = c_value(spec)
+        base = c_value(*spec)
         for m in range(-3, 4):
-            assert c_value(twist_normalize(spec, m)) == base
+            assert c_value(*twist_normalize(*spec, m)) == base
 
 
 def test_twist_normalize_roundtrip():
-    spec = SatelliteSpec(pattern=torus_braid(3, 2), framing_lk=F(-2, 3))
-    assert twist_normalize(spec, 0) == spec
-    back = twist_normalize(twist_normalize(spec, 2), -2)
-    assert back.framing_lk == spec.framing_lk
-    assert writhe(back.pattern) == writhe(spec.pattern)
-    assert back.pattern.permutation() == spec.pattern.permutation()
+    spec = (torus_braid(3, 2), F(-2, 3))
+    assert twist_normalize(*spec, 0) == spec
+    pattern, lk = twist_normalize(*twist_normalize(*spec, 2), -2)
+    assert lk == spec[1]
+    assert writhe(pattern) == writhe(spec[0])
+    assert pattern.permutation() == spec[0].permutation()
 
 
 def test_twist_normalize_writhe_bookkeeping():
-    spec = SatelliteSpec(pattern=torus_braid(3, 1), framing_lk=F(0))
-    up = twist_normalize(spec, 1)
-    assert up.framing_lk == 1
-    assert writhe(up.pattern) == writhe(spec.pattern) - 3 * 2
+    pattern = torus_braid(3, 1)
+    up, lk = twist_normalize(pattern, F(0), 1)
+    assert lk == 1
+    assert writhe(up) == writhe(pattern) - 3 * 2
 
 
 def test_framed_knot_data_validation():

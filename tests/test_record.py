@@ -26,9 +26,10 @@ class BraidWordTwin:
 
 @dataclass(frozen=True)
 class BoundReportTwin:
+    direction = "lower"
+
     name: str
     bound_value: Fraction
-    direction: str
     inputs: dict
     citation: str
     satisfied: Optional[bool] = None
@@ -62,13 +63,13 @@ BRAID_CALLS = [
 ]
 
 REPORT_CALLS = [
-    (("n", Fraction(1), "lower", {"p": 1}, "cite"), {}),
-    (("n", Fraction(1), "upper", {}, "cite", True), {"anomaly": "a"}),
-    (("n", Fraction(1)), {"direction": "lower", "inputs": {}, "citation": "c", "is_equality": True}),
-    (("n", Fraction(1), "lower", {}), {}),  # missing citation
-    (("n", Fraction(1), "lower", {}, ""), {}),  # __post_init__ refuses
-    (("n", Fraction(1), "sideways", {}, "c"), {}),  # __post_init__ refuses
-    (("n", Fraction(1), "lower", {}, "c"), {"name": "m"}),  # repeated
+    (("n", Fraction(1), {"p": 1}, "cite"), {}),
+    (("n", Fraction(1), {}, "cite", True), {"anomaly": "a"}),
+    (("n", Fraction(1)), {"inputs": {}, "citation": "c", "is_equality": True}),
+    (("n", Fraction(1), {}), {}),  # missing citation
+    (("n", Fraction(1), {}, ""), {}),  # __post_init__ refuses
+    (("n", Fraction(1), {}, "c"), {"direction": "upper"}),  # a class constant, not a field
+    (("n", Fraction(1), {}, "c"), {"name": "m"}),  # repeated
 ]
 
 TWINS = [(BraidWord, BraidWordTwin, BRAID_CALLS), (BoundReport, BoundReportTwin, REPORT_CALLS)]
