@@ -13,8 +13,9 @@ bound verbs load neither the grid nor the GF(2) or complex code, and
 read only the two tau extremes: from `--tau-max/--tau-min` they build
 no spectrum record and load no `ratslice.sums`.  `grid-tau` loads the
 grid and GF(2) code but not the complex module; `deep-slice` loads
-neither the bound evaluators nor the link, braid or grid code.  Only a
-verb that reads a file loads the document readers (`ratslice.readers`).
+neither the bound evaluators nor the link, braid, grid, complex or GF(2)
+code.  Only a verb that reads a file loads the document readers
+(`ratslice.readers`).
 The records are plain classes (`ratslice.record`), so no verb pays for
 the standard dataclass module and its imports.  Modules are called as
 attributes (`formats.write_document`), so patches on a module's
@@ -53,10 +54,15 @@ def _read(path: str) -> str:
 
 
 def _load_json(path: str) -> dict:
+    text = _read(path)
     try:
-        doc = json.loads(_read(path))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # Valid JSON past the interpreter's limits: an integer's digits
+        # or the nesting depth.
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top-level JSON value must be an object")
     return doc

@@ -28,13 +28,13 @@ a time and never holds all 2^rank - 1 of them.  The test
 suite checks this against the exhaustive minimum over representatives
 and the ascending level sweep on small complexes, and the births against
 a textbook persistence reduction without clearing.
+
+The survivor deduction behind deep-slice reads a Poincare polynomial,
+not a complex, and lives beside that record in paperdata.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
@@ -49,10 +49,6 @@ FULL_ENUMERATION_CAP = 20
 
 class InvalidComplexError(ValueError):
     """The generator/differential data violate a complex invariant."""
-
-
-class DeductionError(ValueError):
-    """A survivor deduction is infeasible; the message names the obstruction."""
 
 
 class Generator(NamedTuple):
@@ -284,196 +280,3 @@ def connected_sum_shift(spectrum: TauSpectrum, t: Fraction) -> TauSpectrum:
         tau_min=spectrum.tau_min + t,
         enumeration_complete=spectrum.enumeration_complete,
     )
-
-
-RankEntry = tuple[Fraction, Fraction, int]
-
-
-def _normalize_ranks(ranks: Sequence[RankEntry]) -> list[RankEntry]:
-    merged: dict[tuple[Fraction, Fraction], int] = {}
-    for alexander, maslov, count in ranks:
-        if count < 0:
-            raise DeductionError("negative rank")
-        key = (Fraction(alexander), Fraction(maslov))
-        merged[key] = merged.get(key, 0) + count
-    return sorted((a, m, c) for (a, m), c in merged.items() if c > 0)
-
-
-def _cancellation_plan(
-    ranks: Sequence[RankEntry], target_rank: int
-) -> tuple[list[RankEntry], list[tuple[int, int]], int]:
-    """Merged entries, cancellable (hi, lo) pairs and the number of
-    cancellations down to the target, after the refusals every deduction
-    shares: total below the target, odd difference, and a target below
-    the Maslov parity imbalance.
-
-    The entries are sorted by Alexander grading, so an entry's partners
-    are a prefix of the entries one Maslov grading down.
-    """
-    entries = _normalize_ranks(ranks)
-    total = sum(c for _, _, c in entries)
-    if total < target_rank:
-        raise DeductionError(
-            f"total rank {total} is below the target rank {target_rank}"
-        )
-    if (total - target_rank) % 2:
-        raise DeductionError(
-            f"parity mismatch: cancellations remove rank in pairs, but "
-            f"total {total} - target {target_rank} is odd"
-        )
-    # A cancellation removes one unit at M and one at M + 1, so per
-    # residue M mod 1 the units at even floor(M) minus those at odd
-    # floor(M) never change, and at least |that| many survive.
-    parity: Counter = Counter()
-    for _, m, count in entries:
-        parity[m % 1] += -count if math.floor(m) % 2 else count
-    imbalance = sum(abs(d) for d in parity.values())
-    if target_rank < imbalance:
-        raise DeductionError(
-            f"target rank {target_rank} unreachable: a cancellation "
-            f"pairs units at Maslov M and M + 1, so the imbalance "
-            f"{imbalance} between units at even and odd floor(M) (per "
-            f"residue M mod 1) always survives"
-        )
-    levels: dict[Fraction, list[int]] = {}
-    for i, (_, m, _) in enumerate(entries):
-        levels.setdefault(m, []).append(i)
-    pairs: list[tuple[int, int]] = []
-    for hi, (a_hi, m_hi, _) in enumerate(entries):
-        below = levels.get(m_hi - 1, [])
-        cut = bisect_left(below, a_hi, key=lambda lo: entries[lo][0])
-        pairs.extend((hi, lo) for lo in below[:cut])
-    return entries, pairs, (total - target_rank) // 2
-
-
-_UNREACHABLE = (
-    "target rank unreachable: no sequence of cancellable pairs "
-    "(Maslov difference 1, Alexander strictly dropping) reaches it"
-)
-
-
-def survivor_deduction(
-    ranks: Sequence[RankEntry], target_rank: int
-) -> frozenset[tuple[Fraction, ...]]:
-    """All multisets of Alexander gradings that can survive cancellation.
-
-    One cancellation removes a unit of rank from each member of a pair of
-    bigradings whose Maslov gradings differ by exactly 1 and whose
-    higher-Maslov member sits at strictly greater Alexander grading
-    (page >= 1 differentials strictly drop the filtration).  Outcomes are
-    collected by a sweep over rank levels: each step applies every
-    cancellable pair to every rank vector of the current level, and the
-    survivors are read off the level whose sum is the target.
-
-    No command runs this sweep.  It is the reference the tests hold
-    survivable_gradings to, and perfbench/shim.py hooks it by name; it
-    moves to the tests with the next benchmark change.
-    """
-    entries, pairs, cancellations = _cancellation_plan(ranks, target_rank)
-    level = {tuple(c for _, _, c in entries)}
-    for _ in range(cancellations):
-        after: set[tuple[int, ...]] = set()
-        for vector in level:
-            for hi, lo in pairs:
-                if vector[hi] and vector[lo]:
-                    nxt = list(vector)
-                    nxt[hi] -= 1
-                    nxt[lo] -= 1
-                    after.add(tuple(nxt))
-        level = after
-    alexanders = [a for a, _, _ in entries]
-    outcomes = frozenset(
-        tuple(a for a, count in zip(alexanders, vector) for _ in range(count))
-        for vector in level
-    )
-    if not outcomes:
-        raise DeductionError(_UNREACHABLE)
-    return outcomes
-
-
-def survivable_gradings(
-    ranks: Sequence[RankEntry], target_rank: int
-) -> frozenset[Fraction]:
-    """The Alexander gradings at which some unit can survive cancellation.
-
-    Equal to the union of survivor_deduction's outcomes, with the same
-    refusals; one max-flow answers it instead of a listing of rank
-    vectors.
-
-    Why it is exact: a multiset of k cancellable pairs that uses each
-    entry i at most c_i times can be applied in any order, since every
-    unit a later pair needs is still there.  So the outcomes of k
-    cancellations are exactly c minus the degrees of the b-matchings of
-    size k in the graph of cancellable pairs, with capacities c.  A pair
-    joins M and M + 1 in one residue M mod 1, so the graph is bipartite:
-    entries at even floor(M) on one side, odd floor(M) on the other.  A
-    larger b-matching shrinks to size k by dropping pairs, so k
-    cancellations exist exactly when the maximum flow from the even
-    entries to the odd ones reaches k.  Any other flow of value k is this
-    one plus residual cycles; a cycle that frees a unit at a saturated
-    even entry runs through the reverse of its source edge, and the rest
-    of it is a residual path from the source to that entry.  So an even
-    entry can keep a unit exactly when the source reaches it in the
-    residual graph, and an odd entry exactly when it reaches the sink.
-    """
-    entries, pairs, cancellations = _cancellation_plan(ranks, target_rank)
-    flow, residual = _cancellation_flow(entries, pairs, cancellations)
-    if flow < cancellations:
-        raise DeductionError(_UNREACHABLE)
-    transposed = [{u: residual[u][v] for u in out} for v, out in enumerate(residual)]
-    reached = (_reached(residual, len(entries)), _reached(transposed, len(entries) + 1))
-    return frozenset(
-        a for i, (a, m, _) in enumerate(entries) if i in reached[math.floor(m) % 2]
-    )
-
-
-def _reached(graph, start, stop=None) -> dict[int, int]:
-    """BFS parents of the nodes start reaches by positive capacities, up to stop."""
-    parent = {start: start}
-    queue = [start]
-    for u in queue:
-        for v, cap in graph[u].items():
-            if cap and v not in parent:
-                parent[v] = u
-                queue.append(v)
-        if stop in parent:
-            break
-    return parent
-
-
-def _cancellation_flow(entries, pairs, limit) -> tuple[int, list[dict[int, int]]]:
-    """Size and residual graph of a maximum b-matching of cancellable
-    pairs with capacities the ranks, stopped at limit pairs.
-
-    Edmonds-Karp: a source feeds the entries at even floor(M), the
-    entries at odd floor(M) drain into a sink, each pair is an edge from
-    its even member to its odd one, and every BFS augmenting path carries
-    its bottleneck.  Nodes n and n + 1 are the source and the sink, and
-    residual[u][v] is the capacity left from u to v.  The cost depends on
-    the number of entries, not the ranks.
-    """
-    n = len(entries)
-    source, sink = n, n + 1
-    residual: list[dict[int, int]] = [{} for _ in range(n + 2)]
-    for i, (_, m, count) in enumerate(entries):
-        u, v = (i, sink) if math.floor(m) % 2 else (source, i)
-        residual[u][v] = count
-        residual[v][u] = 0
-    for hi, lo in pairs:
-        u, v = (lo, hi) if math.floor(entries[hi][1]) % 2 else (hi, lo)
-        residual[u][v] = limit
-        residual[v][u] = 0
-    flow = 0
-    while flow < limit:
-        parent = _reached(residual, source, sink)
-        if sink not in parent:
-            break
-        path = [sink]
-        while path[-1] != source:
-            path.append(parent[path[-1]])
-        push = min(limit - flow, *(residual[u][v] for v, u in zip(path, path[1:])))
-        for v, u in zip(path, path[1:]):
-            residual[u][v] -= push
-            residual[v][u] += push
-        flow += push
-    return flow, residual

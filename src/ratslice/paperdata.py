@@ -16,7 +16,11 @@ Four inputs ship with the package:
                      non-spin structures: q^(7/9) * (q^-1 t^-1 + 1 + q t).
 
 Only the 8_20 polynomial is shipped; verdicts for other lifted knots go
-through the same pipeline with user-supplied polynomials.
+through the same pipeline with user-supplied polynomials.  That pipeline,
+the survivor deduction, lives here beside the PoincarePolynomial record
+it reads: `survivable_gradings` answers it with one max-flow.  Only the
+builtins that build a complex import `ratslice.complexes`, so deep-slice
+loads neither it nor the GF(2) code.
 
 `paper_checks` recomputes every worked number above, and more, for the
 `verify-paper` command.
@@ -24,21 +28,19 @@ through the same pipeline with user-supplied polynomials.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .complexes import (
-    FilteredComplex,
-    connected_sum_shift,
-    survivable_gradings,
-    tau_spectrum,
-)
 from .rationals import format_rational
 from .record import record
 
-# The framed builtins and the bound pipelines import sums, bounds and
-# ratlink where they run, so deep-slice loads none of them.
+# The framed builtins and the bound pipelines import complexes, sums,
+# bounds and ratlink where they run, so deep-slice loads none of them.
 if TYPE_CHECKING:
+    from .complexes import FilteredComplex
     from .ratlink import FramedKnotData
 
 BUILTIN_NAMES = ("RP1_in_RP3", "T(2,-5)", "J_example_6.2", "lift_8_20")
@@ -85,6 +87,8 @@ class DeepSliceVerdict:
 
 def _rp1_model_complex() -> FilteredComplex:
     """Two generators, no differential: one class per Spin^c structure."""
+    from .complexes import FilteredComplex
+
     quarter = Fraction(1, 4)
     return FilteredComplex(
         [
@@ -107,6 +111,7 @@ def builtin(name: str) -> FramedKnotData | PoincarePolynomial:
             ),
             spinc="+1/-1",
         )
+    from .complexes import connected_sum_shift, tau_spectrum
     from .ratlink import FramedKnotData
     from .sums import TauSpectrum
 
@@ -154,13 +159,197 @@ def deep_slice_report(
 
     For an L-space double branched cover the rank per Spin^c structure is
     one, so a single class survives; the Alexander gradings at which a
-    class can survive (complexes.survivable_gradings) are the possible
-    tau values.
+    class can survive (survivable_gradings) are the possible tau values.
     """
     if lspace_total_rank < 1:
         raise ValueError("ambient homology rank must be >= 1")
-    ranks = [(a, m, r) for m, a, r in polynomial.terms]
-    return DeepSliceVerdict(survivable_gradings(ranks, lspace_total_rank))
+    return DeepSliceVerdict(survivable_gradings(polynomial, lspace_total_rank))
+
+
+# -- survivor deduction -------------------------------------------------------
+
+class DeductionError(ValueError):
+    """A survivor deduction is infeasible; the message names the obstruction."""
+
+
+def _cancellation_plan(
+    polynomial: PoincarePolynomial, target_rank: int
+) -> tuple[list[tuple[Fraction, Fraction, int]], list[tuple[int, int]], int]:
+    """The terms sorted by (A, M), cancellable (hi, lo) pairs of their
+    indices and the number of cancellations down to the target, after the
+    refusals every deduction shares: total below the target, odd
+    difference, and a target below the Maslov parity imbalance.
+
+    The terms are sorted by Alexander grading, so a term's partners are a
+    prefix of the terms one Maslov grading down.
+    """
+    terms = sorted(polynomial.terms, key=lambda term: (term[1], term[0]))
+    total = sum(rank for _, _, rank in terms)
+    if total < target_rank:
+        raise DeductionError(
+            f"total rank {total} is below the target rank {target_rank}"
+        )
+    if (total - target_rank) % 2:
+        raise DeductionError(
+            f"parity mismatch: cancellations remove rank in pairs, but "
+            f"total {total} - target {target_rank} is odd"
+        )
+    # A cancellation removes one unit at M and one at M + 1, so per
+    # residue M mod 1 the units at even floor(M) minus those at odd
+    # floor(M) never change, and at least |that| many survive.
+    parity: Counter = Counter()
+    for m, _, rank in terms:
+        parity[m % 1] += -rank if math.floor(m) % 2 else rank
+    imbalance = sum(abs(d) for d in parity.values())
+    if target_rank < imbalance:
+        raise DeductionError(
+            f"target rank {target_rank} unreachable: a cancellation "
+            f"pairs units at Maslov M and M + 1, so the imbalance "
+            f"{imbalance} between units at even and odd floor(M) (per "
+            f"residue M mod 1) always survives"
+        )
+    levels: dict[Fraction, list[int]] = {}
+    for i, (m, _, _) in enumerate(terms):
+        levels.setdefault(m, []).append(i)
+    pairs: list[tuple[int, int]] = []
+    for hi, (m_hi, a_hi, _) in enumerate(terms):
+        below = levels.get(m_hi - 1, [])
+        cut = bisect_left(below, a_hi, key=lambda lo: terms[lo][1])
+        pairs.extend((hi, lo) for lo in below[:cut])
+    return terms, pairs, (total - target_rank) // 2
+
+
+_UNREACHABLE = (
+    "target rank unreachable: no sequence of cancellable pairs "
+    "(Maslov difference 1, Alexander strictly dropping) reaches it"
+)
+
+
+def survivor_deduction(
+    polynomial: PoincarePolynomial, target_rank: int
+) -> frozenset[tuple[Fraction, ...]]:
+    """All multisets of Alexander gradings that can survive cancellation.
+
+    One cancellation removes a unit of rank from each member of a pair of
+    bigradings whose Maslov gradings differ by exactly 1 and whose
+    higher-Maslov member sits at strictly greater Alexander grading
+    (page >= 1 differentials strictly drop the filtration).  Outcomes are
+    collected by a sweep over rank levels: each step applies every
+    cancellable pair to every rank vector of the current level, and the
+    survivors are read off the level whose sum is the target.
+
+    No command runs this sweep.  It is the reference the tests hold
+    survivable_gradings to, and perfbench/shim.py hooks it by name; it
+    moves to the tests with the next benchmark change.
+    """
+    terms, pairs, cancellations = _cancellation_plan(polynomial, target_rank)
+    level = {tuple(rank for _, _, rank in terms)}
+    for _ in range(cancellations):
+        after: set[tuple[int, ...]] = set()
+        for vector in level:
+            for hi, lo in pairs:
+                if vector[hi] and vector[lo]:
+                    nxt = list(vector)
+                    nxt[hi] -= 1
+                    nxt[lo] -= 1
+                    after.add(tuple(nxt))
+        level = after
+    alexanders = [a for _, a, _ in terms]
+    outcomes = frozenset(
+        tuple(a for a, count in zip(alexanders, vector) for _ in range(count))
+        for vector in level
+    )
+    if not outcomes:
+        raise DeductionError(_UNREACHABLE)
+    return outcomes
+
+
+def survivable_gradings(
+    polynomial: PoincarePolynomial, target_rank: int
+) -> frozenset[Fraction]:
+    """The Alexander gradings at which some unit can survive cancellation.
+
+    Equal to the union of survivor_deduction's outcomes, with the same
+    refusals; one max-flow answers it instead of a listing of rank
+    vectors.
+
+    Why it is exact: a multiset of k cancellable pairs that uses each
+    term i at most c_i times can be applied in any order, since every
+    unit a later pair needs is still there.  So the outcomes of k
+    cancellations are exactly c minus the degrees of the b-matchings of
+    size k in the graph of cancellable pairs, with capacities c.  A pair
+    joins M and M + 1 in one residue M mod 1, so the graph is bipartite:
+    terms at even floor(M) on one side, odd floor(M) on the other.  A
+    larger b-matching shrinks to size k by dropping pairs, so k
+    cancellations exist exactly when the maximum flow from the even
+    terms to the odd ones reaches k.  Any other flow of value k is this
+    one plus residual cycles; a cycle that frees a unit at a saturated
+    even term runs through the reverse of its source edge, and the rest
+    of it is a residual path from the source to that term.  So an even
+    term can keep a unit exactly when the source reaches it in the
+    residual graph, and an odd term exactly when it reaches the sink.
+    """
+    terms, pairs, cancellations = _cancellation_plan(polynomial, target_rank)
+    flow, residual = _cancellation_flow(terms, pairs, cancellations)
+    if flow < cancellations:
+        raise DeductionError(_UNREACHABLE)
+    transposed = [{u: residual[u][v] for u in out} for v, out in enumerate(residual)]
+    reached = (_reached(residual, len(terms)), _reached(transposed, len(terms) + 1))
+    return frozenset(
+        a for i, (m, a, _) in enumerate(terms) if i in reached[math.floor(m) % 2]
+    )
+
+
+def _reached(graph, start, stop=None) -> dict[int, int]:
+    """BFS parents of the nodes start reaches by positive capacities, up to stop."""
+    parent = {start: start}
+    queue = [start]
+    for u in queue:
+        for v, cap in graph[u].items():
+            if cap and v not in parent:
+                parent[v] = u
+                queue.append(v)
+        if stop in parent:
+            break
+    return parent
+
+
+def _cancellation_flow(terms, pairs, limit) -> tuple[int, list[dict[int, int]]]:
+    """Size and residual graph of a maximum b-matching of cancellable
+    pairs with capacities the ranks, stopped at limit pairs.
+
+    Edmonds-Karp: a source feeds the terms at even floor(M), the terms
+    at odd floor(M) drain into a sink, each pair is an edge from its even
+    member to its odd one, and every BFS augmenting path carries its
+    bottleneck.  Nodes n and n + 1 are the source and the sink, and
+    residual[u][v] is the capacity left from u to v.  The cost depends on
+    the number of terms, not the ranks.
+    """
+    n = len(terms)
+    source, sink = n, n + 1
+    residual: list[dict[int, int]] = [{} for _ in range(n + 2)]
+    for i, (m, _, rank) in enumerate(terms):
+        u, v = (i, sink) if math.floor(m) % 2 else (source, i)
+        residual[u][v] = rank
+        residual[v][u] = 0
+    for hi, lo in pairs:
+        u, v = (lo, hi) if math.floor(terms[hi][0]) % 2 else (hi, lo)
+        residual[u][v] = limit
+        residual[v][u] = 0
+    flow = 0
+    while flow < limit:
+        parent = _reached(residual, source, sink)
+        if sink not in parent:
+            break
+        path = [sink]
+        while path[-1] != source:
+            path.append(parent[path[-1]])
+        push = min(limit - flow, *(residual[u][v] for v, u in zip(path, path[1:])))
+        for v, u in zip(path, path[1:]):
+            residual[u][v] -= push
+            residual[v][u] += push
+        flow += push
+    return flow, residual
 
 
 def dual_knot_breadth(g: int) -> Fraction:

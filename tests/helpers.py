@@ -6,11 +6,13 @@ exhaustive tau oracle enumerates the entire boundary subspace, the level
 sweep asks the dense oracle one membership question per level, the
 persistence oracle is the textbook reduction (Zomorodian-Carlsson) with
 no clearing, the survivor enumerator is a plain recursion without
-memoization, and the grid oracles test every pair of columns for empty
-rectangles and count dominating pairs of points for the gradings.  The
-graded-rank oracle grades all n! states of a grid, where the package
-walks only the A >= 0 half, and deconvolves the whole binomial tower;
-the torus oracle reads knot Floer ranks off the Alexander polynomial.
+memoization (poincare builds the survivor deduction's input record from
+the same drawn entries), and the grid oracles test every pair of columns
+for empty rectangles and count dominating pairs of points for the
+gradings.  The graded-rank oracle grades all n! states of a grid, where
+the package walks only the A >= 0 half, and deconvolves the whole
+binomial tower; the torus oracle reads knot Floer ranks off the
+Alexander polynomial.
 basis_cycles, maslov_zero_class and structural_checks are shared test
 code that holds the package's homology basis to the persistence oracle;
 homology_ranks and total_homology_rank count that basis.  The surface
@@ -44,6 +46,7 @@ from ratslice.grid import (
     hfk_bigraded_ranks,
     hfk_ranks,
 )
+from ratslice.paperdata import PoincarePolynomial
 from ratslice.rationals import format_rational
 
 
@@ -654,6 +657,17 @@ def stabilize(grid: GridDiagram, column: int) -> GridDiagram:
 
 
 # -- survivor enumeration oracle ----------------------------------------------
+
+def poincare(entries: list[tuple[Fraction, Fraction, int]]) -> PoincarePolynomial:
+    """The polynomial of (A, M, rank) entries as the tests draw them:
+    ranks at one bigrading add up, and a bigrading of rank 0 is no term."""
+    merged: Counter = Counter()
+    for a, m, rank in entries:
+        merged[Fraction(m), Fraction(a)] += rank
+    return PoincarePolynomial(
+        tuple((m, a, rank) for (m, a), rank in merged.items() if rank), "0"
+    )
+
 
 def naive_survivors(
     entries: list[tuple[Fraction, Fraction | None, int]], target: int

@@ -996,11 +996,36 @@ def test_knot_document_derived_values_must_agree(tmp_path, capsys):
             _framed_spectrum(tau_min="-5/2", breadth="3/4"),
             "tau_spectrum.tau_min: expected -9/4: a complete listing attains both extremes",
         ),
+        # The survivor deduction reads the record and checks these nowhere else.
+        (
+            "deep-slice",
+            "--polynomial",
+            {"terms": [{"maslov": "0", "alexander": "0", "rank": 0}]},
+            "terms[0].rank: expected a positive integer, got 0",
+        ),
+        (
+            "deep-slice",
+            "--polynomial",
+            {"terms": [
+                {"maslov": "1", "alexander": "1", "rank": 1},
+                {"maslov": "0", "alexander": "0", "rank": -1},
+            ]},
+            "terms[1].rank: expected a positive integer, got -1",
+        ),
+        (
+            "deep-slice",
+            "--polynomial",
+            {"terms": [
+                {"maslov": "0", "alexander": "0", "rank": 1},
+                {"maslov": "0/1", "alexander": "0", "rank": 2},
+            ]},
+            "terms[1]: duplicate bigrading in polynomial",
+        ),
     ],
 )
 def test_record_rule_refusal_text(tmp_path, capsys, verb, flag, doc, message):
-    # FilteredComplex and TauSpectrum own these rules; the parser only
-    # refuses a value of the wrong JSON type.
+    # FilteredComplex, TauSpectrum and PoincarePolynomial own these rules;
+    # the parser only refuses a value of the wrong JSON type.
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
     assert run_cli(capsys, verb, flag, str(path)) == (1, "", f"error: {message}\n")
@@ -1143,12 +1168,12 @@ def _diagonal_polynomial(path, rank):
 def test_deep_slice_never_lists_rank_vectors(tmp_path, capsys, monkeypatch):
     # deep-slice asks which gradings can survive; the level sweep that
     # lists every rank vector must stay off its path.
-    from ratslice import complexes
+    from ratslice import paperdata
 
     def listing(*args):
         raise AssertionError("deep-slice listed rank vectors")
 
-    monkeypatch.setattr(complexes, "survivor_deduction", listing)
+    monkeypatch.setattr(paperdata, "survivor_deduction", listing)
     doc = run_json(capsys, "deep-slice", "--builtin", "lift_8_20", "--target", "1")
     assert doc["verdict"]["possible_tau"] == ["-1/1", "1/1"]
     path = _diagonal_polynomial(tmp_path / "diagonal.json", 20)
@@ -1163,12 +1188,12 @@ def test_deep_slice_never_lists_rank_vectors(tmp_path, capsys, monkeypatch):
 def test_no_verb_reaches_the_level_sweep(capsys, monkeypatch):
     # verify-paper's dual-knot breadth is a closed form, and deep-slice
     # runs one flow: no command lists rank vectors.
-    from ratslice import complexes
+    from ratslice import paperdata
 
     def listing(*args):
         raise AssertionError("verify-paper listed rank vectors")
 
-    monkeypatch.setattr(complexes, "survivor_deduction", listing)
+    monkeypatch.setattr(paperdata, "survivor_deduction", listing)
     code, out, err = run_cli(capsys, "verify-paper")
     assert code == 0, err
     assert json.loads(out)["all_ok"] is True
@@ -1589,6 +1614,34 @@ def test_top_level_json_array_names_the_file(tmp_path, capsys):
     )
 
 
+_TOO_DEEP = "[" * 100_000
+_TOO_LONG = (
+    '{"terms": [{"maslov": "0", "alexander": "0", "rank": ' + "1" * 5000 + "}]}"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["tau", "--complex"],
+    ["deep-slice", "--polynomial"],
+    ["genus-bound", "--knot"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("text,reason", [
+    (_TOO_DEEP, "maximum recursion depth exceeded"),
+    (_TOO_LONG, "integer string conversion"),
+], ids=["nesting", "digits"])
+def test_json_past_the_interpreter_limits_names_the_file(tmp_path, argv, text, reason):
+    # Valid JSON that the decoder cannot hold: nesting past the recursion
+    # limit printed a RecursionError traceback, and an integer past the
+    # digit limit a refusal that named no file.
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    proc = run_capped(*argv, str(path), timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(f"error: {path}: ")
+    assert reason in proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_grid_tau_huge_torus_refused_before_allocating():
     # A (30000000 + 1)-column grid would need gigabytes for its marking
     # tuples alone; under a 1 GiB address-space cap on the child it must
@@ -1838,10 +1891,11 @@ def _verb_inputs(directory):
 def test_deep_slice_loads_no_bound_link_braid_or_grid_module(tmp_path, argv):
     _verb_inputs(tmp_path)
     loaded = _modules_after(*argv, cwd=tmp_path)
-    assert {"ratslice.paperdata", "ratslice.complexes"} <= loaded
+    assert "ratslice.paperdata" in loaded
     assert loaded & {f"ratslice.{name}" for name in ("bounds", "ratlink", "braid", "grid")} == set()
-    # Nor the class listing that only tau spectra use.
-    assert "ratslice.sums" not in loaded
+    # Nor the filtered complex and GF(2) code: the deduction reads only
+    # the polynomial.  Nor the class listing that only tau spectra use.
+    assert loaded & {"ratslice.complexes", "ratslice.gf2", "ratslice.sums"} == set()
 
 
 @pytest.mark.parametrize("argv", [

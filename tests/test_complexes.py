@@ -1,4 +1,5 @@
-"""Filtered complexes: validation, homology, tau against two oracles, survivors."""
+"""Filtered complexes: validation, homology, tau against two oracles; and
+paperdata's survivor deduction."""
 
 import importlib.util
 import math
@@ -11,19 +12,17 @@ from pathlib import Path
 
 import pytest
 
-from ratslice import complexes, sums
+from ratslice import complexes, paperdata, sums
 from ratslice.complexes import (
-    DeductionError,
     FilteredComplex,
     InvalidComplexError,
     connected_sum_shift,
     homology_basis,
-    survivable_gradings,
-    survivor_deduction,
     tau,
     tau_spectrum,
     validate,
 )
+from ratslice.paperdata import DeductionError
 from ratslice.rationals import format_rational
 from ratslice.readers import spectrum_from_json
 from ratslice.sums import TauSpectrum
@@ -36,6 +35,7 @@ from helpers import (
     homology_ranks,
     max_alexander,
     naive_survivors,
+    poincare,
     random_complex,
     spectrum_by_definition,
     tau_by_level_sweep,
@@ -619,6 +619,17 @@ def test_connected_sum_shift_breadth_invariance_random():
 
 
 # -- survivor deduction -----------------------------------------------------------
+#
+# The deduction reads a paperdata.PoincarePolynomial; these tests draw
+# (A, M, rank) entries and build the record through helpers.poincare.
+
+def deduce(entries, target):
+    return paperdata.survivor_deduction(poincare(entries), target)
+
+
+def survivable(entries, target):
+    return paperdata.survivable_gradings(poincare(entries), target)
+
 
 def lift_8_20_ranks():
     base = F(7, 9)
@@ -631,12 +642,12 @@ def lift_8_20_ranks():
 
 def test_survivors_trivial_when_target_is_total():
     ranks = [(F(0), F(0), 2), (F(1), F(1), 1)]
-    outcomes = survivor_deduction(ranks, 3)
+    outcomes = deduce(ranks, 3)
     assert outcomes == frozenset({(F(0), F(0), F(1))})
 
 
 def test_survivors_lift_8_20():
-    outcomes = survivor_deduction(lift_8_20_ranks(), 1)
+    outcomes = deduce(lift_8_20_ranks(), 1)
     assert outcomes == frozenset({(F(-1),), (F(1),)})
 
 
@@ -655,7 +666,7 @@ def test_survivors_match_naive_enumeration():
         if target < 0:
             continue
         try:
-            outcomes = survivor_deduction(entries, target)
+            outcomes = deduce(entries, target)
         except DeductionError:
             assert naive_survivors(entries, target) == set()
             continue
@@ -676,7 +687,7 @@ def test_survivors_match_naive_enumeration():
         target = total - 2 * rng.randint(2, min(5, total // 2))
         expected = naive_survivors(entries, target)
         try:
-            outcomes = survivor_deduction(entries, target)
+            outcomes = deduce(entries, target)
         except DeductionError:
             assert expected == set()
             continue
@@ -689,18 +700,18 @@ def test_survivors_match_naive_enumeration():
 def test_survivors_many_cancellations_deep():
     # 1200 cancellations, each between the same two bigradings.
     ranks = [(F(1), F(1), 1200), (F(0), F(0), 1201)]
-    assert survivor_deduction(ranks, 1) == frozenset({(F(0),)})
+    assert deduce(ranks, 1) == frozenset({(F(0),)})
 
 
 def test_survivors_parity_error():
     with pytest.raises(DeductionError, match="parity"):
-        survivor_deduction([(F(0), F(0), 2)], 1)
+        deduce([(F(0), F(0), 2)], 1)
 
 
 def test_survivors_unreachable_error():
     # Two units at the same grading can never cancel against each other.
     with pytest.raises(DeductionError, match="unreachable"):
-        survivor_deduction([(F(0), F(0), 2)], 0)
+        deduce([(F(0), F(0), 2)], 0)
 
 
 def diagonal_ranks(rank: int) -> list:
@@ -713,7 +724,7 @@ def test_survivors_maslov_imbalance_refused_at_once():
     # cancellation removes one of each: at least 19 survive.
     start = time.perf_counter()
     with pytest.raises(DeductionError, match=r"target rank 1 unreachable.* 19 "):
-        survivor_deduction(diagonal_ranks(20), 1)
+        deduce(diagonal_ranks(20), 1)
     assert time.perf_counter() - start < 1
 
 
@@ -722,10 +733,10 @@ def test_survivors_maslov_imbalance_per_residue():
     # of the two residues add up instead of cancelling out.
     ranks = [(F(1), F(1, 2), 1), (F(0), F(1), 1)]
     with pytest.raises(DeductionError, match=r"unreachable.* 2 "):
-        survivor_deduction(ranks, 0)
-    assert survivor_deduction(ranks, 2) == frozenset({(F(0), F(1))})
+        deduce(ranks, 0)
+    assert deduce(ranks, 2) == frozenset({(F(0), F(1))})
     # The imbalance is met exactly: one odd unit is left over.
-    assert survivor_deduction([(F(1), F(1), 2), (F(0), F(0), 1)], 1) == frozenset(
+    assert deduce([(F(1), F(1), 2), (F(0), F(0), 1)], 1) == frozenset(
         {(F(1),)}
     )
 
@@ -772,8 +783,8 @@ def pairs_by_definition(entries):
     """Every (hi, lo) with Maslov one apart and Alexander strictly dropping."""
     return {
         (hi, lo)
-        for hi, (a_hi, m_hi, _) in enumerate(entries)
-        for lo, (a_lo, m_lo, _) in enumerate(entries)
+        for hi, (m_hi, a_hi, _) in enumerate(entries)
+        for lo, (m_lo, a_lo, _) in enumerate(entries)
         if m_hi == m_lo + 1 and a_hi > a_lo
     }
 
@@ -790,13 +801,13 @@ def test_survivable_gradings_match_the_enumeration():
     for _ in range(4000):
         entries, target = _random_maslov_input(rng)
         total = sum(c for _, _, c in entries)
-        merged, pairs, _ = complexes._cancellation_plan(entries, total)
+        merged, pairs, _ = paperdata._cancellation_plan(poincare(entries), total)
         assert len(pairs) == len(set(pairs))
         assert set(pairs) == pairs_by_definition(merged), entries
-        expected = _answer(survivor_deduction, entries, target)
+        expected = _answer(deduce, entries, target)
         if not isinstance(expected, str):
             expected = frozenset(a for outcome in expected for a in outcome)
-        assert _answer(survivable_gradings, entries, target) == expected, (
+        assert _answer(survivable, entries, target) == expected, (
             entries, target,
         )
         if isinstance(expected, str):
@@ -817,9 +828,9 @@ def test_cancellation_plan_lists_2000_terms_at_once():
     # 500,500 pairs.  Comparing every entry with every other took 9.5 s.
     terms = [(F(i), F(i % 2), 1) for i in range(2000)]
     start = time.perf_counter()
-    entries, pairs, cancellations = complexes._cancellation_plan(terms, 2)
+    entries, pairs, cancellations = paperdata._cancellation_plan(poincare(terms), 2)
     assert time.perf_counter() - start < 1
-    assert entries == terms
+    assert entries == [(m, a, r) for a, m, r in terms]
     assert cancellations == 999
     assert len(pairs) == 500_500
     assert set(pairs) == {
@@ -831,22 +842,22 @@ def test_survivable_gradings_runs_one_flow(monkeypatch):
     # Every answer is read off the residual graph of one flow; the plan's
     # refusals come before it and run none.
     flows = []
-    flow = complexes._cancellation_flow
+    flow = paperdata._cancellation_flow
 
     def counted(*args):
         flows.append(args)
         return flow(*args)
 
-    monkeypatch.setattr(complexes, "_cancellation_flow", counted)
+    monkeypatch.setattr(paperdata, "_cancellation_flow", counted)
     rng = random.Random(17)
     for _ in range(300):
         entries, target = _random_maslov_input(rng)
         flows.clear()
-        answer = _answer(survivable_gradings, entries, target)
+        answer = _answer(survivable, entries, target)
         planned = not isinstance(answer, str) or "no sequence" in answer
         assert len(flows) == planned, (entries, target)
     flows.clear()
-    assert survivable_gradings(diagonal_ranks(30), 29) == {F(-3), F(-1), F(1), F(3)}
+    assert survivable(diagonal_ranks(30), 29) == {F(-3), F(-1), F(1), F(3)}
     assert len(flows) == 1
 
 
@@ -859,24 +870,24 @@ def test_survivable_gradings_runs_one_flow(monkeypatch):
     ([(F(0), F(0), 1), (F(1), F(1), 1), (F(2), F(1), 1)], 1, {F(1), F(2)}),
 ], ids=["source side", "sink side"])
 def test_survivable_gradings_reroute_a_saturated_term(ranks, saturated, possible):
-    entries, pairs, cancellations = complexes._cancellation_plan(ranks, 1)
-    flow, residual = complexes._cancellation_flow(entries, pairs, cancellations)
+    entries, pairs, cancellations = paperdata._cancellation_plan(poincare(ranks), 1)
+    flow, residual = paperdata._cancellation_flow(entries, pairs, cancellations)
     source, sink = len(entries), len(entries) + 1
     # The flow used the term's only unit: no slack is left on its edge.
     assert flow == 1
     assert residual[source].get(saturated, 0) == residual[saturated].get(sink, 0) == 0
-    assert survivable_gradings(ranks, 1) == possible
-    assert entries[saturated][0] in possible
+    assert survivable(ranks, 1) == possible
+    assert entries[saturated][1] in possible
 
 
 def test_survivable_gradings_refusals():
     with pytest.raises(DeductionError, match="^target rank unreachable: no sequence"):
-        survivable_gradings([(F(1), F(0), 1), (F(0), F(1), 1)], 0)
+        survivable([(F(1), F(0), 1), (F(0), F(1), 1)], 0)
     # Rank 30 on the seven-term diagonal: the level sweep ran for over a
     # minute; the flows answer at once, as they do at rank 10^6.
     start = time.perf_counter()
-    assert survivable_gradings(diagonal_ranks(30), 29) == {F(-3), F(-1), F(1), F(3)}
-    assert survivable_gradings([(F(1), F(1), 10**6), (F(0), F(0), 10**6 + 1)], 1) == {
+    assert survivable(diagonal_ranks(30), 29) == {F(-3), F(-1), F(1), F(3)}
+    assert survivable([(F(1), F(1), 10**6), (F(0), F(0), 10**6 + 1)], 1) == {
         F(0)
     }
     assert time.perf_counter() - start < 1

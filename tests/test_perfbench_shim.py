@@ -28,14 +28,18 @@ def _run(*argv):
     )
 
 
-@pytest.mark.parametrize("job", ["grid-tau", "tau"])
+@pytest.mark.parametrize("job", ["grid-tau", "tau", "deep-slice", "verify-paper"])
 def test_shim_trace_has_no_absent_hooks(tmp_path, job):
     if job == "grid-tau":
         cli = ["grid-tau", "--torus", "2", "3", "--hfk"]
-    else:
+    elif job == "tau":
         path = tmp_path / "rp1.json"
         path.write_text(json.dumps(complex_to_json(_rp1_model_complex())))
         cli = ["tau", "--complex", str(path)]
+    elif job == "deep-slice":
+        cli = ["deep-slice", "--builtin", "lift_8_20"]
+    else:
+        cli = ["verify-paper"]
     trace = tmp_path / "t.json"
     proc = _run("perfbench/shim.py", str(trace), "job", "--", *cli)
     assert proc.returncode == 0, proc.stderr
@@ -50,7 +54,13 @@ def test_shim_trace_has_no_absent_hooks(tmp_path, job):
         assert hot["scan_states"] == 0
         assert hot["rect_calls"] >= 1
         assert hot["columns"] > 0
-    else:
+    elif job == "verify-paper":
+        # Two builtin spectra, RP1_in_RP3's and J_example_6.2's copy of
+        # it, each one span: paperdata imports tau_spectrum where it runs,
+        # so the shim's wrapper is not wrapped again.
+        spans = [span["name"] for span in record["spans"]]
+        assert spans.count("complexes.tau_spectrum") == 2
+    elif job == "tau":
         # The spectrum reads the basis and the complex's one elimination
         # through the hooked functions and engine factory.
         names = {span["name"] for span in record["spans"]}

@@ -21,8 +21,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ratslice"
 UNCALLED = {
     ("grid", "compile_grid"): "perfbench/shim.py hooks it, and the tests use it "
     "as a reference, until the benchmark reads stage records (ROADMAP item 1c)",
-    ("complexes", "survivor_deduction"): "perfbench/shim.py hooks it, and the tests "
-    "use it as a reference, until the benchmark reads stage records (ROADMAP item 1c)",
+    ("paperdata", "survivor_deduction"): "perfbench/shim.py hooks it in paperdata, "
+    "and the tests hold survivable_gradings to it, until the benchmark reads stage "
+    "records (ROADMAP item 1c)",
     ("parallel", "ordered_map"): "perfbench/shim.py imports ratslice.parallel and "
     "hooks it, until the benchmark reads stage records (ROADMAP item 1c)",
     ("bounds", "floer_simple_genus"): "the paper's Floer simple genus equality; "
