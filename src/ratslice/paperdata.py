@@ -18,9 +18,7 @@ Four inputs ship with the package:
 Only the 8_20 polynomial is shipped; verdicts for other lifted knots go
 through the same pipeline with user-supplied polynomials.  That pipeline,
 the survivor deduction, lives here beside the PoincarePolynomial record
-it reads: `survivable_gradings` answers it with one max-flow.  Only the
-builtins that build a complex import `ratslice.complexes`, so deep-slice
-loads neither it nor the GF(2) code.
+it reads: `survivable_gradings` answers it with one max-flow.
 
 `paper_checks` recomputes every worked number above, and more, for the
 `verify-paper` command.
