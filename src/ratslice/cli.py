@@ -195,7 +195,7 @@ def _cmd_satellite_bound(args):
     word = formats.named("--braid", braid.parse_braid, args.braid)
     tau = formats.named("--tau", parse_rational, args.tau)
     lk = formats.named("--lk", parse_rational, args.lk)
-    w, comps = braid.writhe(word), braid.components(word)
+    w, comps = braid.writhe(word), braid.components(word.permutation())
     interval = bounds.bp_tau_interval(word.index, tau, lk, w, comps)
     return EXIT_OK, {
         "braid": braid.format_braid(word),
@@ -255,16 +255,17 @@ def _cmd_braid_info(args):
     from . import braid, formats
 
     word = formats.named("--braid", braid.parse_braid, args.braid)
+    permutation = word.permutation()
     k, l = braid.splitting_counts(word)
     return EXIT_OK, {
         "braid": braid.format_braid(word),
         "index": word.index,
         "length": len(word.word),
         "writhe": braid.writhe(word),
-        "components": braid.components(word),
+        "components": braid.components(permutation),
         "positive_crossings": k,
         "negative_crossings": l,
-        "permutation": list(word.permutation()),
+        "permutation": list(permutation),
         "citation": "braid-closure-combinatorics",
     }
 

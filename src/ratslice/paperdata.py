@@ -120,7 +120,6 @@ def builtin(name: str) -> FramedKnotData | PoincarePolynomial:
             slope=1,
             tau_spectrum=spectrum,
             d_invariants={"0": Fraction(1, 4), "1": Fraction(-1, 4)},
-            linking_form=(Fraction(0), Fraction(1, 2)),
             floer_simple=True,
         )
     if name == "T(2,-5)":
@@ -142,7 +141,6 @@ def builtin(name: str) -> FramedKnotData | PoincarePolynomial:
             slope=rp1.slope,
             tau_spectrum=connected_sum_shift(rp1.tau_spectrum, Fraction(-2)),
             d_invariants=rp1.d_invariants,
-            linking_form=rp1.linking_form,
             floer_simple=False,
         )
     raise ValueError(

@@ -33,27 +33,19 @@ class FramedKnotData:
 
     order: order of the knot's homology class (q >= 1); slope: the integer
     r with boundary q*lambda + r*mu, so the linking of knot and framing is
-    lk = -r/q.  Optional extras feed specific evaluators: d_invariants
-    per Spin^c label, linking form values in [0, 1), and a Floer-simple
-    flag.
+    lk = -r/q.  Optional: d_invariants per Spin^c label, which
+    verify-paper reads from RP1_in_RP3, and a Floer-simple flag.
     """
 
     order: int
     slope: int
     tau_spectrum: TauSpectrum
     d_invariants: Optional[dict[str, Fraction]] = None
-    linking_form: Optional[tuple[Fraction, ...]] = None
     floer_simple: Optional[bool] = None
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError(f"order: expected a positive integer, got {self.order}")
-        if self.linking_form is not None:
-            values = tuple(Fraction(v) for v in self.linking_form)
-            object.__setattr__(self, "linking_form", values)
-            for i, v in enumerate(values):
-                if not 0 <= v < 1:
-                    raise ValueError(f"linking_form[{i}]: expected a value in [0, 1)")
 
     @property
     def lk(self) -> Fraction:
@@ -61,9 +53,10 @@ class FramedKnotData:
 
 
 def lk_from_slope(q: int, r: int) -> Fraction:
-    """Linking of the knot with the framing, -r/q, from the surface slope."""
-    if q < 1:
-        raise ValueError("order q must be >= 1")
+    """Linking of the knot with the framing, -r/q, from the surface slope.
+
+    The order q >= 1 is checked where it is read, by FramedKnotData.
+    """
     return Fraction(-r, q)
 
 
@@ -114,12 +107,6 @@ def twist_normalize(
     this move.
     """
     twist = full_twist(pattern.index)
-    if m >= 0:
-        extra = twist.inverse()
-        count = m
-    else:
-        extra = twist
-        count = -m
-    for _ in range(count):
-        pattern = pattern * extra
+    extra = twist.inverse() if m >= 0 else twist
+    pattern = pattern * BraidWord(pattern.index, extra.word * abs(m))
     return pattern, lk_shift(framing_lk, m)

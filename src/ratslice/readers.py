@@ -67,7 +67,7 @@ def _string(value: Any, field: str) -> str:
     raise _fail(field, f"expected a string, got {value!r}")
 
 
-_JSON_TYPES = {bool: "a boolean", dict: "an object", list: "a list"}
+_JSON_TYPES = {bool: "a boolean", dict: "an object"}
 
 
 def _optional(value: Any, kind: type, field: str) -> Any:
@@ -153,18 +153,11 @@ def framed_from_json(doc: dict) -> FramedKnotData:
         if d_raw is not None
         else None
     )
-    lf_raw = _optional(doc.get("linking_form"), list, "linking_form")
-    lf = (
-        tuple(_rational(v, f"linking_form[{i}]") for i, v in enumerate(lf_raw))
-        if lf_raw is not None
-        else None
-    )
     data = FramedKnotData(
         order=_integer(_need(doc, "order", ""), "order"),
         slope=_integer(_need(doc, "slope", ""), "slope"),
         tau_spectrum=spectrum_from_json(_need(doc, "tau_spectrum", "")),
         d_invariants=d,
-        linking_form=lf,
         floer_simple=_optional(doc.get("floer_simple"), bool, "floer_simple"),
     )
     _agree(doc, "lk", "", data.lk, "-slope/order")

@@ -772,11 +772,6 @@ def framed_to_json(data) -> dict:
         if data.d_invariants is not None
         else None
     )
-    doc["linking_form"] = (
-        [format_rational(v) for v in data.linking_form]
-        if data.linking_form is not None
-        else None
-    )
     doc["floer_simple"] = data.floer_simple
     return doc
 

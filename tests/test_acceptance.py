@@ -147,7 +147,7 @@ def test_criterion_7_torus_braid_consistency_identity():
             for n in range(-8, 9):
                 braid = torus_braid(p, p * n + 1)
                 w = writhe(braid)
-                comps = components(braid)
+                comps = components(braid.permutation())
                 assert comps == 1
                 for t in range(-3, 4):
                     for lk in quarters:

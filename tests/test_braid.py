@@ -1,5 +1,7 @@
 """Braid words: writhe, closure components, twists."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -34,9 +36,34 @@ def test_writhe_torus_braid():
 
 
 def test_components_basics():
-    assert components(BraidWord(3)) == 3
-    assert components(BraidWord(2, (1,))) == 1
-    assert components(BraidWord(2, (1, 1))) == 2
+    assert components(BraidWord(3).permutation()) == 3
+    assert components(BraidWord(2, (1,)).permutation()) == 1
+    assert components(BraidWord(2, (1, 1)).permutation()) == 2
+
+
+def _orbit_count(permutation):
+    # Independent of components: remove one whole orbit at a time.
+    left = set(range(len(permutation)))
+    count = 0
+    while left:
+        s = left.pop()
+        while permutation[s] in left:
+            s = permutation[s]
+            left.remove(s)
+        count += 1
+    return count
+
+
+def test_components_counts_the_cycles():
+    rng = random.Random(40)
+    for size in [1, 2, 2000] + [rng.randint(1, 2000) for _ in range(40)]:
+        permutation = list(range(size))
+        rng.shuffle(permutation)
+        assert components(tuple(permutation)) == _orbit_count(permutation)
+    for p in range(1, 6):
+        for q in range(-6, 7):
+            permutation = torus_braid(p, q).permutation()
+            assert components(permutation) == _orbit_count(permutation)
 
 
 def test_torus_braid_contract():
@@ -46,7 +73,7 @@ def test_torus_braid_contract():
         for q in range(-6, 7):
             b = torus_braid(p, q)
             assert writhe(b) == (p - 1) * q
-            assert components(b) == (gcd(p, abs(q)) if q else p)
+            assert components(b.permutation()) == (gcd(p, abs(q)) if q else p)
 
 
 def test_torus_braid_seifert_framed_writhe():
@@ -57,7 +84,7 @@ def test_torus_braid_seifert_framed_writhe():
 def test_torus_braid_zero_power():
     b = torus_braid(3, 0)
     assert b.word == ()
-    assert components(b) == 3
+    assert components(b.permutation()) == 3
 
 
 def test_full_twist():
@@ -87,7 +114,7 @@ def test_full_twist_composition_properties(b, n):
         return
     twisted = b * full_twist(n)
     assert writhe(twisted) == writhe(b) + n * (n - 1)
-    assert components(twisted) == components(b)
+    assert components(twisted.permutation()) == components(b.permutation())
 
 
 def test_letter_range_enforced():

@@ -779,7 +779,7 @@ _GEN_A = {"id": "a", "maslov": "0", "alexander": "0", "spinc": "0"}
             "tau_spectrum.per_class['b0']",
         ),
         ("genus-bound", "--knot", _framed_document(d_invariants="x"), "d_invariants"),
-        ("genus-bound", "--knot", _framed_document(linking_form=5), "linking_form"),
+        ("genus-bound", "--knot", _framed_document(lk=[1]), "lk"),
         ("genus-bound", "--knot", _framed_document(floer_simple="maybe"), "floer_simple"),
         (
             "genus-bound",
@@ -868,8 +868,8 @@ _GEN_A = {"id": "a", "maslov": "0", "alexander": "0", "spinc": "0"}
         (
             "genus-bound",
             "--knot",
-            _framed_document(linking_form=["1/2", "3/2"]),
-            "linking_form[1]",
+            _framed_spectrum(tau_max="-1/1", breadth="5/4"),
+            "tau_spectrum.tau_max",
         ),
         # A record checks its rules once every field is read, so with two
         # errors the malformed value is named before the broken rule.
@@ -936,6 +936,23 @@ def test_knot_document_derived_values_must_agree(tmp_path, capsys):
         assert run_cli(capsys, "genus-bound", "--knot", str(path)) == (
             1, "", f"error: {message}\n"
         )
+
+
+@pytest.mark.parametrize(
+    "linking_form", [5, ["0/1", "3/2"]], ids=["number", "out_of_range"]
+)
+def test_framed_document_with_a_linking_form_reads_as_without(
+    tmp_path, capsys, linking_form
+):
+    # Documents once carried a linking form that no verb read; the field
+    # is now ignored like any other unknown one, even when malformed.
+    plain, old = tmp_path / "plain.json", tmp_path / "old.json"
+    plain.write_text(json.dumps(_framed_document()))
+    old.write_text(json.dumps(_framed_document(linking_form=linking_form)))
+    for argv in (["genus-bound"], ["seifert-framed-bound", "--p", "2"]):
+        expected = run_cli(capsys, *argv, "--knot", str(plain))
+        assert expected[0] == 0
+        assert run_cli(capsys, *argv, "--knot", str(old)) == expected
 
 
 @pytest.mark.parametrize(
@@ -1685,6 +1702,25 @@ def test_braid_index_limit_refuses_before_the_permutation(monkeypatch, capsys):
         capsys, "satellite-bound", "--braid", "4: 1 2 3", "--tau", "0", "--lk", "0"
     ) == (1, "", message)
     assert run_json(capsys, "braid-info", "--braid", "3: 1 2")["permutation"] == [1, 2, 0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["braid-info", "--braid", "5: 1 2 3 -4 1"],
+    ["satellite-bound", "--braid", "5: 1 2 3 -4 1", "--tau", "0", "--lk", "0"],
+], ids=lambda argv: argv[0])
+def test_braid_verbs_build_the_permutation_once(monkeypatch, capsys, argv):
+    from ratslice import braid
+
+    calls = []
+    permutation = braid.BraidWord.permutation
+
+    def counted(word):
+        calls.append(word)
+        return permutation(word)
+
+    monkeypatch.setattr(braid.BraidWord, "permutation", counted)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert len(calls) == 1
 
 
 def test_grid_tau_oversize_slice_exits_one(monkeypatch, tmp_path, capsys):

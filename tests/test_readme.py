@@ -88,6 +88,17 @@ def test_documents_do_not_depend_on_the_hash_seed(tmp_path):
     assert outcomes["0"][-1].stderr.startswith(b"error: differential target 'x' ")
 
 
+def test_framed_format_lists_every_record_field():
+    # The sentence names the record's fields plus the derived lk, which a
+    # document carries for the reader.
+    from ratslice.ratlink import FramedKnotData
+
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    sentence = text.split("FramedKnotData JSON holds ", 1)[1].split(".", 1)[0]
+    named = set(re.findall(r"`(\w+)`", sentence))
+    assert named == set(FramedKnotData.__annotations__) | {"lk"}
+
+
 def test_library_table_lists_every_module():
     section = README.read_text(encoding="utf-8").split("\n## Library layout\n", 1)[1]
     rows = set(re.findall(r"^\| `ratslice\.(\w+)`", section.split("\n## ", 1)[0], re.M))
