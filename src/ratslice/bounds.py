@@ -167,13 +167,6 @@ def seifert_framed_bound(tau_max: Fraction, tau_min: Fraction, p: int) -> BoundR
     )
 
 
-def satellite_breadth_lower(p: int, breadth: Fraction) -> Fraction:
-    """Breadth growth under index-p braided satellites that close to knots:
-    the satellite's tau breadth is at least p*(breadth - 1) + 1."""
-    _check_p(p)
-    return p * (Fraction(breadth) - 1) + 1
-
-
 def slice_bennequin_check(
     tb_q: Fraction, rot_q: Fraction, chi: int, p: int
 ) -> BoundReport:

@@ -123,6 +123,12 @@ def _tau_extremes(args) -> tuple[Fraction, Fraction]:
 def _cmd_tau(args):
     from . import complexes, formats, readers
 
+    size = os.path.getsize(args.complex)
+    if size > complexes.MAX_DOCUMENT_BYTES:
+        raise ValueError(
+            f"{args.complex}: {size} bytes, above the limit of "
+            f"{complexes.MAX_DOCUMENT_BYTES} that tau --complex is measured to read"
+        )
     complex_ = readers.complex_from_json(_load_json(args.complex))
     doc = {"citation": "tau-from-filtered-complex"}
     if args.cycle is not None:

@@ -8,13 +8,13 @@ The Alexander grading of a chain is the maximum over its support, so every
 Alexander level j cuts out a subcomplex (all generators with A <= j).
 
 Every tau here comes from one persistence sweep with clearing
-(gf2.essential_rows; Zomorodian-Carlsson, Bauer-Kerber-Reininghaus).  Rows
-are generators in TauRowOrder, highest Alexander grading first.  The
-pivot rows of the boundaries (FilteredComplex._tau_engine) are the
-cycles that die; the boundaries out of the other rows are fed in
-ascending filtration order, and a row whose boundary adds no pivot is
-the birth of an essential class.  A cycle is an int bitset over
-generator indices, bit i for generator i.
+(gf2.essential_rows; Zomorodian-Carlsson, Bauer-Kerber-Reininghaus) into
+one engine (FilteredComplex._persistence).  Rows are generators in
+TauRowOrder, highest Alexander grading first.  The boundaries are fed by
+descending Maslov grading, in ascending filtration order within one,
+skipping each row that is already a pivot: a cycle that dies.  A row
+whose boundary adds no pivot is the birth of an essential class.  A
+cycle is an int bitset over generator indices, bit i for generator i.
 
 For a nonzero homology class alpha, tau(alpha) is the least level j at
 which alpha is hit by the map H(level-j subcomplex) -> H(total complex);
@@ -45,6 +45,17 @@ if TYPE_CHECKING:
     from .sums import TauSpectrum
 
 FULL_ENUMERATION_CAP = 20
+# The largest document tau --complex reads: its bytes are counted before
+# json.loads, its generators before any is parsed.  Columns are ints as
+# wide as the complex, so memory grows with the square of the generators.
+# Answered near the limits: compiled n=8 T(3,-5) (40,320 generators,
+# 8.3 MB) in 3.2-4.3 s at 341 MB; 12,499 copies of x -> y + v, y and
+# v -> z + s (49,997 generators, all columns of y and v as wide as the
+# complex) in 1.8 s at 430 MB.  Without them, the 150,000-pair document
+# (24 MB) and compiled n=9 T(2,-7) (88 MB) ran out of 3 GiB.  Counts bound
+# memory, not the time of an elimination that fills in.
+MAX_GENERATORS = 50_000
+MAX_DOCUMENT_BYTES = 16_000_000
 
 
 class InvalidComplexError(ValueError):
@@ -134,14 +145,19 @@ class FilteredComplex:
         return TauRowOrder([g.alexander for g in self.generators])
 
     @cached_property
-    def _tau_engine(self):
-        """The boundaries into the rows: boundary columns in generator
-        order, rows in TauRowOrder.  Its pivot rows are the cycles that die.
-        """
-        engine = new_engine(len(self.generators))
-        for col in self.boundary_columns:
-            engine.add_column(self._tau_rows.permute(col))
-        return engine
+    def _persistence(self):
+        """The one engine, rows in TauRowOrder, and its birth rows:
+        essential_rows' precondition holds, since the differential lowers
+        Maslov by exactly 1 and the rows go by descending Maslov grading."""
+        rows = self._tau_rows
+        cols = self.boundary_columns
+        maslov = [self.generators[i].maslov for i in rows.order]
+        engine = new_engine(len(maslov))
+        order = sorted(reversed(range(len(maslov))), key=maslov.__getitem__, reverse=True)
+        births = essential_rows(
+            engine, engine, lambda row: rows.permute(cols[rows.order[row]]), order
+        )
+        return engine, births
 
 
 def validate(complex_: FilteredComplex) -> tuple[str, ...]:
@@ -205,10 +221,7 @@ def homology_basis(complex_: FilteredComplex) -> list[int]:
     """
     gens = complex_.generators
     order = complex_._tau_rows.order
-    cols = complex_.boundary_columns
-    births = essential_rows(
-        complex_._tau_engine, new_engine(len(gens)), lambda row: cols[order[row]]
-    )
+    _, births = complex_._persistence
     return sorted(
         (order[row] for row in births),
         key=lambda i: (gens[i].spinc, -gens[i].maslov, i),
@@ -233,7 +246,8 @@ def tau(complex_: FilteredComplex, cycle: int) -> Fraction:
     """
     _check_cycle(complex_, cycle)
     rows = complex_._tau_rows
-    row = complex_._tau_engine.leading_row(rows.permute(cycle))
+    engine, _ = complex_._persistence
+    row = engine.leading_row(rows.permute(cycle))
     if row is None:
         raise ValueError("class is zero in homology")
     return rows.alexanders[row]

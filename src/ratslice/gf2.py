@@ -18,8 +18,9 @@ so with rows ordered highest grading first, leading_row is the least
 top grading among the coset's representatives.
 
 essential_rows is the one persistence sweep with clearing behind every
-homology basis, tau and knot Floer rank: complexes.homology_basis,
-grid.tau, and grid.graded_ranks down each Alexander level.
+homology basis, tau and knot Floer rank: grid.tau and grid.graded_ranks
+(down each Alexander level) fill a boundaries engine first, and a
+FilteredComplex passes its one engine as both boundaries and cycles.
 """
 
 from __future__ import annotations
@@ -81,25 +82,31 @@ def new_engine(nrows: int) -> Elimination:
     return Elimination(nrows)
 
 
-def essential_rows(boundaries, cycles, boundary_of_row) -> list[int]:
+def essential_rows(boundaries, cycles, boundary_of_row, order=None) -> list[int]:
     """Birth rows of the essential classes: persistence with clearing.
 
-    The engine boundaries spans the boundaries into the rows, and its
-    pivot rows are skipped.  boundary_of_row(row), the boundary out of a
-    row, of every other row is fed to the engine cycles, highest row
-    first.  A row whose column adds no pivot is a birth.  Births come
-    highest row first.
+    Rows are visited in order, highest row first by default.  A pivot row
+    of the engine boundaries, which spans the boundaries into the rows,
+    is skipped; boundary_of_row(row), the boundary out of any other row,
+    is fed to the engine cycles, which may be the same engine.  A row
+    whose column adds no pivot is a birth.  Births come in visit order.
 
-    A skipped row leads a boundary whose other rows are higher and whose
-    boundary is zero, so from the highest down each skipped column is a
-    sum of fed ones.  The births thus number the rows less the ranks in
-    and out: the homology rank, in any row order.  With the rows in
-    filtration order, highest grading first, each birth leads a cycle
-    that no boundary leads: a filtration birth.
+    Precondition: the differential lowers a homological degree by exactly
+    1, and when a row is visited, boundaries holds every pivot row of its
+    degree and the higher rows of that degree have been visited.  Filling
+    boundaries first meets it, and so does one engine fed by descending
+    degree: a degree's pivot rows come from the columns of the one above.
+
+    A skipped row leads a boundary whose other rows are higher, so visited
+    earlier, and whose boundary is zero: from the highest down, each
+    skipped column is a sum of fed ones (Chen-Kerber's twist).  The births
+    thus number the rows less the ranks in and out: the homology rank.
+    With the rows in filtration order, highest grading first, each birth
+    leads a cycle that no boundary leads: a filtration birth.
     """
     dying = boundaries.pivot_rows
     births = []
-    for row in reversed(range(boundaries.nrows)):
+    for row in reversed(range(boundaries.nrows)) if order is None else order:
         if row in dying:
             continue
         pivots = cycles.rank

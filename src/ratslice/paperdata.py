@@ -373,13 +373,6 @@ def dual_knot_breadth(g: int) -> Fraction:
     return Fraction(g)
 
 
-def satellite_pl_genus_growth(g: int, p: int) -> Fraction:
-    """Compose the dual-knot breadth with the satellite breadth growth."""
-    from .bounds import satellite_breadth_lower
-
-    return satellite_breadth_lower(p, dual_knot_breadth(g))
-
-
 def paper_checks() -> list[dict]:
     """Every exact worked number from the source material, recomputed.
 

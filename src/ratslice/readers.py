@@ -93,10 +93,16 @@ def _agree(doc: dict, field: str, context: str, derived: Fraction, rule: str) ->
 # -- filtered complexes -------------------------------------------------
 
 def complex_from_json(doc: dict) -> FilteredComplex:
-    from .complexes import FilteredComplex
+    from .complexes import MAX_GENERATORS, FilteredComplex
 
+    entries = _need_list(doc, "generators")
+    if len(entries) > MAX_GENERATORS:
+        raise _fail(
+            "generators", f"{len(entries)} entries, above the limit of "
+            f"{MAX_GENERATORS} that tau --complex is measured to answer"
+        )
     generators = []
-    for i, entry in enumerate(_need_list(doc, "generators")):
+    for i, entry in enumerate(entries):
         ctx = f"generators[{i}]"
         generators.append(
             (

@@ -17,9 +17,10 @@ basis_cycles, maslov_zero_class and structural_checks are shared test
 code that holds the package's homology basis to the persistence oracle;
 homology_ranks and total_homology_rank count that basis.  The surface
 bound at a fixed boundary constant, swept over integer constants, is an
-oracle for the breadth genus bound.  The document writers at the end
-build the input files that no verb writes: complex, framed-knot and
-polynomial documents and grid text.
+oracle for the breadth genus bound, and the satellite breadth growth
+states the paper's unbounded PL slice genus as a sequence.  The document
+writers at the end build the input files that no verb writes: complex,
+framed-knot and polynomial documents and grid text.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from ratslice.grid import (
     hfk_bigraded_ranks,
     hfk_ranks,
 )
-from ratslice.paperdata import PoincarePolynomial
+from ratslice.paperdata import PoincarePolynomial, dual_knot_breadth
 from ratslice.rationals import format_rational
 
 
@@ -738,6 +739,24 @@ def optimal_c(tau_max, tau_min, p: int) -> tuple[Fraction, int, Fraction]:
         key=lambda c: (surface_bound_with_c(tau_max, tau_min, c, p), c),
     )
     return c_star, best, surface_bound_with_c(tau_max, tau_min, best, p)
+
+
+# -- satellite breadth growth ---------------------------------------------
+#
+# No command evaluates these: they state the paper's unbounded PL slice
+# genus in a fixed manifold as a computed sequence, which the tests check.
+
+def satellite_breadth_lower(p: int, breadth: Fraction) -> Fraction:
+    """Breadth growth under index-p braided satellites that close to knots:
+    the satellite's tau breadth is at least p*(breadth - 1) + 1."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    return p * (Fraction(breadth) - 1) + 1
+
+
+def satellite_pl_genus_growth(g: int, p: int) -> Fraction:
+    """Compose the dual-knot breadth with the satellite breadth growth."""
+    return satellite_breadth_lower(p, dual_knot_breadth(g))
 
 
 # -- document writers -------------------------------------------------------

@@ -29,6 +29,7 @@ from helpers import (
     optimal_c,
     random_complex,
     random_knot_grid,
+    satellite_breadth_lower,
     structural_checks,
     surface_bound_with_c,
     tau_by_level_sweep,
@@ -229,6 +230,6 @@ def test_criterion_9_optimal_c_mechanism():
 def test_criterion_10_breadth_growth():
     with Criterion(10, "dual knot breadth 2; satellite growth p + 1", 1):
         assert paperdata.dual_knot_breadth(2) == F(2)
-        values = [bounds.satellite_breadth_lower(p, F(2)) for p in range(1, 21)]
+        values = [satellite_breadth_lower(p, F(2)) for p in range(1, 21)]
         assert values == [F(p + 1) for p in range(1, 21)]
         assert all(b > a for a, b in zip(values, values[1:]))

@@ -14,14 +14,13 @@ from ratslice.bounds import (
     exterior_grading_table,
     floer_simple_genus,
     genus_lower_bound_breadth,
-    satellite_breadth_lower,
     seifert_framed_bound,
     slice_bennequin_check,
     surface_genus_upper,
 )
 from ratslice.braid import components, torus_braid, writhe
 
-from helpers import optimal_c, surface_bound_with_c
+from helpers import optimal_c, satellite_breadth_lower, surface_bound_with_c
 
 F = Fraction
 

@@ -17,7 +17,7 @@ import pytest
 
 from ratslice import cli
 from ratslice.cli import _RATIONAL_FLAGS, _VERBS, build_parser, main
-from ratslice.complexes import tau_spectrum
+from ratslice.complexes import MAX_DOCUMENT_BYTES, MAX_GENERATORS, tau_spectrum
 from ratslice.grid import torus_knot_grid
 from ratslice.paperdata import builtin
 from ratslice.rationals import format_rational
@@ -1667,6 +1667,74 @@ def test_grid_tau_huge_torus_refused_before_allocating():
     assert proc.returncode == 1
     assert "exceeds the cap 10" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _wide_complex(tops: int) -> dict:
+    """Arrows a_i -> b_i + w and a free z: 2 * tops + 2 generators, the
+    column of every a_i as wide as the complex.  Its homology is z and w."""
+    def gen(gid, maslov):
+        return {"id": gid, "maslov": maslov, "alexander": "0/1", "spinc": "0"}
+
+    generators = [gen(f"a{i}", "1/1") for i in range(tops)]
+    generators += [gen(f"b{i}", "0/1") for i in range(tops)] + [gen("z", "0/1"), gen("w", "0/1")]
+    return {"generators": generators, "differential": {f"a{i}": [f"b{i}", "w"] for i in range(tops)}}
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at", "past"])
+def test_tau_complex_generator_limit(tmp_path, over):
+    # The widest columns the limit admits answer (1.7 s at 384 MB measured);
+    # one pair more, which answered before the limit, is refused before any entry
+    # is read.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(_wide_complex((MAX_GENERATORS - 2) // 2 + over)))
+    proc = run_capped("tau", "--complex", str(path), timeout=60)
+    if over:
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            f"error: generators: {MAX_GENERATORS + 2} entries, above the limit of "
+            f"{MAX_GENERATORS} that tau --complex is measured to answer\n"
+        )
+    else:
+        assert (proc.returncode, proc.stderr) == (0, "")
+        spectrum = json.loads(proc.stdout)["spectrum"]
+        assert spectrum["per_class"] == {"b0": "0/1", "b0+b1": "0/1", "b1": "0/1"}
+
+
+def test_generator_limit_refuses_before_any_column(tmp_path, monkeypatch, capsys):
+    from ratslice import complexes
+    from ratslice.paperdata import _rp1_model_complex
+
+    def refuse(*args):
+        raise AssertionError("a column was built before the refusal")
+
+    path = tmp_path / "rp1.json"
+    path.write_text(json.dumps(complex_to_json(_rp1_model_complex())))
+    monkeypatch.setattr(complexes, "MAX_GENERATORS", 1)
+    monkeypatch.setattr(complexes, "validate", refuse)
+    message = "error: generators: 2 entries, above the limit of 1 that tau --complex is measured to answer\n"
+    assert run_cli(capsys, "tau", "--complex", str(path)) == (1, "", message)
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at", "past"])
+def test_tau_complex_byte_limit(tmp_path, over):
+    # The 150,000-pair document (24 MB) and compiled n=9 T(2,-7) (88 MB)
+    # ran out of 3 GiB without the limits; a document past the byte limit is
+    # refused before it is read.  Whitespace pads the RP^3 core complex.
+    from ratslice.paperdata import _rp1_model_complex
+
+    text = json.dumps(complex_to_json(_rp1_model_complex()))
+    path = tmp_path / "padded.json"
+    path.write_text(text + " " * (MAX_DOCUMENT_BYTES + over - len(text)))
+    proc = run_capped("tau", "--complex", str(path), timeout=60)
+    if over:
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            f"error: {path}: {MAX_DOCUMENT_BYTES + 1} bytes, above the limit of "
+            f"{MAX_DOCUMENT_BYTES} that tau --complex is measured to read\n"
+        )
+    else:
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["spectrum"]["tau_max"] == "1/4"
 
 
 @pytest.mark.parametrize("argv", [

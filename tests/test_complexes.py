@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ratslice import complexes, paperdata, sums
+from ratslice import complexes, gf2, paperdata, sums
 from ratslice.complexes import (
     FilteredComplex,
     InvalidComplexError,
@@ -22,6 +22,9 @@ from ratslice.complexes import (
     tau_spectrum,
     validate,
 )
+from ratslice.gf2 import new_engine
+from ratslice.grid import compile_grid, torus_knot_grid
+from ratslice.grid import tau as grid_tau
 from ratslice.paperdata import DeductionError
 from ratslice.rationals import format_rational
 from ratslice.readers import spectrum_from_json
@@ -31,6 +34,7 @@ from helpers import (
     basis_cycles,
     boundary_subspace_contains,
     dense_rank,
+    essential_cycles,
     exhaustive_tau,
     homology_ranks,
     max_alexander,
@@ -187,6 +191,56 @@ def test_homology_basis_members_are_independent_cycles():
             assert bits
             assert c.boundary_of(bits) == 0
             assert not boundary_subspace_contains(c, bits)
+
+
+# -- the one elimination ------------------------------------------------------
+
+# Torus knot grids up to n = 7.
+TORUS_KNOTS = [(2, 3), (2, -3), (3, 2), (2, 5), (2, -5), (3, 4), (3, -4)]
+
+
+def test_one_engine_sweep_matches_textbook_persistence():
+    # The engine that essential_rows feeds by descending Maslov grading,
+    # with clearing, against the textbook reduction without clearing: the
+    # same births, the pivot rows of an engine fed every column, and tau of
+    # each oracle cycle (the --cycle answer) equal to its birth grading and
+    # to the exhaustive minimum over its coset where that is tractable.
+    rng = random.Random(1841)
+    cases = [(random_complex(rng, max_generators=10), None) for _ in range(120)]
+    cases += [(compile_grid(torus_knot_grid(p, q)), (p, q)) for p, q in TORUS_KNOTS]
+    for c, knot in cases:
+        cycles = essential_cycles(c)
+        assert sorted(homology_basis(c)) == sorted(cycles), knot
+        rows = c._tau_rows
+        plain = new_engine(len(c.generators))
+        for col in c.boundary_columns:
+            plain.add_column(rows.permute(col))
+        assert set(c._persistence[0].pivot_rows) == set(plain.pivot_rows), knot
+        for birth, cycle in cycles.items():
+            value = tau(c, cycle)
+            assert value == c.generators[birth].alexander, knot
+            if knot is None:
+                assert value == exhaustive_tau(c, cycle)
+            elif c.generators[birth].maslov == 0:
+                assert value == grid_tau(torus_knot_grid(*knot)), knot
+
+
+def test_one_engine_feeds_each_surviving_column_once(monkeypatch):
+    # Clearing: the engine takes the column of every generator whose row is
+    # no pivot when visited, and no other: the generators less the rank of
+    # the boundaries, and a --cycle answer after the spectrum adds none.  A
+    # second, clearing-free elimination would add every column again.
+    c = compile_grid(torus_knot_grid(2, -5))
+    rank = (len(c.generators) - len(essential_cycles(c))) // 2
+    added = []
+    add_column = gf2.Elimination.add_column
+    monkeypatch.setattr(
+        gf2.Elimination, "add_column", lambda self, col: added.append(col) or add_column(self, col)
+    )
+    tau_spectrum(c)
+    maslov_zero = [bits for i, bits in essential_cycles(c).items() if c.generators[i].maslov == 0]
+    assert tau(c, maslov_zero[0]) == -2
+    assert len(added) == len(c.generators) - rank == 2552
 
 
 # -- tau ----------------------------------------------------------------------

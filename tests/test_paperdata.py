@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from ratslice.bounds import satellite_breadth_lower
 from ratslice.paperdata import (
     BUILTIN_NAMES,
     DeepSliceVerdict,
@@ -12,11 +11,14 @@ from ratslice.paperdata import (
     builtin,
     deep_slice_report,
     dual_knot_breadth,
-    satellite_pl_genus_growth,
 )
 from ratslice.ratlink import FramedKnotData
 
-from helpers import naive_survivors
+from helpers import (
+    naive_survivors,
+    satellite_breadth_lower,
+    satellite_pl_genus_growth,
+)
 
 F = Fraction
 

@@ -28,8 +28,6 @@ UNCALLED = {
     "hooks it, until the benchmark reads stage records (ROADMAP item 1c)",
     ("bounds", "floer_simple_genus"): "the paper's Floer simple genus equality; "
     "ROADMAP item 12 gives it a caller",
-    ("paperdata", "satellite_pl_genus_growth"): "the paper's unbounded PL slice "
-    "genus; a verify-paper check waits for the paper's worked values",
 }
 
 
